@@ -228,9 +228,20 @@ class DisclosureEngine:
         *timestamp* overrides the logical-clock draw. It exists for WAL
         replay, which must reproduce recorded first-seen times exactly
         (and must not advance the clock); live callers leave it None.
+
+        Raises :class:`~repro.errors.DisclosureError` when *fingerprint*
+        was computed under another :class:`FingerprintConfig`: its hashes
+        are not comparable with the stored ones and would poison the
+        hash database, the WAL and every later snapshot.
         """
         if not 0.0 <= threshold <= 1.0:
             raise DisclosureError(f"threshold must be in [0, 1], got {threshold}")
+        config = self._fingerprinter.config
+        if fingerprint.config is not config and fingerprint.config != config:
+            raise DisclosureError(
+                f"fingerprint config {fingerprint.config} does not match "
+                f"the engine's {config}"
+            )
         with self.lock.write_locked():
             now = self._clock.now() if timestamp is None else timestamp
             existing = self.segment_db.find(segment_id)
@@ -272,20 +283,31 @@ class DisclosureEngine:
         old_hashes: FrozenSet[int],
         now: float,
     ) -> bool:
-        """Record the new hashes and withdraw the removed ones.
+        """Record the hashes the segment gained, withdraw the ones it lost.
 
         An edit withdraws the segment's claim on hashes it no longer
         contains, so authority migrates to the oldest observer that
         still holds the text (paper Figure 6). Returns True when any
         (hash, segment) association actually changed. The sharded
         engine overrides this with batched per-shard application.
+
+        Only the delta is applied. That is exact because the engine
+        keeps ``hash_db.hashes_of(s) == segment_db[s].fingerprint.hashes``
+        for every segment ``s``, and ``HashDatabase.record`` is a no-op
+        for a (hash, segment) pair already present: re-recording the
+        unchanged hashes would change nothing.
         """
+        # A new segment's delta is its whole fingerprint; skipping the
+        # set copy keeps the hash table's insertion order as it was.
+        added = new_hashes - old_hashes if old_hashes else new_hashes
         changed = False
-        for h in new_hashes:
-            if self.hash_db.record(h, segment_id, now):
+        record = self.hash_db.record
+        for h in added:
+            if record(h, segment_id, now):
                 changed = True
+        remove = self.hash_db.remove_observation
         for h in old_hashes - new_hashes:
-            if self.hash_db.remove_observation(h, segment_id):
+            if remove(h, segment_id):
                 changed = True
         return changed
 
@@ -853,6 +875,10 @@ class DisclosureTracker:
         sharded engines to scatter per-shard sweeps; ignored unsharded.
         """
         shared_clock = clock or LogicalClock()
+        # One config object for both engines, so a paragraph fingerprint
+        # reused at document granularity passes the engine's config check
+        # on identity alone.
+        config = config or FingerprintConfig()
         #: One registry for both granularities (and the shared lock):
         #: ``engine.paragraph.*`` and ``engine.document.*`` instruments
         #: land side by side in one snapshot.
@@ -911,6 +937,45 @@ class DisclosureTracker:
         self.paragraphs._clock = clock
         self.documents._clock = clock
 
+    def document_fingerprints(
+        self,
+        paragraphs: Sequence[Tuple[str, str]],
+        fingerprints: Optional[Sequence[Fingerprint]] = None,
+        document_fingerprint: Optional[Fingerprint] = None,
+    ) -> Tuple[Sequence[Fingerprint], Fingerprint]:
+        """Per-paragraph and document fingerprints of one document.
+
+        The one home of the document-granularity rule: the document
+        fingerprint covers the ``"\\n\\n"`` join of the paragraph texts,
+        and a one-paragraph document's text *is* its paragraph's text,
+        so that paragraph's fingerprint is reused instead of computed
+        again.
+
+        *fingerprints* (aligned with *paragraphs*) and
+        *document_fingerprint* are used when given, so a caller that
+        already fingerprinted the text (the plug-in's edit buffer, or a
+        check that precedes an observe) pays nothing here; only what is
+        missing is computed. Raises
+        :class:`~repro.errors.DisclosureError` when *fingerprints* is not
+        aligned with *paragraphs*.
+        """
+        if fingerprints is None:
+            fingerprint = self.paragraphs.fingerprinter.fingerprint
+            fingerprints = [fingerprint(text) for _pid, text in paragraphs]
+        elif len(fingerprints) != len(paragraphs):
+            raise DisclosureError(
+                f"got {len(fingerprints)} fingerprints for "
+                f"{len(paragraphs)} paragraphs"
+            )
+        if document_fingerprint is None:
+            if len(paragraphs) == 1:
+                document_fingerprint = fingerprints[0]
+            else:
+                document_fingerprint = self.documents.fingerprinter.fingerprint(
+                    "\n\n".join(text for _pid, text in paragraphs)
+                )
+        return fingerprints, document_fingerprint
+
     def observe_document(
         self,
         doc_id: str,
@@ -918,11 +983,17 @@ class DisclosureTracker:
         *,
         paragraph_threshold: Optional[float] = None,
         document_threshold: Optional[float] = None,
+        fingerprints: Optional[Sequence[Fingerprint]] = None,
+        document_fingerprint: Optional[Fingerprint] = None,
     ) -> None:
         """Observe a document given (paragraph_id, text) pairs.
 
         Paragraph ids must be stable across edits (in the plugin they are
         DOM node ids); the document fingerprint covers the concatenation.
+
+        ``fingerprints`` and ``document_fingerprint`` optionally carry
+        fingerprints the caller already computed for *paragraphs*, as
+        for :meth:`check_document`; see :meth:`document_fingerprints`.
         """
         p_thresh = (
             paragraph_threshold
@@ -935,12 +1006,16 @@ class DisclosureTracker:
             else self._document_threshold
         )
         with self.lock.write_locked():
-            for par_id, text in paragraphs:
-                self.paragraphs.observe(
-                    par_id, text, threshold=p_thresh, doc_id=doc_id
+            fingerprints, document_fingerprint = self.document_fingerprints(
+                paragraphs, fingerprints, document_fingerprint
+            )
+            for (par_id, _text), fp in zip(paragraphs, fingerprints):
+                self.paragraphs.observe_fingerprint(
+                    par_id, fp, threshold=p_thresh, doc_id=doc_id
                 )
-            doc_text = "\n\n".join(text for _pid, text in paragraphs)
-            self.documents.observe(doc_id, doc_text, threshold=d_thresh)
+            self.documents.observe_fingerprint(
+                doc_id, document_fingerprint, threshold=d_thresh
+            )
 
     def check_document(
         self,
@@ -948,6 +1023,7 @@ class DisclosureTracker:
         paragraphs: Sequence[Tuple[str, str]],
         *,
         fingerprints: Optional[Sequence[Fingerprint]] = None,
+        document_fingerprint: Optional[Fingerprint] = None,
     ) -> TrackerReport:
         """Query, without observing, what a document would disclose.
 
@@ -956,35 +1032,22 @@ class DisclosureTracker:
         its own paragraphs are excluded as sources.
 
         ``fingerprints`` optionally carries precomputed per-paragraph
-        fingerprints aligned with *paragraphs* (the batch lookup path
-        computes them once for its cache keys and passes them down, so
-        a batched item is fingerprinted once instead of three times).
-        For a single-paragraph document the document fingerprint is the
-        paragraph fingerprint — the document text *is* the paragraph
-        text — so it is reused too.
+        fingerprints aligned with *paragraphs*, and
+        ``document_fingerprint`` the document's (see
+        :meth:`document_fingerprints`): the lookup path passes the ones
+        it keyed its caches on, and page ingest the ones it is about to
+        store, so each text is fingerprinted once per request.
         """
-        if fingerprints is not None and len(fingerprints) != len(paragraphs):
-            raise DisclosureError(
-                f"got {len(fingerprints)} fingerprints for "
-                f"{len(paragraphs)} paragraphs"
-            )
-        fingerprinter = self.paragraphs.fingerprinter
         par_reports = []
         with self.lock.read_locked():
-            if fingerprints is None:
-                fingerprints = [
-                    fingerprinter.fingerprint(text) for _pid, text in paragraphs
-                ]
+            fingerprints, doc_fp = self.document_fingerprints(
+                paragraphs, fingerprints, document_fingerprint
+            )
             for (par_id, _text), fp in zip(paragraphs, fingerprints):
                 report = self.paragraphs.disclosing_sources(
                     fingerprint=fp, exclude_doc=doc_id
                 )
                 par_reports.append((par_id, report))
-            if len(paragraphs) == 1:
-                doc_fp = fingerprints[0]
-            else:
-                doc_text = "\n\n".join(text for _pid, text in paragraphs)
-                doc_fp = self.documents.fingerprinter.fingerprint(doc_text)
             doc_report = self.documents.disclosing_sources(
                 fingerprint=doc_fp, exclude_doc=doc_id
             )
@@ -1023,28 +1086,16 @@ class DisclosureTracker:
                 f"got {len(fingerprints)} fingerprint lists for "
                 f"{len(docs)} documents"
             )
-        fingerprinter = self.paragraphs.fingerprinter
         with self.lock.read_locked():
-            if fingerprints is None:
-                fingerprints = [
-                    [fingerprinter.fingerprint(text) for _pid, text in paragraphs]
-                    for _doc_id, paragraphs in docs
-                ]
             par_queries: List[Tuple[Fingerprint, Optional[str]]] = []
             doc_queries: List[Tuple[Fingerprint, Optional[str]]] = []
-            for (doc_id, paragraphs), fps in zip(docs, fingerprints):
-                if len(fps) != len(paragraphs):
-                    raise DisclosureError(
-                        f"got {len(fps)} fingerprints for "
-                        f"{len(paragraphs)} paragraphs of {doc_id!r}"
-                    )
+            for i, (doc_id, paragraphs) in enumerate(docs):
+                fps, doc_fp = self.document_fingerprints(
+                    paragraphs,
+                    fingerprints[i] if fingerprints is not None else None,
+                )
                 for fp in fps:
                     par_queries.append((fp, doc_id))
-                if len(paragraphs) == 1:
-                    doc_fp = fps[0]
-                else:
-                    doc_text = "\n\n".join(text for _pid, text in paragraphs)
-                    doc_fp = self.documents.fingerprinter.fingerprint(doc_text)
                 doc_queries.append((doc_fp, doc_id))
             par_flat = self.paragraphs.disclosing_sources_many(par_queries)
             doc_flat = self.documents.disclosing_sources_many(doc_queries)

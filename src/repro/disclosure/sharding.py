@@ -648,7 +648,7 @@ class ShardedDisclosureEngine(DisclosureEngine):
     shard counts 1/2/4/8): the sweep accumulation is scattered across
     shards and merged, then handed to the *same*
     ``_threshold_pass`` the unsharded engine runs, and delta application
-    becomes two batched per-shard passes (record new, withdraw removed).
+    becomes two batched per-shard passes (record added, withdraw removed).
 
     Queries still run under the engine/tracker read lock and mutations
     under its write lock — the segment database, caches, and version
@@ -704,7 +704,11 @@ class ShardedDisclosureEngine(DisclosureEngine):
         old_hashes,
         now: float,
     ) -> bool:
-        recorded = self.hash_db.record_fingerprint(segment_id, new_hashes, now)
+        # Delta only, exactly as the base engine (see its docstring for
+        # why that is exact): record what the segment gained, withdraw
+        # what it lost.
+        added = new_hashes - old_hashes if old_hashes else new_hashes
+        recorded = self.hash_db.record_fingerprint(segment_id, added, now)
         withdrawn = self.hash_db.withdraw(segment_id, old_hashes - new_hashes)
         if recorded or withdrawn:
             # A fingerprint change moves this segment's score denominator

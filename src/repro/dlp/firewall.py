@@ -14,9 +14,8 @@ measured motivation for in-browser interception.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.browser.http import HttpRequest
 from repro.disclosure import DisclosureEngine
@@ -113,24 +112,8 @@ class NetworkDlpFirewall:
             )
 
     def stats(self) -> Dict[str, int]:
-        """Named counters for reporting, a thin view over the registry.
-
-        Previously returned a bare ``(requests_seen, detections)``
-        tuple; callers that unpacked it positionally should move to the
-        named fields (:meth:`stats_tuple` keeps the old shape during
-        the transition).
-        """
+        """Named counters for reporting, a thin view over the registry."""
         return {
             "requests_seen": self._c_requests_seen.value,
             "detections": len(self.detections),
         }
-
-    def stats_tuple(self) -> Tuple[int, int]:
-        """Deprecated: the pre-dict ``(requests_seen, detections)`` shape."""
-        warnings.warn(
-            "NetworkDlpFirewall.stats_tuple() is deprecated; use the "
-            "named fields of stats()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.requests_seen, len(self.detections)

@@ -16,10 +16,14 @@ look like and where fingerprints come from:
   returns its global version, the sharded engine a per-shard tuple, so
   a mutation that lands entirely on other shards leaves cached verdicts
   valid instead of invalidating everything.
-* Paragraph texts resolve to fingerprints through a content-addressed
-  :class:`~repro.plugin.cache.FingerprintCache`, and callers that track
-  edits incrementally (the plug-in's delta path) can pass precomputed
-  fingerprints to skip the text pipeline entirely.
+* Callers that already hold the fingerprints pass them in and skip the
+  text pipeline: the plug-in passes its ``EditBuffer`` fingerprint on
+  XHR syncs and the fingerprints it computed once on form submits, and
+  commits the same objects afterwards, so each text is fingerprinted
+  once per request (DESIGN.md §13, "Write path"). Only callers without
+  fingerprints (batch clients, direct lookups) resolve paragraph texts
+  through the content-addressed
+  :class:`~repro.plugin.cache.FingerprintCache`.
 """
 
 from __future__ import annotations

@@ -369,11 +369,14 @@ class BrowserFlowPlugin:
                 return original_send(xhr, body)
             doc_id, segment_id, text = parsed
             with span("intercept", kind="xhr", service=service_id):
+                # The edit buffer's fingerprint serves the check and, when
+                # the sync goes through, the commit: one fingerprint.
+                fingerprints = [self._delta_fingerprint(segment_id, text)]
                 action, _elapsed = self._decide(
                     service_id,
                     doc_id,
                     [(segment_id, text)],
-                    fingerprints=[self._delta_fingerprint(segment_id, text)],
+                    fingerprints=fingerprints,
                 )
             self._mark_editor_paragraph(window.document, segment_id, action)
             if not action.proceed:
@@ -389,7 +392,11 @@ class BrowserFlowPlugin:
             response = original_send(xhr, out_body)
             if response.ok and not action.rewrites:
                 self.model.commit_upload(
-                    service_id, doc_id, [(segment_id, text)], action.decision
+                    service_id,
+                    doc_id,
+                    [(segment_id, text)],
+                    action.decision,
+                    fingerprints=fingerprints,
                 )
             return response
 
@@ -520,7 +527,12 @@ class BrowserFlowPlugin:
             if not segments:
                 return
             with span("intercept", kind="form", service=service_id):
-                action, _elapsed = self._decide(service_id, doc_id, segments)
+                # Fingerprinted once here; the check and the commit share them.
+                fingerprint = self.model.tracker.paragraphs.fingerprinter.fingerprint
+                fingerprints = [fingerprint(text) for _seg_id, text in segments]
+                action, _elapsed = self._decide(
+                    service_id, doc_id, segments, fingerprints=fingerprints
+                )
             if not action.proceed:
                 event.prevent_default()
                 self.ui.mark_violation(form)
@@ -535,7 +547,13 @@ class BrowserFlowPlugin:
             else:
                 self.ui.mark_clear(form)
             if not action.rewrites:
-                self.model.commit_upload(service_id, doc_id, segments, action.decision)
+                self.model.commit_upload(
+                    service_id,
+                    doc_id,
+                    segments,
+                    action.decision,
+                    fingerprints=fingerprints,
+                )
 
         form.add_event_listener("submit", on_submit)
 

@@ -218,6 +218,9 @@ class TextDisclosureModel:
         sources' propagating tags as implicit tags. Returns the resolved
         label per paragraph id (the document label is stored under
         ``doc_id``).
+
+        Each paragraph and the document are fingerprinted once, and the
+        same fingerprints serve the check and the store.
         """
         policy = self.policies.get(service_id)
         # The whole check-then-store sequence runs under the write lock:
@@ -225,7 +228,15 @@ class TextDisclosureModel:
         # we are about to store, and no concurrent client may observe the
         # labels before the fingerprints (or vice versa).
         with self.lock.write_locked():
-            report = self.tracker.check_document(doc_id, paragraphs)
+            fingerprints, doc_fingerprint = self.tracker.document_fingerprints(
+                paragraphs
+            )
+            report = self.tracker.check_document(
+                doc_id,
+                paragraphs,
+                fingerprints=fingerprints,
+                document_fingerprint=doc_fingerprint,
+            )
             resolved: Dict[str, SegmentLabel] = {}
 
             for (par_id, _text), (_pid, par_report) in zip(
@@ -256,6 +267,8 @@ class TextDisclosureModel:
                 paragraphs,
                 paragraph_threshold=paragraph_threshold,
                 document_threshold=document_threshold,
+                fingerprints=fingerprints,
+                document_fingerprint=doc_fingerprint,
             )
             return resolved
 
@@ -449,7 +462,13 @@ class TextDisclosureModel:
         return label
 
     def commit_upload(
-        self, service_id: str, doc_id: str, paragraphs: Paragraphs, decision: FlowDecision
+        self,
+        service_id: str,
+        doc_id: str,
+        paragraphs: Paragraphs,
+        decision: FlowDecision,
+        *,
+        fingerprints: Optional[Sequence[Fingerprint]] = None,
     ) -> None:
         """Record that an allowed (or overridden) upload happened.
 
@@ -457,19 +476,34 @@ class TextDisclosureModel:
         tags, which stay attached in the target (§3.1) — become the
         stored labels, and the segments are observed as present in the
         target service.
+
+        ``fingerprints`` optionally carries the per-paragraph
+        fingerprints (aligned with *paragraphs*) the check was decided
+        on, so the committed text is not fingerprinted again.
         """
         if decision.service_id != service_id:
             raise PolicyError(
                 f"decision is for {decision.service_id!r}, not {service_id!r}"
             )
-        # Once stored, the text is "created within" the target service
-        # too, so it additionally carries that service's Lc (§3.1).
         with self.lock.write_locked():
+            # Resolved (and checked for alignment) before any label is
+            # stored, so a misaligned fingerprint list cannot half commit.
+            fingerprints, doc_fingerprint = self.tracker.document_fingerprints(
+                paragraphs, fingerprints
+            )
+            # Once stored, the text is "created within" the target
+            # service too, so it additionally carries that service's Lc
+            # (§3.1).
             confidentiality = self.policies.get(service_id).confidentiality
             for segment_id, label in decision.labels.items():
                 self._store_label(segment_id, label.add_explicit(confidentiality))
                 self._locations.setdefault(segment_id, set()).add(service_id)
-            self.tracker.observe_document(doc_id, paragraphs)
+            self.tracker.observe_document(
+                doc_id,
+                paragraphs,
+                fingerprints=fingerprints,
+                document_fingerprint=doc_fingerprint,
+            )
 
     # ------------------------------------------------------------------
     # Custom tags (§3.1)

@@ -41,6 +41,34 @@ THIRD_TEXT = (
 )
 
 
+def assert_databases_agree(engine) -> None:
+    """Assert the cross-database invariant of a disclosure engine.
+
+    Every tracked segment's observed hashes in ``hash_db`` are exactly
+    its stored fingerprint's hashes, and ``hash_db`` holds no segment
+    that ``segment_db`` lacks. Together these are the precondition of
+    the engine's delta-only fingerprint apply, which records only the
+    hashes a re-observed segment gained and withdraws the ones it lost.
+    Works for the plain and the sharded hash database; call it with the
+    engine's lock held or the engine quiescent.
+    """
+    hash_db, segment_db = engine.hash_db, engine.segment_db
+    for record in segment_db:
+        observed = hash_db.hashes_of(record.segment_id)
+        assert observed == record.fingerprint.hashes, (
+            f"{record.segment_id!r}: hash_db holds {len(observed)} hashes, "
+            f"its fingerprint {len(record.fingerprint.hashes)}"
+        )
+    tracked = set(segment_db.ids())
+    strays = {
+        segment_id
+        for hash_value in hash_db.hashes()
+        for segment_id, _ts in hash_db.owners(hash_value)
+        if segment_id not in tracked
+    }
+    assert not strays, f"hash_db observes untracked segments {sorted(strays)}"
+
+
 @pytest.fixture
 def tiny_config():
     return TINY_CONFIG

@@ -31,6 +31,7 @@ import threading
 
 import pytest
 
+from conftest import assert_databases_agree
 from repro.disclosure import DisclosureEngine
 from repro.fingerprint.config import FingerprintConfig
 
@@ -161,6 +162,7 @@ def test_concurrent_engine_matches_serial_replay(seed):
 
     # The shared engine's indexes survived 8-thread contention intact.
     shared.hash_db.check_invariants()
+    assert_databases_agree(shared)
 
     # Replay the linearised op log on a serial reference engine. Write
     # rounds contribute exactly one mutation each, so round order *is*

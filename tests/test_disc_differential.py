@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from conftest import assert_databases_agree
 from repro.disclosure import DisclosureEngine
 from repro.disclosure.engine import DisclosureReport
 from repro.fingerprint.config import FingerprintConfig, TINY_CONFIG
@@ -65,6 +66,7 @@ def apply_steps(engine, script):
 
 def check_all_queries(engine, live, probes=()):
     engine.hash_db.check_invariants()
+    assert_databases_agree(engine)
     for name in sorted(live):
         assert_reports_identical(
             # Bypass the decision cache deliberately: the point is to
@@ -160,6 +162,7 @@ class TestFigure6Migration:
         # ...so the wiki is now the authoritative source.
         assert after.source_ids() == ["wiki"]
         engine.hash_db.check_invariants()
+        assert_databases_agree(engine)
 
     def test_removal_migration(self):
         engine = DisclosureEngine(TINY_CONFIG)
@@ -222,6 +225,7 @@ class DifferentialMachine(RuleBasedStateMachine):
     def indexes_consistent(self):
         for engine in self.engines.values():
             engine.hash_db.check_invariants()
+            assert_databases_agree(engine)
 
 
 DifferentialMachine.TestCase.settings = settings(

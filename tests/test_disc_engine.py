@@ -1,10 +1,13 @@
 """Tests for the disclosure engine (Algorithm 1, incremental updates)."""
 
+import dataclasses
+
 import pytest
 
 from repro.disclosure import DisclosureEngine
 from repro.errors import DisclosureError, UnknownSegmentError
-from repro.fingerprint.config import TINY_CONFIG
+from repro.fingerprint import Fingerprinter
+from repro.fingerprint.config import PAPER_CONFIG, TINY_CONFIG
 from repro.util.clock import LogicalClock
 
 from conftest import OTHER_TEXT, SECRET_TEXT, THIRD_TEXT
@@ -52,6 +55,20 @@ class TestObserve:
         engine.observe("s1", SECRET_TEXT, doc_id="doc-9")
         updated = engine.observe("s1", SECRET_TEXT + " more")
         assert updated.doc_id == "doc-9"
+
+    def test_fingerprint_of_another_config_rejected(self, engine):
+        # Hashes computed under other parameters are not comparable with
+        # the stored ones; storing them would poison the hash database.
+        foreign = Fingerprinter(PAPER_CONFIG).fingerprint(SECRET_TEXT)
+        with pytest.raises(DisclosureError, match="config"):
+            engine.observe_fingerprint("s1", foreign)
+        assert len(engine) == 0
+        assert len(engine.hash_db) == 0
+        # An equal config built separately is the same config.
+        twin = Fingerprinter(dataclasses.replace(TINY_CONFIG))
+        assert twin.config is not engine.config
+        record = engine.observe_fingerprint("s1", twin.fingerprint(SECRET_TEXT))
+        assert record.fingerprint.config == engine.config
 
 
 class TestRemove:

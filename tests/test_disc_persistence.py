@@ -30,7 +30,7 @@ from repro.plugin.crypto import UploadCipher
 from repro.util.clock import LogicalClock
 from repro.util.faults import Fault, FaultInjector
 
-from conftest import OTHER_TEXT, SECRET_TEXT, THIRD_TEXT
+from conftest import OTHER_TEXT, SECRET_TEXT, THIRD_TEXT, assert_databases_agree
 
 
 @pytest.fixture
@@ -338,6 +338,8 @@ def assert_field_identical(recovered, reference):
     )
     recovered.hash_db.check_invariants()
     reference.hash_db.check_invariants()
+    assert_databases_agree(recovered)
+    assert_databases_agree(reference)
     # Destructive read, so always last: both clocks hand out the same
     # next timestamp — the recovered engine resumed, not rewound.
     assert recovered.engine._clock.now() == reference._clock.now()

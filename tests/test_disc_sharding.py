@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from conftest import assert_databases_agree
 from repro.disclosure import HashDatabase, ShardedHashDatabase, partition, shard_of
 from repro.disclosure.sharding import ShardedDisclosureEngine
 from repro.errors import DisclosureError, ShardDegraded
@@ -273,6 +274,7 @@ class TestShardedDisclosureEngine:
         assert snap["engine.paragraph.distinct_hashes"] == stats["distinct_hashes"]
         assert sum(engine.hash_db.shard_sizes()) == stats["distinct_hashes"]
         engine.hash_db.check_invariants()
+        assert_databases_agree(engine)
 
     def test_indexed_query_matches_reference_scan(self):
         engine = ShardedDisclosureEngine(CONFIG, n_shards=4)

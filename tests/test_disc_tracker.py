@@ -3,6 +3,7 @@
 import pytest
 
 from repro.disclosure import DisclosureTracker
+from repro.errors import DisclosureError
 from repro.fingerprint.config import TINY_CONFIG
 
 from conftest import OTHER_TEXT, SECRET_TEXT, THIRD_TEXT
@@ -36,6 +37,25 @@ class TestObserveDocument:
         )
         assert tracker.paragraphs.segment_db.get("d1#p0").threshold == 0.3
         assert tracker.documents.segment_db.get("d1").threshold == 0.7
+
+    def test_misaligned_fingerprints_rejected(self, tracker):
+        paragraphs = pars("d1", SECRET_TEXT, OTHER_TEXT)
+        fingerprints = [tracker.paragraphs.fingerprint(SECRET_TEXT)]
+        with pytest.raises(DisclosureError, match="got 1 fingerprints for 2"):
+            tracker.observe_document("d1", paragraphs, fingerprints=fingerprints)
+        assert len(tracker.paragraphs) == 0
+        assert len(tracker.documents) == 0
+
+    def test_passed_fingerprints_stored_as_computed(self, tracker):
+        paragraphs = pars("d1", SECRET_TEXT)
+        fingerprint = tracker.paragraphs.fingerprint(SECRET_TEXT)
+        tracker.observe_document("d1", paragraphs, fingerprints=[fingerprint])
+        # One paragraph: the document fingerprint is the paragraph's.
+        assert tracker.paragraphs.segment_db.get("d1#p0").fingerprint is fingerprint
+        assert tracker.documents.segment_db.get("d1").fingerprint is fingerprint
+        fresh = DisclosureTracker(TINY_CONFIG)
+        fresh.observe_document("d1", paragraphs)
+        assert fresh.documents.segment_db.get("d1").fingerprint == fingerprint
 
 
 class TestCheckDocument:

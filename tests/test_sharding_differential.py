@@ -28,6 +28,7 @@ from repro.disclosure import DisclosureEngine, HashDatabase, ShardedHashDatabase
 from repro.disclosure.sharding import ShardedDisclosureEngine
 from repro.fingerprint.config import FingerprintConfig
 
+from conftest import assert_databases_agree
 from test_conc_differential import (
     N_THREADS,
     SEGMENT_POOL,
@@ -91,6 +92,8 @@ class TestSerialDifferential:
         # after wiki's edit, tool owned the shared hashes until removed.
         assert expected[0].disclosing
         sharded.hash_db.check_invariants()
+        assert_databases_agree(sharded)
+        assert_databases_agree(plain)
         for h in plain.hash_db.hashes():
             assert sharded.hash_db.oldest_owner(h) == plain.hash_db.oldest_owner(h)
 
@@ -146,6 +149,7 @@ class TestConcurrentDifferential:
         assert not any(t.is_alive() for t in threads), "worker deadlocked"
 
         shared.hash_db.check_invariants()
+        assert_databases_agree(shared)
 
         # Replay the linearised op log on a serial *plain* engine: the
         # sharded engine under contention must match the unsharded one.

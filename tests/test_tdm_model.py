@@ -6,7 +6,7 @@ Wiki (tag tw), and an untrusted Docs service (no tags).
 
 import pytest
 
-from repro.errors import PolicyError, SuppressionError
+from repro.errors import DisclosureError, PolicyError, SuppressionError
 from repro.fingerprint.config import TINY_CONFIG
 from repro.tdm import Label, PolicyStore, Tag, TextDisclosureModel
 from repro.tdm.model import Suppression
@@ -272,3 +272,17 @@ class TestCommitUpload:
         model.commit_upload(WIKI, "w", paragraphs, decision)
         report = model.tracker.check_document("probe", [seg("probe", 0, THIRD_TEXT)])
         assert report.disclosing
+
+    def test_commit_with_misaligned_fingerprints_rejected(self, model):
+        paragraphs = [seg("d", 0, THIRD_TEXT), seg("d", 1, OTHER_TEXT)]
+        decision = model.check_upload(DOCS, "d", paragraphs)
+        epoch = model.label_epoch()
+        fingerprints = [model.tracker.paragraphs.fingerprint(THIRD_TEXT)]
+        with pytest.raises(DisclosureError, match="got 1 fingerprints for 2"):
+            model.commit_upload(
+                DOCS, "d", paragraphs, decision, fingerprints=fingerprints
+            )
+        # Rejected before anything was stored: no half commit.
+        assert model.label_epoch() == epoch
+        assert model.locations_of("d#p0") == frozenset()
+        assert len(model.tracker.paragraphs) == 0
