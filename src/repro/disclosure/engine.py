@@ -872,7 +872,8 @@ class DisclosureTracker:
         many independently locked shards. ``router`` (an object with a
         ``map(fn, items)`` method, e.g.
         :class:`~repro.plugin.router.ShardRouter`) is handed to both
-        sharded engines to scatter per-shard sweeps; ignored unsharded.
+        sharded engines, whose multi-shard sweeps pass it their
+        per-shard jobs; ignored unsharded.
         """
         shared_clock = clock or LogicalClock()
         # One config object for both engines, so a paragraph fingerprint

@@ -93,11 +93,25 @@ def partition(
     return [(index, group) for index, group in enumerate(buckets) if group]
 
 
-class _InlineRouter:
-    """Default scatter strategy: sweep shards sequentially in-thread."""
+def scatter(fn: Callable, items: Sequence) -> List:
+    """Run *fn* over every item in the calling thread, in item order.
 
-    def map(self, fn: Callable, items: Sequence) -> List:
-        return [fn(item) for item in items]
+    The one scatter loop of the sharded tier. Every job runs even when
+    an earlier one fails, so a sweep draws exactly one fault decision
+    per touched shard, as one RPC per shard would (DESIGN.md §11); the
+    first failure in item order is then re-raised.
+    """
+    results = []
+    first_error: Optional[Exception] = None
+    for item in items:
+        try:
+            results.append(fn(item))
+        except Exception as exc:  # run every job, then raise
+            if first_error is None:
+                first_error = exc
+    if first_error is not None:
+        raise first_error
+    return results
 
 
 class ShardedHashDatabase:
@@ -120,9 +134,10 @@ class ShardedHashDatabase:
         scope: metrics scope; per-shard instruments land under
             ``<scope>.<i>.`` (lock counters, sweeps, hashes swept).
             A private registry scope is created when omitted.
-        router: object with ``map(fn, items)`` used to scatter per-shard
-            sweep jobs (e.g. :class:`~repro.plugin.router.ShardRouter`);
-            in-thread sequential scatter when omitted.
+        router: object with ``map(fn, items)`` that multi-shard sweeps
+            hand their per-shard jobs to (e.g.
+            :class:`~repro.plugin.router.ShardRouter`); :func:`scatter`
+            runs them when omitted.
         faults: optional per-shard fault injectors, one per shard; see
             :meth:`set_faults`.
     """
@@ -165,7 +180,7 @@ class ShardedHashDatabase:
                 f"{scope.prefix}{i}.distinct_hashes",
                 fn=lambda i=i: len(self.shards[i]),
             )
-        self._router = router if router is not None else _InlineRouter()
+        self._router = router
         self._faults: Optional[Tuple[FaultInjector, ...]] = None
         if faults is not None:
             self.set_faults(faults)
@@ -211,9 +226,16 @@ class ShardedHashDatabase:
             )
         self._faults = tuple(faults)
 
-    def set_router(self, router) -> None:
-        """Swap the scatter strategy (``None`` restores in-thread)."""
-        self._router = router if router is not None else _InlineRouter()
+    def _scatter(self, fn: Callable, jobs: Sequence) -> List:
+        """Run one sweep's per-shard jobs through :func:`scatter`.
+
+        A fan-out goes through the router when there is one (it counts
+        fan-outs only). The router is looked up on every call, so a
+        wrapper installed on it after construction sees every scatter.
+        """
+        if len(jobs) > 1 and self._router is not None:
+            return self._router.map(fn, jobs)
+        return scatter(fn, jobs)
 
     # ------------------------------------------------------------------
     # Per-shard mutation epochs (verdict-cache invalidation, §13)
@@ -333,23 +355,22 @@ class ShardedHashDatabase:
         """Per-owner matched target hashes, merged across shards.
 
         The scatter/gather core: partition the target hashes, sweep each
-        shard under its own read lock (dispatched through the router),
-        and merge by concatenating per-owner lists. Contributions are
-        disjoint across shards — each hash is counted by exactly its
-        home shard — so the merged counts equal an unsharded sweep's.
+        shard under its own read lock (one :meth:`_scatter`), and merge
+        by concatenating per-owner lists. Contributions are disjoint
+        across shards — each hash is counted by exactly its home shard —
+        so the merged counts equal an unsharded sweep's.
 
         Raises :class:`~repro.errors.ShardDegraded` if a consulted
-        shard's fault injector decides drop or error.
+        shard's fault injector decides drop or error; every consulted
+        shard draws first.
         """
-        jobs = self.partition(hashes)
+        jobs = [
+            (index, group, authoritative)
+            for index, group in self.partition(hashes)
+        ]
         if not jobs:
             return {}
-        if len(jobs) == 1:
-            return self._sweep_shard((jobs[0][0], jobs[0][1], authoritative))
-        scattered = self._router.map(
-            self._sweep_shard,
-            [(index, group, authoritative) for index, group in jobs],
-        )
+        scattered = self._scatter(self._sweep_shard, jobs)
         merged: Dict[str, List[int]] = scattered[0]
         for part in scattered[1:]:
             for owner, owner_matched in part.items():
@@ -439,10 +460,7 @@ class ShardedHashDatabase:
             (index, group, authoritative)
             for index, group in self.partition(items_of.keys())
         ]
-        if len(jobs) == 1:
-            scattered = [self._sweep_shard_pairs(jobs[0])]
-        else:
-            scattered = self._router.map(self._sweep_shard_pairs, jobs)
+        scattered = self._scatter(self._sweep_shard_pairs, jobs)
         # Redistribute in shard order: deterministic, and each hash's
         # contribution lands in exactly the targets that contained it.
         for pairs in scattered:

@@ -77,7 +77,7 @@ def build_corpus(smoke: bool, seed: int) -> EbookCorpus:
 
 
 def build_model(
-    corpus: EbookCorpus, *, n_shards: Optional[int] = None, router=None
+    corpus: EbookCorpus, *, n_shards: Optional[int] = None
 ) -> TextDisclosureModel:
     """A disclosure model holding *corpus* as confidential sources."""
     policies = PolicyStore()
@@ -85,9 +85,7 @@ def build_model(
         LIBRARY, privilege=Label.of("lib"), confidentiality=Label.of("lib")
     )
     policies.register_service(DOCS)
-    model = TextDisclosureModel(
-        policies, PAPER_CONFIG, n_shards=n_shards, router=router
-    )
+    model = TextDisclosureModel(policies, PAPER_CONFIG, n_shards=n_shards)
     for book in corpus:
         doc_id = f"{LIBRARY}|{book.book_id}"
         model.observe(
@@ -220,7 +218,6 @@ def check_equivalence(
     scripts: Sequence[EditScript],
     *,
     n_shards: Optional[int],
-    router=None,
     sample: int = 25,
 ) -> int:
     """Assert delta fingerprints and verdicts == the reference path's.
@@ -232,8 +229,8 @@ def check_equivalence(
     compared. Raises ``AssertionError`` on the first divergence; a
     speedup must never be reported for a diverging delta path.
     """
-    full_lookup = _lookup_for(build_model(corpus, n_shards=n_shards, router=router))
-    delta_lookup = _lookup_for(build_model(corpus, n_shards=n_shards, router=router))
+    full_lookup = _lookup_for(build_model(corpus, n_shards=n_shards))
+    delta_lookup = _lookup_for(build_model(corpus, n_shards=n_shards))
 
     reference = full_lookup.model.tracker.paragraphs.fingerprinter
     sampled_states = [
@@ -297,7 +294,6 @@ def measure(
     seed: int,
     *,
     n_shards: int = N_SHARDS,
-    router=None,
     rounds: int = ROUNDS,
 ) -> dict:
     """The full delta-vs-full comparison (the BENCH_delta.json payload)."""
@@ -309,17 +305,13 @@ def measure(
 
     compared = 0
     for shards in (None, n_shards):
-        compared += check_equivalence(
-            corpus, scripts, n_shards=shards, router=router
-        )
+        compared += check_equivalence(corpus, scripts, n_shards=shards)
 
     paths: Dict[str, dict] = {}
     stats: Dict[str, Dict[str, float]] = {}
     for name, drive in (("full_recheck", run_full), ("delta", run_delta)):
         latencies, lookup = _best_round(
-            lambda: _lookup_for(
-                build_model(corpus, n_shards=n_shards, router=router)
-            ),
+            lambda: _lookup_for(build_model(corpus, n_shards=n_shards)),
             lambda lk, run=drive: run(lk, scripts),
             rounds,
         )

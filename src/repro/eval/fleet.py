@@ -166,7 +166,6 @@ class FleetFixture:
         config: FleetConfig,
         *,
         n_shards: Optional[int] = None,
-        router_workers: int = 4,
     ) -> None:
         self.network = Network()
         self.wiki = WikiService()
@@ -185,9 +184,7 @@ class FleetFixture:
         self.policies.register_service(self.docs.origin, display_name="Docs")
         self.policies.register_service(self.forum.origin, display_name="Forum")
 
-        self.router = (
-            ShardRouter(max_workers=router_workers) if n_shards else None
-        )
+        self.router = ShardRouter() if n_shards else None
         self.model = TextDisclosureModel(
             self.policies, TINY_CONFIG, n_shards=n_shards, router=self.router
         )

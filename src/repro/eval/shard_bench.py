@@ -96,7 +96,6 @@ def build_server(
     corpus: EbookCorpus,
     *,
     n_shards: Optional[int] = None,
-    router=None,
 ) -> LookupServer:
     """A healthy (no injected faults) lookup service over *corpus*."""
     policies = PolicyStore()
@@ -104,9 +103,7 @@ def build_server(
         LIBRARY, privilege=Label.of("lib"), confidentiality=Label.of("lib")
     )
     policies.register_service(DOCS)
-    model = TextDisclosureModel(
-        policies, PAPER_CONFIG, n_shards=n_shards, router=router
-    )
+    model = TextDisclosureModel(policies, PAPER_CONFIG, n_shards=n_shards)
     for book in corpus:
         doc_id = f"{LIBRARY}|{book.book_id}"
         model.observe(
@@ -178,7 +175,6 @@ def check_equivalence(
     workloads: Sequence[Sequence[WorkItem]],
     *,
     n_shards: int = N_SHARDS,
-    router=None,
     sample: int = 40,
 ) -> int:
     """Assert batched-sharded decisions == single-engine decisions.
@@ -190,7 +186,7 @@ def check_equivalence(
     number must never be reported for a diverging tier.
     """
     single = build_server(corpus)
-    sharded = build_server(corpus, n_shards=n_shards, router=router)
+    sharded = build_server(corpus, n_shards=n_shards)
     flat = [item for workload in workloads for item in workload]
     sampled = flat[:: max(1, len(flat) // sample)][:sample]
     batched = sharded.lookup.lookup_batch(
@@ -357,7 +353,6 @@ def measure(
     requests_per_client: Optional[int] = None,
     n_shards: int = N_SHARDS,
     batch_size: int = BATCH_SIZE,
-    router=None,
     rounds: int = ROUNDS,
 ) -> dict:
     """The full comparison document (the BENCH_shard.json payload)."""
@@ -365,9 +360,7 @@ def measure(
         requests_per_client = 64 if smoke else 200
     corpus = build_corpus(smoke, seed)
     workloads = build_workloads(corpus, seed, requests_per_client)
-    compared = check_equivalence(
-        corpus, workloads, n_shards=n_shards, router=router
-    )
+    compared = check_equivalence(corpus, workloads, n_shards=n_shards)
 
     single, single_server = _best_round(
         lambda: build_server(corpus),
@@ -375,7 +368,7 @@ def measure(
         rounds,
     )
     sharded_batched, sharded_server = _best_round(
-        lambda: build_server(corpus, n_shards=n_shards, router=router),
+        lambda: build_server(corpus, n_shards=n_shards),
         lambda server: drive_batched(server, workloads, batch_size=batch_size),
         rounds,
     )
@@ -390,7 +383,7 @@ def measure(
         by="p95_ms",
     )
     latency_batched, _ = _best_round(
-        lambda: build_server(corpus, n_shards=n_shards, router=router),
+        lambda: build_server(corpus, n_shards=n_shards),
         lambda server: serial_batched(server, flat, batch_size=batch_size),
         rounds,
         by="p95_ms",

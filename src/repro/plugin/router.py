@@ -1,27 +1,25 @@
 """Scatter/gather routing for sharded sweeps (DESIGN.md §11).
 
-:class:`ShardRouter` is the plugin tier's scatter strategy for
-:class:`~repro.disclosure.sharding.ShardedHashDatabase`: per-shard sweep
-jobs are dispatched onto a small worker pool and gathered in order. The
-contract is duck-typed — the disclosure tier only requires an object
-with ``map(fn, items)`` — so the dependency points plugin → disclosure,
-never the other way around.
+:class:`ShardRouter` counts the scatters of
+:class:`~repro.disclosure.sharding.ShardedHashDatabase` sweeps: it runs
+each sweep's per-shard jobs through the database's own scatter loop
+(:func:`~repro.disclosure.sharding.scatter`) in the calling thread, in
+shard order. The contract is duck-typed — the disclosure tier only
+requires an object with ``map(fn, items)`` — so the dependency points
+plugin → disclosure, never the other way around.
 
-The worker threads only ever take shard *read* locks (sweeps never
-mutate), so the pool cannot participate in a lock cycle with the
-engine's write paths. Under CPython's GIL the pool buys wall-clock
-overlap only where the sweep releases the GIL, which is why the
-disclosure tier's default stays the in-thread sequential scatter; the
-router exists so a free-threaded build, or a deployment whose shards
-live behind real sockets, can slot in a concurrent scatter without the
-disclosure tier changing at all.
+The per-shard probe loops are pure Python and hold the GIL throughout,
+so a thread pool could not overlap them; handing them to worker threads
+only added hand-off latency (DESIGN.md §11, "Scatter in the caller's
+thread"). ``max_workers`` is kept for existing callers and sizes
+nothing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
+from repro.disclosure.sharding import scatter
 from repro.obs.registry import MetricsRegistry, MetricsScope
 
 T = TypeVar("T")
@@ -29,17 +27,19 @@ R = TypeVar("R")
 
 
 class ShardRouter:
-    """Dispatches per-shard jobs onto a bounded worker pool.
+    """Counts and runs per-shard jobs in the calling thread.
 
     Args:
-        max_workers: pool size; sized to the shard count (more workers
-            than shards is wasted, fewer serialises some shards).
+        max_workers: kept for existing callers and still validated
+            (>= 1); it sizes nothing, because every job runs in the
+            calling thread and the router starts no thread.
         scope: metrics scope for the router counters (``scatters`` =
             multi-shard fan-outs, ``jobs`` = per-shard jobs dispatched).
             A private ``router.``-scoped registry is created if omitted.
 
-    Use as a context manager (or call :meth:`shutdown`) to reclaim the
-    worker threads deterministically.
+    Usable as a context manager, and :meth:`shutdown` may be called, so
+    callers written for a pooled router keep working; neither releases
+    anything.
     """
 
     def __init__(
@@ -47,10 +47,6 @@ class ShardRouter:
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="shard-router"
-        )
         if scope is None:
             scope = MetricsRegistry().scope("router.")
         self.metrics = scope
@@ -58,34 +54,20 @@ class ShardRouter:
         self._c_jobs = scope.counter("jobs")
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply *fn* to every item, results in item order.
+        """Apply *fn* to every item in item order; results in item order.
 
-        Single-item scatters run inline — there is nothing to overlap
-        and the hand-off would only add latency. Every job runs to
-        completion even when one fails (no job may outlive the call, the
-        shard locks it holds must be released); the first failure in
+        Every job runs even when one fails, so each touched shard draws
+        its fault decision exactly once per sweep; the first failure in
         item order — typically a degraded shard's
         :class:`~repro.errors.ShardDegraded` — is then re-raised.
         """
         self._c_jobs.inc(len(items))
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        self._c_scatters.inc()
-        futures: List[Future] = [self._pool.submit(fn, item) for item in items]
-        results: List[R] = []
-        first_error: Optional[BaseException] = None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # gather everything, then raise
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return results
+        if len(items) > 1:
+            self._c_scatters.inc()
+        return scatter(fn, items)
 
     def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
+        """Nothing to release: the router owns no threads."""
 
     def __enter__(self) -> "ShardRouter":
         return self

@@ -99,8 +99,10 @@ class TextDisclosureModel:
         n_shards: hash-range shard the disclosure databases into this
             many independently locked shards (DESIGN.md §11); None keeps
             the classic single-store engines.
-        router: scatter strategy for sharded sweeps (an object with
-            ``map(fn, items)``); ignored when unsharded.
+        router: an object with ``map(fn, items)`` that multi-shard
+            sweeps hand their per-shard jobs to (e.g. a counting
+            :class:`~repro.plugin.router.ShardRouter`); ignored when
+            unsharded.
     """
 
     def __init__(

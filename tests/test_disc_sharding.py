@@ -19,6 +19,7 @@ from repro.disclosure import HashDatabase, ShardedHashDatabase, partition, shard
 from repro.disclosure.sharding import ShardedDisclosureEngine
 from repro.errors import DisclosureError, ShardDegraded
 from repro.fingerprint.config import FingerprintConfig
+from repro.plugin.router import ShardRouter
 from repro.util.faults import Fault, FaultInjector
 
 CONFIG = FingerprintConfig(ngram_size=4, window_size=3)
@@ -206,8 +207,8 @@ class TestShardLocksAndMetrics:
 
 
 class TestPerShardFaults:
-    def _db_with_hashes(self, n_shards=4):
-        sharded = ShardedHashDatabase(n_shards, hash_bits=HASH_BITS)
+    def _db_with_hashes(self, n_shards=4, router=None):
+        sharded = ShardedHashDatabase(n_shards, hash_bits=HASH_BITS, router=router)
         by_shard = {i: [] for i in range(n_shards)}
         h = 0
         while min(len(g) for g in by_shard.values()) < 2:
@@ -233,6 +234,23 @@ class TestPerShardFaults:
         with pytest.raises(ShardDegraded):
             sharded.sweep(frozenset(by_shard[2] + by_shard[3]))
         assert sharded.sweep(frozenset(by_shard[2]))
+
+    @pytest.mark.parametrize("routed", [False, True], ids=["no-router", "router"])
+    def test_every_touched_shard_draws_whatever_the_router(self, routed):
+        # One draw per touched shard, as a per-shard RPC would make: the
+        # sweep that fails on shard 0 still consumes shard 2's drop, so
+        # the next sweep routed to shard 2 alone is served.
+        sharded, by_shard = self._db_with_hashes(router=ShardRouter() if routed else None)
+        injectors = FaultInjector.for_shards(4, {0: [Fault.drop()], 2: [Fault.drop()]})
+        sharded.set_faults(injectors)
+        with pytest.raises(ShardDegraded) as exc_info:
+            sharded.sweep(frozenset(by_shard[0] + by_shard[2]))
+        assert exc_info.value.shard == 0
+        assert canon(sharded.sweep(frozenset(by_shard[2]))) == {"seg-2": by_shard[2]}
+        drawn = [{k: n for k, n in i.stats().items() if n} for i in injectors]
+        assert drawn == [
+            {"injected_drop": 1}, {}, {"injected_drop": 1, "injected_none": 1}, {}
+        ]
 
     def test_error_fault_carries_status(self):
         sharded, by_shard = self._db_with_hashes()

@@ -12,6 +12,8 @@ the hot-path mutexes were dropped.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import LookupRejected, LookupTimeout, ShardDegraded
@@ -335,11 +337,21 @@ class TestShardRouter:
         with ShardRouter(max_workers=2) as router:
             with pytest.raises(ShardDegraded):
                 router.map(job, [0, 1, 2, 3])
-        assert sorted(ran) == [0, 1, 2, 3]  # no job outlived the call
+        assert ran == [0, 1, 2, 3]  # in item order, past the failure
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):
             ShardRouter(max_workers=0)
+
+    def test_router_starts_no_thread(self):
+        threads = threading.active_count()
+        with ShardRouter(max_workers=4) as router:
+            client = BatchLookupClient(make_server(n_shards=4, router=router))
+            assert threading.active_count() == threads
+            outcomes = client.lookup_batch(DST, ITEMS)
+            assert threading.active_count() == threads
+        assert router.stats()["scatters"] >= 1  # the batch did fan out
+        assert [o.decision.allowed for o in outcomes] == [False, True, False]
 
     def test_sweep_through_router_raises_shard_degraded(self):
         from repro.disclosure import ShardedHashDatabase

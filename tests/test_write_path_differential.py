@@ -165,10 +165,6 @@ class _Stack:
     def __init__(self, schedule, n_shards, wal_dir, *, reference: bool) -> None:
         self.fixture = FleetFixture(schedule.config, n_shards=n_shards)
         self.model = self.fixture.model
-        if n_shards:
-            # Sweep shards in-thread: the router is not under test here.
-            for engine in (self.model.tracker.paragraphs, self.model.tracker.documents):
-                engine.hash_db.set_router(None)
         if reference:
             make_reference(self.model)
         self.wal = journal_to(self.model, wal_dir, n_shards or 1)
