@@ -12,6 +12,11 @@ survives a restart), optional encryption with the deployment's
 :class:`~repro.plugin.crypto.UploadCipher`, and an expiry sweep that
 drops segments not updated since a cutoff.
 
+Format version 2 stores one self-contained entry per segment and
+nothing per hash: restore derives the hash database from each
+segment's first-seen groups in one bulk load (see
+:func:`snapshot_engine`, :func:`restore_into`; DESIGN.md §14).
+
 Snapshot writes are atomic: the payload goes to a temp file in the
 target directory, is fsynced, and is then ``os.replace``d over the
 destination, so a reader never sees a torn snapshot — a crash mid-write
@@ -33,7 +38,7 @@ import os
 import tempfile
 from contextlib import suppress
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.disclosure.engine import DisclosureEngine
 from repro.disclosure.store import SegmentRecord
@@ -50,13 +55,33 @@ def _max_timestamp(data: dict) -> float:
     latest = 0.0
     for entry in data.get("segments", ()):
         latest = max(latest, entry.get("last_updated", 0.0))
-    for owners in data.get("observations", {}).values():
-        for _segment_id, timestamp in owners:
-            latest = max(latest, timestamp)
+        for first_seen, _hashes in entry.get("first_seen", ()):
+            latest = max(latest, first_seen)
     return latest
 
-#: Snapshot format version; bump on incompatible changes.
-SNAPSHOT_VERSION = 1
+
+#: Snapshot format version; bump on incompatible changes. Other
+#: versions, version 1 included, are refused rather than converted.
+SNAPSHOT_VERSION = 2
+
+
+def _check_version(data: dict, where: str = "") -> None:
+    """Refuse another format version; :func:`read_snapshot` and
+    :func:`restore_engine`, the two ways snapshots come in, both call
+    this (``DurableEngine`` reads before it opens any log)."""
+    if data.get("version") != SNAPSHOT_VERSION:
+        raise DisclosureError(
+            f"unsupported snapshot version {data.get('version')!r}{where} "
+            f"(this build reads version {SNAPSHOT_VERSION})"
+        )
+
+
+def _first_seen_groups(first_seen: Dict[int, float]) -> list:
+    """``[[timestamp, [hash, …]], …]``: ascending times, sorted hashes."""
+    groups: Dict[float, List[int]] = {}
+    for hash_value, timestamp in first_seen.items():
+        groups.setdefault(timestamp, []).append(hash_value)
+    return [[ts, sorted(groups[ts])] for ts in sorted(groups)]
 
 
 def snapshot_engine(
@@ -67,6 +92,13 @@ def snapshot_engine(
 ) -> dict:
     """Serialise an engine's databases to a JSON-compatible dict.
 
+    Each segment entry is self-contained: its record fields, its
+    selections as one flat ``[value, start, end, …]`` list, and
+    ``first_seen``, the hashes it observes grouped by first-seen time.
+    Nothing is stored per hash: a segment observes exactly its
+    fingerprint's hashes (the engine's cross-database invariant), so
+    the first-seen groups of all segments are the whole hash database.
+
     *wal_lsn*, when given, records the last WAL log sequence number
     folded into this snapshot; recovery replays only records beyond it
     (see :mod:`repro.disclosure.wal`). *wal_shards* records the WAL
@@ -75,8 +107,12 @@ def snapshot_engine(
     shard count would not look for.
     """
     config = engine.config
+    first_seen_of = engine.hash_db.first_seen_of
     segments = []
     for record in engine.segment_db:
+        selections = []
+        for s in record.fingerprint.selections:
+            selections += (s.value, s.orig_start, s.orig_end)
         segments.append(
             {
                 "id": record.segment_id,
@@ -84,17 +120,16 @@ def snapshot_engine(
                 "kind": record.kind,
                 "doc_id": record.doc_id,
                 "last_updated": record.last_updated,
-                "hashes": sorted(record.fingerprint.hashes),
-                "selections": [
-                    [s.value, s.orig_start, s.orig_end]
-                    for s in record.fingerprint.selections
-                ],
+                "selections": selections,
+                "first_seen": _first_seen_groups(
+                    first_seen_of(record.segment_id)
+                ),
             }
         )
-    observations = {}
-    for hash_value in engine.hash_db.hashes():
-        owners = engine.hash_db.owners(hash_value)
-        observations[str(hash_value)] = [[seg, ts] for seg, ts in owners]
+    # Owner epochs are history-dependent (a claim/release counter), so
+    # the bulk load at restore cannot reproduce them; persist the
+    # counters themselves. Restore requires both fields.
+    epochs, changes = engine.hash_db.ownership_meta()
     data = {
         "version": SNAPSHOT_VERSION,
         "config": {
@@ -105,14 +140,9 @@ def snapshot_engine(
         "authoritative": engine._authoritative,
         "kind": engine._kind,
         "segments": segments,
-        "observations": observations,
+        "owner_epochs": {k: v for k, v in epochs.items() if v},
+        "ownership_changes": changes,
     }
-    # Owner epochs are history-dependent (a record/withdraw counter), so
-    # replaying record() calls at restore cannot reproduce them; persist
-    # the counters themselves. Additive fields: old snapshots load fine.
-    epochs, changes = engine.hash_db.ownership_meta()
-    data["owner_epochs"] = {k: v for k, v in epochs.items() if v}
-    data["ownership_changes"] = changes
     if wal_lsn is not None:
         data["wal_lsn"] = wal_lsn
     if wal_shards is not None:
@@ -134,10 +164,7 @@ def restore_engine(
         raise SnapshotCorrupt(
             f"snapshot root must be a JSON object, got {type(data).__name__}"
         )
-    if data.get("version") != SNAPSHOT_VERSION:
-        raise DisclosureError(
-            f"unsupported snapshot version {data.get('version')!r}"
-        )
+    _check_version(data)
     try:
         config = FingerprintConfig(**data["config"])
         engine = DisclosureEngine(
@@ -161,14 +188,27 @@ def restore_engine(
 
 
 def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
-    """Load a snapshot dict's segments and observations into *engine*.
+    """Load a snapshot dict's segments and hash ownership into *engine*.
 
     *engine* must be freshly constructed (empty databases) with a config
     matching the snapshot's; works for both the single-store and the
     sharded engine, since both expose ``segment_db.put`` and
-    ``hash_db.record``. Used directly by WAL recovery, which builds the
-    engine itself so the recovered tier (plain or sharded) matches the
-    pre-crash deployment.
+    ``hash_db.bulk_load``. Used directly by WAL recovery, which builds
+    the engine itself so the recovered tier (plain or sharded) matches
+    the pre-crash deployment.
+
+    The hash database is built in one pass: every segment's first-seen
+    groups, sorted by ``(first_seen, segment_id)``, go to one bulk load,
+    where the first group to name a hash owns it — the same owner a
+    ``record()`` per observation would pick. Then the persisted owner
+    epochs and ``ownership_changes`` are restored. Since the hash
+    database is derived rather than stored, each segment is checked
+    first, and :class:`~repro.errors.SnapshotCorrupt` names the segment
+    when its flat selections are not whole triples, a hash appears in
+    its groups twice, or its group hashes differ from its selection
+    values; a snapshot without the epoch fields is refused too. The
+    format version is the caller's to check (:func:`read_snapshot`,
+    :func:`restore_engine`).
     """
     config = engine.config
     snap_config = data.get("config", {})
@@ -187,37 +227,53 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
             f"{config.hash_bits})"
         )
     try:
+        groups = []
         for entry in data["segments"]:
-            fingerprint = Fingerprint(
-                hashes=frozenset(entry["hashes"]),
-                selections=tuple(
-                    FingerprintHash(value, start, end)
-                    for value, start, end in entry["selections"]
-                ),
-                config=config,
-            )
+            segment_id = entry["id"]
+            flat = entry["selections"]
+            if len(flat) % 3:
+                raise SnapshotCorrupt(
+                    f"segment {segment_id!r}: {len(flat)} selection values "
+                    "are not whole [value, start, end] triples"
+                )
+            triples = iter(flat)
+            selections = tuple(map(FingerprintHash, triples, triples, triples))
+            hashes = frozenset(flat[0::3])
+            observed = set()
+            count = 0
+            for first_seen, group in entry["first_seen"]:
+                groups.append((first_seen, segment_id, group))
+                observed.update(group)
+                count += len(group)
+            if count != len(observed):
+                raise SnapshotCorrupt(
+                    f"segment {segment_id!r}: a hash appears twice in "
+                    "first_seen"
+                )
+            if observed != hashes:
+                raise SnapshotCorrupt(
+                    f"segment {segment_id!r}: first_seen hashes differ from "
+                    f"its selection values ({len(observed ^ hashes)} "
+                    "mismatched)"
+                )
             engine.segment_db.put(
                 SegmentRecord(
-                    segment_id=entry["id"],
-                    fingerprint=fingerprint,
+                    segment_id=segment_id,
+                    fingerprint=Fingerprint(
+                        hashes=hashes, selections=selections, config=config
+                    ),
                     threshold=entry["threshold"],
                     kind=entry["kind"],
                     doc_id=entry["doc_id"],
                     last_updated=entry["last_updated"],
                 )
             )
-        for hash_str, owners in data["observations"].items():
-            hash_value = int(hash_str)
-            for segment_id, timestamp in owners:
-                engine.hash_db.record(hash_value, segment_id, timestamp)
-        if "owner_epochs" in data:
-            # The record() loop above bumped epochs once per claim; the
-            # live engine's history may have bumped them more (claims
-            # released and re-won). Restore the persisted counters.
-            engine.hash_db.restore_ownership_meta(
-                {str(k): int(v) for k, v in data["owner_epochs"].items()},
-                int(data.get("ownership_changes", 0)),
-            )
+        groups.sort(key=lambda group: (group[0], group[1]))
+        engine.hash_db.bulk_load(groups)
+        engine.hash_db.restore_ownership_meta(
+            {str(k): int(v) for k, v in data["owner_epochs"].items()},
+            int(data["ownership_changes"]),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotCorrupt(
             f"snapshot is malformed ({type(exc).__name__}: {exc})"
@@ -325,7 +381,7 @@ def read_snapshot(path, *, cipher: Optional[UploadCipher] = None) -> dict:
     Raises :class:`~repro.errors.SnapshotCorrupt` on truncated, corrupt,
     or wrong-cipher payloads, and a plain
     :class:`~repro.errors.DisclosureError` when the file is encrypted
-    but no cipher was supplied.
+    but no cipher was supplied or holds another format version.
     """
     path = Path(path)
     try:
@@ -356,6 +412,7 @@ def read_snapshot(path, *, cipher: Optional[UploadCipher] = None) -> dict:
             f"snapshot {path} root must be a JSON object, "
             f"got {type(data).__name__}"
         )
+    _check_version(data, f" in {path}")
     return data
 
 

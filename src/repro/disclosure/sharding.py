@@ -567,6 +567,36 @@ class ShardedHashDatabase:
         with self.locks[index].read_locked():
             return self.shards[index].first_seen(hash_value, segment_id)
 
+    def first_seen_of(self, segment_id: str) -> Dict[int, float]:
+        out: Dict[int, float] = {}
+        for index in range(self.n_shards):
+            with self.locks[index].read_locked():
+                out.update(self.shards[index].first_seen_of(segment_id))
+        return out
+
+    def bulk_load(
+        self, groups: Iterable[Tuple[float, str, Sequence[int]]]
+    ) -> None:
+        """Split sorted first-seen groups by home shard and bulk-load each.
+
+        Splitting keeps each shard's groups in input order, so every
+        shard sees the ``(first_seen, segment_id)`` order
+        :meth:`HashDatabase.bulk_load` requires. One load per touched
+        shard, under that shard's write lock.
+        """
+        per_shard: List[List[Tuple[float, str, List[int]]]] = [
+            [] for _ in range(self.n_shards)
+        ]
+        for first_seen, segment_id, hashes in groups:
+            for index, part in self.partition(hashes):
+                per_shard[index].append((first_seen, segment_id, part))
+        for index, shard_groups in enumerate(per_shard):
+            if not shard_groups:
+                continue
+            with self.locks[index].write_locked():
+                self.shards[index].bulk_load(shard_groups)
+            self.bump_epoch(index)
+
     def remove_observation(self, hash_value: int, segment_id: str) -> bool:
         index = self.shard_of(hash_value)
         with self.locks[index].write_locked():

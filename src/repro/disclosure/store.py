@@ -37,9 +37,9 @@ for lookups and write side for any mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import UnknownSegmentError
+from repro.errors import DisclosureError, UnknownSegmentError
 from repro.fingerprint import Fingerprint
 
 #: Default paragraph/document disclosure threshold (paper §6.1 adopts 0.5).
@@ -192,6 +192,47 @@ class HashDatabase:
         """When *segment_id* first contained *hash_value*, or None."""
         return self._observations.get(hash_value, {}).get(segment_id)
 
+    def first_seen_of(self, segment_id: str) -> Dict[int, float]:
+        """Every hash *segment_id* observes → its first-seen time (O(|F|))."""
+        observations = self._observations
+        return {
+            h: observations[h][segment_id]
+            for h in self._by_segment.get(segment_id, ())
+        }
+
+    def bulk_load(
+        self, groups: Iterable[Tuple[float, str, Sequence[int]]]
+    ) -> None:
+        """Build an empty database from first-seen groups in one pass.
+
+        *groups* holds ``(first_seen, segment_id, hashes)`` triples
+        sorted by ``(first_seen, segment_id)``, naming each (hash,
+        segment) pair at most once. The first group to name a hash owns
+        it: the oldest claim, which :meth:`record`'s tie-break also
+        keeps, so the indexes equal a ``record()`` replay's without any
+        claim being released and re-won. Epochs stay zero for
+        :meth:`restore_ownership_meta` to overwrite.
+        """
+        if self._observations:
+            raise DisclosureError("bulk_load needs an empty hash database")
+        observations = self._observations
+        oldest = self._oldest
+        for first_seen, segment_id, hashes in groups:
+            if not hashes:
+                continue
+            owned = None
+            for h in hashes:
+                seen_by = observations.get(h)
+                if seen_by is None:
+                    observations[h] = {segment_id: first_seen}
+                    oldest[h] = (first_seen, segment_id)
+                    if owned is None:
+                        owned = self._owned.setdefault(segment_id, set())
+                    owned.add(h)
+                else:
+                    seen_by[segment_id] = first_seen
+            self._by_segment.setdefault(segment_id, set()).update(hashes)
+
     def hashes(self) -> List[int]:
         """All distinct hash values currently observed."""
         return list(self._observations)
@@ -223,9 +264,10 @@ class HashDatabase:
     ) -> None:
         """Overwrite epoch counters with snapshot values (recovery only).
 
-        Must run after the observation replay that rebuilt the indexes;
-        the replay's own epoch bumps are replaced by the persisted
-        counts so recovered and pre-crash engines agree exactly.
+        Runs after :meth:`bulk_load` rebuilt the indexes: epochs count a
+        live engine's claim history, which the load does not replay, so
+        the persisted counts make recovered and pre-crash engines agree
+        exactly.
         """
         self._owner_epoch = dict(epochs)
         self.ownership_changes = changes

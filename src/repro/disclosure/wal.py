@@ -76,6 +76,7 @@ from repro.disclosure.store import SegmentRecord
 from repro.errors import (
     DisclosureError,
     SimulatedCrash,
+    SnapshotCorrupt,
     UnknownSegmentError,
     WALCorrupt,
 )
@@ -520,18 +521,25 @@ class WALSet:
         # One fault injector shared across shard logs: appends are
         # serialised under this set's mutex, so the schedule's order is
         # the global append order regardless of routing.
-        self._shards = [
-            WriteAheadLog(
-                self.directory / _wal_name(i, n_shards),
-                fsync=fsync,
-                fsync_interval=fsync_interval,
-                cipher=cipher,
-                faults=faults,
-                scope=scope,
-                counter=self.counter,
-            )
-            for i in range(n_shards)
-        ]
+        self._shards: List[WriteAheadLog] = []
+        try:
+            for i in range(n_shards):
+                self._shards.append(
+                    WriteAheadLog(
+                        self.directory / _wal_name(i, n_shards),
+                        fsync=fsync,
+                        fsync_interval=fsync_interval,
+                        cipher=cipher,
+                        faults=faults,
+                        scope=scope,
+                        counter=self.counter,
+                    )
+                )
+        except BaseException:
+            # A later shard's file failed to open (bad magic, wrong
+            # key): close the ones already open before re-raising.
+            self.close()
+            raise
         #: LSN-sorted union of every shard's on-disk records at open.
         self.recovered_records = sorted(
             (r for shard in self._shards for r in shard.recovered_records),
@@ -832,22 +840,33 @@ class DurableEngine:
         )
 
         snapshot_path = self.directory / SNAPSHOT_NAME
-        # Read the snapshot *before* opening the logs: a wrong-key or
-        # corrupt snapshot must abort recovery while the WAL is still
-        # untouched — opening the WALSet truncates torn tails, and with
-        # the wrong cipher key that would destroy acknowledged records.
+        # Read the snapshot *before* opening the logs: a wrong-key,
+        # corrupt or other-version snapshot must abort recovery while
+        # the WAL is still untouched — opening the WALSet truncates torn
+        # tails, and with the wrong cipher key that would destroy
+        # acknowledged records.
         data = (
             read_snapshot(snapshot_path, cipher=cipher)
             if snapshot_path.exists()
             else None
         )
         persisted_shards: Optional[int] = None
+        snapshot_lsn = 0
+        snapshot_ts = 0.0
         if data is not None:
-            config = FingerprintConfig(**data["config"])
-            kind = data.get("kind", kind)
-            authoritative = data.get("authoritative", authoritative)
-            if data.get("wal_shards") is not None:
-                persisted_shards = int(data["wal_shards"])
+            try:
+                config = FingerprintConfig(**data["config"])
+                kind = data.get("kind", kind)
+                authoritative = data.get("authoritative", authoritative)
+                if data.get("wal_shards") is not None:
+                    persisted_shards = int(data["wal_shards"])
+                snapshot_lsn = int(data.get("wal_lsn", 0))
+                snapshot_ts = _max_timestamp(data)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SnapshotCorrupt(
+                    f"snapshot {snapshot_path} is malformed "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
         if (
             n_shards is not None
             and persisted_shards is not None
@@ -862,7 +881,6 @@ class DurableEngine:
             # Adopt the deployment's shard count (like config and kind):
             # `repro recover` need not know how the primary was sharded.
             n_shards = persisted_shards
-        snapshot_lsn = int(data.get("wal_lsn", 0)) if data is not None else 0
         self.wal = WALSet(
             self.directory,
             n_shards=n_shards or 1,
@@ -880,12 +898,7 @@ class DurableEngine:
         # keeping recovered and never-crashed clocks field-identical.
         has_state = data is not None or bool(tail)
         resumed = (
-            int(
-                max(
-                    _max_timestamp(data) if data is not None else 0.0,
-                    max_record_timestamp(tail),
-                )
-            ) + 1
+            int(max(snapshot_ts, max_record_timestamp(tail))) + 1
             if has_state
             else 0
         )
@@ -902,9 +915,17 @@ class DurableEngine:
                 config, clock, authoritative=authoritative, kind=kind,
                 registry=self.registry, n_shards=n_shards,
             )
-        if data is not None:
-            restore_into(self.engine, data)
-        applied, skipped = replay_records(tail, lambda _kind: self.engine)
+        # A failed recovery must not leak the log handles it opened.
+        try:
+            if data is not None:
+                restore_into(self.engine, data)
+            applied, skipped = replay_records(tail, lambda _kind: self.engine)
+        except SnapshotCorrupt as exc:
+            self.wal.close()
+            raise SnapshotCorrupt(f"snapshot {snapshot_path}: {exc}") from exc
+        except BaseException:
+            self.wal.close()
+            raise
         self._c_replayed.inc(applied)
         self._c_skipped.inc(skipped)
         self._h_recovery_replayed.observe(applied)
