@@ -44,7 +44,6 @@ from repro.disclosure.engine import DisclosureEngine
 from repro.disclosure.store import SegmentRecord
 from repro.errors import DisclosureError, SimulatedCrash, SnapshotCorrupt
 from repro.fingerprint import Fingerprint, FingerprintConfig
-from repro.fingerprint.fingerprint import FingerprintHash
 from repro.plugin.crypto import UploadCipher
 from repro.util.clock import Clock, LogicalClock
 from repro.util.faults import FaultInjector
@@ -110,9 +109,6 @@ def snapshot_engine(
     first_seen_of = engine.hash_db.first_seen_of
     segments = []
     for record in engine.segment_db:
-        selections = []
-        for s in record.fingerprint.selections:
-            selections += (s.value, s.orig_start, s.orig_end)
         segments.append(
             {
                 "id": record.segment_id,
@@ -120,7 +116,7 @@ def snapshot_engine(
                 "kind": record.kind,
                 "doc_id": record.doc_id,
                 "last_updated": record.last_updated,
-                "selections": selections,
+                "selections": list(record.fingerprint.flat_selections),
                 "first_seen": _first_seen_groups(
                     first_seen_of(record.segment_id)
                 ),
@@ -230,14 +226,12 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
         groups = []
         for entry in data["segments"]:
             segment_id = entry["id"]
-            flat = entry["selections"]
+            flat = tuple(entry["selections"])
             if len(flat) % 3:
                 raise SnapshotCorrupt(
                     f"segment {segment_id!r}: {len(flat)} selection values "
                     "are not whole [value, start, end] triples"
                 )
-            triples = iter(flat)
-            selections = tuple(map(FingerprintHash, triples, triples, triples))
             hashes = frozenset(flat[0::3])
             observed = set()
             count = 0
@@ -260,7 +254,7 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
                 SegmentRecord(
                     segment_id=segment_id,
                     fingerprint=Fingerprint(
-                        hashes=hashes, selections=selections, config=config
+                        hashes=hashes, flat_selections=flat, config=config
                     ),
                     threshold=entry["threshold"],
                     kind=entry["kind"],
@@ -388,31 +382,42 @@ def read_snapshot(path, *, cipher: Optional[UploadCipher] = None) -> dict:
         payload = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DisclosureError(f"cannot read snapshot {path}: {exc}") from exc
+    if UploadCipher.is_encrypted(payload) and cipher is None:
+        raise DisclosureError(
+            f"snapshot {path} is encrypted; a cipher is required"
+        )
+    data = _decode_payload(payload, cipher, f"snapshot {path}")
+    _check_version(data, f" in {path}")
+    return data
+
+
+def _decode_payload(
+    payload: str, cipher: Optional[UploadCipher], what: str
+) -> dict:
+    """Decrypt (when encrypted) and parse a JSON-object payload.
+
+    Wrong-key or corrupt ciphertext, invalid (torn) JSON and a non-object
+    root raise :class:`~repro.errors.SnapshotCorrupt` naming *what*. The
+    caller refuses an encrypted payload without a cipher first.
+    """
     if UploadCipher.is_encrypted(payload):
-        if cipher is None:
-            raise DisclosureError(
-                f"snapshot {path} is encrypted; a cipher is required"
-            )
         try:
             payload = cipher.decrypt(payload)
         except Exception as exc:
             raise SnapshotCorrupt(
-                f"snapshot {path} cannot be decrypted — wrong key or "
+                f"{what} cannot be decrypted — wrong key or "
                 f"corrupt ciphertext ({type(exc).__name__})"
             ) from exc
     try:
         data = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise SnapshotCorrupt(
-            f"snapshot {path} is truncated or corrupt: not valid JSON "
-            f"({exc})"
+            f"{what} is truncated or corrupt: not valid JSON ({exc})"
         ) from exc
     if not isinstance(data, dict):
         raise SnapshotCorrupt(
-            f"snapshot {path} root must be a JSON object, "
-            f"got {type(data).__name__}"
+            f"{what} root must be a JSON object, got {type(data).__name__}"
         )
-    _check_version(data, f" in {path}")
     return data
 
 

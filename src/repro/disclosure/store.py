@@ -15,9 +15,10 @@ headline latency claim (Figures 12–13: decisions stay fast as the hash
 table grows to millions of entries "thanks to index data structures")
 holds for this implementation too:
 
-* ``hash → oldest owner`` is cached and updated in O(1) on ``record``
-  and in O(observers-of-hash) on ``remove_observation`` — never by
-  scanning the whole table;
+* ``hash → oldest owner`` is updated in O(1) on ``record`` and in
+  O(observers-of-hash) on ``remove_observation`` — never by scanning
+  the whole table — and is the whole record of a hash with one
+  observer;
 * ``segment → observed hashes`` lets ``discard_segment`` release a
   segment's claims in O(|F(segment)|) instead of O(all hashes);
 * ``segment → authoritatively owned hashes`` makes the §4.3
@@ -82,20 +83,27 @@ class HashDatabase:
     next-earliest observer that still holds the text (the Figure 6
     behaviour). Removing a segment entirely releases all its claims.
 
+    Nearly every hash has one observer, so that observer's owner entry
+    ``(first_seen, segment_id)`` is the hash's whole record; an observer
+    map exists only while two or more segments observe the hash, and
+    collapses back into the owner entry when one observer remains
+    (DESIGN.md §7).
+
     Ownership is indexed: :meth:`oldest_owner` is an O(1) dictionary
-    lookup against a cache maintained on every mutation, and
+    lookup against the owner entries maintained on every mutation, and
     :meth:`owned_hashes` returns a segment's authoritative set without
-    touching the per-hash observation maps. :attr:`ownership_changes`
-    counts owner transitions (a hash gaining its first owner, changing
-    owner, or losing its last one) for the engine's cache-invalidation
-    stats.
+    touching any observer map. :attr:`ownership_changes` counts owner
+    transitions (a hash gaining its first owner, changing owner, or
+    losing its last one) for the engine's cache-invalidation stats.
     """
 
     def __init__(self) -> None:
-        self._observations: Dict[int, Dict[str, float]] = {}
         # hash → (first_seen, segment_id) of the current authoritative
         # owner; the tuple ordering gives the deterministic tie-break.
+        # For a hash with one observer this is its only record.
         self._oldest: Dict[int, Tuple[float, str]] = {}
+        # hash → {segment → first_seen}, only while 2+ segments observe it.
+        self._shared: Dict[int, Dict[str, float]] = {}
         # segment → hashes it currently observes (reverse index).
         self._by_segment: Dict[str, Set[int]] = {}
         # segment → hashes it authoritatively owns (oldest observer).
@@ -107,11 +115,11 @@ class HashDatabase:
         self.ownership_changes = 0
 
     def __len__(self) -> int:
-        """Number of distinct hashes ever observed."""
-        return len(self._observations)
+        """Number of distinct hashes currently observed."""
+        return len(self._oldest)
 
     def __contains__(self, hash_value: int) -> bool:
-        return hash_value in self._observations
+        return hash_value in self._oldest
 
     # ------------------------------------------------------------------
     # Ownership index maintenance
@@ -137,17 +145,27 @@ class HashDatabase:
         re-observing an unchanged paragraph never steals ownership.
         Returns True if this was a new observation.
         """
-        seen_by = self._observations.setdefault(hash_value, {})
-        if segment_id in seen_by:
-            return False
-        seen_by[segment_id] = timestamp
-        self._by_segment.setdefault(segment_id, set()).add(hash_value)
         current = self._oldest.get(hash_value)
-        claim = (timestamp, segment_id)
         if current is None:
-            self._oldest[hash_value] = claim
+            self._oldest[hash_value] = (timestamp, segment_id)
+            self._by_segment.setdefault(segment_id, set()).add(hash_value)
             self._claim(segment_id, hash_value)
-        elif claim < current:
+            return True
+        seen_by = self._shared.get(hash_value)
+        if seen_by is None:
+            if current[1] == segment_id:
+                return False
+            # A second observer: the owner entry becomes an observer map.
+            self._shared[hash_value] = {
+                current[1]: current[0], segment_id: timestamp
+            }
+        elif segment_id in seen_by:
+            return False
+        else:
+            seen_by[segment_id] = timestamp
+        self._by_segment.setdefault(segment_id, set()).add(hash_value)
+        claim = (timestamp, segment_id)
+        if claim < current:
             self._oldest[hash_value] = claim
             self._release(current[1], hash_value)
             self._claim(segment_id, hash_value)
@@ -164,20 +182,26 @@ class HashDatabase:
         return entry[1] if entry is not None else None
 
     def recompute_oldest_owner(self, hash_value: int) -> Optional[str]:
-        """Oldest owner recomputed from the raw observation map.
+        """Oldest owner recomputed from the observer map.
 
-        Deliberately ignores the ownership index — the reference path
-        for differential tests that prove the index stays consistent.
+        The minimum over a shared hash's observers, ignoring its owner
+        entry. An unshared hash has no map, so its owner entry is its
+        only record and is returned as stored; the independent oracle
+        for the whole index is the full-map database in
+        ``tests/test_store_differential.py``.
         """
-        seen_by = self._observations.get(hash_value)
-        if not seen_by:
-            return None
+        seen_by = self._shared.get(hash_value)
+        if seen_by is None:
+            return self.oldest_owner(hash_value)
         return min(seen_by.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
     def owners(self, hash_value: int) -> List[Tuple[str, float]]:
         """All (segment_id, first_seen) observations, earliest first."""
-        seen_by = self._observations.get(hash_value, {})
-        return sorted(seen_by.items(), key=lambda kv: (kv[1], kv[0]))
+        seen_by = self._shared.get(hash_value)
+        if seen_by is not None:
+            return sorted(seen_by.items(), key=lambda kv: (kv[1], kv[0]))
+        entry = self._oldest.get(hash_value)
+        return [(entry[1], entry[0])] if entry is not None else []
 
     def observers(self, hash_value: int) -> Tuple[str, ...]:
         """Segment ids observing *hash_value*, in no particular order.
@@ -185,20 +209,31 @@ class HashDatabase:
         Unlike :meth:`owners` this does not sort, so the non-authoritative
         query sweep can accumulate counts without O(k log k) per hash.
         """
-        seen_by = self._observations.get(hash_value)
-        return tuple(seen_by) if seen_by else ()
+        seen_by = self._shared.get(hash_value)
+        if seen_by is not None:
+            return tuple(seen_by)
+        entry = self._oldest.get(hash_value)
+        return (entry[1],) if entry is not None else ()
 
     def first_seen(self, hash_value: int, segment_id: str) -> Optional[float]:
         """When *segment_id* first contained *hash_value*, or None."""
-        return self._observations.get(hash_value, {}).get(segment_id)
+        seen_by = self._shared.get(hash_value)
+        if seen_by is not None:
+            return seen_by.get(segment_id)
+        entry = self._oldest.get(hash_value)
+        if entry is not None and entry[1] == segment_id:
+            return entry[0]
+        return None
 
     def first_seen_of(self, segment_id: str) -> Dict[int, float]:
         """Every hash *segment_id* observes → its first-seen time (O(|F|))."""
-        observations = self._observations
-        return {
-            h: observations[h][segment_id]
-            for h in self._by_segment.get(segment_id, ())
-        }
+        oldest = self._oldest
+        shared = self._shared
+        out: Dict[int, float] = {}
+        for h in self._by_segment.get(segment_id, ()):
+            seen_by = shared.get(h)
+            out[h] = oldest[h][0] if seen_by is None else seen_by[segment_id]
+        return out
 
     def bulk_load(
         self, groups: Iterable[Tuple[float, str, Sequence[int]]]
@@ -210,32 +245,35 @@ class HashDatabase:
         segment) pair at most once. The first group to name a hash owns
         it: the oldest claim, which :meth:`record`'s tie-break also
         keeps, so the indexes equal a ``record()`` replay's without any
-        claim being released and re-won. Epochs stay zero for
+        claim being released and re-won. A group's hashes share one
+        owner-entry tuple. Epochs stay zero for
         :meth:`restore_ownership_meta` to overwrite.
         """
-        if self._observations:
+        if self._oldest:
             raise DisclosureError("bulk_load needs an empty hash database")
-        observations = self._observations
-        oldest = self._oldest
+        claim_first = self._oldest.setdefault
+        shared = self._shared
         for first_seen, segment_id, hashes in groups:
             if not hashes:
                 continue
-            owned = None
-            for h in hashes:
-                seen_by = observations.get(h)
-                if seen_by is None:
-                    observations[h] = {segment_id: first_seen}
-                    oldest[h] = (first_seen, segment_id)
-                    if owned is None:
-                        owned = self._owned.setdefault(segment_id, set())
-                    owned.add(h)
-                else:
-                    seen_by[segment_id] = first_seen
+            claim = (first_seen, segment_id)
+            owned = [h for h in hashes if claim_first(h, claim) is claim]
+            if len(owned) < len(hashes):
+                taken = set(hashes).difference(owned)
+                for h in taken:
+                    seen_by = shared.get(h)
+                    if seen_by is None:
+                        owner_seen, owner = self._oldest[h]
+                        shared[h] = {owner: owner_seen, segment_id: first_seen}
+                    else:
+                        seen_by[segment_id] = first_seen
+            if owned:
+                self._owned.setdefault(segment_id, set()).update(owned)
             self._by_segment.setdefault(segment_id, set()).update(hashes)
 
     def hashes(self) -> List[int]:
         """All distinct hash values currently observed."""
-        return list(self._observations)
+        return list(self._oldest)
 
     def hashes_of(self, segment_id: str) -> Set[int]:
         """The hashes *segment_id* currently observes (index lookup)."""
@@ -272,6 +310,40 @@ class HashDatabase:
         self._owner_epoch = dict(epochs)
         self.ownership_changes = changes
 
+    def _drop(self, hash_value: int, segment_id: str) -> bool:
+        """Drop one observation from the observer maps and the owner
+        index (not from ``_by_segment``); False if it was not there.
+
+        A shared hash left with one observer collapses back into that
+        observer's owner entry; an unshared hash losing its observer
+        leaves the table.
+        """
+        current = self._oldest.get(hash_value)
+        if current is None:
+            return False
+        seen_by = self._shared.get(hash_value)
+        if seen_by is None:
+            if current[1] != segment_id:
+                return False
+            # The sole observer, hence the owner.
+            del self._oldest[hash_value]
+            self._release(segment_id, hash_value)
+            self.ownership_changes += 1
+            return True
+        if segment_id not in seen_by:
+            return False
+        del seen_by[segment_id]
+        if len(seen_by) == 1:
+            # Collapse: the one observer left owns the hash, and its
+            # owner entry holds its first-seen time.
+            del self._shared[hash_value]
+        if current[1] == segment_id:
+            ts, seg = min((ts, seg) for seg, ts in seen_by.items())
+            self._oldest[hash_value] = (ts, seg)
+            self._release(segment_id, hash_value)
+            self._claim(seg, hash_value)
+        return True
+
     def remove_observation(self, hash_value: int, segment_id: str) -> bool:
         """Release one (hash, segment) association.
 
@@ -282,26 +354,13 @@ class HashDatabase:
         the authoritative source once the Interview Tool text changes).
         Returns True when an association was actually removed.
         """
-        seen_by = self._observations.get(hash_value)
-        if seen_by is None or segment_id not in seen_by:
+        if not self._drop(hash_value, segment_id):
             return False
-        del seen_by[segment_id]
         observed = self._by_segment.get(segment_id)
         if observed is not None:
             observed.discard(hash_value)
             if not observed:
                 del self._by_segment[segment_id]
-        if not seen_by:
-            # The removed segment was necessarily the sole owner.
-            del self._observations[hash_value]
-            del self._oldest[hash_value]
-            self._release(segment_id, hash_value)
-            self.ownership_changes += 1
-        elif self._oldest[hash_value][1] == segment_id:
-            ts, seg = min((ts, seg) for seg, ts in seen_by.items())
-            self._oldest[hash_value] = (ts, seg)
-            self._release(segment_id, hash_value)
-            self._claim(seg, hash_value)
         return True
 
     def discard_segment(self, segment_id: str) -> int:
@@ -314,42 +373,36 @@ class HashDatabase:
         hashes = self._by_segment.pop(segment_id, None)
         if not hashes:
             return 0
-        removed = 0
+        drop = self._drop
         for hash_value in hashes:
-            seen_by = self._observations[hash_value]
-            del seen_by[segment_id]
-            removed += 1
-            if not seen_by:
-                del self._observations[hash_value]
-                del self._oldest[hash_value]
-                self._release(segment_id, hash_value)
-                self.ownership_changes += 1
-            elif self._oldest[hash_value][1] == segment_id:
-                ts, seg = min((ts, seg) for seg, ts in seen_by.items())
-                self._oldest[hash_value] = (ts, seg)
-                self._release(segment_id, hash_value)
-                self._claim(seg, hash_value)
-        return removed
+            drop(hash_value, segment_id)
+        return len(hashes)
 
     def check_invariants(self) -> None:
-        """Assert the indexes agree with the raw observation map.
+        """Assert the indexes agree with the observation records.
 
         Test-only sanity pass (O(table)): every differential test calls
         this so a silently-corrupt index cannot masquerade as a passing
-        equivalence check.
+        equivalence check. A shared hash's owner entry must be the
+        minimum of its observer map, which must hold two or more
+        observers; every other hash's owner entry is its only observer.
         """
-        for hash_value, seen_by in self._observations.items():
-            assert seen_by, f"empty observer map retained for {hash_value}"
+        oldest = self._oldest
+        for hash_value, seen_by in self._shared.items():
+            assert len(seen_by) >= 2, (
+                f"shared entry for {hash_value} has {len(seen_by)} observers"
+            )
+            assert hash_value in oldest, f"shared {hash_value} has no owner"
             expected = min(seen_by.items(), key=lambda kv: (kv[1], kv[0]))
-            ts, seg = self._oldest[hash_value]
+            ts, seg = oldest[hash_value]
             assert (seg, ts) == expected, (hash_value, (seg, ts), expected)
-        assert set(self._oldest) == set(self._observations)
         observed: Dict[str, Set[int]] = {}
         owned: Dict[str, Set[int]] = {}
-        for hash_value, seen_by in self._observations.items():
-            for seg in seen_by:
+        for hash_value, (_ts, owner) in oldest.items():
+            seen_by = self._shared.get(hash_value)
+            for seg in seen_by if seen_by is not None else (owner,):
                 observed.setdefault(seg, set()).add(hash_value)
-            owned.setdefault(self._oldest[hash_value][1], set()).add(hash_value)
+            owned.setdefault(owner, set()).add(hash_value)
         assert observed == self._by_segment, "segment reverse index drifted"
         assert owned == self._owned, "ownership index drifted"
 

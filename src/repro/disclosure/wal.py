@@ -60,6 +60,7 @@ import os
 import struct
 import threading
 import zlib
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,7 +82,6 @@ from repro.errors import (
     WALCorrupt,
 )
 from repro.fingerprint import Fingerprint, FingerprintConfig
-from repro.fingerprint.fingerprint import FingerprintHash
 from repro.obs.registry import MetricsRegistry, MetricsScope
 from repro.plugin.crypto import UploadCipher
 from repro.util.clock import LogicalClock
@@ -630,11 +630,10 @@ class EngineJournal:
         # dict and nested lists. Only the selections are logged: a
         # fingerprint's hash set is exactly its selection values (the
         # winnowed positions), so repeating it would double the encode
-        # cost for bytes replay can derive for free.
-        selections = ",".join(
-            ["[%d,%d,%d]" % (s.value, s.orig_start, s.orig_end)
-             for s in record.fingerprint.selections]
-        )
+        # cost for bytes replay can derive for free. One format call
+        # spells the whole flat selection tuple.
+        flat = record.fingerprint.flat_selections
+        selections = ("[%d,%d,%d]," * (len(flat) // 3))[:-1] % flat
         prefix = '{"doc_id":%s,"id":%s,"kind":%s,"lsn":' % (
             "null" if record.doc_id is None else _escape(record.doc_id),
             _escape(record.segment_id),
@@ -717,13 +716,16 @@ def apply_record(
             "refusing to replay into an engine with a journal attached"
         )
     if op == "observe":
-        selections = tuple(
-            FingerprintHash(value, start, end)
-            for value, start, end in record["selections"]
-        )
+        triples = record["selections"]
+        flat = tuple(chain.from_iterable(triples))
+        if len(flat) != 3 * len(triples):
+            raise ValueError(
+                f"observe record lsn {record['lsn']}: selections are not "
+                "[value, start, end] triples"
+            )
         fingerprint = Fingerprint(
-            hashes=frozenset(s.value for s in selections),
-            selections=selections,
+            hashes=frozenset(flat[0::3]),
+            flat_selections=flat,
             config=engine.config,
         )
         engine.observe_fingerprint(

@@ -10,7 +10,7 @@ disclosure", §4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, NamedTuple, Tuple
 
 from repro.fingerprint.config import FingerprintConfig
 from repro.fingerprint.kernel import IngestKernel
@@ -21,8 +21,7 @@ from repro.fingerprint.winnowing import winnow
 from repro.obs.trace import span
 
 
-@dataclass(frozen=True)
-class FingerprintHash:
+class FingerprintHash(NamedTuple):
     """One selected hash with its source span in the original text."""
 
     value: int
@@ -37,16 +36,28 @@ class Fingerprint:
     Attributes:
         hashes: the set of selected hash values. Set semantics match the
             paper's disclosure definitions, which intersect fingerprints.
-        selections: every selected hash with its source span, in text
-            order. A hash value may appear several times if the same
-            n-gram content recurs in the segment.
+        flat_selections: every selected hash with its source span, in
+            text order, as one flat tuple ``(value, start, end, …)``. A
+            hash value may appear several times if the same n-gram
+            content recurs in the segment. An exact tuple of ints is
+            untracked by the cyclic collector after its first pass, so
+            a store of fingerprints adds no collector work per
+            selection (DESIGN.md §10); :attr:`selections` is the
+            per-selection view.
         config: the parameters the fingerprint was computed with.
             Fingerprints from different configs are not comparable.
     """
 
     hashes: FrozenSet[int]
-    selections: Tuple[FingerprintHash, ...] = field(repr=False, default=())
+    flat_selections: Tuple[int, ...] = field(repr=False, default=())
     config: FingerprintConfig = field(default_factory=FingerprintConfig)
+
+    @property
+    def selections(self) -> Tuple[FingerprintHash, ...]:
+        """The selections as :class:`FingerprintHash` tuples, built on
+        each access from :attr:`flat_selections`."""
+        flat = iter(self.flat_selections)
+        return tuple(map(FingerprintHash, flat, flat, flat))
 
     def __len__(self) -> int:
         return len(self.hashes)
@@ -85,8 +96,11 @@ class Fingerprint:
         segment, return the character ranges of this segment that caused
         the match, merged where they overlap or touch.
         """
+        flat = self.flat_selections
         raw = sorted(
-            (s.orig_start, s.orig_end) for s in self.selections if s.value in values
+            (start, end)
+            for value, start, end in zip(flat[0::3], flat[1::3], flat[2::3])
+            if value in values
         )
         merged: List[Tuple[int, int]] = []
         for start, end in raw:
@@ -180,16 +194,11 @@ class Fingerprinter:
             with span("normalize") as nsp:
                 norm, offsets = kernel.normalize(data)
                 nsp.set(kept=len(norm))
-            selections = tuple(
-                FingerprintHash(value, orig_start, orig_end)
-                for value, orig_start, orig_end in kernel.selections_from(
-                    norm, offsets
-                )
-            )
-            hashes = frozenset(s.value for s in selections)
+            flat = kernel.selections_from(norm, offsets)
+            hashes = frozenset(flat[0::3])
             sp.set(hashes=len(hashes))
             return Fingerprint(
-                hashes=hashes, selections=selections, config=config
+                hashes=hashes, flat_selections=flat, config=config
             )
 
     def fingerprint_reference(self, text: str) -> Fingerprint:
@@ -213,7 +222,7 @@ class Fingerprinter:
                 nsp.set(kept=len(normalized.text))
             if len(normalized.text) < config.ngram_size:
                 sp.set(hashes=0)
-                return Fingerprint(hashes=frozenset(), selections=(), config=config)
+                return Fingerprint(hashes=frozenset(), config=config)
             if scope is None:
                 values = self._hasher.hash_all_list(normalized.text)
                 positions = winnow(values, config.window_size)
@@ -222,16 +231,16 @@ class Fingerprinter:
                     values = self._hasher.hash_all_list(normalized.text)
                 with scope.timer("winnow"):
                     positions = winnow(values, config.window_size)
-            selections = []
+            flat: List[int] = []
             for pos in positions:
                 orig_start, orig_end = normalized.original_span(
                     pos, pos + config.ngram_size
                 )
-                selections.append(FingerprintHash(values[pos], orig_start, orig_end))
+                flat += (values[pos], orig_start, orig_end)
             hashes = frozenset(values[pos] for pos in positions)
             sp.set(hashes=len(hashes))
             return Fingerprint(
-                hashes=hashes, selections=tuple(selections), config=config
+                hashes=hashes, flat_selections=tuple(flat), config=config
             )
 
     def fingerprint_document(self, paragraphs: List[str]) -> Fingerprint:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import compress, count as icount
+from itertools import chain, compress, count as icount
 from typing import Deque, List, Set
 
 from repro.fingerprint.config import FingerprintConfig
@@ -69,7 +69,8 @@ class IncrementalFingerprinter:
         self._selected: List[int] = []
         self._selected_set: Set[int] = set()
         # Materialised selections, mirroring _selected 1:1, so current()
-        # never rebuilds FingerprintHash objects it already made; the
+        # never recomputes a span it already made (a splice keeps the
+        # untouched ones, tail spans shifted) and only flattens; the
         # last Fingerprint is cached until a new position is selected.
         self._sel_fp: List[FingerprintHash] = []
         self._sel_hash_set: Set[int] = set()
@@ -222,7 +223,7 @@ class IncrementalFingerprinter:
         n = self._config.ngram_size
         w = self._config.window_size
         offsets = self._offsets
-        before = set(self.current().selections)
+        before = set(self._current_selections())
         lo = bisect_left(offsets, start)
         hi = bisect_left(offsets, end)
 
@@ -372,7 +373,7 @@ class IncrementalFingerprinter:
         else:
             self._reported = set(new_selected)
 
-        return sum(1 for s in self.current().selections if s not in before)
+        return sum(1 for s in self._current_selections() if s not in before)
 
     def _to_char_mode(self) -> None:
         """Permanent byte→char conversion on the first wide suffix.
@@ -428,11 +429,22 @@ class IncrementalFingerprinter:
             return [best]
         return self._selected
 
+    def _current_selections(self) -> List[FingerprintHash]:
+        """The selections :meth:`current` returns, one tuple each."""
+        if len(self._values) > self._config.window_size:
+            return self._sel_fp
+        # Short-text phase: the single rightmost-minimum selection can
+        # move on any keystroke, so it is recomputed (O(window) at most).
+        last = self._config.ngram_size - 1
+        offsets = self._offsets
+        return [
+            FingerprintHash(self._values[pos], offsets[pos], offsets[pos + last] + 1)
+            for pos in self._selection_positions()
+        ]
+
     def current(self) -> Fingerprint:
         """The fingerprint of the text accumulated so far."""
-        n = self._config.ngram_size
-        w = self._config.window_size
-        if len(self._values) > w:
+        if len(self._values) > self._config.window_size:
             # Deque phase: selections only ever append, so the last
             # Fingerprint stays valid until _sel_fp grows. Per-keystroke
             # callers (the §4.3 pipeline) hit the cache on most presses.
@@ -443,25 +455,16 @@ class IncrementalFingerprinter:
                 return self._cached_fp
             fp = Fingerprint(
                 hashes=frozenset(self._sel_hash_set),
-                selections=tuple(self._sel_fp),
+                flat_selections=tuple(chain.from_iterable(self._sel_fp)),
                 config=self._config,
             )
             self._cached_fp = fp
             self._cached_sel_count = len(self._sel_fp)
             return fp
-        # Short-text phase: the single rightmost-minimum selection can
-        # move on any keystroke, so it is recomputed (O(window) at most).
-        positions = self._selection_positions()
-        selections = []
-        for pos in positions:
-            orig_start = self._offsets[pos]
-            orig_end = self._offsets[pos + n - 1] + 1
-            selections.append(
-                FingerprintHash(self._values[pos], orig_start, orig_end)
-            )
+        selections = self._current_selections()
         return Fingerprint(
-            hashes=frozenset(self._values[pos] for pos in positions),
-            selections=tuple(selections),
+            hashes=frozenset(s.value for s in selections),
+            flat_selections=tuple(chain.from_iterable(selections)),
             config=self._config,
         )
 

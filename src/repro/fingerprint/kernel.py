@@ -67,9 +67,6 @@ except ImportError:  # pragma: no cover - exercised on CI without numpy
 
 HAS_NUMPY = _np is not None
 
-#: A kernel selection: (hash value, original start, original end).
-Selection = Tuple[int, int, int]
-
 
 def _build_tables() -> Tuple[bytes, bytes, bytes]:
     """Precompute the S1 byte tables from the oracle's own predicate.
@@ -314,27 +311,22 @@ class IngestKernel:
             return norm, offsets
         return normalize_latin1(data)
 
-    def selections(self, data: bytes) -> List[Selection]:
-        """Run S1–S4 over *data*; returns (value, orig_start, orig_end)
-        per winnowed selection, in normalised-position order.
-
-        Field-identical to the reference pipeline run on the decoded
-        string: same hash values at the same positions, same
-        ``original_span`` offsets (property-tested in
-        ``tests/test_fp_kernel.py``).
-        """
-        norm, offsets = self.normalize(data)
-        return self.selections_from(norm, offsets)
-
-    def selections_from(self, norm: bytes, offsets) -> List[Selection]:
+    def selections_from(self, norm: bytes, offsets) -> Tuple[int, ...]:
         """S2–S4 over an already-normalised buffer and its offset map.
 
-        *offsets* is a list of ints (pure path) or an int ndarray
-        (numpy path) — whatever :meth:`normalize` returned.
+        Returns the winnowed selections in normalised-position order as
+        one flat tuple ``(value, orig_start, orig_end, …)``, the
+        :attr:`~repro.fingerprint.fingerprint.Fingerprint.flat_selections`
+        form. Field-identical to the reference pipeline run on the
+        decoded string: same hash values at the same positions, same
+        ``original_span`` offsets (property-tested in
+        ``tests/test_fp_kernel.py``). *offsets* is a list of ints (pure
+        path) or an int ndarray (numpy path) — whatever
+        :meth:`normalize` returned.
         """
         n = self._config.ngram_size
         if len(norm) < n:
-            return []
+            return ()
         w = self._config.window_size
         scope = self._scope
         if self._use_numpy:
@@ -362,11 +354,15 @@ class IngestKernel:
             pos = _np.asarray(positions, dtype=_np.int64)
             starts = offsets[pos].tolist()  # .tolist() → plain ints, so
             ends = (offsets[pos + last] + 1).tolist()  # spans stay JSON-able
-            return list(zip(value_list, starts, ends))
-        return [
-            (value, offsets[p], offsets[p + last] + 1)
-            for value, p in zip(value_list, positions)
-        ]
+        else:
+            starts = [offsets[p] for p in positions]
+            ends = [offsets[p + last] + 1 for p in positions]
+        # Interleave by slice assignment: three C-level copies.
+        flat: List[int] = [0] * (3 * len(value_list))
+        flat[0::3] = value_list
+        flat[1::3] = starts
+        flat[2::3] = ends
+        return tuple(flat)
 
     def _numpy_powers(self, length: int) -> Tuple["_np.ndarray", "_np.ndarray"]:
         """Cached ``base**i`` and ``base**-i`` (mod 2**64) up to *length*."""

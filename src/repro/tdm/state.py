@@ -6,6 +6,11 @@ Model's state to survive a browser restart — segment labels (including
 suppressed tags, which are the audit anchor), segment locations, the
 audit log, and the policy store. This module snapshots and restores the
 complete :class:`~repro.tdm.model.TextDisclosureModel`.
+
+Model files get the engine snapshots' guarantees: writes are atomic (a
+crash mid-write leaves the previous file intact), and a torn, corrupt
+or wrong-key file raises :class:`~repro.errors.SnapshotCorrupt` naming
+it.
 """
 
 from __future__ import annotations
@@ -14,14 +19,24 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from repro.disclosure.persistence import restore_engine, snapshot_engine
-from repro.errors import PolicyError
+from repro.disclosure.persistence import (
+    _atomic_write_text,
+    _check_version,
+    _decode_payload,
+    _max_timestamp,
+    restore_into,
+    snapshot_engine,
+)
+from repro.errors import PolicyError, SnapshotCorrupt
+from repro.fingerprint import FingerprintConfig
 from repro.plugin.crypto import UploadCipher
 from repro.tdm.audit import SuppressionEvent
 from repro.tdm.labels import SegmentLabel
 from repro.tdm.model import TextDisclosureModel
 from repro.tdm.serialization import policy_from_dict, policy_to_dict
 from repro.tdm.tags import Tag
+from repro.util.clock import LogicalClock
+from repro.util.faults import FaultInjector
 
 MODEL_STATE_VERSION = 1
 
@@ -76,30 +91,23 @@ def model_to_dict(model: TextDisclosureModel) -> dict:
 
 
 def model_from_dict(data: dict) -> TextDisclosureModel:
-    """Rebuild a model; disclosure decisions and audits are preserved."""
+    """Rebuild a model; disclosure decisions and audits are preserved.
+
+    The model is built with the snapshot's fingerprint config and
+    ``authoritative`` flag, and each engine snapshot is restored into
+    the model's own engine, so both keep the tracker's lock, registry
+    and clock. That one clock resumes past every persisted timestamp,
+    audit events included: a post-restart observation cannot steal
+    ownership, nor a post-restart audit event sort before an old one.
+    A malformed state raises :class:`~repro.errors.SnapshotCorrupt`.
+    """
     if data.get("version") != MODEL_STATE_VERSION:
         raise PolicyError(f"unsupported model state version {data.get('version')!r}")
-
-    policies = policy_from_dict(data["policy"])
-    paragraph_engine = restore_engine(data["paragraph_engine"])
-    document_engine = restore_engine(data["document_engine"])
-
-    model = TextDisclosureModel(
-        policies,
-        paragraph_engine.config,
-        paragraph_threshold=data["thresholds"]["paragraph"],
-        document_threshold=data["thresholds"]["document"],
-    )
-    # Swap in the restored engines wholesale; labels and locations next.
-    model.tracker.paragraphs = paragraph_engine
-    model.tracker.documents = document_engine
-
-    for segment_id, label_data in data.get("labels", {}).items():
-        model.set_label(segment_id, _label_from_dict(label_data))
-    for segment_id, services in data.get("locations", {}).items():
-        model._locations[segment_id] = set(services)
-    for entry in data.get("audit", []):
-        model.audit.record(
+    try:
+        engines = (data["paragraph_engine"], data["document_engine"])
+        for engine_data in engines:
+            _check_version(engine_data)
+        audit = [
             SuppressionEvent(
                 user=entry["user"],
                 tag=Tag(entry["tag"]),
@@ -108,24 +116,66 @@ def model_from_dict(data: dict) -> TextDisclosureModel:
                 timestamp=entry["timestamp"],
                 target_service=entry.get("target_service"),
             )
+            for entry in data.get("audit", [])
+        ]
+        latest = max(
+            [_max_timestamp(engine_data) for engine_data in engines]
+            + [event.timestamp for event in audit]
         )
+        model = TextDisclosureModel(
+            policy_from_dict(data["policy"]),
+            FingerprintConfig(**engines[0]["config"]),
+            LogicalClock(start=int(latest) + 1),
+            paragraph_threshold=data["thresholds"]["paragraph"],
+            document_threshold=data["thresholds"]["document"],
+            authoritative=engines[0].get("authoritative", True),
+        )
+        restore_into(model.tracker.paragraphs, engines[0])
+        restore_into(model.tracker.documents, engines[1])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SnapshotCorrupt(
+            f"model state is malformed ({type(exc).__name__}: {exc})"
+        ) from exc
+
+    for segment_id, label_data in data.get("labels", {}).items():
+        model.set_label(segment_id, _label_from_dict(label_data))
+    for segment_id, services in data.get("locations", {}).items():
+        model._locations[segment_id] = set(services)
+    for event in audit:
+        model.audit.record(event)
     return model
 
 
 def save_model(
-    model: TextDisclosureModel, path, *, cipher: Optional[UploadCipher] = None
+    model: TextDisclosureModel,
+    path,
+    *,
+    cipher: Optional[UploadCipher] = None,
+    faults: Optional[FaultInjector] = None,
 ) -> None:
-    """Write the model state to *path*, optionally encrypted at rest."""
+    """Atomically write the model state to *path*, optionally encrypted
+    at rest; *faults* injects deterministic crash points (see
+    :func:`~repro.disclosure.persistence.save_engine`)."""
     payload = json.dumps(model_to_dict(model))
     if cipher is not None:
         payload = cipher.encrypt(payload)
-    Path(path).write_text(payload, encoding="utf-8")
+    _atomic_write_text(Path(path), payload, faults=faults)
 
 
 def load_model(path, *, cipher: Optional[UploadCipher] = None) -> TextDisclosureModel:
-    payload = Path(path).read_text(encoding="utf-8")
-    if UploadCipher.is_encrypted(payload):
-        if cipher is None:
-            raise PolicyError("model state is encrypted; a cipher is required")
-        payload = cipher.decrypt(payload)
-    return model_from_dict(json.loads(payload))
+    """Read a model state file written by :func:`save_model`.
+
+    A torn, corrupt or wrong-key file raises
+    :class:`~repro.errors.SnapshotCorrupt` naming *path*; an encrypted
+    file without a cipher, or another state version, raises
+    :class:`~repro.errors.PolicyError`.
+    """
+    path = Path(path)
+    payload = path.read_text(encoding="utf-8")
+    if UploadCipher.is_encrypted(payload) and cipher is None:
+        raise PolicyError(f"model state {path} is encrypted; a cipher is required")
+    data = _decode_payload(payload, cipher, f"model state {path}")
+    try:
+        return model_from_dict(data)
+    except SnapshotCorrupt as exc:
+        raise SnapshotCorrupt(f"model state {path}: {exc}") from exc

@@ -154,7 +154,7 @@ def reference_restore(engine, data):
                 segment_id=entry["id"],
                 fingerprint=Fingerprint(
                     hashes=frozenset(s.value for s in selections),
-                    selections=selections,
+                    flat_selections=tuple(flat),
                     config=engine.config,
                 ),
                 threshold=entry["threshold"],
