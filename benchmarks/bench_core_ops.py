@@ -38,8 +38,8 @@ def test_algorithm1_query(benchmark, report):
     before = engine.registry.snapshot()
     result = benchmark(engine.disclosing_sources, fingerprint=target)
     assert "s42" in result.source_ids()
-    # The indexed path must agree with the retained reference scan.
-    assert result == engine.disclosing_sources_reference(fingerprint=target)
+    # Equivalence with the pre-index reference scan is the tier-1
+    # differential suites' job (tests/reference_engine.py).
     stats = engine.stats()
     for key in ("candidates_swept", "auth_cache_hits", "ownership_changes"):
         benchmark.extra_info[key] = stats[key]
@@ -50,23 +50,10 @@ def test_algorithm1_query(benchmark, report):
         )
     )
     # Every benchmarked call was counted, and each one ran (and timed)
-    # the full sweep: standalone-fingerprint queries bypass the
-    # per-segment query cache.
+    # the full sweep.
     assert delta["engine.paragraph.queries"] > 0
     algo = delta["engine.paragraph.algorithm1_seconds"]
     assert algo["count"] == delta["engine.paragraph.queries"]
-
-
-def test_algorithm1_query_reference(benchmark):
-    """The pre-index per-candidate scan, kept for before/after comparison."""
-    rng = random.Random("core-query")
-    synth = TextSynthesizer("fiction", rng)
-    engine = DisclosureEngine(PAPER_CONFIG)
-    for i in range(300):
-        engine.observe(f"s{i}", synth.paragraph(4, 7))
-    target = engine.segment_db.get("s42").fingerprint
-    result = benchmark(engine.disclosing_sources_reference, fingerprint=target)
-    assert "s42" in result.source_ids()
 
 
 def test_incremental_observe(benchmark):

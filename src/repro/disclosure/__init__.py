@@ -12,8 +12,8 @@ from?
 * :mod:`repro.disclosure.engine` — Algorithm 1 and incremental updates.
 * :mod:`repro.disclosure.attribution` — maps matched hashes back to the
   source/target character spans that caused a disclosure report.
-* :mod:`repro.disclosure.sharding` — hash-range sharding of DBhash with
-  a scatter/gather sweep (DESIGN.md §11).
+* :mod:`repro.disclosure.sharding` — DBhash as N >= 1 hash-range shards
+  with a scatter/gather sweep (DESIGN.md §11); every engine's store.
 * :mod:`repro.disclosure.wal` — write-ahead logging, compaction, crash
   recovery, and standby log shipping (DESIGN.md §14).
 """
@@ -31,7 +31,6 @@ from repro.disclosure.metrics import (
     raw_disclosure,
 )
 from repro.disclosure.sharding import (
-    ShardedDisclosureEngine,
     ShardedHashDatabase,
     partition,
     shard_of,
@@ -63,7 +62,6 @@ __all__ = [
     "HashDatabase",
     "SegmentDatabase",
     "SegmentRecord",
-    "ShardedDisclosureEngine",
     "ShardedHashDatabase",
     "partition",
     "shard_of",

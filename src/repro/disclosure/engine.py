@@ -4,27 +4,31 @@
 documents); :class:`DisclosureTracker` composes two engines to implement
 the paper's dual-granularity tracking (§4.1): disclosure is significant
 when either the document requirement or any paragraph requirement holds.
+Every engine keeps its ``DBhash`` in a
+:class:`~repro.disclosure.sharding.ShardedHashDatabase` — one shard by
+default — so one sweep, one delta apply and one epoch scheme serve
+every shard count.
 
-Concurrency (DESIGN.md §8): every engine operation runs under a
+Concurrency (DESIGN.md §8): every engine operation runs under one
 reader–writer lock — queries share it, observations and discards take
-it exclusively. A tracker shares *one* lock between its paragraph and
-document engines so a dual-granularity check observes both databases at
-a single consistent point; the lock is reentrant, so compound tracker
-operations nest engine acquisitions safely. The epoch-keyed caches
-(query cache, authoritative-set cache) are read *and* revalidated while
-the lock is held, which is what makes a concurrently-updated epoch
-unable to slip between validation and use.
+it exclusively; the databases take no lock of their own. A tracker
+shares *one* lock between its paragraph and document engines so a
+dual-granularity check observes both databases at a single consistent
+point; the lock is reentrant, so compound tracker operations nest
+engine acquisitions safely. The authoritative-set cache is read *and*
+revalidated while the lock is held, which is what makes a
+concurrently-updated epoch unable to slip between validation and use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.disclosure.metrics import meets_threshold, raw_disclosure
+from repro.disclosure.sharding import ShardedHashDatabase
 from repro.disclosure.store import (
     DEFAULT_THRESHOLD,
-    HashDatabase,
     SegmentDatabase,
     SegmentRecord,
 )
@@ -94,6 +98,12 @@ class DisclosureEngine:
             ``engine.document.``). Pass
             :data:`~repro.obs.registry.NULL_REGISTRY` for the
             counters-off path.
+        n_shards: hash-range shards of the hash database (DESIGN.md
+            §11). One shard, the default, is the paper's single
+            ``DBhash``; every shard count gives the same verdicts.
+        router: an object with ``map(fn, items)`` that multi-shard
+            sweeps hand their per-shard jobs to (e.g. a counting
+            :class:`~repro.plugin.router.ShardRouter`).
     """
 
     def __init__(
@@ -105,6 +115,8 @@ class DisclosureEngine:
         kind: str = "paragraph",
         lock: Optional[RWLock] = None,
         registry: Optional[MetricsRegistry] = None,
+        n_shards: int = 1,
+        router=None,
     ) -> None:
         self._clock = clock or LogicalClock()
         self._authoritative = authoritative
@@ -119,24 +131,25 @@ class DisclosureEngine:
         self._fingerprinter = Fingerprinter(
             config, scope=self.registry.scope(f"engine.{kind}.fingerprint.")
         )
-        #: Guards hash_db, segment_db, and the engine caches. Queries
-        #: take the read side; observe/remove take the write side. The
-        #: databases themselves are unsynchronised on purpose — the hot
-        #: query sweep calls ``oldest_owner`` once per target hash, and
-        #: per-call locking there would cost more than the query.
+        #: Guards hash_db, segment_db, and the authoritative-set cache.
+        #: Queries take the read side; observe/remove take the write
+        #: side. The databases themselves are unsynchronised on purpose
+        #: — the hot query sweep probes the hash table once per target
+        #: hash, and per-call locking there would cost more than the
+        #: query.
         self.lock = lock or RWLock(scope=self.registry.scope("lock."))
-        self.hash_db = HashDatabase()
+        self.hash_db = ShardedHashDatabase(
+            n_shards,
+            hash_bits=self.config.hash_bits,
+            scope=self.registry.scope(f"engine.{kind}.shard."),
+            router=router,
+        )
         self.segment_db = SegmentDatabase()
         # Durability hook: when a journal is attached every mutation is
         # appended to it (inside the write lock, after the in-memory
         # apply) so a WAL replay reconstructs this engine exactly. None
         # keeps the non-durable hot path at a single attribute test.
         self._journal = None
-        # Bumped whenever a new (hash, segment) observation lands; lets
-        # the query cache stay valid across no-op re-observations, which
-        # is what makes per-keystroke queries cheap (paper §6.2).
-        self._version = 0
-        self._query_cache: Dict[str, Tuple[int, FrozenSet[int], DisclosureReport]] = {}
         # segment → (owner epoch, frozen authoritative set). Valid while
         # the hash database's owned set for the segment is unchanged:
         # any ownership migration bumps the epoch, and fingerprint edits
@@ -148,16 +161,15 @@ class DisclosureEngine:
         # these same instruments — the field-identity contract.
         scope = self.metrics
         self._c_queries = scope.counter("queries")
-        self._c_query_cache_hits = scope.counter("query_cache_hits")
         self._c_candidates_swept = scope.counter("candidates_swept")
         self._c_auth_cache_hits = scope.counter("auth_cache_hits")
         self._c_auth_cache_misses = scope.counter("auth_cache_misses")
         scope.gauge("segments", fn=lambda: len(self.segment_db))
         scope.gauge("distinct_hashes", fn=lambda: len(self.hash_db))
-        scope.gauge("version", fn=lambda: self._version)
         scope.gauge(
             "ownership_changes", fn=lambda: self.hash_db.ownership_changes
         )
+        scope.gauge("shards", fn=lambda: self.hash_db.n_shards)
         # Per-stage latency histograms (registry clock, fixed buckets).
         self._h_algorithm1 = scope.histogram("algorithm1_seconds")
         self._h_fingerprint = scope.histogram("fingerprint_seconds")
@@ -169,6 +181,10 @@ class DisclosureEngine:
     @property
     def fingerprinter(self) -> Fingerprinter:
         return self._fingerprinter
+
+    @property
+    def n_shards(self) -> int:
+        return self.hash_db.n_shards
 
     def __len__(self) -> int:
         return len(self.segment_db)
@@ -251,8 +267,6 @@ class DisclosureEngine:
                 existing.fingerprint.hashes if existing is not None else frozenset(),
                 now,
             )
-            if changed:
-                self._version += 1
             if existing is not None:
                 record = SegmentRecord(
                     segment_id=segment_id,
@@ -262,6 +276,18 @@ class DisclosureEngine:
                     doc_id=doc_id if doc_id is not None else existing.doc_id,
                     last_updated=now,
                 )
+                if (
+                    changed
+                    or existing.threshold != threshold
+                    or existing.doc_id != record.doc_id
+                ):
+                    # The threshold pass reads the segment's fingerprint
+                    # size, threshold and document, so a verdict cached
+                    # on any shard holding its hashes must not survive a
+                    # change to one of them (§13). The withdrawn hashes'
+                    # shards, and all of a new segment's, were moved by
+                    # the delta apply itself.
+                    self.hash_db.bump_epochs_for(fingerprint.hashes)
             else:
                 record = SegmentRecord(
                     segment_id=segment_id,
@@ -288,8 +314,8 @@ class DisclosureEngine:
         An edit withdraws the segment's claim on hashes it no longer
         contains, so authority migrates to the oldest observer that
         still holds the text (paper Figure 6). Returns True when any
-        (hash, segment) association actually changed. The sharded
-        engine overrides this with batched per-shard application.
+        (hash, segment) association actually changed; the shards where
+        one did have moved their epochs.
 
         Only the delta is applied. That is exact because the engine
         keeps ``hash_db.hashes_of(s) == segment_db[s].fingerprint.hashes``
@@ -297,27 +323,23 @@ class DisclosureEngine:
         for a (hash, segment) pair already present: re-recording the
         unchanged hashes would change nothing.
         """
+        hash_db = self.hash_db
         # A new segment's delta is its whole fingerprint; skipping the
         # set copy keeps the hash table's insertion order as it was.
         added = new_hashes - old_hashes if old_hashes else new_hashes
+        removed = old_hashes - new_hashes
         changed = False
-        record = self.hash_db.record
-        for h in added:
-            if record(h, segment_id, now):
-                changed = True
-        remove = self.hash_db.remove_observation
-        for h in old_hashes - new_hashes:
-            if remove(h, segment_id):
-                changed = True
+        if added and hash_db.record_fingerprint(segment_id, added, now):
+            changed = True
+        if removed and hash_db.withdraw(segment_id, removed):
+            changed = True
         return changed
 
     def remove(self, segment_id: str) -> None:
         """Forget a segment entirely, releasing its hash ownership."""
         with self.lock.write_locked():
             self.segment_db.remove(segment_id)
-            if self.hash_db.discard_segment(segment_id):
-                self._version += 1
-            self._query_cache.pop(segment_id, None)
+            self.hash_db.discard_segment(segment_id)
             self._auth_cache.pop(segment_id, None)
             if self._journal is not None:
                 self._journal.log_remove(self._kind, segment_id)
@@ -338,6 +360,8 @@ class DisclosureEngine:
                     last_updated=record.last_updated,
                 )
             )
+            if threshold != record.threshold:
+                self.hash_db.bump_epochs_for(record.fingerprint.hashes)
             if self._journal is not None:
                 self._journal.log_threshold(self._kind, segment_id, threshold)
 
@@ -346,19 +370,17 @@ class DisclosureEngine:
 
         *hashes* may be ``None`` when the caller cannot route the check
         (e.g. a document-granularity check whose joined fingerprint is
-        unknown); implementations must then return a global token.
+        unknown); the token then covers every shard.
 
         Two tokens compare equal only if no mutation that could change a
         verdict for a target with these hashes happened in between —
         the contract the epoch-memoized verdict cache (DESIGN.md §13)
-        keys on. The unsharded engine returns its global version counter
-        (every changed observe/remove invalidates everything); the
-        sharded engine overrides this with a per-shard token so
-        mutations on untouched shards keep cached verdicts valid. Call
-        under the engine lock so the token and the verdict it guards see
-        the same state.
+        keys on. Only the shards the hashes route to contribute, so a
+        verdict cached under this token survives mutations that land
+        entirely on other shards. Call under the engine lock so the
+        token and the verdict it guards see the same state.
         """
-        return self._version
+        return self.hash_db.epoch_for(hashes)
 
     # ------------------------------------------------------------------
     # Pairwise disclosure
@@ -425,6 +447,14 @@ class DisclosureEngine:
         ``fingerprint`` for a segment not (yet) in the database.
         ``exclude_doc`` skips sources in the given document, used so a
         paragraph is not reported as disclosing its own document.
+
+        One sweep of the target's hashes over the hash database's
+        indexes (:meth:`ShardedHashDatabase.sweep`) accumulates
+        per-owner matched-hash counts in O(|F(target)|) (authoritative
+        mode; O(matching observations) otherwise), then
+        :meth:`_threshold_pass` applies Algorithm 1's quick discard and
+        threshold checks to the counts — no per-candidate set
+        intersections.
         """
         if (target_id is None) == (fingerprint is None):
             raise DisclosureError("pass exactly one of target_id or fingerprint")
@@ -433,27 +463,17 @@ class DisclosureEngine:
             with span("algorithm1", granularity=self._kind) as sp:
                 if target_id is not None:
                     fingerprint = self.segment_db.get(target_id).fingerprint
-                    cached = self._query_cache.get(target_id)
-                    if (
-                        cached is not None
-                        and cached[0] == self._version
-                        and cached[1] == fingerprint.hashes
-                    ):
-                        self._c_query_cache_hits.inc()
-                        sp.set(cache_hit=True, sources=len(cached[2].sources))
-                        return cached[2]
                 assert fingerprint is not None
-
                 clock = self.registry.clock
                 start = clock.now()
-                report = self._run_algorithm(target_id, fingerprint, exclude_doc)
+                matched = self.hash_db.sweep(
+                    fingerprint.hashes, authoritative=self._authoritative
+                )
+                self._c_candidates_swept.inc(len(matched))
+                report = self._threshold_pass(
+                    target_id, fingerprint, exclude_doc, matched
+                )
                 self._h_algorithm1.observe(clock.now() - start)
-                if target_id is not None:
-                    self._query_cache[target_id] = (
-                        self._version,
-                        fingerprint.hashes,
-                        report,
-                    )
                 sp.set(
                     cache_hit=False,
                     target_hashes=len(fingerprint.hashes),
@@ -475,9 +495,7 @@ class DisclosureEngine:
         one trace span, and one fused sweep: the union of the queries'
         hashes is probed once per distinct hash and matches are
         redistributed to the queries that contained them
-        (:meth:`_sweep_targets`). The per-target query cache does not
-        apply — batch queries are standalone fingerprints with no
-        ``target_id`` to key on.
+        (:meth:`ShardedHashDatabase.sweep_many`).
         """
         if not queries:
             return []
@@ -488,8 +506,9 @@ class DisclosureEngine:
             ) as sp:
                 clock = self.registry.clock
                 start = clock.now()
-                matched_list = self._sweep_targets(
-                    [fingerprint.hashes for fingerprint, _excl in queries]
+                matched_list = self.hash_db.sweep_many(
+                    [fingerprint.hashes for fingerprint, _excl in queries],
+                    authoritative=self._authoritative,
                 )
                 candidates = 0
                 reports: List[DisclosureReport] = []
@@ -511,127 +530,6 @@ class DisclosureEngine:
                 )
                 return reports
 
-    def disclosing_sources_reference(
-        self,
-        target_id: Optional[str] = None,
-        *,
-        fingerprint: Optional[Fingerprint] = None,
-        exclude_doc: Optional[str] = None,
-    ) -> DisclosureReport:
-        """Algorithm 1 via the naive per-candidate scan, uncached.
-
-        The pre-index implementation, retained as the behavioural
-        reference: it recomputes oldest owners from the raw observation
-        maps and intersects full fingerprints per candidate. Differential
-        tests assert :meth:`disclosing_sources` returns identical
-        reports; benchmarks use it for before/after comparisons.
-        """
-        if (target_id is None) == (fingerprint is None):
-            raise DisclosureError("pass exactly one of target_id or fingerprint")
-        with self.lock.read_locked():
-            if target_id is not None:
-                fingerprint = self.segment_db.get(target_id).fingerprint
-            assert fingerprint is not None
-            return self._run_algorithm_reference(target_id, fingerprint, exclude_doc)
-
-    # ------------------------------------------------------------------
-    # Indexed single-sweep query (the hot path)
-    # ------------------------------------------------------------------
-
-    def _run_algorithm(
-        self,
-        target_id: Optional[str],
-        fingerprint: Fingerprint,
-        exclude_doc: Optional[str],
-    ) -> DisclosureReport:
-        """One sweep over the target's hashes against the inverted index.
-
-        Accumulates per-owner matched-hash counts in O(|F(target)|)
-        (authoritative mode; O(matching observations) otherwise), then
-        applies Algorithm 1's quick discard and threshold checks to the
-        accumulated counts — no per-candidate set intersections.
-        """
-        matched: Dict[str, List[int]] = {}
-        if self._authoritative:
-            # Under §4.3 only a hash's oldest owner may count it towards
-            # its own disclosure, so one O(1) owner lookup per hash
-            # replaces the per-candidate authoritative-set intersection.
-            oldest_owner = self.hash_db.oldest_owner
-            for h in fingerprint.hashes:
-                owner = oldest_owner(h)
-                if owner is None:
-                    continue
-                if owner in matched:
-                    matched[owner].append(h)
-                else:
-                    matched[owner] = [h]
-        else:
-            observers = self.hash_db.observers
-            for h in fingerprint.hashes:
-                for owner in observers(h):
-                    if owner in matched:
-                        matched[owner].append(h)
-                    else:
-                        matched[owner] = [h]
-        self._c_candidates_swept.inc(len(matched))
-        return self._threshold_pass(target_id, fingerprint, exclude_doc, matched)
-
-    def _sweep_targets(
-        self, targets: Sequence[FrozenSet[int]]
-    ) -> List[Dict[str, List[int]]]:
-        """Fused sweep for a batch of targets; one matched dict each.
-
-        Builds the union of the targets' hashes, probes the inverted
-        index once per *distinct* hash, and redistributes each match to
-        every target that contained the hash — so a batch of uploads
-        sharing phrasing pays for the shared hashes once. Per-target
-        results are exactly what the per-target sweep would produce
-        (ownership of a hash does not depend on which batch asked).
-
-        The sharded engine overrides this with the scatter/gather
-        equivalent over its shards.
-        """
-        matched_list: List[Dict[str, List[int]]] = [{} for _ in targets]
-        # hash -> owning target index, promoted to a list only when the
-        # hash appears in more than one target (the common case is one).
-        items_of: Dict[int, object] = {}
-        get = items_of.get
-        for i, target in enumerate(targets):
-            for h in target:
-                prev = get(h)
-                if prev is None:
-                    items_of[h] = i
-                elif type(prev) is list:
-                    prev.append(i)
-                else:
-                    items_of[h] = [prev, i]
-
-        def credit(h: int, owner: str) -> None:
-            entry = items_of[h]
-            if type(entry) is int:
-                item_ids = (entry,)
-            else:
-                item_ids = entry
-            for i in item_ids:
-                matched = matched_list[i]
-                if owner in matched:
-                    matched[owner].append(h)
-                else:
-                    matched[owner] = [h]
-
-        if self._authoritative:
-            oldest_owner = self.hash_db.oldest_owner
-            for h in items_of:
-                owner = oldest_owner(h)
-                if owner is not None:
-                    credit(h, owner)
-        else:
-            observers = self.hash_db.observers
-            for h in items_of:
-                for owner in observers(h):
-                    credit(h, owner)
-        return matched_list
-
     def _threshold_pass(
         self,
         target_id: Optional[str],
@@ -642,9 +540,9 @@ class DisclosureEngine:
         """Algorithm 1's quick-discard + threshold test over swept counts.
 
         *matched* maps each candidate owner to the target hashes it
-        counted during the sweep; the sharded engine reuses this pass
-        verbatim after merging per-shard counts, which is what makes the
-        router's merge rule provably equivalent to the single sweep.
+        counted during the sweep, merged across shards; the merge
+        concatenates disjoint per-shard lists, which is what makes every
+        shard count give the same report.
         """
         results: List[SourceDisclosure] = []
         checked = 0
@@ -688,113 +586,17 @@ class DisclosureEngine:
             target_id=target_id, sources=tuple(results), candidates_checked=checked
         )
 
-    # ------------------------------------------------------------------
-    # Reference implementation (pre-index, kept for differential tests)
-    # ------------------------------------------------------------------
-
-    def _authoritative_hashes_reference(self, record: SegmentRecord) -> FrozenSet[int]:
-        """§4.3 authoritative set recomputed from raw observations."""
-        db = self.hash_db
-        return frozenset(
-            h
-            for h in record.fingerprint.hashes
-            if db.recompute_oldest_owner(h) == record.segment_id
-        )
-
-    def _score_reference(self, source: SegmentRecord, target: Fingerprint) -> float:
-        if self._authoritative:
-            total = len(source.fingerprint)
-            if total == 0:
-                return 0.0
-            auth = self._authoritative_hashes_reference(source)
-            return len(auth & target.hashes) / total
-        return raw_disclosure(source.fingerprint, target)
-
-    def _candidates_reference(self, fingerprint: Fingerprint) -> Iterable[str]:
-        """Candidate source ids sharing at least one hash with the query.
-
-        With the authoritative correction, only a hash's oldest owner can
-        count that hash towards its own disclosure, so inspecting oldest
-        owners (as in the paper's pseudocode) loses nothing. Without the
-        correction every observer is a candidate.
-        """
-        seen = set()
-        for h in fingerprint.hashes:
-            if self._authoritative:
-                owner = self.hash_db.recompute_oldest_owner(h)
-                if owner is not None and owner not in seen:
-                    seen.add(owner)
-                    yield owner
-            else:
-                for owner, _ts in self.hash_db.owners(h):
-                    if owner not in seen:
-                        seen.add(owner)
-                        yield owner
-
-    def _run_algorithm_reference(
-        self,
-        target_id: Optional[str],
-        fingerprint: Fingerprint,
-        exclude_doc: Optional[str],
-    ) -> DisclosureReport:
-        results: List[SourceDisclosure] = []
-        checked = 0
-        target_size = len(fingerprint)
-        for candidate_id in self._candidates_reference(fingerprint):
-            if candidate_id == target_id:
-                continue
-            source = self.segment_db.find(candidate_id)
-            if source is None:
-                # Historical owner whose segment was since removed.
-                continue
-            if exclude_doc is not None and (
-                source.doc_id == exclude_doc or source.segment_id == exclude_doc
-            ):
-                continue
-            checked += 1
-            t = source.threshold
-            origin_size = len(source.fingerprint)
-            # Quick discard from Algorithm 1: if the origin fingerprint
-            # is so large that even a full overlap with the target could
-            # not reach the threshold, skip the authoritative scan.
-            if origin_size * t > target_size:
-                continue
-            score = self._score_reference(source, fingerprint)
-            if score > 0.0 and meets_threshold(score, t):
-                if self._authoritative:
-                    matched = (
-                        self._authoritative_hashes_reference(source)
-                        & fingerprint.hashes
-                    )
-                else:
-                    matched = source.fingerprint.hashes & fingerprint.hashes
-                results.append(
-                    SourceDisclosure(
-                        segment_id=source.segment_id,
-                        score=score,
-                        threshold=t,
-                        matched_hashes=frozenset(matched),
-                        kind=source.kind,
-                        doc_id=source.doc_id,
-                    )
-                )
-        results.sort(key=lambda s: (-s.score, s.segment_id))
-        return DisclosureReport(
-            target_id=target_id, sources=tuple(results), candidates_checked=checked
-        )
-
     def stats(self) -> Dict[str, int]:
         """Size and index/query counters (Figure 13 + cache behaviour).
 
-        ``segments``/``distinct_hashes``/``version`` describe database
-        state; the rest are monotonic counters: queries answered and
-        answered from the decision cache, candidates accumulated by the
-        index sweep, authoritative-set cache hits/misses, and ownership
-        transitions (each of which invalidates one segment's cached
-        authoritative set).
+        ``segments``/``distinct_hashes``/``shards`` describe database
+        state; the rest are monotonic counters: queries answered,
+        candidates accumulated by the index sweep, authoritative-set
+        cache hits/misses, and ownership transitions (each of which
+        invalidates one segment's cached authoritative set).
 
-        Concurrency note (DESIGN.md §8): write-path values (``version``,
-        ``ownership_changes``, the db sizes) are exact — they only move
+        Concurrency note (DESIGN.md §8): write-path values
+        (``ownership_changes``, the db sizes) are exact — they only move
         under the write lock. Query-path counters are incremented by
         concurrent readers without mutual exclusion and are therefore
         monotonic but *approximate* under contention; they exist for
@@ -806,19 +608,17 @@ class DisclosureEngine:
         field-identical to ``metrics.snapshot()`` (differential-tested).
         Database-state fields read their sources directly — not via the
         derived gauges — so the dict remains correct even under
-        :data:`~repro.obs.registry.NULL_REGISTRY` (``version`` keys the
-        plugin's decision cache and must never flatten to zero).
+        :data:`~repro.obs.registry.NULL_REGISTRY`.
         """
         return {
             "segments": len(self.segment_db),
             "distinct_hashes": len(self.hash_db),
-            "version": self._version,
             "queries": self._c_queries.value,
-            "query_cache_hits": self._c_query_cache_hits.value,
             "candidates_swept": self._c_candidates_swept.value,
             "auth_cache_hits": self._c_auth_cache_hits.value,
             "auth_cache_misses": self._c_auth_cache_misses.value,
             "ownership_changes": self.hash_db.ownership_changes,
+            "shards": self.hash_db.n_shards,
         }
 
 
@@ -862,20 +662,20 @@ class DisclosureTracker:
         document_threshold: float = DEFAULT_THRESHOLD,
         authoritative: bool = True,
         registry: Optional[MetricsRegistry] = None,
-        n_shards: Optional[int] = None,
+        n_shards: int = 1,
         router=None,
     ) -> None:
-        """``n_shards=None`` (default) builds the classic single-store
-        engines; any integer >= 1 builds
-        :class:`~repro.disclosure.sharding.ShardedDisclosureEngine`
-        pairs whose hash databases are hash-range partitioned into that
-        many independently locked shards. ``router`` (an object with a
+        """``n_shards`` hash-range partitions both engines' hash
+        databases into that many shards (one, the default, is the
+        paper's single ``DBhash``); ``router`` (an object with a
         ``map(fn, items)`` method, e.g.
         :class:`~repro.plugin.router.ShardRouter`) is handed to both
-        sharded engines, whose multi-shard sweeps pass it their
-        per-shard jobs; ignored unsharded.
+        engines, whose multi-shard sweeps pass it their per-shard jobs.
         """
-        shared_clock = clock or LogicalClock()
+        #: One clock for both engines (and the model that owns this
+        #: tracker): first-seen records and audit events share a
+        #: timeline, which :meth:`resume_clock` advances in place.
+        self.clock = clock or LogicalClock()
         # One config object for both engines, so a paragraph fingerprint
         # reused at document granularity passes the engine's config check
         # on identity alone.
@@ -887,32 +687,18 @@ class DisclosureTracker:
         #: One lock for both granularities: a dual-granularity check or
         #: observation is atomic with respect to concurrent updates.
         self.lock = RWLock(scope=self.registry.scope("lock."))
-        if n_shards is None:
-            engine_factory = DisclosureEngine
-            extra: Dict[str, object] = {}
-        else:
-            # Deferred import: sharding builds on this module.
-            from repro.disclosure.sharding import ShardedDisclosureEngine
-
-            engine_factory = ShardedDisclosureEngine
-            extra = {"n_shards": n_shards, "router": router}
-        self.paragraphs = engine_factory(
-            config,
-            shared_clock,
-            authoritative=authoritative,
-            kind="paragraph",
-            lock=self.lock,
-            registry=self.registry,
-            **extra,
-        )
-        self.documents = engine_factory(
-            config,
-            shared_clock,
-            authoritative=authoritative,
-            kind="document",
-            lock=self.lock,
-            registry=self.registry,
-            **extra,
+        self.paragraphs, self.documents = (
+            DisclosureEngine(
+                config,
+                self.clock,
+                authoritative=authoritative,
+                kind=kind,
+                lock=self.lock,
+                registry=self.registry,
+                n_shards=n_shards,
+                router=router,
+            )
+            for kind in ("paragraph", "document")
         )
         self._paragraph_threshold = paragraph_threshold
         self._document_threshold = document_threshold
@@ -926,17 +712,17 @@ class DisclosureTracker:
         return self._document_threshold
 
     def resume_clock(self, after: float) -> None:
-        """Share a fresh logical clock resumed strictly past *after*.
+        """Advance the shared logical clock strictly past *after*.
 
         WAL replay applies recorded timestamps without advancing the
         tracker's clock; a standby that is promoted to primary (or a
         tracker rebuilt by recovery) calls this so its first live
         observation cannot time-travel before — and steal authoritative
-        ownership from — anything already replayed.
+        ownership from — anything already replayed. The clock object is
+        advanced in place, so both engines and the model that shares it
+        (whose audit events it stamps) move together.
         """
-        clock = LogicalClock(start=int(after) + 1)
-        self.paragraphs._clock = clock
-        self.documents._clock = clock
+        self.clock.advance_past(after)
 
     def document_fingerprints(
         self,

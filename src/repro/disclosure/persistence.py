@@ -187,11 +187,9 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
     """Load a snapshot dict's segments and hash ownership into *engine*.
 
     *engine* must be freshly constructed (empty databases) with a config
-    matching the snapshot's; works for both the single-store and the
-    sharded engine, since both expose ``segment_db.put`` and
-    ``hash_db.bulk_load``. Used directly by WAL recovery, which builds
-    the engine itself so the recovered tier (plain or sharded) matches
-    the pre-crash deployment.
+    matching the snapshot's, at any shard count. Used directly by WAL
+    recovery, which builds the engine itself so the recovered tier's
+    shard count matches the pre-crash deployment.
 
     The hash database is built in one pass: every segment's first-seen
     groups, sorted by ``(first_seen, segment_id)``, go to one bulk load,

@@ -28,11 +28,12 @@ holds for this implementation too:
 
 Concurrency contract (DESIGN.md §8): the databases are *externally
 synchronised* by the owning engine's reader–writer lock. They carry no
-locks of their own because the engine's hot query sweep makes one
-``oldest_owner`` call per target hash — per-call locking here would
-dominate the query. Code that touches a database outside its engine
-(persistence snapshots, tests) must hold the engine's lock, read side
-for lookups and write side for any mutation.
+locks of their own because the hot query sweep
+(:meth:`HashDatabase.sweep`) probes the owner index once per target
+hash — per-call locking here would dominate the query. Code that
+touches a database outside its engine (persistence snapshots, tests)
+must hold the engine's lock, read side for lookups and write side for
+any mutation.
 """
 
 from __future__ import annotations
@@ -181,19 +182,37 @@ class HashDatabase:
         entry = self._oldest.get(hash_value)
         return entry[1] if entry is not None else None
 
-    def recompute_oldest_owner(self, hash_value: int) -> Optional[str]:
-        """Oldest owner recomputed from the observer map.
+    def sweep(
+        self, hashes: Iterable[int], authoritative: bool = True
+    ) -> Dict[str, List[int]]:
+        """Algorithm 1's accumulation: owner → the *hashes* it counts.
 
-        The minimum over a shared hash's observers, ignoring its owner
-        entry. An unshared hash has no map, so its owner entry is its
-        only record and is returned as stored; the independent oracle
-        for the whole index is the full-map database in
-        ``tests/test_store_differential.py``.
+        Under §4.3 only a hash's oldest owner may count it towards its
+        own disclosure, so the authoritative sweep is one owner-entry
+        probe per hash; without the correction every observer counts
+        it. Hashes absent from the table are skipped.
         """
-        seen_by = self._shared.get(hash_value)
-        if seen_by is None:
-            return self.oldest_owner(hash_value)
-        return min(seen_by.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        matched: Dict[str, List[int]] = {}
+        if authoritative:
+            get = self._oldest.get
+            for h in hashes:
+                entry = get(h)
+                if entry is None:
+                    continue
+                owner = entry[1]
+                if owner in matched:
+                    matched[owner].append(h)
+                else:
+                    matched[owner] = [h]
+        else:
+            observers = self.observers
+            for h in hashes:
+                for owner in observers(h):
+                    if owner in matched:
+                        matched[owner].append(h)
+                    else:
+                        matched[owner] = [h]
+        return matched
 
     def owners(self, hash_value: int) -> List[Tuple[str, float]]:
         """All (segment_id, first_seen) observations, earliest first."""

@@ -804,9 +804,10 @@ class DurableEngine:
 
     ``compact_every`` triggers automatic compaction after that many
     journaled mutations; :meth:`compact` is always available manually.
-    ``n_shards`` builds the sharded engine/WAL tier; crash injection
-    arrives through ``faults`` exactly as on a bare
-    :class:`WriteAheadLog`.
+    ``n_shards`` shards both the engine's hash database and the WAL;
+    when omitted it is adopted from the snapshot (one shard for a new
+    directory). Crash injection arrives through ``faults`` exactly as
+    on a bare :class:`WriteAheadLog`.
     """
 
     def __init__(
@@ -879,13 +880,13 @@ class DurableEngine:
                 f"shard(s) but n_shards={n_shards} was requested; recovering "
                 "with the wrong shard count would drop shard logs"
             )
-        if n_shards is None and persisted_shards is not None and persisted_shards > 1:
+        if n_shards is None:
             # Adopt the deployment's shard count (like config and kind):
             # `repro recover` need not know how the primary was sharded.
-            n_shards = persisted_shards
+            n_shards = persisted_shards or 1
         self.wal = WALSet(
             self.directory,
-            n_shards=n_shards or 1,
+            n_shards=n_shards,
             fsync=fsync,
             fsync_interval=fsync_interval,
             cipher=cipher,
@@ -905,18 +906,10 @@ class DurableEngine:
             else 0
         )
         clock = LogicalClock(start=resumed)
-        if n_shards is None:
-            self.engine = DisclosureEngine(
-                config, clock, authoritative=authoritative, kind=kind,
-                registry=self.registry,
-            )
-        else:
-            from repro.disclosure.sharding import ShardedDisclosureEngine
-
-            self.engine = ShardedDisclosureEngine(
-                config, clock, authoritative=authoritative, kind=kind,
-                registry=self.registry, n_shards=n_shards,
-            )
+        self.engine = DisclosureEngine(
+            config, clock, authoritative=authoritative, kind=kind,
+            registry=self.registry, n_shards=n_shards,
+        )
         # A failed recovery must not leak the log handles it opened.
         try:
             if data is not None:

@@ -45,7 +45,7 @@ import gc
 import platform
 import random
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.datasets import EbookCorpus
 from repro.fingerprint.config import PAPER_CONFIG
@@ -77,7 +77,7 @@ def build_corpus(smoke: bool, seed: int) -> EbookCorpus:
 
 
 def build_model(
-    corpus: EbookCorpus, *, n_shards: Optional[int] = None
+    corpus: EbookCorpus, *, n_shards: int = 1
 ) -> TextDisclosureModel:
     """A disclosure model holding *corpus* as confidential sources."""
     policies = PolicyStore()
@@ -217,7 +217,7 @@ def check_equivalence(
     corpus: EbookCorpus,
     scripts: Sequence[EditScript],
     *,
-    n_shards: Optional[int],
+    n_shards: int,
     sample: int = 25,
 ) -> int:
     """Assert delta fingerprints and verdicts == the reference path's.
@@ -257,7 +257,7 @@ def check_equivalence(
     for i, (want, got) in enumerate(zip(full_decisions, delta_decisions)):
         assert got == want, (
             f"delta decision {i} diverges from full recheck at "
-            f"{n_shards or 1} shard(s): {got} != {want}"
+            f"{n_shards} shard(s): {got} != {want}"
         )
     return len(full_decisions)
 
@@ -304,7 +304,7 @@ def measure(
     )
 
     compared = 0
-    for shards in (None, n_shards):
+    for shards in (1, n_shards):
         compared += check_equivalence(corpus, scripts, n_shards=shards)
 
     paths: Dict[str, dict] = {}

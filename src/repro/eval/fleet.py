@@ -165,7 +165,7 @@ class FleetFixture:
         self,
         config: FleetConfig,
         *,
-        n_shards: Optional[int] = None,
+        n_shards: int = 1,
     ) -> None:
         self.network = Network()
         self.wiki = WikiService()
@@ -184,7 +184,7 @@ class FleetFixture:
         self.policies.register_service(self.docs.origin, display_name="Docs")
         self.policies.register_service(self.forum.origin, display_name="Forum")
 
-        self.router = ShardRouter() if n_shards else None
+        self.router = ShardRouter() if n_shards > 1 else None
         self.model = TextDisclosureModel(
             self.policies, TINY_CONFIG, n_shards=n_shards, router=self.router
         )
@@ -363,7 +363,7 @@ def run_fleet(
     schedule: Schedule,
     *,
     workers: int = 4,
-    n_shards: Optional[int] = None,
+    n_shards: int = 1,
     pace: Optional[float] = None,
     join_timeout: float = 600.0,
 ) -> FleetResult:
@@ -372,8 +372,8 @@ def run_fleet(
     Args:
         workers: worker-pool size (the audit outcome must not depend
             on it — that is the determinism test's claim).
-        n_shards: None for the single-engine tier, else the sharded
-            tier with this many shards.
+        n_shards: hash-database shards of the lookup tier (one, the
+            default, is the single-store tier).
         pace: target ops per wall second. When set, ops become *due* at
             ``virtual_time × (ops/pace)/horizon`` and open-loop lateness
             is recorded; when None the schedule runs flat out and the
@@ -605,7 +605,7 @@ def measure(
     schedule = generate_schedule(config)
 
     tiers: Dict[str, FleetResult] = {}
-    for name, shards in (("single", None), ("sharded", n_shards)):
+    for name, shards in (("single", 1), ("sharded", n_shards)):
         result = run_fleet(
             schedule, workers=workers, n_shards=shards, pace=pace
         )

@@ -95,7 +95,7 @@ def build_corpus(smoke: bool, seed: int) -> EbookCorpus:
 def build_server(
     corpus: EbookCorpus,
     *,
-    n_shards: Optional[int] = None,
+    n_shards: int = 1,
 ) -> LookupServer:
     """A healthy (no injected faults) lookup service over *corpus*."""
     policies = PolicyStore()

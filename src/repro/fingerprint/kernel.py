@@ -7,7 +7,7 @@ with per-character method calls — ``isalnum()``/``lower()`` per input
 character alone account for nearly half of ingest time. This module
 replaces all three passes for byte-narrow input with batched C-level
 primitives; the reference implementations stay untouched as the
-differential oracle (the ``disclosing_sources_reference`` pattern).
+differential oracle.
 
 Stage by stage:
 

@@ -12,10 +12,10 @@ look like and where fingerprints come from:
 
 * Verdicts are keyed on ``(service, doc, fingerprint-set digest,
   paragraph-engine epoch, document-engine epoch)``. The epoch tokens
-  come from ``DisclosureEngine.version_epoch``: the unsharded engine
-  returns its global version, the sharded engine a per-shard tuple, so
-  a mutation that lands entirely on other shards leaves cached verdicts
-  valid instead of invalidating everything.
+  come from ``DisclosureEngine.version_epoch``: per-shard epochs of the
+  shards a check routes to, so a mutation that lands entirely on other
+  shards leaves cached verdicts valid instead of invalidating
+  everything (at one shard the token is that shard's epoch).
 * Callers that already hold the fingerprints pass them in and skip the
   text pipeline: the plug-in passes its ``EditBuffer`` fingerprint on
   XHR syncs and the fingerprints it computed once on form submits, and
@@ -41,7 +41,7 @@ from repro.tdm.model import FlowDecision, Suppression, TextDisclosureModel
 #: One batch-lookup item: (doc_id, [(paragraph_id, text), ...]).
 BatchItem = Tuple[str, Sequence[Tuple[str, str]]]
 
-#: Shard counts consulted per epoch token (sharded tier only).
+#: Shard counts consulted per epoch token (multi-shard tiers only).
 _SHARD_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
@@ -77,12 +77,15 @@ class PolicyLookup:
         self._c_epoch_hits = epoch_scope.counter("hits")
         self._c_epoch_misses = epoch_scope.counter("misses")
         #: Multi-paragraph checks fall back to the document engine's
-        #: global version token (the document fingerprint is not known
+        #: all-shard epoch token (the document fingerprint is not known
         #: without joining the text, so per-shard routing is unknown).
         self._c_epoch_global = epoch_scope.counter("doc_global_epochs")
         self._h_epoch_shards = epoch_scope.histogram(
             "shards", buckets=_SHARD_BUCKETS
         )
+        # Routing the paragraph epoch token (and recording how many
+        # shards it covers) pays only when there is more than one shard.
+        self._sharded = model.tracker.paragraphs.n_shards > 1
 
     @property
     def model(self) -> TextDisclosureModel:
@@ -132,8 +135,14 @@ class PolicyLookup:
         tracker = self._model.tracker
         hash_sets = [fp.hashes for fp in fingerprints]
         digest = fingerprint_set_digest(hash_sets)
-        union = frozenset().union(*hash_sets) if hash_sets else frozenset()
-        para_epoch = tracker.paragraphs.version_epoch(union)
+        if self._sharded:
+            para_epoch = tracker.paragraphs.version_epoch(
+                frozenset().union(*hash_sets)
+            )
+            self._h_epoch_shards.observe(float(len(para_epoch)))
+        else:
+            # One shard: every check routes there, nothing to route.
+            para_epoch = tracker.paragraphs.version_epoch(None)
         if len(hash_sets) == 1:
             # Single-paragraph checks reuse the paragraph fingerprint at
             # document granularity, so per-shard routing is exact.
@@ -141,8 +150,6 @@ class PolicyLookup:
         else:
             doc_epoch = tracker.documents.version_epoch(None)
             self._c_epoch_global.inc()
-        if isinstance(para_epoch, tuple):
-            self._h_epoch_shards.observe(float(len(para_epoch)))
         # Verdicts also read the label store (the upload's own stored
         # labels plus inherited source tags), which can change without
         # any fingerprint delta — e.g. declassification or custom tags.

@@ -29,7 +29,7 @@ from repro.tdm.audit import AuditLog, SuppressionEvent
 from repro.tdm.labels import Label, SegmentLabel
 from repro.tdm.policy import PolicyStore, ServicePolicy
 from repro.tdm.tags import Tag, as_tag
-from repro.util.clock import Clock, LogicalClock
+from repro.util.clock import Clock
 
 #: (paragraph_id, text) pairs, the document representation used throughout.
 Paragraphs = Sequence[Tuple[str, str]]
@@ -97,12 +97,11 @@ class TextDisclosureModel:
             the shared lock, and — via the plug-in — the decision
             cache). A private one is created when omitted.
         n_shards: hash-range shard the disclosure databases into this
-            many independently locked shards (DESIGN.md §11); None keeps
-            the classic single-store engines.
+            many shards (DESIGN.md §11); one, the default, is the
+            paper's single hash database.
         router: an object with ``map(fn, items)`` that multi-shard
             sweeps hand their per-shard jobs to (e.g. a counting
-            :class:`~repro.plugin.router.ShardRouter`); ignored when
-            unsharded.
+            :class:`~repro.plugin.router.ShardRouter`).
     """
 
     def __init__(
@@ -115,14 +114,13 @@ class TextDisclosureModel:
         document_threshold: float = 0.5,
         authoritative: bool = True,
         registry: Optional[MetricsRegistry] = None,
-        n_shards: Optional[int] = None,
+        n_shards: int = 1,
         router=None,
     ) -> None:
         self.policies = policies or PolicyStore()
-        self._clock = clock or LogicalClock()
         self.tracker = DisclosureTracker(
             config,
-            self._clock,
+            clock,
             paragraph_threshold=paragraph_threshold,
             document_threshold=document_threshold,
             authoritative=authoritative,
@@ -134,6 +132,9 @@ class TextDisclosureModel:
         #: namespace, reused by the plug-in's decision cache and the
         #: lookup service above.
         self.registry = self.tracker.registry
+        # The tracker's clock: audit events and first-seen records share
+        # one timeline, so resuming the tracker resumes the audit too.
+        self._clock = self.tracker.clock
         self.audit = AuditLog()
         #: The tracker's reader–writer lock, shared by both granularity
         #: engines; model operations reuse it (reentrantly) so label and

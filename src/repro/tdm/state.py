@@ -27,7 +27,7 @@ from repro.disclosure.persistence import (
     restore_into,
     snapshot_engine,
 )
-from repro.errors import PolicyError, SnapshotCorrupt
+from repro.errors import DisclosureError, PolicyError, SnapshotCorrupt
 from repro.fingerprint import FingerprintConfig
 from repro.plugin.crypto import UploadCipher
 from repro.tdm.audit import SuppressionEvent
@@ -166,12 +166,17 @@ def load_model(path, *, cipher: Optional[UploadCipher] = None) -> TextDisclosure
     """Read a model state file written by :func:`save_model`.
 
     A torn, corrupt or wrong-key file raises
-    :class:`~repro.errors.SnapshotCorrupt` naming *path*; an encrypted
-    file without a cipher, or another state version, raises
+    :class:`~repro.errors.SnapshotCorrupt` naming *path*, and an
+    unreadable one (missing, a directory, no permission) a
+    :class:`~repro.errors.DisclosureError`, as engine snapshots do; an
+    encrypted file without a cipher, or another state version, raises
     :class:`~repro.errors.PolicyError`.
     """
     path = Path(path)
-    payload = path.read_text(encoding="utf-8")
+    try:
+        payload = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DisclosureError(f"cannot read model state {path}: {exc}") from exc
     if UploadCipher.is_encrypted(payload) and cipher is None:
         raise PolicyError(f"model state {path} is encrypted; a cipher is required")
     data = _decode_payload(payload, cipher, f"model state {path}")

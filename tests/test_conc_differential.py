@@ -1,14 +1,15 @@
 """Deterministic concurrency differential test for the shared engine.
 
-Eight threads drive a shared :class:`DisclosureEngine` through a seeded,
-barrier-scheduled plan of observe / edit / discard / query operations.
-The schedule makes the outcome deterministic without giving up real
-concurrency:
+Eight threads drive a shared :class:`DisclosureEngine` (at one and at
+four shards) through a seeded, barrier-scheduled plan of observe / edit
+/ discard / query operations. The schedule makes the outcome
+deterministic without giving up real concurrency:
 
 * **query rounds** — all eight threads issue disclosure queries at the
-  same time (sharing the read lock); there is no writer in the round,
-  so every report must be *field-identical* to replaying the linearised
-  op log on a serial reference engine;
+  same time (sharing the engine's one read lock); there is no writer in
+  the round, so every report must be *field-identical* to the reference
+  oracle (:mod:`reference_engine`) run on a serial replay of the
+  linearised op log;
 * **write rounds** — exactly one thread mutates (observe / edit /
   discard, taking the write lock) while the other seven hammer
   concurrent "noise" queries. Those queries race the write by design,
@@ -32,10 +33,13 @@ import threading
 import pytest
 
 from conftest import assert_databases_agree
+from reference_engine import disclosing_sources_reference
 from repro.disclosure import DisclosureEngine
 from repro.fingerprint.config import FingerprintConfig
 
 CONFIG = FingerprintConfig(ngram_size=4, window_size=3)
+#: The one-shard default and a multi-shard engine.
+SHARD_COUNTS = [1, 4]
 N_THREADS = 8
 N_ROUNDS = 25  # 8 threads x 25 rounds = 200 ops
 SEGMENT_POOL = [f"seg-{i}" for i in range(12)]
@@ -113,6 +117,18 @@ def _apply(engine: DisclosureEngine, action):
     return engine.disclosing_sources(fingerprint=engine.fingerprint(action[1]))
 
 
+def _apply_reference(engine: DisclosureEngine, action):
+    """Like :func:`_apply`, but queries answer from the reference oracle."""
+    kind = action[0]
+    if kind == "query_target":
+        return disclosing_sources_reference(engine, action[1])
+    if kind in ("query_fp", "noise"):
+        return disclosing_sources_reference(
+            engine, fingerprint=engine.fingerprint(action[1])
+        )
+    return _apply(engine, action)
+
+
 def _assert_reports_identical(actual, expected, context):
     assert actual.target_id == expected.target_id, context
     assert actual.candidates_checked == expected.candidates_checked, context
@@ -126,10 +142,11 @@ def _assert_reports_identical(actual, expected, context):
         assert got.doc_id == want.doc_id, context
 
 
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_concurrent_engine_matches_serial_replay(seed):
+def test_concurrent_engine_matches_serial_replay(seed, n_shards):
     plan = _build_plan(seed)
-    shared = DisclosureEngine(CONFIG)
+    shared = DisclosureEngine(CONFIG, n_shards=n_shards)
     outputs = {}  # (round, tid) -> report, for checked queries
     errors = []
     barrier = threading.Barrier(N_THREADS)
@@ -164,10 +181,12 @@ def test_concurrent_engine_matches_serial_replay(seed):
     shared.hash_db.check_invariants()
     assert_databases_agree(shared)
 
-    # Replay the linearised op log on a serial reference engine. Write
-    # rounds contribute exactly one mutation each, so round order *is*
-    # the linearisation; query-round reports must match field-for-field.
+    # Replay the linearised op log on a serial one-shard engine and ask
+    # the reference oracle. Write rounds contribute exactly one mutation
+    # each, so round order *is* the linearisation; query-round reports
+    # must match field-for-field.
     serial = DisclosureEngine(CONFIG)
+    context = f"seed={seed} n_shards={n_shards}"
     for r, actions in enumerate(plan):
         kinds = {a[0] for a in actions.values()}
         if "observe" in kinds or "remove" in kinds:
@@ -176,9 +195,9 @@ def test_concurrent_engine_matches_serial_replay(seed):
                     _apply(serial, action)
         else:
             for tid in range(N_THREADS):
-                expected = _apply(serial, actions[tid])
+                expected = _apply_reference(serial, actions[tid])
                 _assert_reports_identical(
-                    outputs[(r, tid)], expected, f"seed={seed} round={r} tid={tid}"
+                    outputs[(r, tid)], expected, f"{context} round={r} tid={tid}"
                 )
 
     # End-state equivalence: same segments, same hash table, same owners,
@@ -190,8 +209,8 @@ def test_concurrent_engine_matches_serial_replay(seed):
     for seg in serial.segment_db.ids():
         _assert_reports_identical(
             shared.disclosing_sources(seg),
-            serial.disclosing_sources(seg),
-            f"seed={seed} final segment={seg}",
+            disclosing_sources_reference(serial, seg),
+            f"{context} final segment={seg}",
         )
 
     # Lock accounting is exact: one write acquisition per mutation, one
@@ -218,13 +237,13 @@ def test_concurrent_engine_matches_serial_replay(seed):
 # ----------------------------------------------------------------------
 #
 # Same barrier scheme, one layer up: eight threads drive a shared
-# sharded PolicyLookup — whose verdict cache is keyed on (fingerprint
-# digest, per-shard epochs, label epoch) — through query rounds and
-# single-writer mutation rounds (observe / declassify / tag). Every
-# checked verdict, cache hit or miss, must be field-identical to an
-# *uncached* serial replay of the linearised log on an unsharded model:
-# a stale cache entry served after an epoch under-bump shows up as a
-# diverging verdict.
+# PolicyLookup (at one and at four shards) — whose verdict cache is
+# keyed on (fingerprint digest, per-shard epochs, label epoch) — through
+# query rounds and single-writer mutation rounds (observe / declassify /
+# tag). Every checked verdict, cache hit or miss, must be
+# field-identical to an *uncached* serial replay of the linearised log
+# on a one-shard model: a stale cache entry served after an epoch
+# under-bump shows up as a diverging verdict.
 
 from repro.plugin.lookup import PolicyLookup  # noqa: E402
 from repro.tdm import Label, PolicyStore, TextDisclosureModel  # noqa: E402
@@ -359,10 +378,11 @@ def _assert_decisions_identical(actual, expected, context):
     assert dict(actual.labels) == dict(expected.labels), context
 
 
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_epoch_cached_lookup_matches_uncached_replay(seed):
+def test_epoch_cached_lookup_matches_uncached_replay(seed, n_shards):
     plan = _build_lookup_plan(seed)
-    shared_model, _tags = _build_lookup_model(n_shards=4)
+    shared_model, _tags = _build_lookup_model(n_shards=n_shards)
     lookup = PolicyLookup(shared_model)
     outputs = {}
     errors = []
@@ -399,11 +419,11 @@ def test_epoch_cached_lookup_matches_uncached_replay(seed):
     assert not errors, errors
     assert not any(t.is_alive() for t in threads), "worker deadlocked"
 
-    # Replay the linearised log on an *unsharded* model with no verdict
+    # Replay the linearised log on a one-shard model with no verdict
     # cache: checked-round decisions must match field-for-field, which
     # simultaneously proves the epoch keys sound under contention and
-    # the sharded tier equivalent to the single engine.
-    serial_model, _ = _build_lookup_model(n_shards=None)
+    # every shard count equivalent to one.
+    serial_model, _ = _build_lookup_model(n_shards=1)
     for r, actions in enumerate(plan):
         kinds = {a[0] for a in actions.values()}
         if kinds & {"observe", "wipe", "tag"}:
@@ -418,7 +438,7 @@ def test_epoch_cached_lookup_matches_uncached_replay(seed):
                 _assert_decisions_identical(
                     outputs[(r, tid)],
                     expected,
-                    f"seed={seed} round={r} tid={tid}",
+                    f"seed={seed} n_shards={n_shards} round={r} tid={tid}",
                 )
 
     # The cache actually served under contention (text reuse guarantees
@@ -439,5 +459,5 @@ def test_epoch_cached_lookup_matches_uncached_replay(seed):
                     serial_model.check_upload(
                         LOOKUP_DST, doc, [(probe, text)]
                     ),
-                    f"seed={seed} final doc={doc} src={src}",
+                    f"seed={seed} n_shards={n_shards} final doc={doc} src={src}",
                 )

@@ -114,6 +114,26 @@ class TestSetThreshold:
         report = engine.disclosing_sources(fingerprint=engine.fingerprint(partial))
         assert report.source_ids() == ["s1"]
 
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize("change", ["set_threshold", "reobserve", "doc_id"])
+    def test_record_changes_move_the_epoch_token(self, n_shards, change):
+        """The threshold pass reads a source's threshold and document, so
+        changing either must invalidate verdicts cached on its shards."""
+        engine = DisclosureEngine(TINY_CONFIG, n_shards=n_shards)
+        engine.observe("s1", SECRET_TEXT, threshold=0.3, doc_id="d1")
+        hashes = engine.fingerprint(SECRET_TEXT[: len(SECRET_TEXT) // 2]).hashes
+        token = engine.version_epoch(hashes)
+        engine.set_threshold("s1", 0.3)  # no change: the token holds
+        engine.observe("s1", SECRET_TEXT, threshold=0.3, doc_id="d1")
+        assert engine.version_epoch(hashes) == token
+        if change == "set_threshold":
+            engine.set_threshold("s1", 0.99)
+        elif change == "reobserve":
+            engine.observe("s1", SECRET_TEXT, threshold=0.99, doc_id="d1")
+        else:
+            engine.observe("s1", SECRET_TEXT, threshold=0.3, doc_id="d2")
+        assert engine.version_epoch(hashes) != token
+
 
 class TestDisclosureBetween:
     def test_copy_scores_one(self, engine):
@@ -231,13 +251,6 @@ class TestFigure7Overlap:
 
 
 class TestQueryCache:
-    def test_cached_result_reused(self, engine):
-        engine.observe("src", SECRET_TEXT)
-        engine.observe("target", SECRET_TEXT)
-        first = engine.disclosing_sources("target")
-        second = engine.disclosing_sources("target")
-        assert second is first
-
     def test_cache_invalidated_by_new_observation(self, engine):
         engine.observe("src", SECRET_TEXT)
         engine.observe("target", SECRET_TEXT + " " + OTHER_TEXT)
@@ -261,28 +274,24 @@ class TestStats:
         stats = engine.stats()
         assert stats["segments"] == 0
         assert stats["distinct_hashes"] == 0
-        assert stats["version"] == 0
         assert stats["queries"] == 0
+        assert stats["shards"] == 1
         engine.observe("s", SECRET_TEXT)
         stats = engine.stats()
         assert stats["segments"] == 1
         assert stats["distinct_hashes"] > 0
-        assert stats["version"] == 1
 
     def test_query_counters(self, engine):
         engine.observe("s", SECRET_TEXT)
         engine.disclosing_sources("s")
         stats = engine.stats()
         assert stats["queries"] == 1
-        assert stats["query_cache_hits"] == 0
-        assert stats["candidates_swept"] >= 1
-        # Unchanged segment: second query is a decision-cache hit and
-        # does not sweep the index again.
+        assert stats["candidates_swept"] == 1
+        # Queries by target id are not cached: the second sweeps again.
         engine.disclosing_sources("s")
         stats = engine.stats()
         assert stats["queries"] == 2
-        assert stats["query_cache_hits"] == 1
-        assert stats["candidates_swept"] == 1
+        assert stats["candidates_swept"] == 2
 
     def test_ownership_change_counter(self, engine):
         engine.observe("old", SECRET_TEXT)

@@ -4,7 +4,7 @@ The sharded hash database must behave exactly like one
 :class:`~repro.disclosure.store.HashDatabase` — the plain database *is*
 the oracle here: every routed call and every scatter/gather sweep is
 compared against the same operations applied unsharded. The sharding-
-specific machinery (routing, per-shard locks and metrics, per-shard
+specific machinery (routing, per-shard metrics and epochs, per-shard
 fault injectors) is tested on top.
 """
 
@@ -15,8 +15,14 @@ import random
 import pytest
 
 from conftest import assert_databases_agree
-from repro.disclosure import HashDatabase, ShardedHashDatabase, partition, shard_of
-from repro.disclosure.sharding import ShardedDisclosureEngine
+from reference_engine import disclosing_sources_reference, oldest_owner_reference
+from repro.disclosure import (
+    DisclosureEngine,
+    HashDatabase,
+    ShardedHashDatabase,
+    partition,
+    shard_of,
+)
 from repro.errors import DisclosureError, ShardDegraded
 from repro.fingerprint.config import FingerprintConfig
 from repro.plugin.router import ShardRouter
@@ -110,8 +116,8 @@ class TestShardedHashDatabaseOracle:
         for h in pool:
             assert (h in sharded) == (h in plain)
             assert sharded.oldest_owner(h) == plain.oldest_owner(h)
-            assert sharded.recompute_oldest_owner(h) == (
-                plain.recompute_oldest_owner(h)
+            assert oldest_owner_reference(sharded, h) == (
+                oldest_owner_reference(plain, h)
             )
             assert sharded.owners(h) == plain.owners(h)
             assert sorted(sharded.observers(h)) == sorted(plain.observers(h))
@@ -175,19 +181,6 @@ class TestShardedHashDatabaseOracle:
 
 
 class TestShardLocksAndMetrics:
-    def test_mutations_lock_only_the_shards_they_touch(self):
-        sharded = ShardedHashDatabase(4, hash_bits=HASH_BITS)
-        # Find a hash routed to shard 0 and one routed to shard 3.
-        h0 = next(h for h in range(10_000) if sharded.shard_of(h) == 0)
-        h3 = next(h for h in range(10_000) if sharded.shard_of(h) == 3)
-        sharded.record(h0, "a", 1.0)
-        sharded.record(h3, "b", 1.0)
-        writes = [sharded.locks[i].stats()["write_acquisitions"] for i in range(4)]
-        assert writes == [1, 0, 0, 1]
-        sharded.sweep(frozenset({h0}))
-        reads = [sharded.locks[i].stats()["read_acquisitions"] for i in range(4)]
-        assert reads[0] >= 1 and reads[1] == reads[2] == 0
-
     def test_per_shard_sweep_counters(self):
         sharded = ShardedHashDatabase(2, hash_bits=HASH_BITS)
         by_shard = {0: [], 1: []}
@@ -282,7 +275,7 @@ class TestPerShardFaults:
 
 class TestShardedDisclosureEngine:
     def test_stats_gains_shard_count_and_gauges_track_sharded_db(self):
-        engine = ShardedDisclosureEngine(CONFIG, n_shards=4)
+        engine = DisclosureEngine(CONFIG, n_shards=4)
         engine.observe("seg-a", "the quick brown fox jumps over the lazy dog")
         stats = engine.stats()
         assert stats["shards"] == 4
@@ -294,13 +287,14 @@ class TestShardedDisclosureEngine:
         engine.hash_db.check_invariants()
         assert_databases_agree(engine)
 
-    def test_indexed_query_matches_reference_scan(self):
-        engine = ShardedDisclosureEngine(CONFIG, n_shards=4)
+    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
+    def test_indexed_query_matches_reference_scan(self, n_shards):
+        engine = DisclosureEngine(CONFIG, n_shards=n_shards)
         engine.observe("a", "alpha bravo charlie delta echo foxtrot golf hotel")
         engine.observe("b", "alpha bravo charlie delta india juliet kilo lima")
         fp = engine.fingerprint("alpha bravo charlie delta echo foxtrot")
         indexed = engine.disclosing_sources(fingerprint=fp)
-        reference = engine.disclosing_sources_reference(fingerprint=fp)
+        reference = disclosing_sources_reference(engine, fingerprint=fp)
         assert indexed == reference
         assert indexed.disclosing
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_engine import oldest_owner_reference
 from repro.disclosure.store import HashDatabase, SegmentDatabase, SegmentRecord
 from repro.errors import UnknownSegmentError
 from repro.fingerprint import Fingerprinter
@@ -211,7 +212,7 @@ class TestOwnershipIndexes:
         db.record(2, "c", 0.0)
         db.remove_observation(1, "b")
         for h in db.hashes():
-            assert db.oldest_owner(h) == db.recompute_oldest_owner(h)
+            assert db.oldest_owner(h) == oldest_owner_reference(db, h)
         db.check_invariants()
 
     def test_invariants_after_discard(self):

@@ -158,3 +158,32 @@ class TestStats:
         # reentrant acquisitions each count, so >= one per lookup).
         assert stats["lock_read_acquisitions"] >= 2
         assert stats["lock_write_acquisitions"] == 0
+
+
+class TestThresholdChangeInvalidates:
+    """A source's threshold is part of every verdict it can flip, so a
+    change to it must not leave a cached decision behind."""
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize("change", ["reobserve", "set_threshold"])
+    def test_raised_threshold_releases_a_cached_block(self, n_shards, change):
+        policies = PolicyStore()
+        policies.register_service(
+            SRC, privilege=Label.of("s"), confidentiality=Label.of("s")
+        )
+        policies.register_service(DST)
+        model = TextDisclosureModel(policies, TINY_CONFIG, n_shards=n_shards)
+        source = [("wiki#p0", SECRET_TEXT), ("wiki#p1", OTHER_TEXT)]
+        model.observe(SRC, "wiki", source, paragraph_threshold=0.3)
+        words = SECRET_TEXT.split()
+        upload = [("up#p0", " ".join(words[: len(words) // 2 + 1]))]
+        lookup = PolicyLookup(model)
+        assert not lookup.lookup(DST, "up", upload).allowed
+
+        if change == "reobserve":
+            model.observe(SRC, "wiki", source, paragraph_threshold=0.99)
+        else:
+            model.tracker.paragraphs.set_threshold("wiki#p0", 0.99)
+        # The uncached check allows the upload now; so must the lookup.
+        assert model.check_upload(DST, "up", upload).allowed
+        assert lookup.lookup(DST, "up", upload).allowed

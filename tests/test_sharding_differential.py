@@ -1,17 +1,18 @@
-"""Differential tests: sharded engine ≡ unsharded engine (ISSUE 7).
+"""Differential tests: the engine at every shard count ≡ the oracle.
 
 Three layers of evidence, strongest last:
 
 * a deterministic serial op sequence (observes, Figure-6 edits,
-  removals, queries) replayed on a :class:`ShardedDisclosureEngine` at
-  shard counts 1/2/4/8 × authoritative on/off, asserting field-identical
-  reports against the plain engine;
+  removals, queries) replayed on a :class:`DisclosureEngine` at shard
+  counts 1/2/4/8 × authoritative on/off, asserting field-identical
+  reports against the reference oracle (:mod:`reference_engine`) and
+  identical ownership against the one-shard engine;
 * the barrier-scheduled 8-thread concurrency harness from
-  :mod:`test_conc_differential`, re-run with the shared engine sharded —
-  concurrent writers/readers over per-shard locks must still linearise
-  to the serial plain-engine replay;
+  :mod:`test_conc_differential`, re-run at 1/2/4/8 shards — concurrent
+  writers/readers over the engine's one lock must still linearise to
+  the oracle on a serial replay;
 * a hypothesis property over random observation/withdrawal histories:
-  per-owner counts merged across shards equal the unsharded sweep's,
+  per-owner counts merged across shards equal a single table's sweep,
   for both authoritative modes (the Figure-6 migration case arises
   naturally from withdrawals).
 """
@@ -25,14 +26,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.disclosure import DisclosureEngine, HashDatabase, ShardedHashDatabase
-from repro.disclosure.sharding import ShardedDisclosureEngine
 from repro.fingerprint.config import FingerprintConfig
 
 from conftest import assert_databases_agree
+from reference_engine import disclosing_sources_reference
 from test_conc_differential import (
     N_THREADS,
     SEGMENT_POOL,
     _apply,
+    _apply_reference,
     _assert_reports_identical,
     _build_plan,
 )
@@ -61,6 +63,7 @@ SERIAL_OPS = [
 
 
 def _run_serial(engine, ops):
+    """Replay *ops*; each query yields (engine report, oracle report)."""
     reports = []
     for op in ops:
         if op[0] == "observe":
@@ -69,7 +72,12 @@ def _run_serial(engine, ops):
             engine.remove(op[1])
         else:
             fp = engine.fingerprint(op[1])
-            reports.append(engine.disclosing_sources(fingerprint=fp))
+            reports.append(
+                (
+                    engine.disclosing_sources(fingerprint=fp),
+                    disclosing_sources_reference(engine, fingerprint=fp),
+                )
+            )
     return reports
 
 
@@ -77,46 +85,46 @@ class TestSerialDifferential:
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
     @pytest.mark.parametrize("authoritative", [True, False])
     def test_field_identical_reports(self, n_shards, authoritative):
-        plain = DisclosureEngine(CONFIG, authoritative=authoritative)
-        sharded = ShardedDisclosureEngine(
+        one = DisclosureEngine(CONFIG, authoritative=authoritative)
+        sharded = DisclosureEngine(
             CONFIG, authoritative=authoritative, n_shards=n_shards
         )
-        expected = _run_serial(plain, SERIAL_OPS)
-        actual = _run_serial(sharded, SERIAL_OPS)
-        assert len(actual) == len(expected)
-        for i, (got, want) in enumerate(zip(actual, expected)):
-            _assert_reports_identical(
-                got, want, f"n_shards={n_shards} auth={authoritative} query={i}"
-            )
+        baseline = _run_serial(one, SERIAL_OPS)
+        reports = _run_serial(sharded, SERIAL_OPS)
+        assert len(reports) == len(baseline)
+        for i, ((got, want), (one_got, _)) in enumerate(zip(reports, baseline)):
+            context = f"n_shards={n_shards} auth={authoritative} query={i}"
+            _assert_reports_identical(got, want, context)
+            _assert_reports_identical(got, one_got, context)
         # The migration actually happened (the scenario is not vacuous):
         # after wiki's edit, tool owned the shared hashes until removed.
-        assert expected[0].disclosing
+        assert baseline[0][1].disclosing
         sharded.hash_db.check_invariants()
         assert_databases_agree(sharded)
-        assert_databases_agree(plain)
-        for h in plain.hash_db.hashes():
-            assert sharded.hash_db.oldest_owner(h) == plain.hash_db.oldest_owner(h)
+        assert_databases_agree(one)
+        for h in one.hash_db.hashes():
+            assert sharded.hash_db.oldest_owner(h) == one.hash_db.oldest_owner(h)
 
     def test_sharded_indexed_matches_sharded_reference(self):
-        sharded = ShardedDisclosureEngine(CONFIG, n_shards=4)
+        sharded = DisclosureEngine(CONFIG, n_shards=4)
         _run_serial(sharded, SERIAL_OPS)
         for _op, *rest in [op for op in SERIAL_OPS if op[0] == "query"]:
             fp = sharded.fingerprint(rest[0])
             _assert_reports_identical(
                 sharded.disclosing_sources(fingerprint=fp),
-                sharded.disclosing_sources_reference(fingerprint=fp),
+                disclosing_sources_reference(sharded, fingerprint=fp),
                 rest[0],
             )
 
 
 class TestConcurrentDifferential:
-    """The 8-thread barrier harness, with the shared engine sharded."""
+    """The 8-thread barrier harness at every shard count."""
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
     def test_concurrent_sharded_matches_serial_plain_replay(self, n_shards):
         seed = 2016 + n_shards
         plan = _build_plan(seed)
-        shared = ShardedDisclosureEngine(CONFIG, n_shards=n_shards)
+        shared = DisclosureEngine(CONFIG, n_shards=n_shards)
         outputs = {}
         errors = []
         barrier = threading.Barrier(N_THREADS)
@@ -151,8 +159,8 @@ class TestConcurrentDifferential:
         shared.hash_db.check_invariants()
         assert_databases_agree(shared)
 
-        # Replay the linearised op log on a serial *plain* engine: the
-        # sharded engine under contention must match the unsharded one.
+        # Replay the linearised op log on a serial one-shard engine and
+        # ask the oracle: the engine under contention must match it.
         serial = DisclosureEngine(CONFIG)
         for r, actions in enumerate(plan):
             kinds = {a[0] for a in actions.values()}
@@ -162,7 +170,7 @@ class TestConcurrentDifferential:
                         _apply(serial, action)
             else:
                 for tid in range(N_THREADS):
-                    expected = _apply(serial, actions[tid])
+                    expected = _apply_reference(serial, actions[tid])
                     _assert_reports_identical(
                         outputs[(r, tid)],
                         expected,
@@ -176,7 +184,7 @@ class TestConcurrentDifferential:
         for seg in serial.segment_db.ids():
             _assert_reports_identical(
                 shared.disclosing_sources(seg),
-                serial.disclosing_sources(seg),
+                disclosing_sources_reference(serial, seg),
                 f"n_shards={n_shards} final segment={seg}",
             )
 

@@ -15,8 +15,7 @@ shard when sharded). Two oracles hold it to account:
 Histories mix observes (with clock-drawn and explicit, tying
 timestamps), edited re-observes that migrate ownership (Figure 6),
 removes, threshold changes and retention sweeps, in both authoritative
-modes, at both granularities, on the plain engine and at 1/2/4/8
-shards. :class:`TestCorruptSnapshots` covers each rule restore checks
+modes, at both granularities, at 1/2/4/8 shards. :class:`TestCorruptSnapshots` covers each rule restore checks
 because it no longer stores what it derives.
 
 The last two classes pin recovery around the format: a snapshot in
@@ -43,7 +42,6 @@ from repro.disclosure.persistence import (
     restore_into,
     snapshot_engine,
 )
-from repro.disclosure.sharding import ShardedDisclosureEngine
 from repro.disclosure.store import SegmentRecord
 from repro.disclosure.wal import DurableEngine, WALSet, scan_wal_file
 from repro.errors import DisclosureError, SimulatedCrash, SnapshotCorrupt
@@ -66,8 +64,8 @@ PHRASES = [
     "we now discuss gardening schedules and tulip beds",
 ]
 SEGMENTS = [f"s{i}" for i in range(5)]
-#: Engine shapes: ``None`` is the plain engine, an int a shard count.
-SHAPES = [None, 1, 2, 4, 8]
+#: Engine shapes: shard counts of the hash database.
+SHAPES = [1, 2, 4, 8]
 PROBES = [" and ".join(PHRASES[i:i + 2]) for i in range(len(PHRASES))]
 
 texts = st.lists(st.sampled_from(PHRASES), min_size=1, max_size=3).map(
@@ -104,12 +102,8 @@ FIGURE_6 = [
 ]
 
 
-def build(shape, *, authoritative=True, kind="paragraph"):
-    if shape is None:
-        return DisclosureEngine(
-            CONFIG, LogicalClock(), authoritative=authoritative, kind=kind
-        )
-    return ShardedDisclosureEngine(
+def build(shape=1, *, authoritative=True, kind="paragraph"):
+    return DisclosureEngine(
         CONFIG, LogicalClock(), authoritative=authoritative, kind=kind,
         n_shards=shape,
     )
@@ -215,7 +209,7 @@ def assert_restores_identically(live, shape, other_shape):
         assert verdicts(engine) == want_verdicts
 
 
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"shards-{s or 'plain'}")
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"shards-{s}")
 class TestRestoreDifferential:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -236,7 +230,7 @@ class TestRestoreDifferential:
         # s1 edited the shared phrase away: s2 now owns it.
         shared = live.fingerprint(PHRASES[0]).hashes
         assert shared and all(live.hash_db.oldest_owner(h) == "s2" for h in shared)
-        assert_restores_identically(live, shape, None)
+        assert_restores_identically(live, shape, 1)
 
     def test_tied_first_seen_goes_to_smallest_segment_id(self, shape):
         live = build(shape)
@@ -244,12 +238,12 @@ class TestRestoreDifferential:
         for segment_id in ("s3", "s1", "s2"):
             live.observe_fingerprint(segment_id, fingerprint, timestamp=4.0)
         assert all(live.hash_db.oldest_owner(h) == "s1" for h in fingerprint.hashes)
-        assert_restores_identically(live, shape, None)
+        assert_restores_identically(live, shape, 1)
 
 
 class TestSnapshotFormat:
     def test_segment_entries_hold_flat_selections_and_first_seen_groups(self):
-        engine = build(None)
+        engine = build()
         engine.observe("s1", PHRASES[0])                       # t = 0
         engine.observe("s1", PHRASES[0] + " and " + PHRASES[1])  # t = 1
         data = snapshot_engine(engine)
@@ -274,7 +268,7 @@ class TestCorruptSnapshots:
 
     @pytest.fixture
     def data(self):
-        engine = build(None)
+        engine = build()
         engine.observe("s1", PHRASES[0])
         engine.observe("s2", PHRASES[0] + " and " + PHRASES[1])
         return json.loads(json.dumps(snapshot_engine(engine)))

@@ -3,12 +3,12 @@
 :class:`~repro.disclosure.store.HashDatabase` keeps a hash with one
 observer as just its owner entry ``(first_seen, segment_id)`` and holds
 an observer map only while two or more segments observe the hash. Its
-own :meth:`~repro.disclosure.store.HashDatabase.recompute_oldest_owner`
-therefore reads the owner entry for an unshared hash, and the
-engine-level reference sweeps that call it are no longer independent of
-the index. :class:`FullMapHashDatabase` restores that independence: it
-is the earlier full-map database verbatim, with one ``{segment:
-first_seen}`` map per hash, moved into test code as the oracle.
+observation lists therefore read the owner entry for an unshared hash,
+and the engine-level reference sweep (``tests/reference_engine.py``)
+that recomputes owners from them is not independent of the index.
+:class:`FullMapHashDatabase` restores that independence: it is the
+earlier full-map database, with one ``{segment: first_seen}`` map per
+hash, moved into test code as the oracle.
 
 Hypothesis histories mix ``record`` (re-records and tied timestamps
 included), ``remove_observation`` of owners, non-owners and
@@ -123,17 +123,6 @@ class FullMapHashDatabase:
         """
         entry = self._oldest.get(hash_value)
         return entry[1] if entry is not None else None
-
-    def recompute_oldest_owner(self, hash_value: int) -> Optional[str]:
-        """Oldest owner recomputed from the raw observation map.
-
-        Deliberately ignores the ownership index — the reference path
-        for differential tests that prove the index stays consistent.
-        """
-        seen_by = self._observations.get(hash_value)
-        if not seen_by:
-            return None
-        return min(seen_by.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
     def owners(self, hash_value: int) -> List[Tuple[str, float]]:
         """All (segment_id, first_seen) observations, earliest first."""
@@ -372,6 +361,27 @@ def apply_step(db, step):
     return getattr(db, op)(*step[1:])
 
 
+def swept(db, *, authoritative: bool) -> dict:
+    """Owner → sorted matched hashes of one sweep over the universe.
+
+    The oracle has no sweep; its answer is built from its per-hash
+    accessors, as Algorithm 1 defines the accumulation.
+    """
+    if isinstance(db, FullMapHashDatabase):
+        matched: Dict[str, List[int]] = {}
+        for h in HASHES:
+            if authoritative:
+                owner = db.oldest_owner(h)
+                counted = () if owner is None else (owner,)
+            else:
+                counted = db.observers(h)
+            for owner in counted:
+                matched.setdefault(owner, []).append(h)
+    else:
+        matched = db.sweep(HASHES, authoritative=authoritative)
+    return {owner: sorted(hashes) for owner, hashes in matched.items()}
+
+
 def view(db, *, ordered: bool) -> dict:
     """Every accessor's answer over the whole universe."""
     return {
@@ -381,7 +391,8 @@ def view(db, *, ordered: bool) -> dict:
         "owners": [db.owners(h) for h in HASHES],
         "observers": [db.observers(h) for h in HASHES],
         "oldest_owner": [db.oldest_owner(h) for h in HASHES],
-        "recompute_oldest_owner": [db.recompute_oldest_owner(h) for h in HASHES],
+        "sweep": swept(db, authoritative=True),
+        "sweep_all_observers": swept(db, authoritative=False),
         "first_seen": [db.first_seen(h, s) for h in HASHES for s in SEGMENTS],
         "first_seen_of": [db.first_seen_of(s) for s in SEGMENTS],
         "owned_hashes": [db.owned_hashes(s) for s in SEGMENTS],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PolicyError, SimulatedCrash, SnapshotCorrupt
+from repro.errors import DisclosureError, PolicyError, SimulatedCrash, SnapshotCorrupt
 from repro.fingerprint.config import TINY_CONFIG
 from repro.plugin.crypto import UploadCipher
 from repro.tdm import Label, PolicyStore, Tag, TextDisclosureModel
@@ -167,6 +167,12 @@ class TestCorruptModelFiles:
         payload = path.read_bytes()
         path.write_bytes(payload[:keep] if keep >= 0 else payload[:-1])
         with pytest.raises(SnapshotCorrupt, match="model.json"):
+            load_model(path)
+
+    def test_missing_file_raises_disclosure_error(self, tmp_path):
+        # Engine snapshots fail the same way (``read_snapshot``).
+        path = tmp_path / "absent.json"
+        with pytest.raises(DisclosureError, match="cannot read model state"):
             load_model(path)
 
     def test_wrong_key_raises_snapshot_corrupt(self, model, tmp_path):

@@ -42,8 +42,8 @@ from repro.tdm.state import model_to_dict
 
 SEED = 2016
 #: One shard (the single-store engine the fleets run by default) and
-#: the sharded engine at four shards.
-SHARDS = [None, 4]
+#: four shards.
+SHARDS = [1, 4]
 
 
 # ----------------------------------------------------------------------
@@ -52,23 +52,9 @@ SHARDS = [None, 4]
 
 
 def _full_rerecord_apply(engine, segment_id, new_hashes, old_hashes, now):
-    """The single-store apply before delta-only apply: record every hash."""
-    changed = False
-    for h in new_hashes:
-        if engine.hash_db.record(h, segment_id, now):
-            changed = True
-    for h in old_hashes - new_hashes:
-        if engine.hash_db.remove_observation(h, segment_id):
-            changed = True
-    return changed
-
-
-def _full_rerecord_apply_sharded(engine, segment_id, new_hashes, old_hashes, now):
-    """The sharded apply before delta-only apply: record every hash."""
+    """The apply before delta-only apply: record every hash."""
     recorded = engine.hash_db.record_fingerprint(segment_id, new_hashes, now)
     withdrawn = engine.hash_db.withdraw(segment_id, old_hashes - new_hashes)
-    if recorded or withdrawn:
-        engine.hash_db.bump_epochs_for(new_hashes | old_hashes)
     return recorded or withdrawn
 
 
@@ -85,9 +71,9 @@ def make_reference(model) -> None:
     for name in ("check_document", "check_documents", "observe_document"):
         setattr(tracker, name, _ignoring_fingerprints(getattr(tracker, name)))
     for engine in (tracker.paragraphs, tracker.documents):
-        sharded = hasattr(engine.hash_db, "record_fingerprint")
-        apply = _full_rerecord_apply_sharded if sharded else _full_rerecord_apply
-        engine._apply_fingerprint_delta = types.MethodType(apply, engine)
+        engine._apply_fingerprint_delta = types.MethodType(
+            _full_rerecord_apply, engine
+        )
 
 
 def journal_to(model, directory, n_shards) -> WALSet:
@@ -119,16 +105,13 @@ def record_decisions(plugin, into: list) -> None:
 def engine_state(engine) -> dict:
     hash_db = engine.hash_db
     hashes = sorted(hash_db.hashes())
-    state = {
+    return {
         "records": {record.segment_id: record for record in engine.segment_db},
         "owners": {h: hash_db.owners(h) for h in hashes},
         "oldest": {h: hash_db.oldest_owner(h) for h in hashes},
         "ownership_meta": hash_db.ownership_meta(),
-        "version": engine.stats()["version"],
+        "shard_epochs": hash_db.epochs(),
     }
-    if hasattr(hash_db, "epochs"):
-        state["shard_epochs"] = hash_db.epochs()
-    return state
 
 
 def assert_same_state(shipped, reference) -> None:
@@ -167,7 +150,7 @@ class _Stack:
         self.model = self.fixture.model
         if reference:
             make_reference(self.model)
-        self.wal = journal_to(self.model, wal_dir, n_shards or 1)
+        self.wal = journal_to(self.model, wal_dir, n_shards)
         self.decisions: list = []
         self.outcomes: list = []
         sessions = {}
