@@ -196,11 +196,11 @@ def cmd_stats(args) -> int:
 
     With ``--scan FILE`` one disclosure query runs twice — cold, then
     warm through the §13 delta-check caches (the content-addressed
-    fingerprint cache and an epoch-keyed verdict memo over the loaded
-    engine) — so the query-path counters, the ``fingerprint.cache.*``
-    and ``decision.epoch_cache.*`` families, and the latency histograms
-    are all populated; without it the snapshot shows database state
-    (gauges) and zeroed counters.
+    fingerprint cache and a verdict memo over the loaded engine, keyed
+    on its stamp-store version) — so the query-path counters, the
+    ``fingerprint.cache.*`` and ``decision.epoch_cache.*`` families, and
+    the latency histograms are all populated; without it the snapshot
+    shows database state (gauges) and zeroed counters.
     """
     from repro.plugin.cache import (
         FingerprintCache,
@@ -223,10 +223,7 @@ def cmd_stats(args) -> int:
         )
         for _round in range(2):  # cold then warm
             fp = fp_cache.fingerprint(engine.fingerprinter, text)
-            key = (
-                fingerprint_set_digest([fp.hashes]),
-                engine.version_epoch(fp.hashes),
-            )
+            key = (fingerprint_set_digest([fp.hashes]), engine.stamps.version)
             if memo.get(key) is None:
                 memo.put(key, engine.disclosing_sources(fingerprint=fp))
     print(json.dumps(engine.registry.snapshot(), indent=2, sort_keys=True))

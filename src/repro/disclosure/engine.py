@@ -6,8 +6,11 @@ the paper's dual-granularity tracking (§4.1): disclosure is significant
 when either the document requirement or any paragraph requirement holds.
 Every engine keeps its ``DBhash`` in a
 :class:`~repro.disclosure.sharding.ShardedHashDatabase` — one shard by
-default — so one sweep, one delta apply and one epoch scheme serve
-every shard count.
+default — so one sweep and one delta apply serve every shard count.
+Every mutation a verdict could read stamps what it changed in the
+engine's :class:`~repro.disclosure.sharding.StampStore`, which a
+tracker shares between its two engines and its model's labels
+(DESIGN.md §13).
 
 Concurrency (DESIGN.md §8): every engine operation runs under one
 reader–writer lock — queries share it, observations and discards take
@@ -17,16 +20,18 @@ dual-granularity check observes both databases at a single consistent
 point; the lock is reentrant, so compound tracker operations nest
 engine acquisitions safely. The authoritative-set cache is read *and*
 revalidated while the lock is held, which is what makes a
-concurrently-updated epoch unable to slip between validation and use.
+concurrently-updated owner epoch unable to slip between validation and
+use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.disclosure.metrics import meets_threshold, raw_disclosure
-from repro.disclosure.sharding import ShardedHashDatabase
+from repro.disclosure.sharding import ShardedHashDatabase, StampStore
 from repro.disclosure.store import (
     DEFAULT_THRESHOLD,
     SegmentDatabase,
@@ -104,6 +109,9 @@ class DisclosureEngine:
         router: an object with ``map(fn, items)`` that multi-shard
             sweeps hand their per-shard jobs to (e.g. a counting
             :class:`~repro.plugin.router.ShardRouter`).
+        stamps: the :class:`~repro.disclosure.sharding.StampStore` the
+            engine's mutations stamp; a tracker passes one store to both
+            of its engines. A private one is created when omitted.
     """
 
     def __init__(
@@ -117,6 +125,7 @@ class DisclosureEngine:
         registry: Optional[MetricsRegistry] = None,
         n_shards: int = 1,
         router=None,
+        stamps: Optional[StampStore] = None,
     ) -> None:
         self._clock = clock or LogicalClock()
         self._authoritative = authoritative
@@ -143,7 +152,12 @@ class DisclosureEngine:
             hash_bits=self.config.hash_bits,
             scope=self.registry.scope(f"engine.{kind}.shard."),
             router=router,
+            stamps=stamps,
         )
+        #: What changed, and when (DESIGN.md §13): the hash database
+        #: stamps association changes, and :meth:`observe_fingerprint`
+        #: and :meth:`set_threshold` stamp record changes.
+        self.stamps = self.hash_db.stamps
         self.segment_db = SegmentDatabase()
         # Durability hook: when a journal is attached every mutation is
         # appended to it (inside the write lock, after the in-memory
@@ -282,12 +296,12 @@ class DisclosureEngine:
                     or existing.doc_id != record.doc_id
                 ):
                     # The threshold pass reads the segment's fingerprint
-                    # size, threshold and document, so a verdict cached
-                    # on any shard holding its hashes must not survive a
-                    # change to one of them (§13). The withdrawn hashes'
-                    # shards, and all of a new segment's, were moved by
-                    # the delta apply itself.
-                    self.hash_db.bump_epochs_for(fingerprint.hashes)
+                    # size, threshold and document, so a cached verdict
+                    # that swept any of its hashes must not survive a
+                    # change to one of them (§13). The withdrawn hashes,
+                    # and all of a new segment's, were stamped by the
+                    # delta apply itself.
+                    self.stamps.stamp(fingerprint.hashes)
             else:
                 record = SegmentRecord(
                     segment_id=segment_id,
@@ -314,8 +328,8 @@ class DisclosureEngine:
         An edit withdraws the segment's claim on hashes it no longer
         contains, so authority migrates to the oldest observer that
         still holds the text (paper Figure 6). Returns True when any
-        (hash, segment) association actually changed; the shards where
-        one did have moved their epochs.
+        (hash, segment) association actually changed; the hash database
+        has then stamped the hashes it was handed.
 
         Only the delta is applied. That is exact because the engine
         keeps ``hash_db.hashes_of(s) == segment_db[s].fingerprint.hashes``
@@ -361,26 +375,9 @@ class DisclosureEngine:
                 )
             )
             if threshold != record.threshold:
-                self.hash_db.bump_epochs_for(record.fingerprint.hashes)
+                self.stamps.stamp(record.fingerprint.hashes)
             if self._journal is not None:
                 self._journal.log_threshold(self._kind, segment_id, threshold)
-
-    def version_epoch(self, hashes) -> object:
-        """Opaque, hashable epoch token for a check over *hashes*.
-
-        *hashes* may be ``None`` when the caller cannot route the check
-        (e.g. a document-granularity check whose joined fingerprint is
-        unknown); the token then covers every shard.
-
-        Two tokens compare equal only if no mutation that could change a
-        verdict for a target with these hashes happened in between —
-        the contract the epoch-memoized verdict cache (DESIGN.md §13)
-        keys on. Only the shards the hashes route to contribute, so a
-        verdict cached under this token survives mutations that land
-        entirely on other shards. Call under the engine lock so the
-        token and the verdict it guards see the same state.
-        """
-        return self.hash_db.epoch_for(hashes)
 
     # ------------------------------------------------------------------
     # Pairwise disclosure
@@ -687,6 +684,10 @@ class DisclosureTracker:
         #: One lock for both granularities: a dual-granularity check or
         #: observation is atomic with respect to concurrent updates.
         self.lock = RWLock(scope=self.registry.scope("lock."))
+        #: One stamp store for both granularities and the model's label
+        #: store, so a cached one-paragraph verdict validates in one
+        #: pass over its hashes (DESIGN.md §13).
+        self.stamps = StampStore()
         self.paragraphs, self.documents = (
             DisclosureEngine(
                 config,
@@ -697,6 +698,7 @@ class DisclosureTracker:
                 registry=self.registry,
                 n_shards=n_shards,
                 router=router,
+                stamps=self.stamps,
             )
             for kind in ("paragraph", "document")
         )
@@ -723,6 +725,28 @@ class DisclosureTracker:
         (whose audit events it stamps) move together.
         """
         self.clock.advance_past(after)
+
+    def stamp_segment(self, segment_id: str) -> None:
+        """Stamp a change to what a verdict reads about *segment_id*
+        outside the hash databases: its label.
+
+        Stamps the hashes of the segment's records in both engines (a
+        verdict that matched it as a source swept one of them) and the
+        segment's own stamp (a verdict for an upload of the segment
+        read its label). Call under the write lock.
+        """
+        records = [
+            engine.segment_db.find(segment_id)
+            for engine in (self.paragraphs, self.documents)
+        ]
+        self.stamps.stamp_segment(
+            segment_id,
+            chain.from_iterable(
+                record.fingerprint.hashes
+                for record in records
+                if record is not None
+            ),
+        )
 
     def document_fingerprints(
         self,

@@ -21,11 +21,17 @@ shard count (differential-tested at 1/2/4/8 against the reference
 oracle in ``tests/reference_engine.py``).
 
 This is the disclosure engine's only hash database: one shard by
-default, where partitioning, sweeps, bulk loads and epoch tokens skip
-all per-hash arithmetic. Like the plain ``HashDatabase`` it is *externally*
+default, where partitioning, sweeps and bulk loads skip all per-hash
+arithmetic. Like the plain ``HashDatabase`` it is *externally*
 synchronised by the owning engine's reader–writer lock (DESIGN.md §8):
-sweeps and epoch reads run under its read side, mutations under its
-write side, and the database takes no lock of its own.
+sweeps run under its read side, mutations under its write side, and the
+database takes no lock of its own.
+
+Every mutation that changes a (hash, segment) association stamps the
+hashes it changed in a :class:`StampStore`, which a verdict cache reads
+to tell whether a cached verdict is still current (DESIGN.md §13). The
+stamps are keyed by hash stripe, never by shard, so cache invalidation
+does not depend on the shard count.
 
 Per-shard fault injectors (installable after setup via
 :meth:`ShardedHashDatabase.set_faults`) let tests and benchmarks
@@ -109,13 +115,108 @@ def scatter(fn: Callable, items: Sequence) -> List:
     return results
 
 
+#: Hash stripes of the :class:`StampStore`: a hash's stripe is the hash
+#: modulo this prime, the largest below 2**16 (512 KB of list slots).
+#: Not the low 16 bits: the rolling hash is a polynomial modulo
+#: 2**hash_bits, so its low 16 bits are the same polynomial modulo 2**16
+#: and crowd into few stripes (DESIGN.md §13), while the modulo costs
+#: the same as the mask.
+STRIPES = 65521
+
+
+class StampStore:
+    """What changed, and when: the verdict cache's validation state.
+
+    One store serves a tracker's two hash databases and its model's
+    label store (DESIGN.md §13). ``version`` is a counter that every
+    mutation able to change a verdict advances. Each of the
+    :data:`STRIPES` hash stripes keeps the version at which a hash in
+    it last changed, and each segment whose label changed keeps the
+    version of that change. A verdict checked at version ``v`` is still
+    current when nothing it read was stamped after ``v``
+    (:meth:`unchanged_since`).
+
+    The stripes are built by the first :meth:`unchanged_since`, and
+    again by the first one after a bulk load. Until then a stamp only
+    advances ``version``, so an engine whose verdicts nothing
+    revalidates (a ``DurableEngine`` ingesting and recovering) pays
+    nothing per hash. A verdict checked before the stripes were built
+    is never vouched for: the version at which they were built is a
+    floor below which :meth:`unchanged_since` answers False.
+
+    Externally synchronised like the databases: stamps are written under
+    the tracker's write lock and read under its read lock. Two readers
+    building the stripes at once build the same list and floor.
+    """
+
+    __slots__ = ("version", "_floor", "_stripes", "_segments")
+
+    def __init__(self) -> None:
+        self.version = 0
+        self._floor = 0
+        self._stripes: Optional[List[int]] = None
+        self._segments: Dict[str, int] = {}
+
+    def stamp(self, hashes: Iterable[int]) -> None:
+        """Advance the version and stamp the stripes of *hashes*."""
+        self.version = version = self.version + 1
+        stripes = self._stripes
+        if stripes is not None:
+            for h in hashes:
+                stripes[h % STRIPES] = version
+
+    def stamp_all(self) -> None:
+        """Advance the version and drop the stripes (a bulk load): the
+        next revalidation rebuilds them above every earlier check."""
+        self.version += 1
+        self._stripes = None
+
+    def stamp_segment(self, segment_id: str, hashes: Iterable[int]) -> None:
+        """Stamp a label change of *segment_id*.
+
+        *hashes* are those of the segment's stored records: a verdict
+        that matched the segment as a source swept one of them. The
+        segment's own stamp covers verdicts for uploads of the segment
+        itself, which may have no hashes at all.
+        """
+        self.stamp(hashes)
+        self._segments[segment_id] = self.version
+
+    def unchanged_since(
+        self,
+        checked_at: int,
+        hashes: Iterable[int],
+        segments: Iterable[str],
+    ) -> bool:
+        """True if the stripes were built by version *checked_at* and no
+        stripe of *hashes* and no label of *segments* was stamped after
+        it."""
+        stripes = self._stripes
+        if stripes is None:
+            # The floor first: a reader that sees the stripes sees it.
+            self._floor = self.version
+            self._stripes = stripes = [0] * STRIPES
+        if checked_at < self._floor:
+            return False
+        stamp_of = self._segments.get
+        for segment_id in segments:
+            if stamp_of(segment_id, 0) > checked_at:
+                return False
+        for h in hashes:
+            if stripes[h % STRIPES] > checked_at:
+                return False
+        return True
+
+
 class ShardedHashDatabase:
     """``DBhash`` hash-partitioned into N shards (N >= 1).
 
     Mirrors the :class:`~repro.disclosure.store.HashDatabase` surface
     (single-hash calls route to the home shard; whole-table views
-    aggregate across shards) and adds the batched mutation,
-    scatter/gather sweep and epoch-token entry points the engine uses.
+    aggregate across shards) and adds the batched mutation and
+    scatter/gather sweep entry points the engine uses. Every mutation
+    that changes an association stamps the hashes it touched in
+    :attr:`stamps`.
 
     Externally synchronised, like the plain database: the owning
     engine's lock covers every call (DESIGN.md §8).
@@ -125,12 +226,15 @@ class ShardedHashDatabase:
         hash_bits: width of the hash space being partitioned (the
             fingerprint config's ``hash_bits``).
         scope: metrics scope; per-shard instruments land under
-            ``<scope>.<i>.`` (sweeps, hashes swept, size, epoch). A
-            private registry scope is created when omitted.
+            ``<scope>.<i>.`` (sweeps, hashes swept, size). A private
+            registry scope is created when omitted.
         router: object with ``map(fn, items)`` that multi-shard sweeps
             hand their per-shard jobs to (e.g.
             :class:`~repro.plugin.router.ShardRouter`); :func:`scatter`
             runs them when omitted.
+        stamps: the :class:`StampStore` mutations stamp; a tracker
+            passes one store to both of its engines. A private one is
+            created when omitted.
     """
 
     def __init__(
@@ -140,6 +244,7 @@ class ShardedHashDatabase:
         hash_bits: int = 32,
         scope: Optional[MetricsScope] = None,
         router=None,
+        stamps: Optional[StampStore] = None,
     ) -> None:
         if n_shards < 1:
             raise DisclosureError(f"n_shards must be >= 1, got {n_shards}")
@@ -168,15 +273,7 @@ class ShardedHashDatabase:
             )
         self._router = router
         self._faults: Optional[Tuple[FaultInjector, ...]] = None
-        # Per-shard mutation epochs (DESIGN.md §13): bumped whenever a
-        # shard's (hash, segment) associations change, or a record the
-        # threshold pass reads changes, so verdict caches can key on
-        # only the shards a check actually routes to.
-        self._epochs: List[int] = [0] * n_shards
-        for i in range(n_shards):
-            registry.gauge(
-                f"{scope.prefix}{i}.epoch", fn=lambda i=i: self._epochs[i]
-            )
+        self.stamps = stamps if stamps is not None else StampStore()
 
     # ------------------------------------------------------------------
     # Routing
@@ -227,110 +324,39 @@ class ShardedHashDatabase:
         return scatter(fn, jobs)
 
     # ------------------------------------------------------------------
-    # Per-shard mutation epochs (verdict-cache invalidation, §13)
-    # ------------------------------------------------------------------
-
-    def bump_epoch(self, index: int) -> None:
-        """Advance one shard's epoch (its associations changed)."""
-        self._epochs[index] += 1
-
-    def bump_epochs_for(self, hashes: Collection[int]) -> None:
-        """Advance the epoch of every shard any of *hashes* routes to.
-
-        The engine calls this with a segment's hashes when anything the
-        threshold pass reads about it changes: a fingerprint change
-        moves the score denominator (``len(source.fingerprint)``), and a
-        threshold or document change moves the test itself, for checks
-        routed to *any* shard holding one of the segment's hashes — not
-        just the shards whose associations changed. Double bumps
-        (mutators also bump the shards they change) are harmless; epoch
-        keys only test equality.
-        """
-        for index in self._touched_shards(hashes):
-            self.bump_epoch(index)
-
-    def _touched_shards(self, hashes: Collection[int]) -> Set[int]:
-        """Distinct home shards of *hashes*, with an early exit.
-
-        Epoch tokens only need the *set* of shards consulted, and any
-        realistically-sized hash set touches all shards (winnowed
-        hashes are near-uniform after the Fibonacci mix), so the common
-        case exits after a handful of draws instead of routing every
-        hash; at one shard nothing is routed at all. The routing
-        arithmetic is inlined: this sits on the per-keystroke cache-key
-        path, where two Python calls per hash dominated the delta
-        pipeline's profile.
-        """
-        n = self.n_shards
-        if n == 1:
-            return {0} if hashes else set()
-        mask = (1 << self.hash_bits) - 1
-        bits = self.hash_bits
-        touched: Set[int] = set()
-        add = touched.add
-        for h in hashes:
-            add((((h * _MIX_MULTIPLIER) & mask) * n) >> bits)
-            if len(touched) == n:
-                break
-        return touched
-
-    def epoch_for(self, hashes: Optional[Collection[int]]) -> object:
-        """Cache-key epoch token for a check over *hashes*.
-
-        A sorted tuple of ``(shard_index, epoch)`` pairs covering every
-        shard the hashes route to, or every shard when *hashes* is
-        ``None`` (routing unknown). Two tokens compare equal exactly
-        when none of the consulted shards has seen a relevant change in
-        between — mutations on *other* shards leave the token (and any
-        verdict cached under it) valid. At one shard every check routes
-        there, so the token is that shard's epoch: O(1), with no routing
-        and no sort on the per-keystroke path.
-        """
-        epochs = self._epochs
-        if self.n_shards == 1:
-            return epochs[0]
-        if hashes is None:
-            return tuple(enumerate(epochs))
-        return tuple(
-            (index, epochs[index]) for index in sorted(self._touched_shards(hashes))
-        )
-
-    def epochs(self) -> List[int]:
-        """Snapshot of all shard epochs (reporting/tests)."""
-        return list(self._epochs)
-
-    # ------------------------------------------------------------------
     # Batched mutation (the engine's delta application)
     # ------------------------------------------------------------------
 
     def record_fingerprint(
         self, segment_id: str, hashes: Collection[int], timestamp: float
     ) -> bool:
-        """Record all *hashes* for *segment_id*; True if any were new."""
+        """Record all *hashes* for *segment_id*; True if any were new.
+
+        Stamps *hashes* when any association changed.
+        """
         changed = False
         for index, group in self.partition(hashes):
             record = self.shards[index].record
-            shard_changed = False
             for h in group:
                 if record(h, segment_id, timestamp):
-                    shard_changed = True
-            if shard_changed:
-                changed = True
-                self.bump_epoch(index)
+                    changed = True
+        if changed:
+            self.stamps.stamp(hashes)
         return changed
 
     def withdraw(self, segment_id: str, hashes: Collection[int]) -> bool:
-        """Release the segment's claim on *hashes*; True if any released."""
+        """Release the segment's claim on *hashes*; True if any released.
+
+        Stamps *hashes* when any association changed.
+        """
         changed = False
         for index, group in self.partition(hashes):
             remove = self.shards[index].remove_observation
-            shard_changed = False
             for h in group:
                 if remove(h, segment_id):
-                    shard_changed = True
-            if shard_changed:
-                changed = True
-                self.bump_epoch(index)
+                    changed = True
+        if changed:
+            self.stamps.stamp(hashes)
         return changed
 
     # ------------------------------------------------------------------
@@ -458,10 +484,10 @@ class ShardedHashDatabase:
         return hash_value in self.shards[self.shard_of(hash_value)]
 
     def record(self, hash_value: int, segment_id: str, timestamp: float) -> bool:
-        index = self.shard_of(hash_value)
-        changed = self.shards[index].record(hash_value, segment_id, timestamp)
+        shard = self.shards[self.shard_of(hash_value)]
+        changed = shard.record(hash_value, segment_id, timestamp)
         if changed:
-            self.bump_epoch(index)
+            self.stamps.stamp((hash_value,))
         return changed
 
     def oldest_owner(self, hash_value: int) -> Optional[str]:
@@ -492,38 +518,39 @@ class ShardedHashDatabase:
         Splitting keeps each shard's groups in input order, so every
         shard sees the ``(first_seen, segment_id)`` order
         :meth:`HashDatabase.bulk_load` requires. One load per touched
-        shard; at one shard the groups go through unsplit.
+        shard; at one shard the groups go through unsplit. Stamps every
+        stripe (:meth:`StampStore.stamp_all`).
         """
         if self.n_shards == 1:
             self.shards[0].bulk_load(groups)
-            self.bump_epoch(0)
-            return
-        per_shard: List[List[Tuple[float, str, List[int]]]] = [
-            [] for _ in range(self.n_shards)
-        ]
-        for first_seen, segment_id, hashes in groups:
-            for index, part in self.partition(hashes):
-                per_shard[index].append((first_seen, segment_id, part))
-        for index, shard_groups in enumerate(per_shard):
-            if shard_groups:
-                self.shards[index].bulk_load(shard_groups)
-                self.bump_epoch(index)
+        else:
+            per_shard: List[List[Tuple[float, str, List[int]]]] = [
+                [] for _ in range(self.n_shards)
+            ]
+            for first_seen, segment_id, hashes in groups:
+                for index, part in self.partition(hashes):
+                    per_shard[index].append((first_seen, segment_id, part))
+            for index, shard_groups in enumerate(per_shard):
+                if shard_groups:
+                    self.shards[index].bulk_load(shard_groups)
+        self.stamps.stamp_all()
 
     def remove_observation(self, hash_value: int, segment_id: str) -> bool:
-        index = self.shard_of(hash_value)
-        changed = self.shards[index].remove_observation(hash_value, segment_id)
+        shard = self.shards[self.shard_of(hash_value)]
+        changed = shard.remove_observation(hash_value, segment_id)
         if changed:
-            self.bump_epoch(index)
+            self.stamps.stamp((hash_value,))
         return changed
 
     def discard_segment(self, segment_id: str) -> int:
-        """Remove the segment's observations from every shard it touches."""
+        """Remove the segment's observations from every shard; stamps
+        the hashes it observed."""
+        hashes = self.hashes_of(segment_id)
         removed = 0
-        for index, shard in enumerate(self.shards):
-            shard_removed = shard.discard_segment(segment_id)
-            if shard_removed:
-                removed += shard_removed
-                self.bump_epoch(index)
+        for shard in self.shards:
+            removed += shard.discard_segment(segment_id)
+        if removed:
+            self.stamps.stamp(hashes)
         return removed
 
     def hashes(self) -> List[int]:

@@ -14,9 +14,10 @@ before the delta pipeline — re-normalise, re-hash, and re-winnow the
 whole paragraph, then recompute the verdict. The *delta* path is the
 edit-local pipeline: an :class:`~repro.fingerprint.incremental.EditBuffer`
 splices only the ``k+w-1`` dirty radius of the fingerprint and hands it
-to the lookup tier, whose epoch-keyed verdict cache answers without an
-engine sweep whenever the winnowed hash set and every relevant epoch
-are unchanged (the common case for a trailing keystroke).
+to the lookup tier, whose verdict cache answers without an engine
+sweep whenever the winnowed hash set is unchanged and nothing the
+cached verdict read was written since (the common case for a trailing
+keystroke).
 
 Both paths answer the *identical* edit scripts against models holding
 the identical confidential corpus; the model is static during the timed
@@ -195,7 +196,7 @@ def run_full(
 def run_delta(
     lookup: PolicyLookup, scripts: Sequence[EditScript]
 ) -> Tuple[List[float], List[object]]:
-    """Delta pipeline per edit: EditBuffer splice + epoch-memoized verdict."""
+    """Delta pipeline per edit: EditBuffer splice + cached verdict."""
     config = lookup.model.tracker.paragraphs.config
     latencies: List[float] = []
     decisions: List[object] = []

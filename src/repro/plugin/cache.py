@@ -6,12 +6,12 @@ to reuse its previous response."
 
 Two caches share one LRU core here:
 
-* :class:`DecisionCache` — verdict memoisation. The classic key is
-  (service, segment, fingerprint-hash-set, model version); the
-  delta-aware pipeline keys on ``(service, segment, fingerprint-set
-  digest, engine version epoch)`` instead (see
-  :func:`fingerprint_set_digest` and ``DisclosureEngine.version_epoch``)
-  so the sharded tier invalidates per shard rather than globally.
+* :class:`DecisionCache` — verdict memoisation, keyed by
+  :class:`~repro.plugin.lookup.PolicyLookup` on ``(service, document,
+  fingerprint-set digest, policy registrations)`` (see
+  :func:`fingerprint_set_digest`); each entry carries the stamp-store
+  version it was last checked at, which the lookup validates on
+  :meth:`LRUCache.get`.
 * :class:`FingerprintCache` — content-addressed fingerprint
   memoisation keyed by a digest of the *raw* paragraph text, so a
   repeated paste of the same secret never re-normalises or re-hashes.
@@ -23,10 +23,10 @@ Two caches share one LRU core here:
 Each cache is shared by every client of its lookup service, so all
 operations are guarded by one mutex (an LRU update mutates the ordered
 dict even on reads, so a reader–writer split would buy nothing here).
-``evictions`` counts entries dropped for *capacity* only — version
-misses leave their stale entries in place until LRU pressure removes
-them — so ``stats()`` consumers can tell an undersized cache from a
-fast-moving model version.
+``evictions`` counts entries dropped for *capacity* only — an entry
+that fails validation stays in place until its recomputed verdict
+replaces it or LRU pressure removes it — so ``stats()`` consumers can
+tell an undersized cache from a fast-moving model.
 
 The hit/miss/eviction counters live in a
 :class:`~repro.obs.registry.MetricsRegistry` scope (conventionally
@@ -41,7 +41,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from hashlib import blake2b
-from typing import FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
+from struct import pack
+from typing import Callable, Collection, Hashable, Optional, Sequence
 
 from repro.obs.registry import MetricsRegistry, MetricsScope
 
@@ -51,22 +52,27 @@ def text_digest(text: str) -> bytes:
     return blake2b(text.encode("utf-8"), digest_size=16).digest()
 
 
-def fingerprint_set_digest(hash_sets: Sequence[Iterable[int]]) -> bytes:
+#: Closes each serialised hash set: nine bytes, which no run of 8-byte
+#: values can end in by alignment, so set boundaries are unambiguous.
+_SET_END = b"\xff" * 9
+
+
+def fingerprint_set_digest(hash_sets: Sequence[Collection[int]]) -> bytes:
     """16-byte digest of an ordered sequence of fingerprint hash sets.
 
     Replaces the tuple-of-frozensets cache key component: equality
     checks and storage touch 16 bytes instead of every hash value. Each
     set is serialised sorted (frozenset iteration order is not
-    canonical) with an out-of-band separator, so ``[{a}, {b}]`` and
-    ``[{a, b}]`` digest differently. Collisions are 2^-128 territory —
-    negligible against the model's own 32-bit fingerprint collisions.
+    canonical) as little-endian 8-byte values, packed in one call, with
+    an out-of-band separator, so ``[{a}, {b}]`` and ``[{a, b}]`` digest
+    differently. Collisions are 2^-128 territory — negligible against
+    the model's own 32-bit fingerprint collisions.
     """
     digest = blake2b(digest_size=16)
     update = digest.update
     for hashes in hash_sets:
-        for value in sorted(hashes):
-            update(value.to_bytes(8, "little"))
-        update(b"\xff\xff\xff\xff\xff\xff\xff\xff\xff")
+        update(pack(f"<{len(hashes)}Q", *sorted(hashes)))
+        update(_SET_END)
     return digest.digest()
 
 
@@ -104,7 +110,7 @@ class LRUCache:
         self._hits = scope.counter("hits")
         self._misses = scope.counter("misses")
         #: Entries dropped because the cache was full (capacity misses),
-        #: as opposed to entries orphaned by a model-version bump.
+        #: as opposed to entries that failed validation.
         self._evictions = scope.counter("evictions")
         scope.gauge("size", fn=lambda: len(self._entries))
 
@@ -126,10 +132,20 @@ class LRUCache:
         with self._mutex:
             return len(self._entries)
 
-    def get(self, key: Hashable) -> Optional[object]:
+    def get(
+        self,
+        key: Hashable,
+        valid: Optional[Callable[[object], bool]] = None,
+    ) -> Optional[object]:
+        """The entry under *key*, promoted to most recent; else None.
+
+        *valid*, when given, is asked about a found entry under the
+        cache mutex; an entry it rejects is a miss and stays in place
+        for the caller to overwrite.
+        """
         with self._mutex:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or (valid is not None and not valid(entry)):
                 self._misses.inc()
                 return None
             self._entries.move_to_end(key)
@@ -155,23 +171,16 @@ class LRUCache:
 
 
 class DecisionCache(LRUCache):
-    """LRU map from decision keys to flow decisions (paper §6.2).
+    """LRU map from verdict keys to ``[decision, checked_at]`` entries
+    (paper §6.2).
 
-    The cache key is (service, segment, fingerprint-hash-set, model
-    version): a keystroke that leaves the winnowed hashes unchanged hits
-    the cache; any change to the fingerprint — or any new observation in
-    the disclosure databases — misses. The delta-aware lookup path keys
-    on a digest + per-shard epoch instead (module docstring); both key
-    shapes share this cache, they simply never collide.
+    A keystroke that leaves the winnowed hashes unchanged keeps the key,
+    so the entry is found; :class:`~repro.plugin.lookup.PolicyLookup`
+    then serves it if nothing the verdict read has been stamped since
+    ``checked_at`` (DESIGN.md §13).
     """
 
     default_prefix = "decision_cache."
-
-    @staticmethod
-    def key(
-        service_id: str, segment_id: str, hashes: FrozenSet[int], version: int
-    ) -> Tuple:
-        return (service_id, segment_id, hashes, version)
 
 
 class FingerprintCache(LRUCache):

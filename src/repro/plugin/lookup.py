@@ -10,12 +10,13 @@ which is what makes per-keystroke checks cheap (paper §6.2).
 The delta-aware pipeline (DESIGN.md §13) changes what the cache keys
 look like and where fingerprints come from:
 
-* Verdicts are keyed on ``(service, doc, fingerprint-set digest,
-  paragraph-engine epoch, document-engine epoch)``. The epoch tokens
-  come from ``DisclosureEngine.version_epoch``: per-shard epochs of the
-  shards a check routes to, so a mutation that lands entirely on other
-  shards leaves cached verdicts valid instead of invalidating
-  everything (at one shard the token is that shard's epoch).
+* Verdicts are keyed on ``(service, doc, fingerprint-set digest, policy
+  registrations)`` and stored with the stamp-store version they were
+  checked at. An entry is served at once while the version has not
+  moved. A one-paragraph entry is otherwise served after checking that
+  it was computed for this paragraph and that no stripe of its hashes,
+  and neither own segment's label, was stamped since; a write
+  elsewhere leaves it valid.
 * Callers that already hold the fingerprints pass them in and skip the
   text pipeline: the plug-in passes its ``EditBuffer`` fingerprint on
   XHR syncs and the fingerprints it computed once on form submits, and
@@ -41,17 +42,15 @@ from repro.tdm.model import FlowDecision, Suppression, TextDisclosureModel
 #: One batch-lookup item: (doc_id, [(paragraph_id, text), ...]).
 BatchItem = Tuple[str, Sequence[Tuple[str, str]]]
 
-#: Shard counts consulted per epoch token (multi-shard tiers only).
-_SHARD_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-
 
 class PolicyLookup:
     """Resolves flow decisions for outgoing text, with caching.
 
     Caches created here (none passed) register their counters in the
     model's registry under ``decision_cache.`` / ``fingerprint.cache.``,
-    so one snapshot covers the whole lookup path. Epoch-path outcomes
-    are additionally counted under ``decision.epoch_cache.``.
+    so one snapshot covers the whole lookup path. Served and recomputed
+    verdicts are additionally counted under ``decision.epoch_cache.``
+    (a cached entry that fails validation counts as a miss).
     """
 
     def __init__(
@@ -76,16 +75,11 @@ class PolicyLookup:
         epoch_scope = model.registry.scope("decision.epoch_cache.")
         self._c_epoch_hits = epoch_scope.counter("hits")
         self._c_epoch_misses = epoch_scope.counter("misses")
-        #: Multi-paragraph checks fall back to the document engine's
-        #: all-shard epoch token (the document fingerprint is not known
-        #: without joining the text, so per-shard routing is unknown).
+        #: Multi-paragraph checks, whose entries are served only while
+        #: the version has not moved: the hashes of their document
+        #: fingerprint are not known without joining the text.
         self._c_epoch_global = epoch_scope.counter("doc_global_epochs")
-        self._h_epoch_shards = epoch_scope.histogram(
-            "shards", buckets=_SHARD_BUCKETS
-        )
-        # Routing the paragraph epoch token (and recording how many
-        # shards it covers) pays only when there is more than one shard.
-        self._sharded = model.tracker.paragraphs.n_shards > 1
+        self._stamps = model.tracker.stamps
 
     @property
     def model(self) -> TextDisclosureModel:
@@ -128,39 +122,56 @@ class PolicyLookup:
             for fp, (_pid, text) in zip(provided, paragraphs)
         ]
 
-    def _epoch_key(
+    def _key(
         self, service_id: str, doc_id: str, fingerprints: Sequence
     ) -> Tuple:
-        """Build the §13 cache key; caller holds the tracker read lock."""
-        tracker = self._model.tracker
-        hash_sets = [fp.hashes for fp in fingerprints]
-        digest = fingerprint_set_digest(hash_sets)
-        if self._sharded:
-            para_epoch = tracker.paragraphs.version_epoch(
-                frozenset().union(*hash_sets)
-            )
-            self._h_epoch_shards.observe(float(len(para_epoch)))
-        else:
-            # One shard: every check routes there, nothing to route.
-            para_epoch = tracker.paragraphs.version_epoch(None)
-        if len(hash_sets) == 1:
-            # Single-paragraph checks reuse the paragraph fingerprint at
-            # document granularity, so per-shard routing is exact.
-            doc_epoch = tracker.documents.version_epoch(hash_sets[0])
-        else:
-            doc_epoch = tracker.documents.version_epoch(None)
+        """The §13 cache key; the caller holds the tracker read lock."""
+        if len(fingerprints) != 1:
             self._c_epoch_global.inc()
-        # Verdicts also read the label store (the upload's own stored
-        # labels plus inherited source tags), which can change without
-        # any fingerprint delta — e.g. declassification or custom tags.
         return (
             service_id,
             doc_id,
-            digest,
-            para_epoch,
-            doc_epoch,
-            self._model.label_epoch(),
+            fingerprint_set_digest([fp.hashes for fp in fingerprints]),
+            self._model.policies.registrations,
         )
+
+    def _validator(
+        self, doc_id: str, paragraphs: Sequence[Tuple[str, str]], fingerprints
+    ):
+        """Whether a cached ``[decision, checked_at]`` entry may be served.
+
+        Served at once while the stamp-store version has not moved since
+        the entry was checked. Otherwise only a one-paragraph entry may
+        be served, and only if it was computed for this paragraph and
+        document (its ``labels`` keys), no stripe of its hashes was
+        stamped since (both engines swept exactly those hashes, and a
+        change to a matched source's record or label stamps them too),
+        and neither own segment's label was. A served entry is marked
+        checked at the current version. The caller holds the tracker
+        read lock, so no stamp moves meanwhile.
+        """
+        stamps = self._stamps
+        single = len(paragraphs) == 1
+
+        def valid(entry) -> bool:
+            checked_at = entry[1]
+            version = stamps.version
+            if checked_at == version:
+                return True
+            if not single:
+                return False
+            labels = entry[0].labels
+            par_id = paragraphs[0][0]
+            if par_id not in labels or doc_id not in labels:
+                return False
+            if not stamps.unchanged_since(
+                checked_at, fingerprints[0].hashes, (par_id, doc_id)
+            ):
+                return False
+            entry[1] = version
+            return True
+
+        return valid
 
     def lookup(
         self,
@@ -192,25 +203,28 @@ class PolicyLookup:
                 fingerprints=fingerprints,
             )
 
-        # The epoch read and the recomputation must see the same model
-        # state, so the whole path holds the tracker's read lock: without
-        # it a concurrent observation between the two could cache a
-        # decision computed on newer state under the older epoch key.
+        # Validation and recomputation must see the same model state, so
+        # the whole path holds the tracker's read lock: without it a
+        # concurrent observation between the two could store a decision
+        # computed on newer state as checked at an older version.
         with self._model.lock.read_locked(), span(
             "lookup", service=service_id, doc=doc_id
         ) as sp:
             resolved = self._resolve_fingerprints(paragraphs, fingerprints)
-            key = self._epoch_key(service_id, doc_id, resolved)
-            cached = self._cache.get(key)
-            if cached is not None:
+            key = self._key(service_id, doc_id, resolved)
+            entry = self._cache.get(
+                key, self._validator(doc_id, paragraphs, resolved)
+            )
+            if entry is not None:
                 self._c_epoch_hits.inc()
-                sp.set(cache_hit=True, allowed=cached.allowed)  # type: ignore[union-attr]
-                return cached  # type: ignore[return-value]
+                cached = entry[0]  # type: ignore[index]
+                sp.set(cache_hit=True, allowed=cached.allowed)
+                return cached
             self._c_epoch_misses.inc()
             decision = self._model.check_upload(
                 service_id, doc_id, paragraphs, fingerprints=resolved
             )
-            self._cache.put(key, decision)
+            self._cache.put(key, [decision, self._stamps.version])
             sp.set(cache_hit=False, allowed=decision.allowed)
             return decision
 
@@ -254,12 +268,14 @@ class PolicyLookup:
                     paragraphs,
                     fingerprints[i] if fingerprints is not None else None,
                 )
-                key = self._epoch_key(service_id, doc_id, resolved)
-                cached = self._cache.get(key)
-                if cached is not None:
+                key = self._key(service_id, doc_id, resolved)
+                entry = self._cache.get(
+                    key, self._validator(doc_id, paragraphs, resolved)
+                )
+                if entry is not None:
                     hits += 1
                     self._c_epoch_hits.inc()
-                    decisions[i] = cached  # type: ignore[assignment]
+                    decisions[i] = entry[0]  # type: ignore[index]
                     continue
                 self._c_epoch_misses.inc()
                 keys[i] = key
@@ -274,8 +290,9 @@ class PolicyLookup:
                     [items[i] for i in misses],
                     fingerprints=miss_fps,
                 )
+                version = self._stamps.version
                 for i, decision in zip(misses, computed):
-                    self._cache.put(keys[i], decision)
+                    self._cache.put(keys[i], [decision, version])
                     decisions[i] = decision
             sp.set(cache_hits=hits)
             return decisions  # type: ignore[return-value]
@@ -286,10 +303,10 @@ class PolicyLookup:
         Engine counters are summed across the two granularities and
         prefixed ``engine_``; decision-cache counters are prefixed
         ``decision_cache_`` (``evictions`` counts capacity drops only,
-        so capacity misses are distinguishable from version misses);
+        so capacity misses are distinguishable from stale entries);
         the content-addressed fingerprint cache reports under
-        ``fingerprint_cache_`` and the epoch-path outcomes under
-        ``epoch_cache_``; reader–writer lock counters come from the
+        ``fingerprint_cache_`` and served against recomputed verdicts
+        under ``epoch_cache_``; reader–writer lock counters come from the
         tracker's shared lock and are prefixed ``lock_``. Benchmark
         harnesses print these next to the latency numbers so cache and
         lock behaviour is visible alongside timings.

@@ -142,7 +142,6 @@ class TextDisclosureModel:
         self.lock = self.tracker.lock
         self._labels: Dict[str, SegmentLabel] = {}
         self._locations: Dict[str, set] = {}
-        self._label_epoch = 0
         # Durability hook: a WAL-backed journal (see
         # repro.disclosure.wal.EngineJournal) that mirrors consumed
         # suppressions into the log, so a standby replica inherits the
@@ -170,29 +169,27 @@ class TextDisclosureModel:
         """Current label of a segment (empty label if never seen)."""
         return self._labels.get(segment_id, SegmentLabel())
 
-    def label_epoch(self) -> int:
-        """Version of the label store; bumps only on *effective* change.
+    def _store_label(self, segment_id: str, label: SegmentLabel) -> None:
+        """Store a label; stamp it only on an *effective* change.
 
         A check verdict depends on the label store twice — the upload
         segments' own stored labels and the inherited tags of every
-        matching source — so any memoized verdict must be keyed on this
-        epoch alongside the disclosure-database epochs (DESIGN.md §13).
-        Storing a label equal to what was already there (the common case:
-        re-observing public text keeps its empty label) does not bump,
-        so public churn never invalidates cached verdicts; creating or
-        inheriting confidential tags, declassification via
-        :meth:`set_label`, and :meth:`add_tag_to_segment` all do.
+        matching source — so a change is stamped for both readings
+        (:meth:`~repro.disclosure.engine.DisclosureTracker.stamp_segment`,
+        DESIGN.md §13). Storing a label equal to what was already there
+        (the common case: re-observing public text keeps its empty
+        label) stamps nothing, so public churn never invalidates cached
+        verdicts; creating or inheriting confidential tags,
+        declassification via :meth:`set_label`, and
+        :meth:`add_tag_to_segment` all do. Call under the write lock.
         """
-        return self._label_epoch
-
-    def _store_label(self, segment_id: str, label: SegmentLabel) -> None:
         if self._labels.get(segment_id, SegmentLabel()) != label:
-            self._label_epoch += 1
+            self.tracker.stamp_segment(segment_id)
         self._labels[segment_id] = label
 
     def set_label(self, segment_id: str, label: SegmentLabel) -> None:
         # Write-locked like every other label mutator: concurrent
-        # lookups read the label store and its epoch under the read
+        # lookups read the label store and its stamps under the read
         # lock, and a bare dict write here could slip between the two.
         with self.lock.write_locked():
             self._store_label(segment_id, label)

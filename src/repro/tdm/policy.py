@@ -70,12 +70,22 @@ class PolicyStore:
     (``Lp = Lc = {}``) when ``default_untrusted`` is on: data created
     there is public, and no tagged data may flow there — exactly how the
     paper treats Google Docs.
+
+    :attr:`registrations` counts every :meth:`register` call (privilege
+    grants and revokes go through it), so a verdict cache that keys on
+    the count never serves a verdict decided under an older policy.
     """
 
     def __init__(self, *, default_untrusted: bool = True) -> None:
         self._policies: Dict[str, ServicePolicy] = {}
         self._tags: Dict[str, Tag] = {}
         self._default_untrusted = default_untrusted
+        self._registrations = 0
+
+    @property
+    def registrations(self) -> int:
+        """Number of :meth:`register` calls so far."""
+        return self._registrations
 
     def __len__(self) -> int:
         return len(self._policies)
@@ -92,6 +102,9 @@ class PolicyStore:
         self._policies[policy.service_id] = policy
         for tag in list(policy.privilege) + list(policy.confidentiality):
             self._tags.setdefault(tag.name, tag)
+        # Counted after the policy is in place: a lookup that reads the
+        # new count also reads the new policy.
+        self._registrations += 1
         return policy
 
     def register_service(

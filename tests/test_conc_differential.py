@@ -233,17 +233,18 @@ def test_concurrent_engine_matches_serial_replay(seed, n_shards):
 
 
 # ----------------------------------------------------------------------
-# Epoch-memoized verdict cache differential (DESIGN.md §13)
+# Verdict cache differential (DESIGN.md §13)
 # ----------------------------------------------------------------------
 #
 # Same barrier scheme, one layer up: eight threads drive a shared
-# PolicyLookup (at one and at four shards) — whose verdict cache is
-# keyed on (fingerprint digest, per-shard epochs, label epoch) — through
-# query rounds and single-writer mutation rounds (observe / declassify /
-# tag). Every checked verdict, cache hit or miss, must be
+# PolicyLookup (at one and at four shards) — whose cached verdicts are
+# validated against the stamp store — through query rounds and
+# single-writer mutation rounds (observe / declassify / tag / threshold
+# change / document removal / allowed commit / privilege revoke and
+# grant). Every checked verdict, cache hit or miss, must be
 # field-identical to an *uncached* serial replay of the linearised log
-# on a one-shard model: a stale cache entry served after an epoch
-# under-bump shows up as a diverging verdict.
+# on a one-shard model: a stale cache entry served after a missing
+# stamp shows up as a diverging verdict.
 
 from repro.plugin.lookup import PolicyLookup  # noqa: E402
 from repro.tdm import Label, PolicyStore, TextDisclosureModel  # noqa: E402
@@ -254,6 +255,16 @@ LOOKUP_DST = "https://conc-dst.example.com"
 SOURCE_POOL = [f"src-{i}" for i in range(6)]
 UPLOAD_DOCS = [f"up-{i}" for i in range(4)]
 N_TAGS = 4
+#: Tags whose privilege the plan grants to and revokes from the target.
+PRIVILEGE_TAGS = ["s"] + [f"conc-tag-{i}" for i in range(N_TAGS)]
+#: Rounds of the verdict-cache plan: enough for every mutator kind to
+#: occur under the default seeds.
+LOOKUP_ROUNDS = 60
+#: Actions that mutate the model (one writer per round).
+MUTATORS = {
+    "observe", "wipe", "tag", "threshold", "remove", "commit", "revoke",
+    "grant",
+}
 
 
 def _build_lookup_model(n_shards):
@@ -278,18 +289,27 @@ def _build_lookup_plan(seed: int):
     Actions:
         ("observe", src, text)  — new or edited source (fingerprint
                                   deltas + possible label change)
-        ("wipe", src)           — declassify: label epoch, no
+        ("wipe", src)           — declassify: label change, no
                                   fingerprint delta
-        ("tag", src, tag_idx)   — custom tag: label epoch, no
+        ("tag", src, tag_idx)   — custom tag: label change, no
                                   fingerprint delta
+        ("threshold", src, t)   — the source paragraph's threshold
+        ("remove", src)         — remove the source document
+        ("commit", doc, text)   — commit the upload if it is allowed
+        ("revoke", tag_name)    — revoke a privilege of the target
+        ("grant", tag_name)     — grant one back
         ("check", doc, text)    — checked lookup, compared to replay
         ("noise", doc, text)    — lookup racing the writer (structural)
+
+    Every upload document keeps one paragraph id (``<doc>#p0``): a
+    lookup for another paragraph of a cached document may be served
+    the other paragraph's decision while nothing changed (ROADMAP).
     """
     rng = random.Random(seed * 31 + 7)
     live: list = []
     seen_texts: list = []
     plan = []
-    for _round in range(N_ROUNDS):
+    for _round in range(LOOKUP_ROUNDS):
         write_round = rng.random() < 0.4 or not live
         actions = {}
 
@@ -302,22 +322,37 @@ def _build_lookup_plan(seed: int):
 
         if write_round:
             writer = rng.randrange(N_THREADS)
-            choice = rng.random()
-            if live and choice < 0.2:
-                actions[writer] = ("wipe", rng.choice(sorted(live)))
-            elif live and choice < 0.4:
-                actions[writer] = (
-                    "tag",
-                    rng.choice(sorted(live)),
-                    rng.randrange(N_TAGS),
-                )
-            else:
+            kinds = ["commit", "revoke", "grant"]
+            if live:
+                kinds += ["wipe", "tag", "threshold", "remove"]
+            kind = "observe" if rng.random() < 0.3 else rng.choice(kinds)
+            if kind == "observe":
                 src = rng.choice(SOURCE_POOL)
                 text = _text(rng)
                 actions[writer] = ("observe", src, text)
                 if src not in live:
                     live.append(src)
                 seen_texts.append(text)
+            elif kind == "commit":
+                actions[writer] = ("commit", rng.choice(UPLOAD_DOCS), probe_text())
+            elif kind in ("revoke", "grant"):
+                actions[writer] = (kind, rng.choice(PRIVILEGE_TAGS))
+            elif kind == "wipe":
+                actions[writer] = ("wipe", rng.choice(sorted(live)))
+            elif kind == "tag":
+                actions[writer] = (
+                    "tag", rng.choice(sorted(live)), rng.randrange(N_TAGS)
+                )
+            elif kind == "threshold":
+                actions[writer] = (
+                    "threshold",
+                    rng.choice(sorted(live)),
+                    rng.choice([0.1, 0.5, 0.9]),
+                )
+            else:
+                src = rng.choice(sorted(live))
+                live.remove(src)
+                actions[writer] = ("remove", src)
             for tid in range(N_THREADS):
                 if tid != writer:
                     actions[tid] = (
@@ -350,6 +385,25 @@ def _apply_lookup(lookup: PolicyLookup, action):
         tag = model.policies.tag(f"conc-tag-{action[2]}")
         model.add_tag_to_segment(f"{action[1]}#p0", tag)
         return None
+    if kind == "threshold":
+        model.tracker.paragraphs.set_threshold(f"{action[1]}#p0", action[2])
+        return None
+    if kind == "remove":
+        model.tracker.remove_document(action[1])
+        return None
+    if kind == "commit":
+        doc, text = action[1], action[2]
+        paragraphs = [(f"{doc}#p0", text)]
+        decision = model.check_upload(LOOKUP_DST, doc, paragraphs)
+        if decision.allowed:
+            model.commit_upload(LOOKUP_DST, doc, paragraphs, decision)
+        return None
+    if kind == "revoke":
+        model.policies.revoke_privilege(LOOKUP_DST, action[1])
+        return None
+    if kind == "grant":
+        model.policies.grant_privilege(LOOKUP_DST, action[1])
+        return None
     # check and noise
     doc, text = action[1], action[2]
     return lookup.lookup(LOOKUP_DST, doc, [(f"{doc}#p0", text)])
@@ -357,7 +411,7 @@ def _apply_lookup(lookup: PolicyLookup, action):
 
 def _apply_serial_uncached(model: TextDisclosureModel, action):
     """Replay one action with no caches anywhere near the verdict."""
-    if action[0] in ("observe", "wipe", "tag"):
+    if action[0] in MUTATORS:
         # Mutators are identical; borrow a throwaway lookup wrapper.
         class _Shim:
             pass
@@ -421,14 +475,14 @@ def test_epoch_cached_lookup_matches_uncached_replay(seed, n_shards):
 
     # Replay the linearised log on a one-shard model with no verdict
     # cache: checked-round decisions must match field-for-field, which
-    # simultaneously proves the epoch keys sound under contention and
+    # simultaneously proves cache validation sound under contention and
     # every shard count equivalent to one.
     serial_model, _ = _build_lookup_model(n_shards=1)
     for r, actions in enumerate(plan):
         kinds = {a[0] for a in actions.values()}
-        if kinds & {"observe", "wipe", "tag"}:
+        if kinds & MUTATORS:
             for action in actions.values():
-                if action[0] in ("observe", "wipe", "tag"):
+                if action[0] in MUTATORS:
                     _apply_serial_uncached(serial_model, action)
         else:
             for tid in range(N_THREADS):
@@ -442,8 +496,8 @@ def test_epoch_cached_lookup_matches_uncached_replay(seed, n_shards):
                 )
 
     # The cache actually served under contention (text reuse guarantees
-    # repeats), and the epoch path never fell back to a global token
-    # for these single-paragraph checks.
+    # repeats), and every check was a single-paragraph one, which
+    # revalidates instead of needing the version unmoved.
     stats = lookup.stats()
     assert stats["epoch_cache_hits"] > 0
     assert stats["epoch_cache_misses"] > 0

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.disclosure import DisclosureEngine
+from repro.disclosure.sharding import STRIPES
 from repro.errors import DisclosureError, UnknownSegmentError
 from repro.fingerprint import Fingerprinter
 from repro.fingerprint.config import PAPER_CONFIG, TINY_CONFIG
@@ -116,23 +117,34 @@ class TestSetThreshold:
 
     @pytest.mark.parametrize("n_shards", [1, 4])
     @pytest.mark.parametrize("change", ["set_threshold", "reobserve", "doc_id"])
-    def test_record_changes_move_the_epoch_token(self, n_shards, change):
+    def test_record_changes_stamp_the_segment_hashes(self, n_shards, change):
         """The threshold pass reads a source's threshold and document, so
-        changing either must invalidate verdicts cached on its shards."""
+        changing either must stamp the hashes a verdict reached it by,
+        and a no-op must stamp nothing."""
         engine = DisclosureEngine(TINY_CONFIG, n_shards=n_shards)
         engine.observe("s1", SECRET_TEXT, threshold=0.3, doc_id="d1")
         hashes = engine.fingerprint(SECRET_TEXT[: len(SECRET_TEXT) // 2]).hashes
-        token = engine.version_epoch(hashes)
-        engine.set_threshold("s1", 0.3)  # no change: the token holds
+        stamps = engine.stamps
+        checked_at = stamps.version
+        assert stamps.unchanged_since(checked_at, hashes, ())
+        engine.set_threshold("s1", 0.3)  # no change: nothing stamped
         engine.observe("s1", SECRET_TEXT, threshold=0.3, doc_id="d1")
-        assert engine.version_epoch(hashes) == token
+        assert stamps.version == checked_at
         if change == "set_threshold":
             engine.set_threshold("s1", 0.99)
         elif change == "reobserve":
             engine.observe("s1", SECRET_TEXT, threshold=0.99, doc_id="d1")
         else:
             engine.observe("s1", SECRET_TEXT, threshold=0.3, doc_id="d2")
-        assert engine.version_epoch(hashes) != token
+        assert stamps.version > checked_at
+        assert not stamps.unchanged_since(checked_at, hashes, ())
+        # Stripes the segment's hashes do not fall in are left alone.
+        held = {h % STRIPES for h in engine.fingerprint(SECRET_TEXT).hashes}
+        other = [
+            h for h in engine.fingerprint(OTHER_TEXT).hashes
+            if h % STRIPES not in held
+        ]
+        assert other and stamps.unchanged_since(checked_at, other, ())
 
 
 class TestDisclosureBetween:

@@ -4,8 +4,9 @@ The sharded hash database must behave exactly like one
 :class:`~repro.disclosure.store.HashDatabase` — the plain database *is*
 the oracle here: every routed call and every scatter/gather sweep is
 compared against the same operations applied unsharded. The sharding-
-specific machinery (routing, per-shard metrics and epochs, per-shard
-fault injectors) is tested on top.
+specific machinery (routing, per-shard metrics, per-shard fault
+injectors) is tested on top, and so are the stamps the verdict cache
+validates against.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.disclosure import (
     partition,
     shard_of,
 )
+from repro.disclosure.sharding import STRIPES, StampStore
 from repro.errors import DisclosureError, ShardDegraded
 from repro.fingerprint.config import FingerprintConfig
 from repro.plugin.router import ShardRouter
@@ -299,71 +301,119 @@ class TestShardedDisclosureEngine:
         assert indexed.disclosing
 
 
-class TestEpochs:
-    """Per-shard mutation epochs — the §13 verdict-cache tokens."""
+class TestStamps:
+    """The stamp store the verdict cache validates against (§13)."""
 
-    def test_epoch_for_covers_exactly_the_routed_shards(self):
+    def test_checks_before_the_stripes_were_built_are_rejected(self):
+        """Until a revalidation builds the stripes a stamp only moves the
+        version; the build then rejects every older check, also one with
+        no hashes (a paragraph shorter than one n-gram)."""
+        stamps = StampStore()
+        stamps.stamp([1, 2, 3])
+        stamps.stamp_segment("seg", ())
+        assert stamps.version == 2 and stamps._stripes is None
+        assert not stamps.unchanged_since(1, (), ())
+        assert not stamps.unchanged_since(0, [99], ("other",))
+        assert stamps.unchanged_since(2, [1, 2, 3], ("seg",))
+        # A bulk load drops the stripes; the next build is a new floor.
+        stamps.stamp_all()
+        assert stamps._stripes is None
+        assert not stamps.unchanged_since(2, (), ())
+        assert stamps.unchanged_since(3, (), ())
+
+    def test_stamp_rejects_exactly_the_stripes_it_touched(self):
+        stamps = StampStore()
+        stamps.unchanged_since(0, (), ())
+        stamps.stamp([5, 5 + STRIPES])
+        assert not stamps.unchanged_since(0, [7, 5], ())
+        assert not stamps.unchanged_since(0, [5 + 2 * STRIPES], ())
+        assert stamps.unchanged_since(0, [6, 7], ())
+        assert stamps.unchanged_since(1, [5], ())
+
+    def test_stamp_segment_stamps_its_hashes_and_its_own_stamp(self):
+        stamps = StampStore()
+        stamps.unchanged_since(0, (), ())
+        stamps.stamp_segment("seg", [11])
+        assert not stamps.unchanged_since(0, [11], ())
+        assert not stamps.unchanged_since(0, [12], ("seg",))
+        assert stamps.unchanged_since(0, [12], ("other",))
+        assert stamps.unchanged_since(1, [11], ("seg",))
+
+    def test_stamp_segment_without_hashes_still_stamps_the_segment(self):
+        stamps = StampStore()
+        stamps.unchanged_since(0, (), ())
+        stamps.stamp([1])
+        stamps.stamp_segment("seg", ())
+        assert not stamps.unchanged_since(1, (), ("seg",))
+        assert stamps.unchanged_since(1, (), ("other",))
+        assert stamps.unchanged_since(2, (), ("seg",))
+
+    def test_stamp_all_rejects_every_earlier_check(self):
+        stamps = StampStore()
+        stamps.unchanged_since(0, (), ())
+        stamps.stamp_all()
+        assert not stamps.unchanged_since(0, [123], ())
+        assert stamps.unchanged_since(1, [123], ())
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_mutations_stamp_the_hashes_they_change(self, n_shards):
+        db = ShardedHashDatabase(n_shards, hash_bits=HASH_BITS)
+        stamps = db.stamps
+        stamps.unchanged_since(0, (), ())
+        a, b = [1, 2, 3], [4, 5]
+
+        def stamped_since(version):
+            return {
+                h for h in range(1, 7) if not stamps.unchanged_since(version, [h], ())
+            }
+
+        assert db.record_fingerprint("x", a, 1.0)
+        assert stamped_since(0) == {1, 2, 3}
+        v = stamps.version
+        assert not db.record_fingerprint("x", a, 2.0)  # nothing new
+        assert not db.withdraw("x", b)  # nothing held
+        assert stamps.version == v
+        assert db.withdraw("x", [3])
+        assert stamped_since(v) == {3}
+        v = stamps.version
+        assert db.record(4, "y", 3.0)
+        assert not db.record(4, "y", 4.0)
+        assert db.remove_observation(4, "y")
+        assert not db.remove_observation(4, "y")
+        assert stamped_since(v) == {4}
+        assert stamps.version == v + 2
+        v = stamps.version
+        assert db.discard_segment("x") == 2
+        assert db.discard_segment("x") == 0
+        assert stamped_since(v) == {1, 2}
+        assert stamps.version == v + 1
+
+    def test_bulk_load_stamps_every_stripe(self):
         db = ShardedHashDatabase(4, hash_bits=HASH_BITS)
-        rng = random.Random(13)
-        hashes = [rng.randrange(1 << HASH_BITS) for _ in range(64)]
-        token = db.epoch_for(hashes)
-        want = sorted({shard_of(h, 4, HASH_BITS) for h in hashes})
-        assert [index for index, _e in token] == want
-        assert all(epoch == 0 for _i, epoch in token)
-        assert db.epoch_for([]) == ()
+        db.stamps.unchanged_since(0, (), ())
+        db.bulk_load([(1.0, "x", [1, 2])])
+        assert not db.stamps.unchanged_since(0, [99], ())
 
-    def test_epoch_for_single_hash_routes_to_home_shard(self):
-        db = ShardedHashDatabase(8, hash_bits=HASH_BITS)
-        h = 0xDEADBEEF
-        assert db.epoch_for([h]) == ((shard_of(h, 8, HASH_BITS), 0),)
-
-    def test_bump_epochs_for_advances_only_touched_shards(self):
-        db = ShardedHashDatabase(4, hash_bits=HASH_BITS)
-        rng = random.Random(17)
-        # Find one hash per shard, then bump through two of them.
-        by_shard = {}
-        while len(by_shard) < 4:
-            h = rng.randrange(1 << HASH_BITS)
-            by_shard.setdefault(shard_of(h, 4, HASH_BITS), h)
-        db.bump_epochs_for([by_shard[0], by_shard[2]])
-        assert db.epochs() == [1, 0, 1, 0]
-        db.bump_epochs_for([])
-        assert db.epochs() == [1, 0, 1, 0]
-        db.bump_epoch(1)
-        assert db.epochs() == [1, 1, 1, 0]
-
-    def test_token_equality_is_exactly_shared_shard_stability(self):
-        """A mutation invalidates tokens that share a shard with it and
-        leaves every disjoint token valid."""
-        db = ShardedHashDatabase(4, hash_bits=HASH_BITS)
-        rng = random.Random(19)
-        by_shard = {}
-        while len(by_shard) < 4:
-            h = rng.randrange(1 << HASH_BITS)
-            by_shard.setdefault(shard_of(h, 4, HASH_BITS), h)
-        mine = db.epoch_for([by_shard[0]])
-        other = db.epoch_for([by_shard[3]])
-        db.bump_epochs_for([by_shard[0], by_shard[1]])
-        assert db.epoch_for([by_shard[0]]) != mine
-        assert db.epoch_for([by_shard[3]]) == other
-
-    def test_record_fingerprint_bumps_epochs(self):
-        db = ShardedHashDatabase(4, hash_bits=HASH_BITS)
-        rng = random.Random(23)
-        hashes = [rng.randrange(1 << HASH_BITS) for _ in range(64)]
-        before = db.epoch_for(hashes)
-        db.record_fingerprint("seg", hashes, 1.0)
-        assert db.epoch_for(hashes) != before
-
-    def test_touched_shards_early_exit_matches_full_routing(self):
-        """The early-exit routing must agree with routing every hash,
-        including sets too small to touch every shard."""
-        rng = random.Random(29)
-        for n in (2, 4, 8):
-            db = ShardedHashDatabase(n, hash_bits=HASH_BITS)
-            for size in (0, 1, 2, 5, 64, 500):
-                hashes = [
-                    rng.randrange(1 << HASH_BITS) for _ in range(size)
-                ]
-                want = {shard_of(h, n, HASH_BITS) for h in hashes}
-                assert db._touched_shards(hashes) == want
+    def test_stamps_do_not_depend_on_the_shard_count(self):
+        """One history stamps the same stripes at every shard count."""
+        words = "alpha bravo charlie delta echo foxtrot golf hotel".split()
+        states = []
+        for n in (1, 2, 4, 8):
+            rng = random.Random(31)
+            engine = DisclosureEngine(CONFIG, n_shards=n)
+            engine.stamps.unchanged_since(0, (), ())
+            for _step in range(40):
+                seg = f"s{rng.randrange(6)}"
+                roll = rng.random()
+                if roll < 0.6:
+                    engine.observe(
+                        seg,
+                        " ".join(rng.choice(words) for _ in range(12)),
+                        threshold=rng.choice([0.3, 0.5]),
+                    )
+                elif roll < 0.8 and seg in engine.segment_db:
+                    engine.set_threshold(seg, rng.choice([0.3, 0.5]))
+                elif seg in engine.segment_db:
+                    engine.remove(seg)
+            states.append((engine.stamps.version, list(engine.stamps._stripes)))
+        assert all(state == states[0] for state in states)

@@ -108,15 +108,15 @@ class TestCheckDocument:
         tracker.observe_document("src", pars("src", SECRET_TEXT))
         state_keys = ("segments", "distinct_hashes", "ownership_changes")
         before = tracker.paragraphs.stats()
-        epochs_before = tracker.paragraphs.hash_db.epochs()
+        version = tracker.stamps.version
         tracker.check_document("probe", pars("probe", OTHER_TEXT))
         after = tracker.paragraphs.stats()
-        # Query counters move; the database state and the shard epochs
-        # (which move on any hash/segment association change) must not.
+        # Query counters move; the database state and the stamp version
+        # (which moves on any hash/segment association change) must not.
         assert {k: after[k] for k in state_keys} == {
             k: before[k] for k in state_keys
         }
-        assert tracker.paragraphs.hash_db.epochs() == epochs_before
+        assert tracker.stamps.version == version
 
     def test_all_sources_accumulates(self, tracker):
         tracker.observe_document("src", pars("src", SECRET_TEXT))

@@ -10,26 +10,32 @@ from repro.plugin.cache import DecisionCache
 class TestDecisionCache:
     def test_miss_then_hit(self):
         cache = DecisionCache()
-        key = cache.key("svc", "seg", frozenset({1, 2}), 0)
+        key = ("svc", "doc", b"digest", 0)
         assert cache.get(key) is None
         cache.put(key, "decision")
         assert cache.get(key) == "decision"
         assert cache.hits == 1
         assert cache.misses == 1
 
-    def test_key_includes_version(self):
+    def test_key_includes_policy_count(self):
         cache = DecisionCache()
-        k0 = cache.key("svc", "seg", frozenset({1}), 0)
-        k1 = cache.key("svc", "seg", frozenset({1}), 1)
-        cache.put(k0, "old")
-        assert cache.get(k1) is None
+        cache.put(("svc", "doc", b"digest", 0), "old")
+        assert cache.get(("svc", "doc", b"digest", 1)) is None
 
     def test_key_includes_fingerprint(self):
         cache = DecisionCache()
-        k0 = cache.key("svc", "seg", frozenset({1}), 0)
-        k1 = cache.key("svc", "seg", frozenset({2}), 0)
-        cache.put(k0, "a")
-        assert cache.get(k1) is None
+        cache.put(("svc", "doc", b"digest-a", 0), "a")
+        assert cache.get(("svc", "doc", b"digest-b", 0)) is None
+
+    def test_rejected_entry_is_a_miss_and_stays(self):
+        cache = DecisionCache()
+        key = ("svc", "doc", b"digest", 0)
+        cache.put(key, ["decision", 3])
+        assert cache.get(key, lambda entry: entry[1] == 4) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert len(cache) == 1
+        assert cache.get(key, lambda entry: entry[1] == 3) == ["decision", 3]
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_lru_eviction(self):
         cache = DecisionCache(capacity=2)
@@ -87,12 +93,12 @@ class TestEvictions:
         cache.clear()
         assert cache.evictions == 0
 
-    def test_version_miss_leaves_entry_until_lru_pressure(self):
-        # A model-version bump orphans the old entry without evicting it;
-        # only capacity pressure removes it (and counts it).
+    def test_policy_change_leaves_entry_until_lru_pressure(self):
+        # A policy registration orphans the old entry without evicting
+        # it; only capacity pressure removes it (and counts it).
         cache = DecisionCache(capacity=2)
-        k0 = cache.key("svc", "seg", frozenset({1}), 0)
-        k1 = cache.key("svc", "seg", frozenset({1}), 1)
+        k0 = ("svc", "doc", b"digest", 0)
+        k1 = ("svc", "doc", b"digest", 1)
         cache.put(k0, "old")
         cache.put(k1, "new")
         assert len(cache) == 2
@@ -153,6 +159,21 @@ class TestDigests:
             [{1, 2}]
         )
         assert fingerprint_set_digest([]) != fingerprint_set_digest([set()])
+
+    def test_fingerprint_set_digest_serialisation(self):
+        """Each set is its sorted values as 8-byte little-endian words,
+        then nine 0xff bytes."""
+        from hashlib import blake2b
+
+        from repro.plugin.cache import fingerprint_set_digest
+
+        sets = [{7, 1 << 40, 3}, set(), {(1 << 64) - 1}]
+        reference = blake2b(digest_size=16)
+        for hashes in sets:
+            for value in sorted(hashes):
+                reference.update(value.to_bytes(8, "little"))
+            reference.update(b"\xff" * 9)
+        assert fingerprint_set_digest(sets) == reference.digest()
 
 
 class TestFingerprintCache:

@@ -7,10 +7,17 @@ from repro.plugin.lookup import PolicyLookup
 from repro.tdm import Label, PolicyStore, TextDisclosureModel
 from repro.tdm.model import Suppression
 
-from conftest import OTHER_TEXT, SECRET_TEXT
+from conftest import OTHER_TEXT, SECRET_TEXT, THIRD_TEXT
 
 SRC = "https://src.example.com"
 DST = "https://dst.example.com"
+
+
+def _build_stripes(model) -> None:
+    """Build the stamp store's stripes now, as a first revalidation
+    would: an entry cached after this is rejected by the stripes a
+    write stamps, not by the build floor."""
+    model.tracker.stamps.unchanged_since(0, (), ())
 
 
 @pytest.fixture
@@ -71,13 +78,15 @@ class TestLookup:
 
     def test_label_change_invalidates(self, lookup):
         """A label-store mutation with no fingerprint delta must not be
-        served a stale verdict (the §13 label-epoch key component).
+        served a stale verdict: a source's label change stamps its
+        hashes (§13).
 
         Regression: under sharded per-segment epochs this was the only
         verdict dependency not covered by the disclosure-database
         epochs, and the churn fleet diverged between tiers through it.
         """
         segments = [("d#p0", SECRET_TEXT)]
+        _build_stripes(lookup.model)
         first = lookup.lookup(DST, "d", segments)
         assert not first.allowed
         # Declassify the source outright: wipe its confidential label.
@@ -103,14 +112,15 @@ class TestLookup:
         assert tag in second.violations[0].label.full().tags
 
     def test_reobserving_public_text_keeps_cache_warm(self, lookup):
-        """Label writes that don't change any label must not bump the
-        epoch: re-observing public text leaves cached verdicts valid."""
+        """Label writes that don't change any label stamp nothing:
+        re-observing public text leaves cached verdicts valid."""
         segments = [("d#p0", OTHER_TEXT)]
         lookup.model.observe(DST, "pub", [("pub#p0", OTHER_TEXT)])
         first = lookup.lookup(DST, "d", segments)
-        epoch = lookup.model.label_epoch()
+        version = lookup.model.tracker.stamps.version
         lookup.model.observe(DST, "pub", [("pub#p0", OTHER_TEXT)])
-        assert lookup.model.label_epoch() == epoch
+        assert lookup.model.tracker.stamps.version == version
+        assert lookup.lookup(DST, "d", segments) is first
 
     def test_suppressed_lookup_not_cached(self, lookup):
         suppression = Suppression.of("s", "alice", "approved")
@@ -187,3 +197,125 @@ class TestThresholdChangeInvalidates:
         # The uncached check allows the upload now; so must the lookup.
         assert model.check_upload(DST, "up", upload).allowed
         assert lookup.lookup(DST, "up", upload).allowed
+
+
+def _wiki_and_docs(n_shards):
+    """The wiki (``Lp = Lc = {tw}``) and Docs (``Lp = {tw}``)."""
+    policies = PolicyStore()
+    policies.register_service(
+        SRC, privilege=Label.of("tw"), confidentiality=Label.of("tw")
+    )
+    policies.register_service(DST, privilege=Label.of("tw"))
+    model = TextDisclosureModel(policies, TINY_CONFIG, n_shards=n_shards)
+    model.observe(SRC, "wiki", [("wiki#p0", SECRET_TEXT)])
+    return model
+
+
+class TestPrivilegeChangeInvalidates:
+    """The target's privilege label decides every verdict, so a grant or
+    revoke must not leave a cached decision behind: the key carries the
+    policy store's registration count."""
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_revoke_then_grant(self, n_shards):
+        model = _wiki_and_docs(n_shards)
+        lookup = PolicyLookup(model)
+        upload = [("docs|d#p0", SECRET_TEXT)]
+        assert lookup.lookup(DST, "docs|d", upload).allowed
+
+        model.policies.revoke_privilege(DST, "tw")
+        assert not model.check_upload(DST, "docs|d", upload).allowed
+        assert not lookup.lookup(DST, "docs|d", upload).allowed
+
+        model.policies.grant_privilege(DST, "tw")
+        assert model.check_upload(DST, "docs|d", upload).allowed
+        assert lookup.lookup(DST, "docs|d", upload).allowed
+
+    def test_registrations_count_every_register(self):
+        policies = PolicyStore()
+        assert policies.registrations == 0
+        policies.register_service(DST, privilege=Label.of("tw"))
+        policies.revoke_privilege(DST, "tw")
+        policies.grant_privilege(DST, "tw")
+        assert policies.registrations == 3
+
+
+class TestRevalidation:
+    """A cached one-paragraph verdict survives writes that touch none of
+    what it read, and is never handed to another paragraph."""
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_unrelated_write_keeps_the_verdict(self, n_shards):
+        model = _wiki_and_docs(n_shards)
+        lookup = PolicyLookup(model)
+        upload = [("docs|d#p0", SECRET_TEXT)]
+        lookup.lookup(DST, "docs|d", upload)
+        model.observe(SRC, "other", [("other#p0", THIRD_TEXT)])
+        # The first revalidation creates the stripes, stamped with the
+        # current version, so it recomputes.
+        first = lookup.lookup(DST, "docs|d", upload)
+        model.observe(SRC, "more", [("more#p0", OTHER_TEXT)])
+        assert lookup.lookup(DST, "docs|d", upload) is first
+        stats = lookup.stats()
+        assert (stats["epoch_cache_hits"], stats["epoch_cache_misses"]) == (1, 2)
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_no_decision_for_another_paragraph_after_a_write(self, n_shards):
+        """Same document, same text, another paragraph id: once anything
+        was written in between, the lookup recomputes for the paragraph
+        it was asked about (the key names the document only)."""
+        model = _wiki_and_docs(n_shards)
+        lookup = PolicyLookup(model)
+        lookup.lookup(DST, "docs|e", [("docs|e#p1", SECRET_TEXT)])
+        model.observe(SRC, "other", [("other#p0", THIRD_TEXT)])
+        # Revalidated from here on: the first revalidation created the
+        # stripes and recomputed.
+        first = lookup.lookup(DST, "docs|e", [("docs|e#p1", SECRET_TEXT)])
+        assert set(first.labels) == {"docs|e#p1", "docs|e"}
+        model.observe(SRC, "more", [("more#p0", OTHER_TEXT)])
+        second = lookup.lookup(DST, "docs|e", [("docs|e#p2", SECRET_TEXT)])
+        assert set(second.labels) == {"docs|e#p2", "docs|e"}
+        assert second == model.check_upload(
+            DST, "docs|e", [("docs|e#p2", SECRET_TEXT)]
+        )
+        # The entry now holds p2's decision, served to p2 across a write.
+        model.observe(SRC, "third", [("third#p0", OTHER_TEXT + " again")])
+        assert lookup.lookup(DST, "docs|e", [("docs|e#p2", SECRET_TEXT)]) is second
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_own_label_change_rejects_the_entry(self, n_shards):
+        model = _wiki_and_docs(n_shards)
+        lookup = PolicyLookup(model)
+        upload = [("docs|d#p0", OTHER_TEXT)]
+        assert lookup.lookup(DST, "docs|d", upload).allowed
+        tag = model.allocate_custom_tag("project-x", owner="alice")
+        model.add_tag_to_segment("docs|d#p0", tag)
+        decision = lookup.lookup(DST, "docs|d", upload)
+        assert decision == model.check_upload(DST, "docs|d", upload)
+        assert not decision.allowed
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_own_label_change_rejects_an_entry_with_no_hashes(self, n_shards):
+        """A paragraph shorter than one n-gram fingerprints to nothing,
+        so no hash stripe can reject its cached verdict: its own label
+        stamp must, also when another entry built the stripes in
+        between."""
+        model = _wiki_and_docs(n_shards)
+        lookup = PolicyLookup(model)
+        short = [("docs|d#p0", "hi")]
+        assert not model.tracker.paragraphs.fingerprint("hi").hashes
+        other = [("docs|e#p0", OTHER_TEXT)]
+        assert lookup.lookup(DST, "docs|d", short).allowed
+        lookup.lookup(DST, "docs|e", other)
+        tag = model.allocate_custom_tag("project-x", owner="alice")
+        model.add_tag_to_segment("docs|d#p0", tag)
+        lookup.lookup(DST, "docs|e", other)
+        decision = lookup.lookup(DST, "docs|d", short)
+        assert decision == model.check_upload(DST, "docs|d", short)
+        assert not decision.allowed
+        # Once the stripes exist, the same change is caught by the
+        # segment's own stamp alone.
+        lookup.lookup(DST, "docs|f", [("docs|f#p0", "hi")])
+        model.add_tag_to_segment("docs|f#p0", tag)
+        decision = lookup.lookup(DST, "docs|f", [("docs|f#p0", "hi")])
+        assert not decision.allowed

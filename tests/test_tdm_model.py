@@ -277,14 +277,14 @@ class TestCommitUpload:
     def test_commit_with_misaligned_fingerprints_rejected(self, model):
         paragraphs = [seg("d", 0, THIRD_TEXT), seg("d", 1, OTHER_TEXT)]
         decision = model.check_upload(DOCS, "d", paragraphs)
-        epoch = model.label_epoch()
+        version = model.tracker.stamps.version
         fingerprints = [model.tracker.paragraphs.fingerprint(THIRD_TEXT)]
         with pytest.raises(DisclosureError, match="got 1 fingerprints for 2"):
             model.commit_upload(
                 DOCS, "d", paragraphs, decision, fingerprints=fingerprints
             )
         # Rejected before anything was stored: no half commit.
-        assert model.label_epoch() == epoch
+        assert model.tracker.stamps.version == version
         assert model.locations_of("d#p0") == frozenset()
         assert len(model.tracker.paragraphs) == 0
 

@@ -19,9 +19,10 @@ plug-ins on two stacks:
 
 Both must end in identical state: every decision, every stored
 ``SegmentRecord``, every hash's owners with their first-seen times,
-owner epochs and ``ownership_changes``, per-shard epochs, labels and
-``label_epoch``. Both stacks journal every engine mutation and
-suppression to a WAL, and the WAL files must be byte-identical.
+owner epochs and ``ownership_changes``, the stamp store (its version,
+build floor, hash stripes and label stamps) and labels. Both stacks journal every
+engine mutation and suppression to a WAL, and the WAL files must be
+byte-identical.
 """
 
 from __future__ import annotations
@@ -110,8 +111,11 @@ def engine_state(engine) -> dict:
         "owners": {h: hash_db.owners(h) for h in hashes},
         "oldest": {h: hash_db.oldest_owner(h) for h in hashes},
         "ownership_meta": hash_db.ownership_meta(),
-        "shard_epochs": hash_db.epochs(),
     }
+
+
+def stamp_state(stamps) -> tuple:
+    return stamps.version, stamps._floor, stamps._stripes, stamps._segments
 
 
 def assert_same_state(shipped, reference) -> None:
@@ -129,7 +133,9 @@ def assert_same_state(shipped, reference) -> None:
             assert mine.fingerprint.selections == selections, segment_id
             assert mine == record, segment_id
         assert got == want, kind
-    assert shipped.label_epoch() == reference.label_epoch()
+    assert stamp_state(shipped.tracker.stamps) == stamp_state(
+        reference.tracker.stamps
+    )
     assert model_to_dict(shipped) == model_to_dict(reference)
 
 
