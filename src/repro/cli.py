@@ -235,8 +235,8 @@ def cmd_trace(args) -> int:
 
     The tree covers the pipeline stages of a disclosure decision:
     ``scan`` (root) → ``intercept`` (reading the upload candidate) →
-    ``fingerprint`` (with nested ``normalize``) → ``algorithm1`` →
-    ``decision``. CI validates the output against
+    ``fingerprint`` (with a nested ``normalize`` for wide text, which
+    takes the reference path) → ``algorithm1`` → ``decision``. CI validates the output against
     ``docs/trace_schema.json``.
     """
     db_path = Path(args.db)

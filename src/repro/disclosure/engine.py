@@ -275,7 +275,7 @@ class DisclosureEngine:
         with self.lock.write_locked():
             now = self._clock.now() if timestamp is None else timestamp
             existing = self.segment_db.find(segment_id)
-            changed = self._apply_fingerprint_delta(
+            self._apply_fingerprint_delta(
                 segment_id,
                 fingerprint.hashes,
                 existing.fingerprint.hashes if existing is not None else frozenset(),
@@ -291,16 +291,17 @@ class DisclosureEngine:
                     last_updated=now,
                 )
                 if (
-                    changed
+                    len(fingerprint) != len(existing.fingerprint)
                     or existing.threshold != threshold
                     or existing.doc_id != record.doc_id
                 ):
                     # The threshold pass reads the segment's fingerprint
                     # size, threshold and document, so a cached verdict
                     # that swept any of its hashes must not survive a
-                    # change to one of them (§13). The withdrawn hashes,
-                    # and all of a new segment's, were stamped by the
-                    # delta apply itself.
+                    # change to one of them (§13). Beyond those it reads
+                    # only the hash associations, and the delta apply
+                    # has stamped the hashes it added and withdrew, so a
+                    # same-size edit stamps nothing more.
                     self.stamps.stamp(fingerprint.hashes)
             else:
                 record = SegmentRecord(
@@ -322,14 +323,13 @@ class DisclosureEngine:
         new_hashes: FrozenSet[int],
         old_hashes: FrozenSet[int],
         now: float,
-    ) -> bool:
+    ) -> None:
         """Record the hashes the segment gained, withdraw the ones it lost.
 
         An edit withdraws the segment's claim on hashes it no longer
         contains, so authority migrates to the oldest observer that
-        still holds the text (paper Figure 6). Returns True when any
-        (hash, segment) association actually changed; the hash database
-        has then stamped the hashes it was handed.
+        still holds the text (paper Figure 6). The hash database stamps
+        the hashes it was handed when an association changed.
 
         Only the delta is applied. That is exact because the engine
         keeps ``hash_db.hashes_of(s) == segment_db[s].fingerprint.hashes``
@@ -342,12 +342,10 @@ class DisclosureEngine:
         # set copy keeps the hash table's insertion order as it was.
         added = new_hashes - old_hashes if old_hashes else new_hashes
         removed = old_hashes - new_hashes
-        changed = False
-        if added and hash_db.record_fingerprint(segment_id, added, now):
-            changed = True
-        if removed and hash_db.withdraw(segment_id, removed):
-            changed = True
-        return changed
+        if added:
+            hash_db.record_fingerprint(segment_id, added, now)
+        if removed:
+            hash_db.withdraw(segment_id, removed)
 
     def remove(self, segment_id: str) -> None:
         """Forget a segment entirely, releasing its hash ownership."""
@@ -751,7 +749,7 @@ class DisclosureTracker:
     def document_fingerprints(
         self,
         paragraphs: Sequence[Tuple[str, str]],
-        fingerprints: Optional[Sequence[Fingerprint]] = None,
+        fingerprints: Optional[Sequence[Optional[Fingerprint]]] = None,
         document_fingerprint: Optional[Fingerprint] = None,
     ) -> Tuple[Sequence[Fingerprint], Fingerprint]:
         """Per-paragraph and document fingerprints of one document.
@@ -762,30 +760,69 @@ class DisclosureTracker:
         so that paragraph's fingerprint is reused instead of computed
         again.
 
-        *fingerprints* (aligned with *paragraphs*) and
-        *document_fingerprint* are used when given, so a caller that
-        already fingerprinted the text (the plug-in's edit buffer, or a
-        check that precedes an observe) pays nothing here; only what is
-        missing is computed. Raises
-        :class:`~repro.errors.DisclosureError` when *fingerprints* is not
-        aligned with *paragraphs*.
+        *fingerprints* (aligned with *paragraphs*; ``None`` slots are
+        missing) and *document_fingerprint* are used when given, so a
+        caller that already fingerprinted the text (the plug-in's edit
+        buffer, or a check that precedes an observe) pays nothing here.
+        Whatever is missing, paragraphs and joined text alike, is
+        computed in one ``Fingerprinter.fingerprint_many`` pass.
+        Fingerprinting reads no database state, so callers run this
+        before they take the lock.
+        Raises :class:`~repro.errors.DisclosureError` when
+        *fingerprints* is not aligned with *paragraphs*.
         """
         if fingerprints is None:
-            fingerprint = self.paragraphs.fingerprinter.fingerprint
-            fingerprints = [fingerprint(text) for _pid, text in paragraphs]
+            fingerprints = [None] * len(paragraphs)
         elif len(fingerprints) != len(paragraphs):
             raise DisclosureError(
                 f"got {len(fingerprints)} fingerprints for "
                 f"{len(paragraphs)} paragraphs"
             )
+        missing = [i for i, fp in enumerate(fingerprints) if fp is None]
+        texts = [paragraphs[i][1] for i in missing]
+        join = document_fingerprint is None and len(paragraphs) != 1
+        if join:
+            texts.append("\n\n".join(text for _pid, text in paragraphs))
+        if texts:
+            computed = self.paragraphs.fingerprinter.fingerprint_many(texts)
+            if missing:
+                fingerprints = list(fingerprints)
+                for i, fp in zip(missing, computed):
+                    fingerprints[i] = fp
+            if join:
+                document_fingerprint = computed[-1]
         if document_fingerprint is None:
-            if len(paragraphs) == 1:
-                document_fingerprint = fingerprints[0]
-            else:
-                document_fingerprint = self.documents.fingerprinter.fingerprint(
-                    "\n\n".join(text for _pid, text in paragraphs)
+            document_fingerprint = fingerprints[0]
+        return fingerprints, document_fingerprint  # type: ignore[return-value]
+
+    def fingerprint_documents(
+        self,
+        docs: Sequence[Tuple[str, Sequence[Tuple[str, str]]]],
+        fingerprints: Optional[Sequence[Optional[Sequence]]] = None,
+        document_fingerprints: Optional[Sequence[Optional[Fingerprint]]] = None,
+    ) -> List[Tuple[Sequence[Fingerprint], Fingerprint]]:
+        """:meth:`document_fingerprints` of each of *docs*.
+
+        *fingerprints* and *document_fingerprints*, when given, align
+        with *docs*; raises :class:`~repro.errors.DisclosureError` when
+        either does not.
+        """
+        for given, what in (
+            (fingerprints, "fingerprint lists"),
+            (document_fingerprints, "document fingerprints"),
+        ):
+            if given is not None and len(given) != len(docs):
+                raise DisclosureError(
+                    f"got {len(given)} {what} for {len(docs)} documents"
                 )
-        return fingerprints, document_fingerprint
+        return [
+            self.document_fingerprints(
+                paragraphs,
+                None if fingerprints is None else fingerprints[i],
+                None if document_fingerprints is None else document_fingerprints[i],
+            )
+            for i, (_doc_id, paragraphs) in enumerate(docs)
+        ]
 
     def observe_document(
         self,
@@ -816,10 +853,10 @@ class DisclosureTracker:
             if document_threshold is not None
             else self._document_threshold
         )
+        fingerprints, document_fingerprint = self.document_fingerprints(
+            paragraphs, fingerprints, document_fingerprint
+        )
         with self.lock.write_locked():
-            fingerprints, document_fingerprint = self.document_fingerprints(
-                paragraphs, fingerprints, document_fingerprint
-            )
             for (par_id, _text), fp in zip(paragraphs, fingerprints):
                 self.paragraphs.observe_fingerprint(
                     par_id, fp, threshold=p_thresh, doc_id=doc_id
@@ -849,11 +886,11 @@ class DisclosureTracker:
         it keyed its caches on, and page ingest the ones it is about to
         store, so each text is fingerprinted once per request.
         """
+        fingerprints, doc_fp = self.document_fingerprints(
+            paragraphs, fingerprints, document_fingerprint
+        )
         par_reports = []
         with self.lock.read_locked():
-            fingerprints, doc_fp = self.document_fingerprints(
-                paragraphs, fingerprints, document_fingerprint
-            )
             for (par_id, _text), fp in zip(paragraphs, fingerprints):
                 report = self.paragraphs.disclosing_sources(
                     fingerprint=fp, exclude_doc=doc_id
@@ -878,7 +915,8 @@ class DisclosureTracker:
         self,
         docs: Sequence[Tuple[str, Sequence[Tuple[str, str]]]],
         *,
-        fingerprints: Optional[Sequence[Sequence[Fingerprint]]] = None,
+        fingerprints: Optional[Sequence[Optional[Sequence]]] = None,
+        document_fingerprints: Optional[Sequence[Optional[Fingerprint]]] = None,
     ) -> List[TrackerReport]:
         """Batched :meth:`check_document`: same reports, fused queries.
 
@@ -890,21 +928,17 @@ class DisclosureTracker:
         reports describe the same database state.
 
         ``fingerprints`` optionally carries per-document lists of
-        precomputed paragraph fingerprints, aligned with *docs*.
+        precomputed paragraph fingerprints, and ``document_fingerprints``
+        the documents' own, both aligned with *docs* (see
+        :meth:`fingerprint_documents`).
         """
-        if fingerprints is not None and len(fingerprints) != len(docs):
-            raise DisclosureError(
-                f"got {len(fingerprints)} fingerprint lists for "
-                f"{len(docs)} documents"
-            )
+        resolved = self.fingerprint_documents(
+            docs, fingerprints, document_fingerprints
+        )
         with self.lock.read_locked():
             par_queries: List[Tuple[Fingerprint, Optional[str]]] = []
             doc_queries: List[Tuple[Fingerprint, Optional[str]]] = []
-            for i, (doc_id, paragraphs) in enumerate(docs):
-                fps, doc_fp = self.document_fingerprints(
-                    paragraphs,
-                    fingerprints[i] if fingerprints is not None else None,
-                )
+            for (doc_id, _paragraphs), (fps, doc_fp) in zip(docs, resolved):
                 for fp in fps:
                     par_queries.append((fp, doc_id))
                 doc_queries.append((doc_fp, doc_id))

@@ -24,7 +24,12 @@ from typing import Callable, Dict, List, Optional
 
 from repro.fingerprint import Fingerprinter, HAS_NUMPY
 from repro.fingerprint.config import FingerprintConfig
-from repro.fingerprint.kernel import skipscan_winnow
+from repro.fingerprint.kernel import (
+    _normalize_numpy,
+    _winnow_numpy,
+    normalize_latin1,
+    skipscan_winnow,
+)
 from repro.fingerprint.normalize import normalize
 from repro.fingerprint.winnowing import winnow
 
@@ -111,7 +116,10 @@ def measure_path(
             if data is None:
                 raise ValueError("ingest corpus contains non-Latin-1 text")
             start = time.perf_counter()
-            norm, offsets = kernel.normalize(data)
+            if mode == "numpy":
+                norm, _offsets = _normalize_numpy(data)
+            else:
+                norm, _offsets = normalize_latin1(data)
             stage_seconds["normalize"] += time.perf_counter() - start
             if len(norm) < config.ngram_size:
                 continue
@@ -120,8 +128,6 @@ def measure_path(
                 values = kernel._hash_numpy(norm)
                 stage_seconds["hash"] += time.perf_counter() - start
                 start = time.perf_counter()
-                from repro.fingerprint.kernel import _winnow_numpy
-
                 _winnow_numpy(values, config.window_size)
                 stage_seconds["winnow"] += time.perf_counter() - start
             else:

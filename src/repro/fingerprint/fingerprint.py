@@ -10,7 +10,7 @@ disclosure", §4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, NamedTuple, Tuple
+from typing import FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from repro.fingerprint.config import FingerprintConfig
 from repro.fingerprint.kernel import IngestKernel
@@ -170,36 +170,50 @@ class Fingerprinter:
         return self._kernel
 
     def fingerprint(self, text: str) -> Fingerprint:
-        """Run S1–S4 on *text* and return its fingerprint.
+        """Run S1–S4 on *text* and return its fingerprint: a batch of
+        one through :meth:`fingerprint_many`."""
+        return self.fingerprint_many((text,))[0]
 
-        Byte-narrow text (everything Latin-1 — the ASCII corpora, most
-        European prose) dispatches to the fused ingest kernel; text with
-        wider code points takes :meth:`fingerprint_reference`. The two
-        paths are hash- and span-identical by construction and by
-        property test, so callers never observe which one ran (except
-        in the per-stage latency histograms).
+    def fingerprint_many(self, texts: Sequence[str]) -> List[Fingerprint]:
+        """Fingerprints of *texts*, in order, from one kernel pass.
+
+        Byte-narrow texts (everything Latin-1 — the ASCII corpora, most
+        European prose) go through the fused ingest kernel together: on
+        the numpy path one S1–S4 pass covers all of them, which spreads
+        the kernel's fixed cost per call over the batch. Text with
+        wider code points takes :meth:`fingerprint_reference`. Every
+        fingerprint is field-identical to ``fingerprint_reference`` of
+        its text alone (property-tested), so callers never observe
+        which path ran or what it was batched with.
         """
         kernel = self._kernel
-        if kernel is not None:
+        if kernel is None:
+            return [self.fingerprint_reference(text) for text in texts]
+        out: List[Fingerprint] = []
+        narrow: List[int] = []
+        datas: List[bytes] = []
+        for text in texts:
             data = kernel.encode(text)
-            if data is not None:
-                return self._fingerprint_kernel(text, data, kernel)
-        return self.fingerprint_reference(text)
-
-    def _fingerprint_kernel(
-        self, text: str, data: bytes, kernel: IngestKernel
-    ) -> Fingerprint:
-        config = self._config
-        with span("fingerprint", chars=len(text)) as sp:
-            with span("normalize") as nsp:
-                norm, offsets = kernel.normalize(data)
-                nsp.set(kept=len(norm))
-            flat = kernel.selections_from(norm, offsets)
-            hashes = frozenset(flat[0::3])
-            sp.set(hashes=len(hashes))
-            return Fingerprint(
-                hashes=hashes, flat_selections=flat, config=config
-            )
+            if data is None:
+                out.append(self.fingerprint_reference(text))
+            else:
+                narrow.append(len(out))
+                out.append(None)  # type: ignore[arg-type]
+                datas.append(data)
+        if datas:
+            config = self._config
+            with span(
+                "fingerprint", texts=len(datas), chars=sum(map(len, datas))
+            ) as sp:
+                selected = 0
+                for i, flat in zip(narrow, kernel.selections_many(datas)):
+                    hashes = frozenset(flat[0::3])
+                    selected += len(hashes)
+                    out[i] = Fingerprint(
+                        hashes=hashes, flat_selections=flat, config=config
+                    )
+                sp.set(hashes=selected)
+        return out
 
     def fingerprint_reference(self, text: str) -> Fingerprint:
         """The reference S1–S4 pipeline — the differential oracle.

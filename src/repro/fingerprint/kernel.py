@@ -47,14 +47,25 @@ exact mod 2**64 and therefore exact mod 2**hash_bits for any
 ``hash_bits ≤ 64``; key packing additionally needs ``hash_bits ≤ 32``
 (the paper's value), wider configs fall back to the pure path.
 
-Throughput (Wikipedia/manuals corpora, this container): reference
-≈ 1.2 MB/s, pure kernel ≈ 3.3 MB/s, numpy kernel ≈ 25–30 MB/s.
-``BENCH_fingerprint.json`` tracks the trajectory across PRs.
+The numpy path fingerprints many texts in one pass
+(:meth:`IngestKernel.selections_many`): S1–S4 run once over their
+concatenation, each text keeps only the n-grams that start and end
+inside it, windows that leave a text are dropped, and a text with fewer
+than ``w`` hashes keeps its rightmost minimum, so every text gets the
+selections it would get alone. The pure path loops over the texts.
+
+Costs per ~580-byte paragraph (``PAPER_CONFIG``, stage histograms on,
+2-core Xeon host, Python 3.11, numpy 2.4; the 10th percentile of
+repeated loops over three runs): the reference path 320–600 µs; the
+pure kernel 155–230 µs for one text and 135–170 µs per text in passes
+of four or more; the numpy kernel 41–45 µs for one text, 35–47 µs per
+text in passes of two, 24–32 µs at four and 18–25 µs at eight or more.
+``BENCH_fingerprint.json`` tracks whole-corpus MB/s across PRs.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from typing import List, Optional, Sequence, Tuple
 
 from repro.fingerprint.config import FingerprintConfig
@@ -66,6 +77,8 @@ except ImportError:  # pragma: no cover - exercised on CI without numpy
     _np = None
 
 HAS_NUMPY = _np is not None
+#: The reversed-index half of a packed winnow key.
+_LOW32 = _np.uint64(0xFFFFFFFF) if HAS_NUMPY else None
 
 
 def _build_tables() -> Tuple[bytes, bytes, bytes]:
@@ -193,38 +206,107 @@ def skipscan_winnow(values: Sequence[int], window_size: int) -> List[int]:
         emit(p)
 
 
-def _winnow_numpy(values: "_np.ndarray", window_size: int) -> List[int]:
+def _normalize_numpy(data: bytes) -> Tuple[bytes, "_np.ndarray"]:
+    """S1 on the numpy path: the offset map is an int ndarray.
+
+    The nonzero indices of the keep mask replace the Python list of
+    :func:`normalize_latin1`; materialising one Python int per kept
+    byte was the dominant S1 cost once ``translate`` took over the text
+    itself.
+    """
+    norm = data.translate(_LOWER_TABLE, _DELETE_BYTES)
+    offsets = _np.frombuffer(
+        data.translate(_KEEP01_TABLE), dtype=_np.uint8
+    ).nonzero()[0]
+    return norm, offsets
+
+
+def _winnow_numpy(
+    values: "_np.ndarray",
+    window_size: int,
+    ranges: Optional[List[Tuple[int, int]]] = None,
+) -> "_np.ndarray":
     """Vectorised winnow over uint64 ``values`` (< 2**32 each).
 
     Packs ``(value << 32) | (n-1-i)`` so unsigned minimum orders first
     by value, then by *largest* index — the paper's rightmost
     tie-break — then takes sliding-window minima with a two-level
-    sparse table (log2(w) ``np.minimum`` passes) and emits positions
-    where the window minimum changes.
+    sparse table (log2(w) ``np.minimum`` passes) and keeps the
+    positions where the window minimum changes.
+
+    *ranges* (sorted, disjoint ``(start, stop)`` slices of *values*)
+    winnows each slice on its own, as if it were the whole sequence: a
+    window that leaves its slice is dropped, and a slice shorter than
+    one window keeps its rightmost minimum (``minimum.reduceat``).
+    Positions outside every slice are never selected; ``None`` makes
+    the whole array one slice. Returns the selected positions,
+    ascending.
     """
     cnt = int(values.shape[0])
     w = window_size
-    keys = (values << _np.uint64(32)) | _np.arange(
-        cnt - 1, -1, -1, dtype=_np.uint64
-    )
-    if cnt <= w:
-        k = int(keys.min())
-        return [(cnt - 1) - (k & 0xFFFFFFFF)]
+    keys = values << _np.uint64(32)
+    keys |= _np.arange(cnt - 1, -1, -1, dtype=_np.uint64)
+    if ranges is None:
+        if cnt <= w:
+            return _np.array([(cnt - 1) - (int(keys.min()) & 0xFFFFFFFF)])
+        return (cnt - 1) - (_window_changes(keys, w, None) & _LOW32).astype(
+            _np.int64
+        )
+    picked = []
+    full = [(start, stop) for start, stop in ranges if stop - start >= w]
+    if full:
+        # Window i covers values[i : i + w]: a slice's windows start in
+        # [start, stop - w].
+        valid = _np.zeros(cnt - w + 1, dtype=bool)
+        for start, stop in full:
+            valid[start : stop - w + 1] = True
+        picked.append(_window_changes(keys, w, valid))
+    # reduceat over [start, stop, start, stop, …]: every other result is
+    # one short slice's minimum. The last stop may be the array's end,
+    # which reduceat reaches on its own.
+    short = [
+        i for start, stop in ranges if 0 < stop - start < w for i in (start, stop)
+    ]
+    if short:
+        if short[-1] == cnt:
+            short.pop()
+        picked.append(_np.minimum.reduceat(keys, short)[::2])
+    if not picked:
+        return _np.zeros(0, dtype=_np.int64)
+    positions = (cnt - 1) - (_np.concatenate(picked) & _LOW32).astype(_np.int64)
+    if len(picked) > 1:
+        positions.sort()
+    return positions
+
+
+def _window_changes(keys, w, valid) -> "_np.ndarray":
+    """Packed keys of the winnowed selections, in window order.
+
+    The sliding minimum of every *w*-window of *keys*, restricted to
+    the windows *valid* marks (all when None), reduced to where it
+    changes from one valid window to the next. Keys carry their
+    position, so the last window of one range and the first of the
+    next never compare equal: each range's first window is kept.
+    """
     m = keys
     span = 1
     while span * 2 <= w:
         m = _np.minimum(m[: m.shape[0] - span], m[span:])
         span *= 2
     rest = w - span
-    n_windows = cnt - w + 1
+    n_windows = keys.shape[0] - w + 1
     if rest:
         wins = _np.minimum(m[:n_windows], m[rest : rest + n_windows])
     else:
         wins = m[:n_windows]
-    change = _np.flatnonzero(wins[1:] != wins[:-1]) + 1
-    sel_keys = _np.concatenate((wins[:1], wins[change]))
-    big = _np.uint64(cnt - 1)
-    return (big - (sel_keys & _np.uint64(0xFFFFFFFF))).tolist()
+    if valid is not None:
+        wins = wins[valid]
+    change = (wins[1:] != wins[:-1]).nonzero()[0] + 1
+    return _np.concatenate((wins[:1], wins[change]))
+
+
+def _no_clock() -> float:
+    return 0.0
 
 
 class IngestKernel:
@@ -241,8 +323,9 @@ class IngestKernel:
             config is packable (``hash_bits <= 32``, odd base);
             ``"pure"`` forces the pure-Python path; ``"numpy"`` demands
             the vectorised path and raises if it cannot run.
-        scope: optional metrics scope; when set, per-stage latency
-            lands in the ``normalize``/``hash``/``winnow`` histograms.
+        scope: optional metrics scope; when set, each pass records its
+            per-stage time once in the ``normalize``/``hash``/``winnow``
+            histograms, looked up here.
     """
 
     def __init__(
@@ -266,7 +349,14 @@ class IngestKernel:
                 "(numpy missing, hash_bits > 32, or even base)"
             )
         self._use_numpy = numpy_capable and mode != "pure"
-        self._scope = scope
+        if scope is None:
+            self._stages = None
+            self._now = _no_clock
+        else:
+            self._stages = tuple(
+                scope.histogram(stage) for stage in ("normalize", "hash", "winnow")
+            )
+            self._now = scope.registry.clock.now
         self._np_state: Optional[Tuple["_np.ndarray", "_np.ndarray"]] = None
 
     @property
@@ -287,82 +377,114 @@ class IngestKernel:
         except UnicodeEncodeError:
             return None
 
-    def normalize(self, data: bytes):
-        """S1 with per-stage timing; see :func:`normalize_latin1`.
+    def selections_many(self, datas: Sequence[bytes]) -> List[Tuple[int, ...]]:
+        """S1–S4 over Latin-1 buffers, one flat selection tuple each.
 
-        On the numpy path the offset map comes back as an integer
-        ndarray (``flatnonzero`` over the keep mask) instead of a
-        Python list — materialising one Python int per kept byte was
-        the dominant S1 cost once ``translate`` took over the text
-        itself. :meth:`selections_from` gathers from either form.
-        """
-        scope = self._scope
-        if scope is None:
-            return self._normalize(data)
-        with scope.timer("normalize"):
-            return self._normalize(data)
-
-    def _normalize(self, data: bytes):
-        if self._use_numpy:
-            norm = data.translate(_LOWER_TABLE, _DELETE_BYTES)
-            offsets = _np.flatnonzero(
-                _np.frombuffer(data.translate(_KEEP01_TABLE), dtype=_np.uint8)
-            )
-            return norm, offsets
-        return normalize_latin1(data)
-
-    def selections_from(self, norm: bytes, offsets) -> Tuple[int, ...]:
-        """S2–S4 over an already-normalised buffer and its offset map.
-
-        Returns the winnowed selections in normalised-position order as
-        one flat tuple ``(value, orig_start, orig_end, …)``, the
+        Each tuple is ``(value, orig_start, orig_end, …)`` in
+        normalised-position order, the
         :attr:`~repro.fingerprint.fingerprint.Fingerprint.flat_selections`
-        form. Field-identical to the reference pipeline run on the
-        decoded string: same hash values at the same positions, same
-        ``original_span`` offsets (property-tested in
-        ``tests/test_fp_kernel.py``). *offsets* is a list of ints (pure
-        path) or an int ndarray (numpy path) — whatever
-        :meth:`normalize` returned.
+        form, field-identical to the reference pipeline run on that
+        buffer alone (property-tested in ``tests/test_fp_kernel.py``).
+        The numpy path runs one pass over the concatenation of all the
+        buffers; the pure path loops over them. Either way the stage
+        histograms are recorded once per call.
+        """
+        if self._use_numpy:
+            out, spent = self._selections_numpy(datas)
+        else:
+            out, spent = self._selections_pure(datas)
+        stages = self._stages
+        if stages is not None:
+            for histogram, seconds in zip(stages, spent):
+                histogram.observe(seconds)
+        return out
+
+    def _selections_pure(self, datas: Sequence[bytes]):
+        n = self._config.ngram_size
+        w = self._config.window_size
+        last = n - 1
+        hash_all = self._hasher.hash_all_bytes
+        now = self._now
+        spent = [0.0, 0.0, 0.0]
+        out: List[Tuple[int, ...]] = []
+        for data in datas:
+            started = now()
+            norm, offsets = normalize_latin1(data)
+            hashed = now()
+            spent[0] += hashed - started
+            if len(norm) < n:
+                out.append(())
+                continue
+            values = hash_all(norm)
+            winnowing = now()
+            spent[1] += winnowing - hashed
+            positions = skipscan_winnow(values, w)
+            # Interleave by slice assignment: three C-level copies.
+            flat: List[int] = [0] * (3 * len(positions))
+            flat[0::3] = [values[p] for p in positions]
+            flat[1::3] = [offsets[p] for p in positions]
+            flat[2::3] = [offsets[p + last] + 1 for p in positions]
+            out.append(tuple(flat))
+            spent[2] += now() - winnowing
+        return out, spent
+
+    def _selections_numpy(self, datas: Sequence[bytes]):
+        """One S1–S4 pass over the concatenation of *datas*.
+
+        N-grams and windows that cross a buffer boundary are dropped
+        (:func:`_winnow_numpy` winnows each buffer's hash range on its
+        own), and spans are made relative to each buffer's start, so
+        every buffer gets exactly the selections it would get alone.
         """
         n = self._config.ngram_size
-        if len(norm) < n:
-            return ()
         w = self._config.window_size
-        scope = self._scope
-        if self._use_numpy:
-            if scope is None:
-                values = self._hash_numpy(norm)
-                positions = _winnow_numpy(values, w)
-            else:
-                with scope.timer("hash"):
-                    values = self._hash_numpy(norm)
-                with scope.timer("winnow"):
-                    positions = _winnow_numpy(values, w)
-            value_list = values[positions].tolist()
+        now = self._now
+        started = now()
+        single = len(datas) == 1
+        norm, offsets = _normalize_numpy(b"".join(datas))
+        if not single:
+            # Each buffer's end in normalised positions: the number of
+            # kept bytes before its end in the concatenation.
+            byte_starts = [0, *accumulate(map(len, datas))]
+            norm_ends = offsets.searchsorted(byte_starts[1:])
+        hashed = now()
+        if len(norm) < n:
+            return [()] * len(datas), [hashed - started, 0.0, 0.0]
+        values = self._hash_numpy(norm)
+        winnowing = now()
+        if single:
+            positions = _winnow_numpy(values, w)
         else:
-            if scope is None:
-                value_list = self._hasher.hash_all_bytes(norm)
-                positions = skipscan_winnow(value_list, w)
-            else:
-                with scope.timer("hash"):
-                    value_list = self._hasher.hash_all_bytes(norm)
-                with scope.timer("winnow"):
-                    positions = skipscan_winnow(value_list, w)
-            value_list = [value_list[p] for p in positions]
-        last = n - 1
-        if HAS_NUMPY and isinstance(offsets, _np.ndarray):
-            pos = _np.asarray(positions, dtype=_np.int64)
-            starts = offsets[pos].tolist()  # .tolist() → plain ints, so
-            ends = (offsets[pos + last] + 1).tolist()  # spans stay JSON-able
-        else:
-            starts = [offsets[p] for p in positions]
-            ends = [offsets[p + last] + 1 for p in positions]
-        # Interleave by slice assignment: three C-level copies.
-        flat: List[int] = [0] * (3 * len(value_list))
-        flat[0::3] = value_list
+            # Buffer t owns the n-grams that start in it and end in it.
+            bounds = norm_ends.tolist()
+            ranges = [
+                (start, max(start, end - (n - 1)))
+                for start, end in zip([0, *bounds[:-1]], bounds)
+            ]
+            positions = _winnow_numpy(values, w, ranges)
+        starts = offsets[positions]
+        ends = offsets[positions + (n - 1)] + 1
+        if not single:
+            base = _np.array(byte_starts)[
+                norm_ends.searchsorted(positions, side="right")
+            ]
+            starts -= base
+            ends -= base
+        flat = _np.empty(3 * positions.shape[0], dtype=_np.int64)
+        flat[0::3] = values[positions]
         flat[1::3] = starts
         flat[2::3] = ends
-        return tuple(flat)
+        # One tolist: plain ints, so spans stay JSON-able.
+        flat_list = flat.tolist()
+        if single:
+            out = [tuple(flat_list)]
+        else:
+            out = []
+            cut = 0
+            for end in (3 * positions.searchsorted(norm_ends)).tolist():
+                out.append(tuple(flat_list[cut:end]))
+                cut = end
+        return out, [hashed - started, winnowing - hashed, now() - winnowing]
 
     def _numpy_powers(self, length: int) -> Tuple["_np.ndarray", "_np.ndarray"]:
         """Cached ``base**i`` and ``base**-i`` (mod 2**64) up to *length*."""
@@ -389,13 +511,17 @@ class IngestKernel:
         (everything mod 2**64 via uint64 wraparound), the window hash is
         ``(c[i+n-1] - c[i-1]) * base**(i+n-1)``; masking to
         ``hash_bits`` afterwards is exact because 2**hash_bits divides
-        2**64.
+        2**64. Every step after the first two runs in place: a batched
+        pass hashes a whole request's text at once.
         """
         n = self._config.ngram_size
-        d = _np.frombuffer(norm, dtype=_np.uint8).astype(_np.uint64)
-        length = d.shape[0]
+        c = _np.frombuffer(norm, dtype=_np.uint8).astype(_np.uint64)
+        length = c.shape[0]
         fwd, inv = self._numpy_powers(length)
-        c = _np.cumsum(d * inv)
+        c *= inv
+        c.cumsum(out=c)
         windowed = c[n - 1 :].copy()
         windowed[1:] -= c[: length - n]
-        return (windowed * fwd[n - 1 :]) & _np.uint64(self._hasher.mask)
+        windowed *= fwd[n - 1 :]
+        windowed &= _np.uint64(self._hasher.mask)
+        return windowed

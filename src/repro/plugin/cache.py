@@ -42,7 +42,7 @@ import threading
 from collections import OrderedDict
 from hashlib import blake2b
 from struct import pack
-from typing import Callable, Collection, Hashable, Optional, Sequence
+from typing import Callable, Collection, Dict, Hashable, List, Optional, Sequence
 
 from repro.obs.registry import MetricsRegistry, MetricsScope
 
@@ -196,16 +196,43 @@ class FingerprintCache(LRUCache):
     default_prefix = "fingerprint.cache."
 
     def fingerprint(self, fingerprinter, text: str):
-        """Return the (possibly cached) fingerprint of *text*.
+        """Return the (possibly cached) fingerprint of *text*."""
+        return self.fingerprint_many(fingerprinter, (text,))[0]
 
-        Computation happens outside the mutex: two racing misses both
-        compute, and last-put wins — acceptable for an idempotent value,
-        and it keeps fingerprinting off the lock's critical section.
+    def fingerprint_many(self, fingerprinter, texts: Sequence[str]) -> List:
+        """The (possibly cached) fingerprints of *texts*, in order.
+
+        Hits are served under the mutex; every miss is computed in one
+        :meth:`~repro.fingerprint.fingerprint.Fingerprinter.fingerprint_many`
+        pass outside it, so fingerprinting stays off the lock's critical
+        section. Two racing misses both compute, and last put wins —
+        acceptable for an idempotent value. A text repeated within one
+        call is computed once and counted as one miss and then hits, as
+        sequential calls count it.
         """
-        key = text_digest(text)
-        cached = self.get(key)
-        if cached is not None:
-            return cached
-        computed = fingerprinter.fingerprint(text)
-        self.put(key, computed)
-        return computed
+        out: List = []
+        # key -> indices in *out* of a text missing from the cache.
+        pending: Dict[bytes, List[int]] = {}
+        with self._mutex:
+            entries = self._entries
+            for key in map(text_digest, texts):
+                entry = entries.get(key)
+                if entry is not None:
+                    entries.move_to_end(key)
+                elif key in pending:
+                    pending[key].append(len(out))
+                else:
+                    pending[key] = [len(out)]
+                out.append(entry)
+            self._hits.inc(len(out) - len(pending))
+            if pending:
+                self._misses.inc(len(pending))
+        if pending:
+            computed = fingerprinter.fingerprint_many(
+                [texts[indices[0]] for indices in pending.values()]
+            )
+            for (key, indices), fingerprint in zip(pending.items(), computed):
+                self.put(key, fingerprint)
+                for i in indices:
+                    out[i] = fingerprint
+        return out

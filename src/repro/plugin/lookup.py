@@ -29,6 +29,7 @@ look like and where fingerprints come from:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.trace import span
@@ -80,6 +81,7 @@ class PolicyLookup:
         #: fingerprint are not known without joining the text.
         self._c_epoch_global = epoch_scope.counter("doc_global_epochs")
         self._stamps = model.tracker.stamps
+        self._fingerprinter = model.tracker.paragraphs.fingerprinter
 
     @property
     def model(self) -> TextDisclosureModel:
@@ -102,25 +104,30 @@ class PolicyLookup:
 
         *provided* aligns with *paragraphs*; ``None`` slots (and a
         ``None`` list) resolve through the content-addressed fingerprint
-        cache, so only genuinely new text pays the full pipeline.
+        cache, all in one
+        :meth:`~repro.plugin.cache.FingerprintCache.fingerprint_many`
+        call, so only genuinely new text pays the pipeline, in one
+        kernel pass. Fingerprinting reads no model state: callers run
+        this before they take the tracker lock.
         """
-        fingerprinter = self._model.tracker.paragraphs.fingerprinter
         if provided is None:
-            return [
-                self._fp_cache.fingerprint(fingerprinter, text)
-                for _pid, text in paragraphs
-            ]
+            return self._fp_cache.fingerprint_many(
+                self._fingerprinter, [text for _pid, text in paragraphs]
+            )
         if len(provided) != len(paragraphs):
             raise ValueError(
                 f"got {len(provided)} fingerprints for "
                 f"{len(paragraphs)} paragraphs"
             )
-        return [
-            fp
-            if fp is not None
-            else self._fp_cache.fingerprint(fingerprinter, text)
-            for fp, (_pid, text) in zip(provided, paragraphs)
-        ]
+        resolved = list(provided)
+        missing = [i for i, fp in enumerate(provided) if fp is None]
+        if missing:
+            computed = self._fp_cache.fingerprint_many(
+                self._fingerprinter, [paragraphs[i][1] for i in missing]
+            )
+            for i, fp in zip(missing, computed):
+                resolved[i] = fp
+        return resolved
 
     def _key(
         self, service_id: str, doc_id: str, fingerprints: Sequence
@@ -203,14 +210,21 @@ class PolicyLookup:
                 fingerprints=fingerprints,
             )
 
+        resolved = self._resolve_fingerprints(paragraphs, fingerprints)
+        # A one-paragraph document's fingerprint is its paragraph's; only
+        # a longer one has a joined text to fingerprint.
+        doc_fingerprint = None
+        if len(paragraphs) != 1:
+            _fps, doc_fingerprint = self._model.tracker.document_fingerprints(
+                paragraphs, resolved
+            )
         # Validation and recomputation must see the same model state, so
-        # the whole path holds the tracker's read lock: without it a
-        # concurrent observation between the two could store a decision
-        # computed on newer state as checked at an older version.
+        # the rest holds the tracker's read lock: without it a concurrent
+        # observation between the two could store a decision computed on
+        # newer state as checked at an older version.
         with self._model.lock.read_locked(), span(
             "lookup", service=service_id, doc=doc_id
         ) as sp:
-            resolved = self._resolve_fingerprints(paragraphs, fingerprints)
             key = self._key(service_id, doc_id, resolved)
             entry = self._cache.get(
                 key, self._validator(doc_id, paragraphs, resolved)
@@ -222,7 +236,11 @@ class PolicyLookup:
                 return cached
             self._c_epoch_misses.inc()
             decision = self._model.check_upload(
-                service_id, doc_id, paragraphs, fingerprints=resolved
+                service_id,
+                doc_id,
+                paragraphs,
+                fingerprints=resolved,
+                document_fingerprint=doc_fingerprint,
             )
             self._cache.put(key, [decision, self._stamps.version])
             sp.set(cache_hit=False, allowed=decision.allowed)
@@ -255,19 +273,38 @@ class PolicyLookup:
                 f"got {len(fingerprints)} fingerprint lists for "
                 f"{len(items)} items"
             )
+        # Every item's missing paragraph fingerprints in one pass, then
+        # the joined texts of multi-paragraph items, before the lock.
+        flat_paragraphs: List[Tuple[str, str]] = []
+        flat_given: List = []
+        for i, (_doc_id, paragraphs) in enumerate(items):
+            given = fingerprints[i] if fingerprints is not None else None
+            if given is None:
+                given = [None] * len(paragraphs)
+            elif len(given) != len(paragraphs):
+                raise ValueError(
+                    f"got {len(given)} fingerprints for "
+                    f"{len(paragraphs)} paragraphs"
+                )
+            flat_paragraphs += paragraphs
+            flat_given += given
+        flat = iter(self._resolve_fingerprints(flat_paragraphs, flat_given))
+        all_resolved = self._model.tracker.fingerprint_documents(
+            items,
+            [list(islice(flat, len(ps))) for _doc_id, ps in items],
+        )
         with self._model.lock.read_locked(), span(
             "lookup_batch", service=service_id, items=len(items)
         ) as sp:
             decisions: List[Optional[FlowDecision]] = [None] * len(items)
             misses: List[int] = []
             miss_fps: List[List] = []
+            miss_doc_fps: List = []
             keys: List[Tuple] = [()] * len(items)
             hits = 0
-            for i, (doc_id, paragraphs) in enumerate(items):
-                resolved = self._resolve_fingerprints(
-                    paragraphs,
-                    fingerprints[i] if fingerprints is not None else None,
-                )
+            for i, ((doc_id, paragraphs), (resolved, doc_fp)) in enumerate(
+                zip(items, all_resolved)
+            ):
                 key = self._key(service_id, doc_id, resolved)
                 entry = self._cache.get(
                     key, self._validator(doc_id, paragraphs, resolved)
@@ -281,6 +318,7 @@ class PolicyLookup:
                 keys[i] = key
                 misses.append(i)
                 miss_fps.append(resolved)
+                miss_doc_fps.append(doc_fp)
             if misses:
                 # One fused model call for every miss: one label-check
                 # span, one tracker lock, and one batched sweep per
@@ -289,6 +327,7 @@ class PolicyLookup:
                     service_id,
                     [items[i] for i in misses],
                     fingerprints=miss_fps,
+                    document_fingerprints=miss_doc_fps,
                 )
                 version = self._stamps.version
                 for i, decision in zip(misses, computed):

@@ -527,9 +527,12 @@ class BrowserFlowPlugin:
             if not segments:
                 return
             with span("intercept", kind="form", service=service_id):
-                # Fingerprinted once here; the check and the commit share them.
-                fingerprint = self.model.tracker.paragraphs.fingerprinter.fingerprint
-                fingerprints = [fingerprint(text) for _seg_id, text in segments]
+                # Fingerprinted once here, in one pass; the check and the
+                # commit share them.
+                fingerprinter = self.model.tracker.paragraphs.fingerprinter
+                fingerprints = fingerprinter.fingerprint_many(
+                    [text for _seg_id, text in segments]
+                )
                 action, _elapsed = self._decide(
                     service_id, doc_id, segments, fingerprints=fingerprints
                 )

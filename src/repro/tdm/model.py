@@ -219,18 +219,19 @@ class TextDisclosureModel:
         label per paragraph id (the document label is stored under
         ``doc_id``).
 
-        Each paragraph and the document are fingerprinted once, and the
-        same fingerprints serve the check and the store.
+        The paragraphs and the document are fingerprinted in one pass,
+        before the write lock is taken, and the same fingerprints serve
+        the check and the store.
         """
         policy = self.policies.get(service_id)
+        fingerprints, doc_fingerprint = self.tracker.document_fingerprints(
+            paragraphs
+        )
         # The whole check-then-store sequence runs under the write lock:
         # the disclosure lookup must see the databases *without* the copy
         # we are about to store, and no concurrent client may observe the
         # labels before the fingerprints (or vice versa).
         with self.lock.write_locked():
-            fingerprints, doc_fingerprint = self.tracker.document_fingerprints(
-                paragraphs
-            )
             report = self.tracker.check_document(
                 doc_id,
                 paragraphs,
@@ -290,6 +291,7 @@ class TextDisclosureModel:
         *,
         suppressions: Optional[Mapping[str, Sequence[Suppression]]] = None,
         fingerprints: Optional[Sequence[Fingerprint]] = None,
+        document_fingerprint: Optional[Fingerprint] = None,
     ) -> FlowDecision:
         """Decide whether uploading *paragraphs* to *service_id* complies.
 
@@ -299,12 +301,17 @@ class TextDisclosureModel:
         check the effective label against the service's ``Lp``.
 
         ``fingerprints`` optionally carries precomputed per-paragraph
-        fingerprints (aligned with *paragraphs*); the batch lookup path
-        passes the ones it computed for its cache keys so each item is
-        fingerprinted once end to end.
+        fingerprints (aligned with *paragraphs*) and
+        ``document_fingerprint`` the document's; the lookup path passes
+        the ones it computed for its cache keys so each text is
+        fingerprinted once end to end. Anything missing is computed in
+        one pass before the read lock is taken.
         """
         policy = self.policies.get(service_id)
         suppressions = suppressions or {}
+        fingerprints, document_fingerprint = self.tracker.document_fingerprints(
+            paragraphs, fingerprints, document_fingerprint
+        )
         # Read lock: the dual-granularity report and the label resolution
         # below must describe one consistent database state. Suppression
         # audit appends are safe under the shared lock (append-only log).
@@ -312,7 +319,10 @@ class TextDisclosureModel:
             "label_check", service=service_id, doc=doc_id
         ) as sp:
             report = self.tracker.check_document(
-                doc_id, paragraphs, fingerprints=fingerprints
+                doc_id,
+                paragraphs,
+                fingerprints=fingerprints,
+                document_fingerprint=document_fingerprint,
             )
             decision = self._decision_for(
                 policy, service_id, doc_id, paragraphs, report, suppressions
@@ -330,6 +340,7 @@ class TextDisclosureModel:
         docs: Sequence[Tuple[str, Paragraphs]],
         *,
         fingerprints: Optional[Sequence[Sequence[Fingerprint]]] = None,
+        document_fingerprints: Optional[Sequence[Fingerprint]] = None,
     ) -> List[FlowDecision]:
         """Batched :meth:`check_upload`: one decision per document.
 
@@ -342,14 +353,21 @@ class TextDisclosureModel:
         one-shot audited consume that the single path owns.
 
         ``fingerprints`` optionally carries per-document lists of
-        precomputed paragraph fingerprints, aligned with *docs*.
+        precomputed paragraph fingerprints, and ``document_fingerprints``
+        the documents' own, both aligned with *docs*. Anything missing
+        is computed before the read lock is taken.
         """
         policy = self.policies.get(service_id)
+        resolved = self.tracker.fingerprint_documents(
+            docs, fingerprints, document_fingerprints
+        )
         with self.lock.read_locked(), span(
             "label_check", service=service_id, batch=len(docs)
         ) as sp:
             reports = self.tracker.check_documents(
-                docs, fingerprints=fingerprints
+                docs,
+                fingerprints=[fps for fps, _doc_fp in resolved],
+                document_fingerprints=[doc_fp for _fps, doc_fp in resolved],
             )
             decisions = [
                 self._decision_for(
@@ -485,12 +503,13 @@ class TextDisclosureModel:
             raise PolicyError(
                 f"decision is for {decision.service_id!r}, not {service_id!r}"
             )
+        # Resolved (and checked for alignment) before the write lock and
+        # before any label is stored, so a misaligned fingerprint list
+        # cannot half commit.
+        fingerprints, doc_fingerprint = self.tracker.document_fingerprints(
+            paragraphs, fingerprints
+        )
         with self.lock.write_locked():
-            # Resolved (and checked for alignment) before any label is
-            # stored, so a misaligned fingerprint list cannot half commit.
-            fingerprints, doc_fingerprint = self.tracker.document_fingerprints(
-                paragraphs, fingerprints
-            )
             # Once stored, the text is "created within" the target
             # service too, so it additionally carries that service's Lc
             # (§3.1).

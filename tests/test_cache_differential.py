@@ -25,6 +25,7 @@ defect of the key recorded in ROADMAP.md.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -34,6 +35,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.fingerprint import Fingerprinter
 from repro.fingerprint.config import TINY_CONFIG
 from repro.plugin.lookup import PolicyLookup
 from repro.tdm import Label, PolicyStore, TextDisclosureModel
@@ -283,3 +285,78 @@ TestCacheDifferentialOneShard = CacheDifferential.TestCase
 TestCacheDifferentialOneShard.settings = _SETTINGS
 TestCacheDifferentialFourShards = CacheDifferentialFourShards.TestCase
 TestCacheDifferentialFourShards.settings = _SETTINGS
+
+
+# ----------------------------------------------------------------------
+# Source edits: what an edit stamps
+# ----------------------------------------------------------------------
+
+#: Both fingerprint to 53 TINY_CONFIG hashes, and both hold every hash of
+#: ``_SENTENCES[0]`` alone, so an edit from one to the other is a
+#: same-size edit that leaves a lookup of that sentence untouched.
+SAME_SIZE = (
+    f"{_SENTENCES[0]}. {_SENTENCES[1]}",
+    f"{_SENTENCES[0]}. {_SENTENCES[4]}",
+)
+#: The upload whose cached verdict the edits are held against.
+UPLOAD = [_SENTENCES[0]]
+
+
+def _edit_case(n_shards: int, before: str, after: str, threshold: float):
+    """A cached verdict on ``_SENTENCES[0]``, then its source edited from
+    *before* to *after*; returns the machine and the two decisions."""
+    machine = CacheDifferential() if n_shards == 1 else CacheDifferentialFourShards()
+    upload = _paragraphs("up-0", UPLOAD)
+
+    def observe(text):
+        machine._both(
+            lambda m: m.observe(
+                WIKI,
+                "src-0",
+                _paragraphs("src-0", [text]),
+                paragraph_threshold=threshold,
+                document_threshold=threshold,
+            )
+        )
+
+    observe(before)
+    # Build the stripes, as a first revalidation would, so that the entry
+    # cached next is one a revalidation may vouch for.
+    machine.cached.tracker.stamps.unchanged_since(0, (), ())
+    machine._ask(DOCS, "up-0", upload)
+    first = machine.lookup.lookup(DOCS, "up-0", upload)
+    observe(after)
+    hits = machine.lookup.cache.hits
+    machine._ask(DOCS, "up-0", upload)
+    machine.servable_entries_are_current()
+    return machine, first, machine.lookup.cache.hits - hits
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_same_size_edit_keeps_an_untouched_verdict(n_shards):
+    """An edit that keeps the source's size, threshold and document, and
+    none of whose added or withdrawn hashes the lookup holds, changes
+    nothing the verdict read: the entry revalidates and is served."""
+    fingerprint = Fingerprinter(TINY_CONFIG).fingerprint
+    before, after = (fingerprint(text).hashes for text in SAME_SIZE)
+    probe = fingerprint(_SENTENCES[0]).hashes
+    assert len(before) == len(after) and before != after
+    assert probe <= before & after
+    machine, first, served = _edit_case(n_shards, *SAME_SIZE, threshold=0.3)
+    assert not first.allowed  # 23 of 53 hashes: over the 0.3 threshold
+    assert served == 1
+    assert machine.lookup.lookup(DOCS, "up-0", _paragraphs("up-0", UPLOAD)) is first
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_size_changing_edit_rejects_the_verdict(n_shards):
+    """Growing the source keeps every hash the lookup matched but moves
+    the score's denominator (23 of 23 hashes, then 23 of 53): only the
+    whole-fingerprint stamp of a size change rejects the cached block."""
+    grown = f"{_SENTENCES[0]}. {_SENTENCES[1]}"
+    machine, first, served = _edit_case(
+        n_shards, _SENTENCES[0], grown, threshold=0.5
+    )
+    assert not first.allowed
+    assert served == 0
+    assert machine.lookup.lookup(DOCS, "up-0", _paragraphs("up-0", UPLOAD)).allowed

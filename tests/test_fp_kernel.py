@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fingerprint import Fingerprinter, HAS_NUMPY
-from repro.fingerprint.config import FingerprintConfig
+from repro.fingerprint.config import PAPER_CONFIG, TINY_CONFIG, FingerprintConfig
 from repro.fingerprint.kernel import (
     IngestKernel,
     normalize_latin1,
@@ -178,7 +178,7 @@ class TestNumpyKernel:
         if not values:
             return
         arr = np.asarray(values, dtype=np.uint64)
-        assert _winnow_numpy(arr, window) == winnow(values, window)
+        assert _winnow_numpy(arr, window).tolist() == winnow(values, window)
 
     @given(latin1_prose)
     @settings(max_examples=80)
@@ -256,3 +256,105 @@ class TestKernelPlumbing:
         engine.observe("seg-1", "a paragraph that is long enough to fingerprint")
         snapshot = engine.registry.snapshot()
         assert snapshot["engine.paragraph.fingerprint.normalize"]["count"] > 0
+
+
+#: The configs the batched pass is checked under: the paper's, the
+#: tests' tiny one, and a 48-bit one that packs no winnow key (so the
+#: kernel runs its pure path even when numpy is installed).
+BATCH_CONFIGS = [
+    PAPER_CONFIG,
+    TINY_CONFIG,
+    FingerprintConfig(ngram_size=5, window_size=4, hash_bits=48),
+]
+
+
+def _batch_texts(config):
+    """Texts that stress the boundaries between texts of one pass."""
+    n, w = config.ngram_size, config.window_size
+
+    def alnum(length):
+        return st.text(
+            alphabet=string.ascii_lowercase + string.digits + "µß",
+            min_size=length,
+            max_size=length,
+        )
+
+    def spaced(length):
+        # Normalisation drops the spaces: the kept length stays *length*.
+        return alnum(length).map(
+            lambda s: " ".join(s[i : i + 4] for i in range(0, len(s), 4))
+        )
+
+    return st.one_of(
+        st.just(""),
+        st.integers(0, n - 1).flatmap(spaced),  # shorter than one n-gram
+        st.integers(n, n + w - 2).flatmap(spaced),  # fewer than w hashes
+        spaced(n + w - 1),  # exactly w hashes
+        latin1_prose,
+        unicode_prose,  # İ and other wide text: the reference path
+    )
+
+
+@st.composite
+def _batches(draw, config):
+    texts = draw(st.lists(_batch_texts(config), max_size=10))
+    if texts:
+        # Duplicates, anywhere in the batch.
+        for _ in range(draw(st.integers(0, 3))):
+            texts.insert(
+                draw(st.integers(0, len(texts))),
+                texts[draw(st.integers(0, len(texts) - 1))],
+            )
+    return texts
+
+
+def _batch_cases():
+    for config in BATCH_CONFIGS:
+        for mode in ("pure", "numpy"):
+            if mode == "numpy" and (not HAS_NUMPY or config.hash_bits > 32):
+                continue
+            yield pytest.param(
+                config,
+                mode,
+                id=f"{config.ngram_size}-{config.window_size}-{config.hash_bits}-{mode}",
+            )
+
+
+class TestFingerprintMany:
+    """One pass over many texts gives each text its own fingerprint."""
+
+    @pytest.mark.parametrize("config, mode", list(_batch_cases()))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_reference_per_text(self, config, mode, data):
+        texts = data.draw(_batches(config))
+        fingerprinter = Fingerprinter(config, kernel_mode=mode)
+        batch = fingerprinter.fingerprint_many(texts)
+        assert len(batch) == len(texts)
+        for text, got in zip(texts, batch):
+            want = fingerprinter.fingerprint_reference(text)
+            assert got.hashes == want.hashes
+            assert got.flat_selections == want.flat_selections
+            assert got.config == want.config
+            assert got == fingerprinter.fingerprint(text)
+
+    def test_numpy_batch_crosses_no_boundary(self):
+        """Each text is shorter than one n-gram, their join is not: the
+        n-grams that span the boundary are never selected."""
+        if not HAS_NUMPY:
+            pytest.skip("numpy not installed")
+        fingerprinter = Fingerprinter(TINY_CONFIG, kernel_mode="numpy")
+        texts = ["abcde", "fghij", "", "abcdefghij"]
+        first, second, empty, joined = fingerprinter.fingerprint_many(texts)
+        assert first.is_empty() and second.is_empty() and empty.is_empty()
+        assert joined == fingerprinter.fingerprint_reference("abcdefghij")
+
+    def test_one_pass_records_each_stage_once(self):
+        registry = MetricsRegistry()
+        fingerprinter = Fingerprinter(CONFIG, registry=registry)
+        fingerprinter.fingerprint_many(
+            ["a kernel-path text, long enough to hash", "and another one, too"]
+        )
+        snapshot = registry.snapshot()
+        for stage in ("normalize", "hash", "winnow"):
+            assert snapshot[f"fingerprint.{stage}"]["count"] == 1

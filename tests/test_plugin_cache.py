@@ -135,6 +135,52 @@ class TestThreadSafety:
         assert cache.hits + cache.misses == 4 * 250 * 2
         assert cache.misses >= 4 * 250  # every "missing" get missed
 
+    def test_concurrent_batches_fingerprint_outside_every_lock(self):
+        """Threads resolving overlapping batches (more threads than
+        cores, a tiny switch interval) share one cache and one kernel,
+        whose power tables they may grow at once: every fingerprint
+        equals the reference, and hits and misses partition the texts
+        asked for."""
+        import sys
+
+        from repro.fingerprint import Fingerprinter
+        from repro.fingerprint.config import TINY_CONFIG
+        from repro.plugin.cache import FingerprintCache
+
+        fingerprinter = Fingerprinter(TINY_CONFIG)
+        cache = FingerprintCache(capacity=64)
+        texts = [
+            f"shared paragraph {i} " + "with words that repeat " * (i % 7 + 1)
+            for i in range(40)
+        ]
+        want = [fingerprinter.fingerprint_reference(t) for t in texts]
+        barrier = threading.Barrier(6, timeout=5)
+        failures = []
+
+        def worker(tid):
+            barrier.wait()
+            for round_ in range(30):
+                picks = [(tid * 7 + round_ * 3 + j) % len(texts) for j in range(8)]
+                got = cache.fingerprint_many(
+                    fingerprinter, [texts[i] for i in picks]
+                )
+                if got != [want[i] for i in picks]:
+                    failures.append((tid, round_))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert cache.hits + cache.misses == 6 * 30 * 8
+
 
 class TestDigests:
     def test_text_digest_stable_and_distinct(self):
@@ -213,6 +259,40 @@ class TestFingerprintCache:
         ]
         assert fp_a.hashes == fp_b.hashes
         assert spans(fp_a) != spans(fp_b)
+
+    def test_batch_computes_each_missing_text_once_in_one_pass(self):
+        """A text repeated within one call is computed once and counted
+        as one miss and then hits, as sequential calls count it."""
+        from repro.plugin.cache import FingerprintCache
+
+        fingerprinter = self._fingerprinter()
+        passes = []
+        many = fingerprinter.fingerprint_many
+
+        def counting(texts):
+            passes.append(list(texts))
+            return many(texts)
+
+        fingerprinter.fingerprint_many = counting
+        a, b, c = (
+            "alpha bravo charlie delta",
+            "echo foxtrot golf hotel",
+            "india juliet kilo",
+        )
+        batched = FingerprintCache()
+        batched.fingerprint(fingerprinter, c)
+        passes.clear()
+        got = batched.fingerprint_many(fingerprinter, [a, c, b, a, a, c])
+        assert passes == [[a, b]]
+        assert got[0] is got[3] is got[4] and got[1] is got[5]
+        for text, fp in zip([a, c, b, a, a, c], got):
+            assert fp == fingerprinter.fingerprint_reference(text)
+        sequential = FingerprintCache()
+        sequential.fingerprint(fingerprinter, c)
+        for text in [a, c, b, a, a, c]:
+            sequential.fingerprint(fingerprinter, text)
+        assert (batched.hits, batched.misses) == (4, 3)
+        assert (sequential.hits, sequential.misses) == (4, 3)
 
     def test_capacity_eviction_recomputes(self):
         from repro.plugin.cache import FingerprintCache

@@ -19,10 +19,11 @@ plug-ins on two stacks:
 
 Both must end in identical state: every decision, every stored
 ``SegmentRecord``, every hash's owners with their first-seen times,
-owner epochs and ``ownership_changes``, the stamp store (its version,
-build floor, hash stripes and label stamps) and labels. Both stacks journal every
-engine mutation and suppression to a WAL, and the WAL files must be
-byte-identical.
+owner epochs and ``ownership_changes``, the stamp store's version,
+build floor and label stamps, and labels. The shipped hash stripes may
+be older than the reference's, which re-stamps every hash it
+re-records, but never newer. Both stacks journal every engine mutation
+and suppression to a WAL, and the WAL files must be byte-identical.
 """
 
 from __future__ import annotations
@@ -54,13 +55,18 @@ SHARDS = [1, 4]
 
 def _full_rerecord_apply(engine, segment_id, new_hashes, old_hashes, now):
     """The apply before delta-only apply: record every hash."""
-    recorded = engine.hash_db.record_fingerprint(segment_id, new_hashes, now)
-    withdrawn = engine.hash_db.withdraw(segment_id, old_hashes - new_hashes)
-    return recorded or withdrawn
+    engine.hash_db.record_fingerprint(segment_id, new_hashes, now)
+    engine.hash_db.withdraw(segment_id, old_hashes - new_hashes)
 
 
 def _ignoring_fingerprints(method):
-    def call(*args, fingerprints=None, document_fingerprint=None, **kwargs):
+    def call(
+        *args,
+        fingerprints=None,
+        document_fingerprint=None,
+        document_fingerprints=None,
+        **kwargs,
+    ):
         return method(*args, **kwargs)
 
     return call
@@ -114,8 +120,27 @@ def engine_state(engine) -> dict:
     }
 
 
-def stamp_state(stamps) -> tuple:
-    return stamps.version, stamps._floor, stamps._stripes, stamps._segments
+def assert_stamps_cover(shipped, reference) -> None:
+    """The stamp stores agree, except that the shipped stripes may be
+    older than the reference's, never newer.
+
+    The reference re-records, and so re-stamps, every hash of an edited
+    segment; the shipped path stamps the hashes an edit added and
+    withdrew, and the whole fingerprint only when its size, threshold
+    or document changed (DESIGN.md §13), which is all a verdict reads.
+    Version, build floor and label stamps are identical.
+    """
+    assert (shipped.version, shipped._floor, shipped._segments) == (
+        reference.version,
+        reference._floor,
+        reference._segments,
+    )
+    assert (shipped._stripes is None) == (reference._stripes is None)
+    if shipped._stripes is not None:
+        assert all(
+            ours <= theirs
+            for ours, theirs in zip(shipped._stripes, reference._stripes)
+        )
 
 
 def assert_same_state(shipped, reference) -> None:
@@ -133,9 +158,7 @@ def assert_same_state(shipped, reference) -> None:
             assert mine.fingerprint.selections == selections, segment_id
             assert mine == record, segment_id
         assert got == want, kind
-    assert stamp_state(shipped.tracker.stamps) == stamp_state(
-        reference.tracker.stamps
-    )
+    assert_stamps_cover(shipped.tracker.stamps, reference.tracker.stamps)
     assert model_to_dict(shipped) == model_to_dict(reference)
 
 
