@@ -41,7 +41,7 @@ def test_algorithm1_query(benchmark, report):
     # Equivalence with the pre-index reference scan is the tier-1
     # differential suites' job (tests/reference_engine.py).
     stats = engine.stats()
-    for key in ("candidates_swept", "auth_cache_hits", "ownership_changes"):
+    for key in ("candidates_swept", "ownership_changes"):
         benchmark.extra_info[key] = stats[key]
     delta = diff_snapshots(before, engine.registry.snapshot())
     report(

@@ -18,10 +18,7 @@ it exclusively; the databases take no lock of their own. A tracker
 shares *one* lock between its paragraph and document engines so a
 dual-granularity check observes both databases at a single consistent
 point; the lock is reentrant, so compound tracker operations nest
-engine acquisitions safely. The authoritative-set cache is read *and*
-revalidated while the lock is held, which is what makes a
-concurrently-updated owner epoch unable to slip between validation and
-use.
+engine acquisitions safely.
 """
 
 from __future__ import annotations
@@ -30,7 +27,11 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.disclosure.metrics import meets_threshold, raw_disclosure
+from repro.disclosure.metrics import (
+    authoritative_disclosure,
+    meets_threshold,
+    raw_disclosure,
+)
 from repro.disclosure.sharding import ShardedHashDatabase, StampStore
 from repro.disclosure.store import (
     DEFAULT_THRESHOLD,
@@ -93,8 +94,8 @@ class DisclosureEngine:
         authoritative: apply the §4.3 overlap correction. Disable only
             for the ablation that measures its effect.
         kind: label recorded on segments ("paragraph" or "document").
-        lock: reader–writer lock guarding the databases and caches; a
-            private one is created when omitted. A tracker passes one
+        lock: reader–writer lock guarding the databases; a private
+            one is created when omitted. A tracker passes one
             shared lock to both of its engines.
         registry: metrics registry for the engine's counters, derived
             gauges, and per-stage latency histograms. A private one is
@@ -140,12 +141,11 @@ class DisclosureEngine:
         self._fingerprinter = Fingerprinter(
             config, scope=self.registry.scope(f"engine.{kind}.fingerprint.")
         )
-        #: Guards hash_db, segment_db, and the authoritative-set cache.
-        #: Queries take the read side; observe/remove take the write
-        #: side. The databases themselves are unsynchronised on purpose
-        #: — the hot query sweep probes the hash table once per target
-        #: hash, and per-call locking there would cost more than the
-        #: query.
+        #: Guards hash_db and segment_db. Queries take the read side;
+        #: observe/remove take the write side. The databases themselves
+        #: are unsynchronised on purpose — the hot query sweep probes
+        #: the hash table once per target hash, and per-call locking
+        #: there would cost more than the query.
         self.lock = lock or RWLock(scope=self.registry.scope("lock."))
         self.hash_db = ShardedHashDatabase(
             n_shards,
@@ -164,11 +164,6 @@ class DisclosureEngine:
         # apply) so a WAL replay reconstructs this engine exactly. None
         # keeps the non-durable hot path at a single attribute test.
         self._journal = None
-        # segment → (owner epoch, frozen authoritative set). Valid while
-        # the hash database's owned set for the segment is unchanged:
-        # any ownership migration bumps the epoch, and fingerprint edits
-        # that could alter the set always move ownership too.
-        self._auth_cache: Dict[str, Tuple[int, FrozenSet[int]]] = {}
         # Query-path counters (incremented under the read lock, so
         # monotonic but approximate under contention, as before) plus
         # derived gauges over database state. Legacy ``stats()`` reads
@@ -176,8 +171,6 @@ class DisclosureEngine:
         scope = self.metrics
         self._c_queries = scope.counter("queries")
         self._c_candidates_swept = scope.counter("candidates_swept")
-        self._c_auth_cache_hits = scope.counter("auth_cache_hits")
-        self._c_auth_cache_misses = scope.counter("auth_cache_misses")
         scope.gauge("segments", fn=lambda: len(self.segment_db))
         scope.gauge("distinct_hashes", fn=lambda: len(self.hash_db))
         scope.gauge(
@@ -332,10 +325,11 @@ class DisclosureEngine:
         the hashes it was handed when an association changed.
 
         Only the delta is applied. That is exact because the engine
-        keeps ``hash_db.hashes_of(s) == segment_db[s].fingerprint.hashes``
-        for every segment ``s``, and ``HashDatabase.record`` is a no-op
-        for a (hash, segment) pair already present: re-recording the
-        unchanged hashes would change nothing.
+        keeps the hashes each segment ``s`` observes in ``hash_db`` equal
+        to ``segment_db[s].fingerprint.hashes``, and
+        ``HashDatabase.record`` is a no-op for a (hash, segment) pair
+        already present: re-recording the unchanged hashes would change
+        nothing.
         """
         hash_db = self.hash_db
         # A new segment's delta is its whole fingerprint; skipping the
@@ -348,11 +342,14 @@ class DisclosureEngine:
             hash_db.withdraw(segment_id, removed)
 
     def remove(self, segment_id: str) -> None:
-        """Forget a segment entirely, releasing its hash ownership."""
+        """Forget a segment entirely, releasing its hash ownership.
+
+        The segment observes exactly its stored fingerprint's hashes, so
+        withdrawing those releases every claim it holds.
+        """
         with self.lock.write_locked():
-            self.segment_db.remove(segment_id)
-            self.hash_db.discard_segment(segment_id)
-            self._auth_cache.pop(segment_id, None)
+            record = self.segment_db.remove(segment_id)
+            self.hash_db.withdraw(segment_id, record.fingerprint.hashes)
             if self._journal is not None:
                 self._journal.log_remove(self._kind, segment_id)
 
@@ -382,48 +379,13 @@ class DisclosureEngine:
     # ------------------------------------------------------------------
 
     def disclosure_between(self, source_id: str, target_id: str) -> float:
-        """D(source, target) for two tracked segments."""
+        """D(source, target) for two tracked segments (§4.2–§4.3)."""
         with self.lock.read_locked():
             source = self.segment_db.get(source_id)
-            target = self.segment_db.get(target_id)
-            return self._score(source, target.fingerprint)
-
-    def _score(self, source: SegmentRecord, target: Fingerprint) -> float:
-        if self._authoritative:
-            total = len(source.fingerprint)
-            if total == 0:
-                return 0.0
-            auth = self.authoritative_set(source)
-            return len(auth & target.hashes) / total
-        return raw_disclosure(source.fingerprint, target)
-
-    def authoritative_set(self, source: SegmentRecord) -> FrozenSet[int]:
-        """The §4.3 authoritative hash set of *source*, cached.
-
-        Served from a per-segment cache keyed on the hash database's
-        ownership epoch, so repeated queries cost O(1) instead of
-        rescanning the segment's fingerprint. The owned-hashes index is
-        intersected with the current fingerprint on a miss, which keeps
-        the result correct even if the databases were populated outside
-        this engine (e.g. hand-built in tests).
-
-        Epoch read, validation, and (on a miss) recomputation all happen
-        under the read lock, so a concurrent ownership migration — which
-        needs the write lock — cannot invalidate the entry mid-use.
-        """
-        segment_id = source.segment_id
-        with self.lock.read_locked():
-            epoch = self.hash_db.owner_epoch(segment_id)
-            cached = self._auth_cache.get(segment_id)
-            if cached is not None and cached[0] == epoch:
-                self._c_auth_cache_hits.inc()
-                return cached[1]
-            self._c_auth_cache_misses.inc()
-            auth = frozenset(
-                self.hash_db.owned_hashes(segment_id) & source.fingerprint.hashes
-            )
-            self._auth_cache[segment_id] = (epoch, auth)
-            return auth
+            target = self.segment_db.get(target_id).fingerprint
+            if self._authoritative:
+                return authoritative_disclosure(source, target, self.hash_db)
+            return raw_disclosure(source.fingerprint, target)
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -586,9 +548,9 @@ class DisclosureEngine:
 
         ``segments``/``distinct_hashes``/``shards`` describe database
         state; the rest are monotonic counters: queries answered,
-        candidates accumulated by the index sweep, authoritative-set
-        cache hits/misses, and ownership transitions (each of which
-        invalidates one segment's cached authoritative set).
+        candidates accumulated by the index sweep, and ownership
+        transitions since the engine was built (a restored engine counts
+        from zero).
 
         Concurrency note (DESIGN.md §8): write-path values
         (``ownership_changes``, the db sizes) are exact — they only move
@@ -610,8 +572,6 @@ class DisclosureEngine:
             "distinct_hashes": len(self.hash_db),
             "queries": self._c_queries.value,
             "candidates_swept": self._c_candidates_swept.value,
-            "auth_cache_hits": self._c_auth_cache_hits.value,
-            "auth_cache_misses": self._c_auth_cache_misses.value,
             "ownership_changes": self.hash_db.ownership_changes,
             "shards": self.hash_db.n_shards,
         }

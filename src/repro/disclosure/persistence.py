@@ -12,7 +12,7 @@ survives a restart), optional encryption with the deployment's
 :class:`~repro.plugin.crypto.UploadCipher`, and an expiry sweep that
 drops segments not updated since a cutoff.
 
-Format version 2 stores one self-contained entry per segment and
+Format version 3 stores one self-contained entry per segment and
 nothing per hash: restore derives the hash database from each
 segment's first-seen groups in one bulk load (see
 :func:`snapshot_engine`, :func:`restore_into`; DESIGN.md §14).
@@ -60,8 +60,8 @@ def _max_timestamp(data: dict) -> float:
 
 
 #: Snapshot format version; bump on incompatible changes. Other
-#: versions, version 1 included, are refused rather than converted.
-SNAPSHOT_VERSION = 2
+#: versions, 1 and 2 included, are refused rather than converted.
+SNAPSHOT_VERSION = 3
 
 
 def _check_version(data: dict, where: str = "") -> None:
@@ -118,14 +118,10 @@ def snapshot_engine(
                 "last_updated": record.last_updated,
                 "selections": list(record.fingerprint.flat_selections),
                 "first_seen": _first_seen_groups(
-                    first_seen_of(record.segment_id)
+                    first_seen_of(record.segment_id, record.fingerprint.hashes)
                 ),
             }
         )
-    # Owner epochs are history-dependent (a claim/release counter), so
-    # the bulk load at restore cannot reproduce them; persist the
-    # counters themselves. Restore requires both fields.
-    epochs, changes = engine.hash_db.ownership_meta()
     data = {
         "version": SNAPSHOT_VERSION,
         "config": {
@@ -136,8 +132,6 @@ def snapshot_engine(
         "authoritative": engine._authoritative,
         "kind": engine._kind,
         "segments": segments,
-        "owner_epochs": {k: v for k, v in epochs.items() if v},
-        "ownership_changes": changes,
     }
     if wal_lsn is not None:
         data["wal_lsn"] = wal_lsn
@@ -194,13 +188,11 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
     The hash database is built in one pass: every segment's first-seen
     groups, sorted by ``(first_seen, segment_id)``, go to one bulk load,
     where the first group to name a hash owns it — the same owner a
-    ``record()`` per observation would pick. Then the persisted owner
-    epochs and ``ownership_changes`` are restored. Since the hash
-    database is derived rather than stored, each segment is checked
-    first, and :class:`~repro.errors.SnapshotCorrupt` names the segment
-    when its flat selections are not whole triples, a hash appears in
-    its groups twice, or its group hashes differ from its selection
-    values; a snapshot without the epoch fields is refused too. The
+    ``record()`` per observation would pick. Since the hash database is
+    derived rather than stored, each segment is checked first, and
+    :class:`~repro.errors.SnapshotCorrupt` names the segment when its
+    flat selections are not whole triples, a hash appears in its groups
+    twice, or its group hashes differ from its selection values. The
     format version is the caller's to check (:func:`read_snapshot`,
     :func:`restore_engine`).
     """
@@ -262,10 +254,6 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
             )
         groups.sort(key=lambda group: (group[0], group[1]))
         engine.hash_db.bulk_load(groups)
-        engine.hash_db.restore_ownership_meta(
-            {str(k): int(v) for k, v in data["owner_epochs"].items()},
-            int(data["ownership_changes"]),
-        )
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotCorrupt(
             f"snapshot is malformed ({type(exc).__name__}: {exc})"

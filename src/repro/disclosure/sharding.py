@@ -50,7 +50,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -504,10 +503,12 @@ class ShardedHashDatabase:
             hash_value, segment_id
         )
 
-    def first_seen_of(self, segment_id: str) -> Dict[int, float]:
+    def first_seen_of(
+        self, segment_id: str, hashes: Collection[int]
+    ) -> Dict[int, float]:
         out: Dict[int, float] = {}
-        for shard in self.shards:
-            out.update(shard.first_seen_of(segment_id))
+        for index, group in self.partition(hashes):
+            out.update(self.shards[index].first_seen_of(segment_id, group))
         return out
 
     def bulk_load(
@@ -542,63 +543,15 @@ class ShardedHashDatabase:
             self.stamps.stamp((hash_value,))
         return changed
 
-    def discard_segment(self, segment_id: str) -> int:
-        """Remove the segment's observations from every shard; stamps
-        the hashes it observed."""
-        hashes = self.hashes_of(segment_id)
-        removed = 0
-        for shard in self.shards:
-            removed += shard.discard_segment(segment_id)
-        if removed:
-            self.stamps.stamp(hashes)
-        return removed
-
     def hashes(self) -> List[int]:
         out: List[int] = []
         for shard in self.shards:
             out.extend(shard.hashes())
         return out
 
-    def hashes_of(self, segment_id: str) -> Set[int]:
-        out: Set[int] = set()
-        for shard in self.shards:
-            out |= shard.hashes_of(segment_id)
-        return out
-
-    def owned_hashes(self, segment_id: str) -> Set[int]:
-        out: Set[int] = set()
-        for shard in self.shards:
-            out |= shard.owned_hashes(segment_id)
-        return out
-
-    def owner_epoch(self, segment_id: str) -> int:
-        """Sum of per-shard epochs — bumps whenever any shard's does."""
-        return sum(shard.owner_epoch(segment_id) for shard in self.shards)
-
     @property
     def ownership_changes(self) -> int:
         return sum(shard.ownership_changes for shard in self.shards)
-
-    def ownership_meta(self) -> Tuple[Dict[str, int], int]:
-        """Merged epoch state across shards: (per-segment epochs, changes)."""
-        merged: Dict[str, int] = {}
-        changes = 0
-        for shard in self.shards:
-            epochs, shard_changes = shard.ownership_meta()
-            for segment_id, epoch in epochs.items():
-                merged[segment_id] = merged.get(segment_id, 0) + epoch
-            changes += shard_changes
-        return merged, changes
-
-    def restore_ownership_meta(self, epochs: Dict[str, int], changes: int) -> None:
-        """Overwrite epoch counters with snapshot values (recovery only).
-
-        The snapshot stores the *summed* view, so park it all on shard 0:
-        the summing accessors then report exactly the persisted values.
-        """
-        for shard in self.shards[1:]:
-            shard.restore_ownership_meta({}, 0)
-        self.shards[0].restore_ownership_meta(epochs, changes)
 
     def shard_sizes(self) -> List[int]:
         """Distinct-hash count per shard (balance reporting)."""

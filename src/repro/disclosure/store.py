@@ -19,12 +19,14 @@ holds for this implementation too:
   O(observers-of-hash) on ``remove_observation`` — never by scanning
   the whole table — and is the whole record of a hash with one
   observer;
-* ``segment → observed hashes`` lets ``discard_segment`` release a
-  segment's claims in O(|F(segment)|) instead of O(all hashes);
-* ``segment → authoritatively owned hashes`` makes the §4.3
-  authoritative set an O(1) lookup for the engine's single-sweep query;
 * ``doc → segment ids`` makes :meth:`SegmentDatabase.in_document`
   independent of the number of tracked segments.
+
+Nothing is indexed per segment in ``DBhash``: a segment observes
+exactly its stored fingerprint's hashes (the engine's cross-database
+invariant), so the fingerprint in ``DBpar`` names the hashes to
+withdraw or snapshot, and a segment's authoritative hashes are the
+ones whose owner entry names it (§4.3).
 
 Concurrency contract (DESIGN.md §8): the databases are *externally
 synchronised* by the owning engine's reader–writer lock. They carry no
@@ -82,7 +84,7 @@ class HashDatabase:
     across edits — but the engine withdraws a segment's claim on hashes
     an edit removed from its fingerprint, so authority migrates to the
     next-earliest observer that still holds the text (the Figure 6
-    behaviour). Removing a segment entirely releases all its claims.
+    behaviour). Removing a segment withdraws all its claims.
 
     Nearly every hash has one observer, so that observer's owner entry
     ``(first_seen, segment_id)`` is the hash's whole record; an observer
@@ -90,12 +92,10 @@ class HashDatabase:
     collapses back into the owner entry when one observer remains
     (DESIGN.md §7).
 
-    Ownership is indexed: :meth:`oldest_owner` is an O(1) dictionary
-    lookup against the owner entries maintained on every mutation, and
-    :meth:`owned_hashes` returns a segment's authoritative set without
-    touching any observer map. :attr:`ownership_changes` counts owner
-    transitions (a hash gaining its first owner, changing owner, or
-    losing its last one) for the engine's cache-invalidation stats.
+    :meth:`oldest_owner` is an O(1) dictionary lookup against the owner
+    entries maintained on every mutation. :attr:`ownership_changes`
+    counts owner transitions (a hash gaining its first owner, changing
+    owner, or losing its last one) since the database was created.
     """
 
     def __init__(self) -> None:
@@ -105,13 +105,6 @@ class HashDatabase:
         self._oldest: Dict[int, Tuple[float, str]] = {}
         # hash → {segment → first_seen}, only while 2+ segments observe it.
         self._shared: Dict[int, Dict[str, float]] = {}
-        # segment → hashes it currently observes (reverse index).
-        self._by_segment: Dict[str, Set[int]] = {}
-        # segment → hashes it authoritatively owns (oldest observer).
-        self._owned: Dict[str, Set[int]] = {}
-        # segment → bumped whenever its owned set changes; lets the
-        # engine cache frozen authoritative sets safely.
-        self._owner_epoch: Dict[str, int] = {}
         #: Total number of ownership transitions since creation.
         self.ownership_changes = 0
 
@@ -121,23 +114,6 @@ class HashDatabase:
 
     def __contains__(self, hash_value: int) -> bool:
         return hash_value in self._oldest
-
-    # ------------------------------------------------------------------
-    # Ownership index maintenance
-    # ------------------------------------------------------------------
-
-    def _claim(self, segment_id: str, hash_value: int) -> None:
-        self._owned.setdefault(segment_id, set()).add(hash_value)
-        self._owner_epoch[segment_id] = self._owner_epoch.get(segment_id, 0) + 1
-        self.ownership_changes += 1
-
-    def _release(self, segment_id: str, hash_value: int) -> None:
-        owned = self._owned.get(segment_id)
-        if owned is not None:
-            owned.discard(hash_value)
-            if not owned:
-                del self._owned[segment_id]
-        self._owner_epoch[segment_id] = self._owner_epoch.get(segment_id, 0) + 1
 
     def record(self, hash_value: int, segment_id: str, timestamp: float) -> bool:
         """Record that *segment_id* contains *hash_value*.
@@ -149,8 +125,7 @@ class HashDatabase:
         current = self._oldest.get(hash_value)
         if current is None:
             self._oldest[hash_value] = (timestamp, segment_id)
-            self._by_segment.setdefault(segment_id, set()).add(hash_value)
-            self._claim(segment_id, hash_value)
+            self.ownership_changes += 1
             return True
         seen_by = self._shared.get(hash_value)
         if seen_by is None:
@@ -164,12 +139,10 @@ class HashDatabase:
             return False
         else:
             seen_by[segment_id] = timestamp
-        self._by_segment.setdefault(segment_id, set()).add(hash_value)
         claim = (timestamp, segment_id)
         if claim < current:
             self._oldest[hash_value] = claim
-            self._release(current[1], hash_value)
-            self._claim(segment_id, hash_value)
+            self.ownership_changes += 1
         return True
 
     def oldest_owner(self, hash_value: int) -> Optional[str]:
@@ -177,7 +150,7 @@ class HashDatabase:
 
         Ties on timestamp break towards the lexicographically smallest
         segment id so the result is deterministic under logical clocks.
-        O(1): served from the maintained ownership index.
+        O(1): served from the owner entries.
         """
         entry = self._oldest.get(hash_value)
         return entry[1] if entry is not None else None
@@ -244,14 +217,23 @@ class HashDatabase:
             return entry[0]
         return None
 
-    def first_seen_of(self, segment_id: str) -> Dict[int, float]:
-        """Every hash *segment_id* observes → its first-seen time (O(|F|))."""
+    def first_seen_of(
+        self, segment_id: str, hashes: Iterable[int]
+    ) -> Dict[int, float]:
+        """Each of *hashes* that *segment_id* observes → its first-seen
+        time, in O(|hashes|); hashes it does not observe are left out."""
         oldest = self._oldest
         shared = self._shared
         out: Dict[int, float] = {}
-        for h in self._by_segment.get(segment_id, ()):
+        for h in hashes:
             seen_by = shared.get(h)
-            out[h] = oldest[h][0] if seen_by is None else seen_by[segment_id]
+            if seen_by is not None:
+                if segment_id in seen_by:
+                    out[h] = seen_by[segment_id]
+                continue
+            entry = oldest.get(h)
+            if entry is not None and entry[1] == segment_id:
+                out[h] = entry[0]
         return out
 
     def bulk_load(
@@ -263,79 +245,43 @@ class HashDatabase:
         sorted by ``(first_seen, segment_id)``, naming each (hash,
         segment) pair at most once. The first group to name a hash owns
         it: the oldest claim, which :meth:`record`'s tie-break also
-        keeps, so the indexes equal a ``record()`` replay's without any
-        claim being released and re-won. A group's hashes share one
-        owner-entry tuple. Epochs stay zero for
-        :meth:`restore_ownership_meta` to overwrite.
+        keeps, so the owner entries equal a ``record()`` replay's
+        without any claim being released and re-won. A group's hashes
+        share one owner-entry tuple. :attr:`ownership_changes` is not
+        advanced: a loaded database counts from zero.
         """
         if self._oldest:
             raise DisclosureError("bulk_load needs an empty hash database")
-        claim_first = self._oldest.setdefault
+        oldest = self._oldest
+        claim_first = oldest.setdefault
         shared = self._shared
         for first_seen, segment_id, hashes in groups:
-            if not hashes:
-                continue
             claim = (first_seen, segment_id)
-            owned = [h for h in hashes if claim_first(h, claim) is claim]
-            if len(owned) < len(hashes):
-                taken = set(hashes).difference(owned)
-                for h in taken:
-                    seen_by = shared.get(h)
-                    if seen_by is None:
-                        owner_seen, owner = self._oldest[h]
-                        shared[h] = {owner: owner_seen, segment_id: first_seen}
-                    else:
-                        seen_by[segment_id] = first_seen
-            if owned:
-                self._owned.setdefault(segment_id, set()).update(owned)
-            self._by_segment.setdefault(segment_id, set()).update(hashes)
+            taken = [h for h in hashes if claim_first(h, claim) is not claim]
+            for h in taken:
+                seen_by = shared.get(h)
+                if seen_by is None:
+                    owner_seen, owner = oldest[h]
+                    shared[h] = {owner: owner_seen, segment_id: first_seen}
+                else:
+                    seen_by[segment_id] = first_seen
 
     def hashes(self) -> List[int]:
         """All distinct hash values currently observed."""
         return list(self._oldest)
 
-    def hashes_of(self, segment_id: str) -> Set[int]:
-        """The hashes *segment_id* currently observes (index lookup)."""
-        return set(self._by_segment.get(segment_id, ()))
+    def remove_observation(self, hash_value: int, segment_id: str) -> bool:
+        """Release one (hash, segment) association.
 
-    def owned_hashes(self, segment_id: str) -> Set[int]:
-        """Hashes whose authoritative owner is *segment_id* (O(result))."""
-        return set(self._owned.get(segment_id, ()))
-
-    def owner_epoch(self, segment_id: str) -> int:
-        """Version of *segment_id*'s owned set; bumps on every change."""
-        return self._owner_epoch.get(segment_id, 0)
-
-    def ownership_meta(self) -> Tuple[Dict[str, int], int]:
-        """Exportable epoch state: (per-segment epochs, total changes).
-
-        Persisted in snapshots so a recovered engine's cache-versioning
-        counters are field-identical to the pre-crash engine's — a
-        memoized verdict keyed on an epoch must not collide with a
-        different post-recovery state that reuses the same number.
-        """
-        return dict(self._owner_epoch), self.ownership_changes
-
-    def restore_ownership_meta(
-        self, epochs: Dict[str, int], changes: int
-    ) -> None:
-        """Overwrite epoch counters with snapshot values (recovery only).
-
-        Runs after :meth:`bulk_load` rebuilt the indexes: epochs count a
-        live engine's claim history, which the load does not replay, so
-        the persisted counts make recovered and pre-crash engines agree
-        exactly.
-        """
-        self._owner_epoch = dict(epochs)
-        self.ownership_changes = changes
-
-    def _drop(self, hash_value: int, segment_id: str) -> bool:
-        """Drop one observation from the observer maps and the owner
-        index (not from ``_by_segment``); False if it was not there.
-
-        A shared hash left with one observer collapses back into that
-        observer's owner entry; an unshared hash losing its observer
-        leaves the table.
+        Called when an edit removes a hash from a segment's current
+        fingerprint, or the segment is removed: the segment's claim is
+        withdrawn, so authority over the hash falls to the next-earliest
+        observer that still contains it — the behaviour behind the
+        paper's Figure 6 (the Wiki becomes the authoritative source once
+        the Interview Tool text changes). A shared hash left with one
+        observer collapses back into that observer's owner entry; an
+        unshared hash losing its observer leaves the table. Returns True
+        when an association was actually removed.
         """
         current = self._oldest.get(hash_value)
         if current is None:
@@ -346,7 +292,6 @@ class HashDatabase:
                 return False
             # The sole observer, hence the owner.
             del self._oldest[hash_value]
-            self._release(segment_id, hash_value)
             self.ownership_changes += 1
             return True
         if segment_id not in seen_by:
@@ -359,52 +304,18 @@ class HashDatabase:
         if current[1] == segment_id:
             ts, seg = min((ts, seg) for seg, ts in seen_by.items())
             self._oldest[hash_value] = (ts, seg)
-            self._release(segment_id, hash_value)
-            self._claim(seg, hash_value)
+            self.ownership_changes += 1
         return True
-
-    def remove_observation(self, hash_value: int, segment_id: str) -> bool:
-        """Release one (hash, segment) association.
-
-        Called when an edit removes a hash from a segment's current
-        fingerprint: the segment's claim is withdrawn, so authority over
-        the hash falls to the next-earliest observer that still contains
-        it — the behaviour behind the paper's Figure 6 (the Wiki becomes
-        the authoritative source once the Interview Tool text changes).
-        Returns True when an association was actually removed.
-        """
-        if not self._drop(hash_value, segment_id):
-            return False
-        observed = self._by_segment.get(segment_id)
-        if observed is not None:
-            observed.discard(hash_value)
-            if not observed:
-                del self._by_segment[segment_id]
-        return True
-
-    def discard_segment(self, segment_id: str) -> int:
-        """Remove every observation by *segment_id*; returns count removed.
-
-        Hashes left with no observers are dropped from the table. Runs
-        in O(|F(segment)|) via the segment → hashes reverse index, not
-        O(all hashes).
-        """
-        hashes = self._by_segment.pop(segment_id, None)
-        if not hashes:
-            return 0
-        drop = self._drop
-        for hash_value in hashes:
-            drop(hash_value, segment_id)
-        return len(hashes)
 
     def check_invariants(self) -> None:
-        """Assert the indexes agree with the observation records.
+        """Assert the owner entries agree with the observer maps.
 
-        Test-only sanity pass (O(table)): every differential test calls
-        this so a silently-corrupt index cannot masquerade as a passing
-        equivalence check. A shared hash's owner entry must be the
-        minimum of its observer map, which must hold two or more
-        observers; every other hash's owner entry is its only observer.
+        Test-only sanity pass (O(shared hashes)): every differential
+        test calls this so a silently-corrupt owner entry cannot
+        masquerade as a passing equivalence check. A shared hash's owner
+        entry must be the minimum of its observer map, which must hold
+        two or more observers; every other hash's owner entry is its
+        only observer.
         """
         oldest = self._oldest
         for hash_value, seen_by in self._shared.items():
@@ -415,15 +326,6 @@ class HashDatabase:
             expected = min(seen_by.items(), key=lambda kv: (kv[1], kv[0]))
             ts, seg = oldest[hash_value]
             assert (seg, ts) == expected, (hash_value, (seg, ts), expected)
-        observed: Dict[str, Set[int]] = {}
-        owned: Dict[str, Set[int]] = {}
-        for hash_value, (_ts, owner) in oldest.items():
-            seen_by = self._shared.get(hash_value)
-            for seg in seen_by if seen_by is not None else (owner,):
-                observed.setdefault(seg, set()).add(hash_value)
-            owned.setdefault(owner, set()).add(hash_value)
-        assert observed == self._by_segment, "segment reverse index drifted"
-        assert owned == self._owned, "ownership index drifted"
 
 
 class SegmentDatabase:

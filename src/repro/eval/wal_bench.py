@@ -43,6 +43,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.datasets import EbookCorpus
 from repro.disclosure.engine import DisclosureEngine
+from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.wal import (
     DEFAULT_FSYNC_INTERVAL,
     DurableEngine,
@@ -142,8 +143,8 @@ def check_equivalence(ops: List[Op], directory) -> int:
                 theirs = plain.segment_db.get(segment_id)
                 assert ours.fingerprint.hashes == theirs.fingerprint.hashes
                 assert ours.last_updated == theirs.last_updated
-                assert engine.hash_db.owned_hashes(segment_id) == (
-                    plain.hash_db.owned_hashes(segment_id)
+                assert authoritative_hashes(ours, engine.hash_db) == (
+                    authoritative_hashes(theirs, plain.hash_db)
                 )
         probes = [op for op in ops if op[0] == "observe"]
         for _kind, segment_id, text, _threshold in probes:

@@ -48,25 +48,24 @@ def assert_databases_agree(engine) -> None:
     its stored fingerprint's hashes, and ``hash_db`` holds no segment
     that ``segment_db`` lacks. Together these are the precondition of
     the engine's delta-only fingerprint apply, which records only the
-    hashes a re-observed segment gained and withdraws the ones it lost.
-    Works for the plain and the sharded hash database; call it with the
-    engine's lock held or the engine quiescent.
+    hashes a re-observed segment gained and withdraws the ones it lost,
+    and of its removal, which withdraws the stored fingerprint's hashes.
+    The observed sets are built in one pass over the table. Works for
+    the plain and the sharded hash database; call it with the engine's
+    lock held or the engine quiescent.
     """
     hash_db, segment_db = engine.hash_db, engine.segment_db
+    observed = {}
+    for hash_value in hash_db.hashes():
+        for segment_id in hash_db.observers(hash_value):
+            observed.setdefault(segment_id, set()).add(hash_value)
     for record in segment_db:
-        observed = hash_db.hashes_of(record.segment_id)
-        assert observed == record.fingerprint.hashes, (
-            f"{record.segment_id!r}: hash_db holds {len(observed)} hashes, "
+        held = observed.pop(record.segment_id, set())
+        assert held == record.fingerprint.hashes, (
+            f"{record.segment_id!r}: hash_db holds {len(held)} hashes, "
             f"its fingerprint {len(record.fingerprint.hashes)}"
         )
-    tracked = set(segment_db.ids())
-    strays = {
-        segment_id
-        for hash_value in hash_db.hashes()
-        for segment_id, _ts in hash_db.owners(hash_value)
-        if segment_id not in tracked
-    }
-    assert not strays, f"hash_db observes untracked segments {sorted(strays)}"
+    assert not observed, f"hash_db observes untracked segments {sorted(observed)}"
 
 
 @pytest.fixture

@@ -16,9 +16,11 @@ import random
 import pytest
 
 from repro.disclosure import DisclosureEngine
+from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.persistence import (
     expire_segments,
     load_engine,
+    read_snapshot,
     restore_engine,
     save_engine,
     snapshot_engine,
@@ -27,6 +29,8 @@ from repro.disclosure.wal import DurableEngine
 from repro.errors import DisclosureError, SimulatedCrash, SnapshotCorrupt
 from repro.fingerprint.config import TINY_CONFIG
 from repro.plugin.crypto import UploadCipher
+from repro.tdm import PolicyStore, TextDisclosureModel
+from repro.tdm.state import load_model, model_to_dict
 from repro.util.clock import LogicalClock
 from repro.util.faults import Fault, FaultInjector
 
@@ -86,11 +90,36 @@ class TestSnapshotRoundtrip:
         save_engine(engine, path)
         assert load_engine(path).config == TINY_CONFIG
 
-    def test_unsupported_version_rejected(self, engine):
+    @pytest.mark.parametrize("version", [2, 99])
+    def test_unsupported_version_rejected(self, engine, tmp_path, version):
+        """Another version is refused by every way a snapshot comes in:
+        a dict, a file, a durable directory, and a model file whose
+        engine snapshots are in that version. Version 2 is the layout
+        that also persisted owner epochs."""
         data = snapshot_engine(engine)
-        data["version"] = 99
-        with pytest.raises(DisclosureError):
+        data.update(version=version, owner_epochs={}, ownership_changes=0)
+        refused = f"unsupported snapshot version {version} "
+        with pytest.raises(DisclosureError, match=refused):
             restore_engine(data)
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DisclosureError, match=refused):
+            read_snapshot(path)
+        directory = tmp_path / "durable"
+        directory.mkdir()
+        (directory / "snapshot.json").write_text(json.dumps(data))
+        with pytest.raises(DisclosureError, match=refused):
+            DurableEngine(directory, config=TINY_CONFIG)
+        assert sorted(p.name for p in directory.iterdir()) == ["snapshot.json"]
+        model = TextDisclosureModel(PolicyStore(), TINY_CONFIG)
+        model.observe("https://wiki.example", "docA", [("docA#p0", SECRET_TEXT)])
+        state = model_to_dict(model)
+        for key in ("paragraph_engine", "document_engine"):
+            state[key].update(version=version, owner_epochs={}, ownership_changes=0)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(state))
+        with pytest.raises(DisclosureError, match=refused):
+            load_model(model_path)
 
     def test_snapshot_is_json(self, engine):
         json.dumps(snapshot_engine(engine))  # must not raise
@@ -304,7 +333,7 @@ def reference_engine(ops):
 
 
 def assert_field_identical(recovered, reference):
-    """Segments, observations, owner epochs, and clock all match."""
+    """Segments, observations, authoritative hashes, and clock all match."""
     assert sorted(recovered.segment_db.ids()) == sorted(
         reference.segment_db.ids()
     )
@@ -317,11 +346,8 @@ def assert_field_identical(recovered, reference):
         assert ours.kind == theirs.kind
         assert ours.doc_id == theirs.doc_id
         assert ours.last_updated == theirs.last_updated
-        assert recovered.hash_db.owned_hashes(segment_id) == (
-            reference.hash_db.owned_hashes(segment_id)
-        )
-        assert recovered.hash_db.owner_epoch(segment_id) == (
-            reference.hash_db.owner_epoch(segment_id)
+        assert authoritative_hashes(ours, recovered.hash_db) == (
+            authoritative_hashes(theirs, reference.hash_db)
         )
     assert sorted(recovered.hash_db.hashes()) == sorted(
         reference.hash_db.hashes()
@@ -333,9 +359,6 @@ def assert_field_identical(recovered, reference):
         assert recovered.hash_db.oldest_owner(hash_value) == (
             reference.hash_db.oldest_owner(hash_value)
         )
-    assert recovered.hash_db.ownership_changes == (
-        reference.hash_db.ownership_changes
-    )
     recovered.hash_db.check_invariants()
     reference.hash_db.check_invariants()
     assert_databases_agree(recovered)

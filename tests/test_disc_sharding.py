@@ -24,8 +24,11 @@ from repro.disclosure import (
     partition,
     shard_of,
 )
+from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.sharding import STRIPES, StampStore
+from repro.disclosure.store import SegmentRecord
 from repro.errors import DisclosureError, ShardDegraded
+from repro.fingerprint import Fingerprint
 from repro.fingerprint.config import FingerprintConfig
 from repro.plugin.router import ShardRouter
 from repro.util.faults import Fault, FaultInjector
@@ -98,20 +101,28 @@ class TestShardedHashDatabaseOracle:
         sharded = ShardedHashDatabase(n_shards, hash_bits=HASH_BITS)
         segments = [f"seg-{i}" for i in range(6)]
         pool = [rng.randrange(1 << HASH_BITS) for _ in range(80)]
+        # What each segment's stored fingerprint would hold.
+        held = {seg: set() for seg in segments}
 
         for step in range(400):
             op = rng.random()
             if op < 0.6:
                 h, seg, ts = rng.choice(pool), rng.choice(segments), float(step)
                 assert sharded.record(h, seg, ts) == plain.record(h, seg, ts)
+                held[seg].add(h)
             elif op < 0.85:
                 h, seg = rng.choice(pool), rng.choice(segments)
                 assert sharded.remove_observation(h, seg) == (
                     plain.remove_observation(h, seg)
                 )
+                held[seg].discard(h)
             else:
+                # A segment removal withdraws its stored hashes.
                 seg = rng.choice(segments)
-                assert sharded.discard_segment(seg) == plain.discard_segment(seg)
+                removed = [plain.remove_observation(h, seg) for h in held[seg]]
+                assert sharded.withdraw(seg, held[seg]) == any(removed)
+                assert all(removed)
+                held[seg] = set()
 
         assert len(sharded) == len(plain)
         assert sorted(sharded.hashes()) == sorted(plain.hashes())
@@ -124,8 +135,15 @@ class TestShardedHashDatabaseOracle:
             assert sharded.owners(h) == plain.owners(h)
             assert sorted(sharded.observers(h)) == sorted(plain.observers(h))
         for seg in segments:
-            assert sharded.hashes_of(seg) == plain.hashes_of(seg)
-            assert sharded.owned_hashes(seg) == plain.owned_hashes(seg)
+            first_seen = plain.first_seen_of(seg, pool)
+            assert set(first_seen) == held[seg]
+            assert sharded.first_seen_of(seg, pool) == first_seen
+            record = SegmentRecord(
+                segment_id=seg, fingerprint=Fingerprint(hashes=frozenset(held[seg]))
+            )
+            assert authoritative_hashes(record, sharded) == (
+                authoritative_hashes(record, plain)
+            )
             assert sharded.first_seen(pool[0], seg) == plain.first_seen(
                 pool[0], seg
             )
@@ -170,7 +188,10 @@ class TestShardedHashDatabaseOracle:
             plain.remove_observation(h, "a")
         assert sharded.withdraw("a", old - new) is True
         assert sharded.withdraw("a", old - new) is False
-        assert sharded.hashes_of("a") == plain.hashes_of("a") == set(new)
+        assert set(sharded.first_seen_of("a", old | new)) == set(new)
+        assert sharded.first_seen_of("a", old | new) == (
+            plain.first_seen_of("a", old | new)
+        )
         sharded.check_invariants()
 
     def test_empty_sweep_and_constructor_validation(self):
@@ -383,8 +404,9 @@ class TestStamps:
         assert stamped_since(v) == {4}
         assert stamps.version == v + 2
         v = stamps.version
-        assert db.discard_segment("x") == 2
-        assert db.discard_segment("x") == 0
+        # Removing the segment withdraws what its fingerprint holds.
+        assert db.withdraw("x", [1, 2])
+        assert not db.withdraw("x", [1, 2])
         assert stamped_since(v) == {1, 2}
         assert stamps.version == v + 1
 

@@ -3,15 +3,33 @@
 import pytest
 
 from reference_engine import oldest_owner_reference
+from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.store import HashDatabase, SegmentDatabase, SegmentRecord
 from repro.errors import UnknownSegmentError
-from repro.fingerprint import Fingerprinter
+from repro.fingerprint import Fingerprint, Fingerprinter
 from repro.fingerprint.config import TINY_CONFIG
 
 
 def record_for(segment_id, text, **kwargs):
     fp = Fingerprinter(TINY_CONFIG).fingerprint(text)
     return SegmentRecord(segment_id=segment_id, fingerprint=fp, **kwargs)
+
+
+def stored(segment_id, *hashes):
+    """A record whose stored fingerprint holds *hashes*: what the engine
+    reads a segment's observed hashes from."""
+    return SegmentRecord(
+        segment_id=segment_id, fingerprint=Fingerprint(hashes=frozenset(hashes))
+    )
+
+
+def withdraw(db, record):
+    """Withdraw every hash of *record*'s stored fingerprint, as the
+    engine removes a segment; the number of associations released."""
+    return sum(
+        db.remove_observation(h, record.segment_id)
+        for h in record.fingerprint.hashes
+    )
 
 
 class TestHashDatabase:
@@ -55,25 +73,24 @@ class TestHashDatabase:
         assert 7 in db
         assert 8 not in db
 
-    def test_discard_segment_releases_ownership(self):
+    def test_withdraw_releases_ownership(self):
         db = HashDatabase()
         db.record(1, "first", 0.0)
         db.record(1, "second", 1.0)
-        removed = db.discard_segment("first")
-        assert removed == 1
+        assert withdraw(db, stored("first", 1)) == 1
         assert db.oldest_owner(1) == "second"
 
-    def test_discard_segment_drops_orphan_hashes(self):
+    def test_withdraw_drops_orphan_hashes(self):
         db = HashDatabase()
         db.record(1, "only", 0.0)
-        db.discard_segment("only")
+        withdraw(db, stored("only", 1))
         assert len(db) == 0
         assert 1 not in db
 
-    def test_discard_unknown_segment_noop(self):
+    def test_withdraw_unknown_segment_noop(self):
         db = HashDatabase()
         db.record(1, "a", 0.0)
-        assert db.discard_segment("missing") == 0
+        assert withdraw(db, stored("missing", 1, 2)) == 0
         assert len(db) == 1
 
 
@@ -148,21 +165,21 @@ class TestSegmentDatabase:
 
 
 class TestOwnershipIndexes:
-    def test_owned_hashes_tracks_claims(self):
+    def test_authoritative_hashes_track_claims(self):
         db = HashDatabase()
         db.record(1, "a", 0.0)
         db.record(2, "a", 0.0)
         db.record(1, "b", 1.0)
-        assert db.owned_hashes("a") == {1, 2}
-        assert db.owned_hashes("b") == set()
+        assert authoritative_hashes(stored("a", 1, 2), db) == {1, 2}
+        assert authoritative_hashes(stored("b", 1), db) == set()
 
-    def test_owned_hashes_migrates_on_removal(self):
+    def test_authoritative_hashes_migrate_on_removal(self):
         db = HashDatabase()
         db.record(1, "a", 0.0)
         db.record(1, "b", 1.0)
         db.remove_observation(1, "a")
-        assert db.owned_hashes("a") == set()
-        assert db.owned_hashes("b") == {1}
+        assert authoritative_hashes(stored("a", 1), db) == set()
+        assert authoritative_hashes(stored("b", 1), db) == {1}
         assert db.oldest_owner(1) == "b"
 
     def test_earlier_record_steals_ownership(self):
@@ -171,32 +188,29 @@ class TestOwnershipIndexes:
         assert db.oldest_owner(1) == "late"
         db.record(1, "early", 1.0)
         assert db.oldest_owner(1) == "early"
-        assert db.owned_hashes("late") == set()
-        assert db.owned_hashes("early") == {1}
+        assert authoritative_hashes(stored("late", 1), db) == set()
+        assert authoritative_hashes(stored("early", 1), db) == {1}
 
-    def test_owner_epoch_bumps_on_changes(self):
+    def test_ownership_changes_count_transitions(self):
         db = HashDatabase()
-        before = db.owner_epoch("a")
-        db.record(1, "a", 0.0)
-        after_claim = db.owner_epoch("a")
-        assert after_claim > before
-        db.record(1, "b", 1.0)
-        # "b" never owned hash 1, so its epoch is untouched.
-        assert db.owner_epoch("b") == 0
-        db.remove_observation(1, "a")
-        assert db.owner_epoch("a") > after_claim
-        assert db.owner_epoch("b") > 0
+        db.record(1, "a", 0.0)  # first owner
+        db.record(1, "b", 1.0)  # a later observer claims nothing
+        db.record(1, "c", -1.0)  # an earlier claim steals it
+        db.remove_observation(1, "b")  # a non-owner leaves
+        db.remove_observation(1, "c")  # the owner leaves: "a" inherits
+        db.remove_observation(1, "a")  # the last observer leaves
+        assert db.ownership_changes == 4
 
-    def test_hashes_of_reverse_index(self):
+    def test_first_seen_of_reads_the_stored_hashes(self):
         db = HashDatabase()
         db.record(1, "a", 0.0)
         db.record(2, "a", 0.0)
         db.record(2, "b", 1.0)
-        assert db.hashes_of("a") == {1, 2}
-        assert db.hashes_of("b") == {2}
-        db.discard_segment("a")
-        assert db.hashes_of("a") == set()
-        assert db.hashes_of("b") == {2}
+        assert db.first_seen_of("a", [1, 2, 3]) == {1: 0.0, 2: 0.0}
+        assert db.first_seen_of("b", [1, 2]) == {2: 1.0}
+        withdraw(db, stored("a", 1, 2))
+        assert db.first_seen_of("a", [1, 2]) == {}
+        assert db.first_seen_of("b", [2]) == {2: 1.0}
 
     def test_observers_unordered_view(self):
         db = HashDatabase()
@@ -215,13 +229,13 @@ class TestOwnershipIndexes:
             assert db.oldest_owner(h) == oldest_owner_reference(db, h)
         db.check_invariants()
 
-    def test_invariants_after_discard(self):
+    def test_invariants_after_withdraw(self):
         db = HashDatabase()
         for h in range(10):
             db.record(h, "a", 0.0)
             if h % 2:
                 db.record(h, "b", 1.0)
-        db.discard_segment("a")
+        assert withdraw(db, stored("a", *range(10))) == 10
         db.check_invariants()
         for h in range(10):
             assert db.oldest_owner(h) == ("b" if h % 2 else None)

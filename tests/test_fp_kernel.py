@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.fingerprint import Fingerprinter, HAS_NUMPY
 from repro.fingerprint.config import PAPER_CONFIG, TINY_CONFIG, FingerprintConfig
 from repro.fingerprint.kernel import (
+    POWER_TABLE_CAP,
     IngestKernel,
     normalize_latin1,
     skipscan_winnow,
@@ -189,6 +190,31 @@ class TestNumpyKernel:
         if len(norm) < CONFIG.ngram_size:
             return
         assert kernel._hash_numpy(norm).tolist() == hasher.hash_all_bytes(norm)
+
+    def test_power_tables_stay_at_their_cap(self):
+        """A text longer than the cap is fingerprinted exactly, and the
+        kernel keeps only the capped prefix of its power tables."""
+        fingerprinter = Fingerprinter(PAPER_CONFIG, kernel_mode="numpy")
+        kernel = fingerprinter.kernel
+        rng = random.Random(5)
+        words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
+        text = " ".join(rng.choice(words) for _ in range(POWER_TABLE_CAP // 2))
+        assert len(text) > 2 * POWER_TABLE_CAP
+        fingerprinter.fingerprint("a short paragraph first, to fill the cache")
+        short = kernel._np_state[0].shape[0]
+        assert short < POWER_TABLE_CAP
+        for got in (
+            fingerprinter.fingerprint(text),
+            fingerprinter.fingerprint_many([text[:5000], text])[1],
+        ):
+            assert got == fingerprinter.fingerprint_reference(text)
+            assert [table.shape[0] for table in kernel._np_state] == [
+                POWER_TABLE_CAP, POWER_TABLE_CAP
+            ]
+        # A shorter pass reads the kept prefix.
+        assert fingerprinter.fingerprint(text[:3000]) == (
+            fingerprinter.fingerprint_reference(text[:3000])
+        )
 
     def test_numpy_mode_requires_packable_config(self):
         wide = FingerprintConfig(ngram_size=5, window_size=4, hash_bits=40)

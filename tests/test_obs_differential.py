@@ -33,8 +33,6 @@ ENGINE_FIELDS = (
     "distinct_hashes",
     "queries",
     "candidates_swept",
-    "auth_cache_hits",
-    "auth_cache_misses",
     "ownership_changes",
     "shards",
 )

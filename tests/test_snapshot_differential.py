@@ -1,6 +1,6 @@
-"""Differential tests: snapshot format v2 restore ≡ the live engine.
+"""Differential tests: snapshot format v3 restore ≡ the live engine.
 
-A v2 snapshot stores no per-hash observations: each segment carries its
+A v3 snapshot stores no per-hash observations: each segment carries its
 selections and its hashes grouped by first-seen time, and
 :func:`~repro.disclosure.persistence.restore_into` rebuilds the hash
 database from those groups in one bulk load per hash database (per
@@ -9,8 +9,7 @@ shard when sharded). Two oracles hold it to account:
 * the live engine the snapshot was taken from — the restored engine
   must be field-identical to it after a JSON round trip;
 * :func:`reference_restore`, the version-1 algorithm kept as test code:
-  one ``hash_db.record()`` per (hash, segment, first_seen) observation,
-  then the persisted epochs.
+  one ``hash_db.record()`` per (hash, segment, first_seen) observation.
 
 Histories mix observes (with clock-drawn and explicit, tying
 timestamps), edited re-observes that migrate ownership (Figure 6),
@@ -19,9 +18,10 @@ modes, at both granularities, at 1/2/4/8 shards. :class:`TestCorruptSnapshots` c
 because it no longer stores what it derives.
 
 The last two classes pin recovery around the format: a snapshot in
-another version (version 1 included) is refused by ``DurableEngine``
-and ``load_engine`` while the WAL beside it stays byte-identical, and
-a recovery that fails closes the log files it opened.
+another version (versions 1 and 2 included) is refused by
+``DurableEngine`` and ``load_engine`` while the WAL beside it stays
+byte-identical, and a recovery that fails closes the log files it
+opened.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.disclosure import DisclosureEngine
+from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.persistence import (
     expire_segments,
     load_engine,
@@ -133,8 +134,7 @@ def reference_restore(engine, data):
 
     Segments go in through ``segment_db.put``; then every observation
     is replayed through ``hash_db.record()`` — hash by hash, earliest
-    observer first, as version 1 stored them — and the persisted epochs
-    overwrite the ones those calls bumped.
+    observer first, as version 1 stored them.
     """
     observations = {}
     for entry in data["segments"]:
@@ -163,25 +163,22 @@ def reference_restore(engine, data):
     for h, owners in observations.items():
         for first_seen, segment_id in sorted(owners):
             engine.hash_db.record(h, segment_id, first_seen)
-    engine.hash_db.restore_ownership_meta(
-        dict(data["owner_epochs"]), data["ownership_changes"]
-    )
     return engine
 
 
 def engine_fields(engine) -> dict:
     hash_db = engine.hash_db
     hashes = sorted(hash_db.hashes())
-    segment_ids = sorted(engine.segment_db.ids())
+    records = {sid: engine.segment_db.get(sid) for sid in engine.segment_db.ids()}
     return {
         # SegmentRecord equality covers the fingerprint's selections.
-        "records": {sid: engine.segment_db.get(sid) for sid in segment_ids},
+        "records": records,
         "owners": {h: hash_db.owners(h) for h in hashes},
         "oldest": {h: hash_db.oldest_owner(h) for h in hashes},
-        "owned": {sid: hash_db.owned_hashes(sid) for sid in segment_ids},
-        "owner_epoch": {sid: hash_db.owner_epoch(sid) for sid in segment_ids},
-        "ownership_meta": hash_db.ownership_meta(),
-        "ownership_changes": hash_db.ownership_changes,
+        "authoritative": {
+            sid: authoritative_hashes(record, hash_db)
+            for sid, record in records.items()
+        },
     }
 
 
@@ -294,15 +291,12 @@ class TestCorruptSnapshots:
         with pytest.raises(SnapshotCorrupt, match="'s2'.*twice"):
             restore_engine(data)
 
-    @pytest.mark.parametrize("field", ["owner_epochs", "ownership_changes"])
-    def test_epoch_fields_required(self, data, field):
-        del data[field]
-        with pytest.raises(SnapshotCorrupt, match=field):
-            restore_engine(data)
-
-    def test_version_1_refused(self, data):
-        data["version"] = 1
-        with pytest.raises(DisclosureError, match="unsupported snapshot version 1"):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_refused(self, data, version):
+        data["version"] = version
+        with pytest.raises(
+            DisclosureError, match=f"unsupported snapshot version {version} "
+        ):
             restore_engine(data)
 
 
@@ -310,7 +304,6 @@ def v1_snapshot(engine, **stamps):
     """*engine* in the version-1 layout: a per-hash observation map and
     per-segment hash lists beside nested selections."""
     hash_db = engine.hash_db
-    epochs, changes = hash_db.ownership_meta()
     config = engine.config
     return {
         "version": 1,
@@ -340,8 +333,20 @@ def v1_snapshot(engine, **stamps):
             str(h): [[seg, ts] for seg, ts in hash_db.owners(h)]
             for h in hash_db.hashes()
         },
-        "owner_epochs": {k: v for k, v in epochs.items() if v},
-        "ownership_changes": changes,
+        "owner_epochs": {},
+        "ownership_changes": 0,
+        **stamps,
+    }
+
+
+def v2_snapshot(engine, **stamps):
+    """*engine* in the version-2 layout: the version-3 segment entries
+    beside the owner-epoch counters it persisted."""
+    return {
+        **snapshot_engine(engine),
+        "version": 2,
+        "owner_epochs": {},
+        "ownership_changes": 0,
         **stamps,
     }
 
@@ -350,7 +355,7 @@ class TestSnapshotVersionCheckedBeforeLogsOpen:
     """A snapshot in another format aborts recovery, and loading, while
     the WAL beside it is untouched — its torn tail included."""
 
-    @pytest.mark.parametrize("layout", ["v1", "v99"])
+    @pytest.mark.parametrize("layout", ["v1", "v2", "v99"])
     def test_refused_with_wal_byte_identical(self, tmp_path, layout):
         primary = DurableEngine(
             tmp_path, config=TINY_CONFIG,
@@ -366,14 +371,14 @@ class TestSnapshotVersionCheckedBeforeLogsOpen:
         primary.wal.close()  # release the dead process's handles
         snapshot = tmp_path / "snapshot.json"
         data = json.loads(snapshot.read_text())
-        if layout == "v1":
+        if layout == "v99":
+            data["version"] = 99
+        else:
             compacted = DisclosureEngine(TINY_CONFIG, LogicalClock())
             compacted.observe("a", SECRET_TEXT)
-            data = v1_snapshot(
+            data = {"v1": v1_snapshot, "v2": v2_snapshot}[layout](
                 compacted, wal_lsn=data["wal_lsn"], wal_shards=data["wal_shards"]
             )
-        else:
-            data["version"] = 99
         snapshot.write_text(json.dumps(data))
         wal = tmp_path / "wal.log"
         before = wal.read_bytes()

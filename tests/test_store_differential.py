@@ -8,16 +8,22 @@ and the engine-level reference sweep (``tests/reference_engine.py``)
 that recomputes owners from them is not independent of the index.
 :class:`FullMapHashDatabase` restores that independence: it is the
 earlier full-map database, with one ``{segment: first_seen}`` map per
-hash, moved into test code as the oracle.
+hash and its segment → observed and segment → owned indexes, moved into
+test code as the oracle. Its owned sets are the reference for
+:func:`~repro.disclosure.metrics.authoritative_hashes` over the live
+store, which keeps no per-segment index.
 
 Hypothesis histories mix ``record`` (re-records and tied timestamps
 included), ``remove_observation`` of owners, non-owners and
-non-observers, ``discard_segment`` and ``bulk_load`` from sorted
-first-seen groups, over a small hash and segment universe so hashes
-gain three or more observers and collapse back to one. The targets are
-the plain database and the sharded one at 1, 2, 4 and 8 shards; after
-every step each must return what the oracle returned and agree with it
-on every accessor, and pass its own ``check_invariants()``.
+non-observers, ``withdraw`` of arbitrary hash sets, removal of a whole
+segment (a ``withdraw`` of the hashes it observes, as the engine
+removes a segment) and ``bulk_load`` from sorted first-seen groups,
+over a small hash and segment universe so hashes gain three or more
+observers and collapse back to one. The targets are the plain database
+and the sharded one at 1, 2, 4 and 8 shards; after every step each must
+return what the oracle returned and agree with it on every accessor and
+on every segment's authoritative hashes, and pass its own
+``check_invariants()``.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.sharding import ShardedHashDatabase
-from repro.disclosure.store import HashDatabase
+from repro.disclosure.store import HashDatabase, SegmentRecord
 from repro.errors import DisclosureError
+from repro.fingerprint import Fingerprint
 
 
 class FullMapHashDatabase:
@@ -41,15 +49,14 @@ class FullMapHashDatabase:
     across edits — but the engine withdraws a segment's claim on hashes
     an edit removed from its fingerprint, so authority migrates to the
     next-earliest observer that still holds the text (the Figure 6
-    behaviour). Removing a segment entirely releases all its claims.
+    behaviour). Withdrawing a segment's hashes releases its claims.
 
     Ownership is indexed: :meth:`oldest_owner` is an O(1) dictionary
     lookup against a cache maintained on every mutation, and
     :meth:`owned_hashes` returns a segment's authoritative set without
     touching the per-hash observation maps. :attr:`ownership_changes`
     counts owner transitions (a hash gaining its first owner, changing
-    owner, or losing its last one) for the engine's cache-invalidation
-    stats.
+    owner, or losing its last one).
     """
 
     def __init__(self) -> None:
@@ -61,9 +68,6 @@ class FullMapHashDatabase:
         self._by_segment: Dict[str, Set[int]] = {}
         # segment → hashes it authoritatively owns (oldest observer).
         self._owned: Dict[str, Set[int]] = {}
-        # segment → bumped whenever its owned set changes; lets the
-        # engine cache frozen authoritative sets safely.
-        self._owner_epoch: Dict[str, int] = {}
         #: Total number of ownership transitions since creation.
         self.ownership_changes = 0
 
@@ -80,7 +84,6 @@ class FullMapHashDatabase:
 
     def _claim(self, segment_id: str, hash_value: int) -> None:
         self._owned.setdefault(segment_id, set()).add(hash_value)
-        self._owner_epoch[segment_id] = self._owner_epoch.get(segment_id, 0) + 1
         self.ownership_changes += 1
 
     def _release(self, segment_id: str, hash_value: int) -> None:
@@ -89,7 +92,6 @@ class FullMapHashDatabase:
             owned.discard(hash_value)
             if not owned:
                 del self._owned[segment_id]
-        self._owner_epoch[segment_id] = self._owner_epoch.get(segment_id, 0) + 1
 
     def record(self, hash_value: int, segment_id: str, timestamp: float) -> bool:
         """Record that *segment_id* contains *hash_value*.
@@ -142,12 +144,16 @@ class FullMapHashDatabase:
         """When *segment_id* first contained *hash_value*, or None."""
         return self._observations.get(hash_value, {}).get(segment_id)
 
-    def first_seen_of(self, segment_id: str) -> Dict[int, float]:
-        """Every hash *segment_id* observes → its first-seen time (O(|F|))."""
+    def first_seen_of(
+        self, segment_id: str, hashes: Iterable[int]
+    ) -> Dict[int, float]:
+        """Each of *hashes* that *segment_id* observes → its first-seen
+        time; hashes it does not observe are left out."""
         observations = self._observations
         return {
             h: observations[h][segment_id]
-            for h in self._by_segment.get(segment_id, ())
+            for h in hashes
+            if segment_id in observations.get(h, ())
         }
 
     def bulk_load(
@@ -160,8 +166,8 @@ class FullMapHashDatabase:
         segment) pair at most once. The first group to name a hash owns
         it: the oldest claim, which :meth:`record`'s tie-break also
         keeps, so the indexes equal a ``record()`` replay's without any
-        claim being released and re-won. Epochs stay zero for
-        :meth:`restore_ownership_meta` to overwrite.
+        claim being released and re-won. :attr:`ownership_changes` stays
+        zero.
         """
         if self._observations:
             raise DisclosureError("bulk_load needs an empty hash database")
@@ -195,33 +201,6 @@ class FullMapHashDatabase:
         """Hashes whose authoritative owner is *segment_id* (O(result))."""
         return set(self._owned.get(segment_id, ()))
 
-    def owner_epoch(self, segment_id: str) -> int:
-        """Version of *segment_id*'s owned set; bumps on every change."""
-        return self._owner_epoch.get(segment_id, 0)
-
-    def ownership_meta(self) -> Tuple[Dict[str, int], int]:
-        """Exportable epoch state: (per-segment epochs, total changes).
-
-        Persisted in snapshots so a recovered engine's cache-versioning
-        counters are field-identical to the pre-crash engine's — a
-        memoized verdict keyed on an epoch must not collide with a
-        different post-recovery state that reuses the same number.
-        """
-        return dict(self._owner_epoch), self.ownership_changes
-
-    def restore_ownership_meta(
-        self, epochs: Dict[str, int], changes: int
-    ) -> None:
-        """Overwrite epoch counters with snapshot values (recovery only).
-
-        Runs after :meth:`bulk_load` rebuilt the indexes: epochs count a
-        live engine's claim history, which the load does not replay, so
-        the persisted counts make recovered and pre-crash engines agree
-        exactly.
-        """
-        self._owner_epoch = dict(epochs)
-        self.ownership_changes = changes
-
     def remove_observation(self, hash_value: int, segment_id: str) -> bool:
         """Release one (hash, segment) association.
 
@@ -254,32 +233,13 @@ class FullMapHashDatabase:
             self._claim(seg, hash_value)
         return True
 
-    def discard_segment(self, segment_id: str) -> int:
-        """Remove every observation by *segment_id*; returns count removed.
-
-        Hashes left with no observers are dropped from the table. Runs
-        in O(|F(segment)|) via the segment → hashes reverse index, not
-        O(all hashes).
-        """
-        hashes = self._by_segment.pop(segment_id, None)
-        if not hashes:
-            return 0
-        removed = 0
+    def withdraw(self, segment_id: str, hashes: Iterable[int]) -> bool:
+        """Release the segment's claim on *hashes*; True if any released."""
+        changed = False
         for hash_value in hashes:
-            seen_by = self._observations[hash_value]
-            del seen_by[segment_id]
-            removed += 1
-            if not seen_by:
-                del self._observations[hash_value]
-                del self._oldest[hash_value]
-                self._release(segment_id, hash_value)
-                self.ownership_changes += 1
-            elif self._oldest[hash_value][1] == segment_id:
-                ts, seg = min((ts, seg) for seg, ts in seen_by.items())
-                self._oldest[hash_value] = (ts, seg)
-                self._release(segment_id, hash_value)
-                self._claim(seg, hash_value)
-        return removed
+            if self.remove_observation(hash_value, segment_id):
+                changed = True
+        return changed
 
     def check_invariants(self) -> None:
         """Assert the indexes agree with the raw observation map.
@@ -348,7 +308,11 @@ steps = st.one_of(
         st.just("remove_observation"), st.sampled_from(HASHES),
         st.sampled_from(SEGMENTS),
     ),
-    st.tuples(st.just("discard_segment"), st.sampled_from(SEGMENTS)),
+    st.tuples(
+        st.just("withdraw"), st.sampled_from(SEGMENTS),
+        st.lists(st.sampled_from(HASHES), unique=True),
+    ),
+    st.tuples(st.just("remove_segment"), st.sampled_from(SEGMENTS)),
     st.tuples(st.just("bulk_load"), observations),
 )
 histories = st.lists(steps, max_size=40)
@@ -358,6 +322,12 @@ def apply_step(db, step):
     op = step[0]
     if op == "bulk_load":
         return db.bulk_load(groups_of(step[1]))
+    if op == "withdraw" and isinstance(db, HashDatabase):
+        # The plain database has no batch entry point: one removal per
+        # hash, as a shard applies its part of a withdraw.
+        _op, segment_id, hashes = step
+        removed = [db.remove_observation(h, segment_id) for h in hashes]
+        return any(removed)
     return getattr(db, op)(*step[1:])
 
 
@@ -394,12 +364,23 @@ def view(db, *, ordered: bool) -> dict:
         "sweep": swept(db, authoritative=True),
         "sweep_all_observers": swept(db, authoritative=False),
         "first_seen": [db.first_seen(h, s) for h in HASHES for s in SEGMENTS],
-        "first_seen_of": [db.first_seen_of(s) for s in SEGMENTS],
-        "owned_hashes": [db.owned_hashes(s) for s in SEGMENTS],
-        "hashes_of": [db.hashes_of(s) for s in SEGMENTS],
-        "owner_epoch": [db.owner_epoch(s) for s in SEGMENTS],
+        "first_seen_of": [db.first_seen_of(s, HASHES) for s in SEGMENTS],
         "ownership_changes": db.ownership_changes,
     }
+
+
+def assert_authoritative_hashes_agree(target, oracle) -> None:
+    """Each segment's authoritative hashes, read from the target's owner
+    entries as the engine reads them (for a record whose fingerprint
+    holds the hashes the segment observes), are the oracle's owned set."""
+    for segment_id in SEGMENTS:
+        record = SegmentRecord(
+            segment_id=segment_id,
+            fingerprint=Fingerprint(hashes=frozenset(oracle.hashes_of(segment_id))),
+        )
+        assert authoritative_hashes(record, target) == (
+            oracle.owned_hashes(segment_id)
+        ), segment_id
 
 
 def run_differential(shape, history) -> None:
@@ -409,6 +390,10 @@ def run_differential(shape, history) -> None:
         if step[0] == "bulk_load":
             # bulk_load fills an empty database: start both afresh.
             oracle, target = FullMapHashDatabase(), build(shape)
+        elif step[0] == "remove_segment":
+            # The engine's removal: withdraw every hash the segment
+            # observes, which its stored fingerprint names.
+            step = ("withdraw", step[1], sorted(oracle.hashes_of(step[1])))
         want = apply_step(oracle, step)
         got = apply_step(target, step)
         assert got == want, (index, step)
@@ -417,6 +402,7 @@ def run_differential(shape, history) -> None:
         assert view(target, ordered=shape is None) == view(
             oracle, ordered=shape is None
         ), (index, step)
+        assert_authoritative_hashes_agree(target, oracle)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"shards-{s or 'plain'}")
@@ -442,8 +428,8 @@ class TestStoreDifferential:
             ("remove_observation", h, "s2"),  # non-owner
             ("remove_observation", h, "s1"),  # owner: "s3" inherits
             ("record", h, "s0", 2.0),  # shared again
-            ("discard_segment", "s3"),  # owner leaves: "s0" alone
-            ("discard_segment", "s0"),  # hash leaves the table
+            ("remove_segment", "s3"),  # owner leaves: "s0" alone
+            ("remove_segment", "s0"),  # hash leaves the table
             ("record", h, "s4", 4.0),
         ])
 
@@ -459,7 +445,8 @@ class TestStoreDifferential:
             ("remove_observation", h, "s2"),
             ("remove_observation", h, "s1"),
             ("remove_observation", g, "s0"),
-            ("discard_segment", "s2"),
+            ("remove_segment", "s2"),
+            ("withdraw", "s3", [h, g, HASHES[2]]),
         ])
 
 

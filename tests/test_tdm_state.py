@@ -233,9 +233,11 @@ class TestRestoredModelIsWired:
         save_model(model, path)
         restored = load_model(path)
         restored.observe(DOCS, "docE", [("docE#p0", SECRET_TEXT)])
-        hash_db = restored.tracker.paragraphs.hash_db
-        for h in hash_db.hashes_of("docE#p0"):
-            assert hash_db.oldest_owner(h) != "docE#p0"
+        engine = restored.tracker.paragraphs
+        hashes = engine.segment_db.get("docE#p0").fingerprint.hashes
+        assert hashes
+        for h in hashes:
+            assert engine.hash_db.oldest_owner(h) != "docE#p0"
 
     def test_snapshot_flags_are_restored(self, tmp_path):
         model = TextDisclosureModel(PolicyStore(), TINY_CONFIG, authoritative=False)

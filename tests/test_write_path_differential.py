@@ -19,10 +19,9 @@ plug-ins on two stacks:
 
 Both must end in identical state: every decision, every stored
 ``SegmentRecord``, every hash's owners with their first-seen times,
-owner epochs and ``ownership_changes``, the stamp store's version,
-build floor and label stamps, and labels. The shipped hash stripes may
-be older than the reference's, which re-stamps every hash it
-re-records, but never newer. Both stacks journal every engine mutation
+``ownership_changes``, the stamp store's version, build floor and label
+stamps, and labels. The shipped hash stripes may be older than the
+reference's, which re-stamps every hash it re-records, but never newer. Both stacks journal every engine mutation
 and suppression to a WAL, and the WAL files must be byte-identical.
 """
 
@@ -116,7 +115,7 @@ def engine_state(engine) -> dict:
         "records": {record.segment_id: record for record in engine.segment_db},
         "owners": {h: hash_db.owners(h) for h in hashes},
         "oldest": {h: hash_db.oldest_owner(h) for h in hashes},
-        "ownership_meta": hash_db.ownership_meta(),
+        "ownership_changes": hash_db.ownership_changes,
     }
 
 
