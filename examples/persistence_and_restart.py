@@ -67,7 +67,7 @@ def main() -> None:
 
     save_model(model, state_path, cipher=disk_cipher)
     print(f"session 1: observed roadmap, saved state to {state_path.name}")
-    print(f"state file is ciphertext: {'roadmap' not in state_path.read_text()}")
+    print(f"state file is ciphertext: {b'roadmap' not in state_path.read_bytes()}")
 
     # ------------------------------------------------------------------
     # Session 2: new process, state reloaded, enforcement continues.

@@ -4,16 +4,16 @@ Usage (installed as ``python -m repro``):
 
 * ``python -m repro fingerprint FILE`` — fingerprint a text file;
 * ``python -m repro compare A B`` — pairwise disclosure between files;
-* ``python -m repro observe --db db.json --id ID FILE`` — add a file to
+* ``python -m repro observe --db db.snap --id ID FILE`` — add a file to
   a fingerprint database snapshot (created if missing);
-* ``python -m repro scan --db db.json FILE`` — which tracked segments
+* ``python -m repro scan --db db.snap FILE`` — which tracked segments
   does the file disclose;
 * ``python -m repro corpus`` — dataset statistics (Table 1, small scale);
 * ``python -m repro experiment NAME`` — run one paper experiment at a
   reduced scale and print its rows/series;
-* ``python -m repro stats --db db.json [--scan FILE]`` — print the
+* ``python -m repro stats --db db.snap [--scan FILE]`` — print the
   metrics-registry snapshot of a database (optionally after one scan);
-* ``python -m repro trace --db db.json FILE`` — run one scan under a
+* ``python -m repro trace --db db.snap FILE`` — run one scan under a
   tracer and emit the pipeline span tree as JSON.
 """
 
@@ -166,6 +166,7 @@ def cmd_recover(args) -> int:
               f"{recovery.replayed} record(s), skipped {recovery.skipped}, "
               f"truncated {recovery.torn_bytes} torn byte(s)")
         print(f"  logical clock resumed at {recovery.resumed_clock}")
+        print(f"  recovery took {recovery.seconds * 1000:.1f} ms")
         if args.compact:
             lsn = engine.compact()
             print(f"  compacted through lsn {lsn}")

@@ -5,63 +5,98 @@
 compromised. To mitigate this we recommend encrypting all fingerprint
 data at rest and performing periodic removal of old fingerprints."
 
-This module implements exactly that: JSON snapshots of a
+This module implements exactly that: snapshots of a
 :class:`~repro.disclosure.engine.DisclosureEngine` (both databases,
 with first-seen timestamps preserved so authoritative ownership
 survives a restart), optional encryption with the deployment's
 :class:`~repro.plugin.crypto.UploadCipher`, and an expiry sweep that
 drops segments not updated since a cutoff.
 
-Format version 3 stores one self-contained entry per segment and
-nothing per hash: restore derives the hash database from each
-segment's first-seen groups in one bulk load (see
-:func:`snapshot_engine`, :func:`restore_into`; DESIGN.md §14).
+Format version 4 is a binary container (DESIGN.md §14)::
+
+    file    := MAGIC body | SEALED_MAGIC nonce encrypt(body)
+    body    := frame(header JSON) frame(section)*
+    frame   := length:u64le crc32:u32le payload[length]
+
+The JSON header holds everything but the hash data: the version,
+config, ``authoritative``, ``kind``, ``wal_lsn``, ``wal_shards`` and one
+row per segment, ``[id, threshold, kind, doc_id, last_updated,
+values, runs]``, where the last two count the segment's share of the
+sections. The sections are
+little-endian arrays (:data:`SECTIONS`): every segment's flat
+selections, then the first-seen times of each segment's distinct
+selection values, in the order they first occur in its selections,
+run-length encoded as (time, length) runs. Nothing is stored per hash:
+restore derives each segment's hash set and first-seen groups from its
+own selections and builds the hash database in one bulk load (see
+:func:`snapshot_engine`, :func:`restore_into`). Model files
+(:mod:`repro.tdm.state`) use the same container.
 
 Snapshot writes are atomic: the payload goes to a temp file in the
 target directory, is fsynced, and is then ``os.replace``d over the
 destination, so a reader never sees a torn snapshot — a crash mid-write
 leaves the previous snapshot intact. Crash points can be injected
 deterministically through a :class:`~repro.util.faults.FaultInjector`
-(see :func:`save_engine`), which is how the regression tests kill the
-writer at arbitrary byte positions without sleeps or subprocesses.
+(see :func:`atomic_write_bytes`), which is how the regression tests
+kill the writer at arbitrary byte positions without sleeps or
+subprocesses.
 
 Corrupt snapshots surface as :class:`~repro.errors.SnapshotCorrupt`
 (a :class:`~repro.errors.DisclosureError`) with a message naming the
-file and the failure, never as a raw ``JSONDecodeError`` or
-``KeyError`` traceback.
+file and the failure, never as a raw decoding traceback. A length field
+is checked against the bytes that remain before anything is read for
+it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
+import sys
 import tempfile
+import zlib
+from array import array
 from contextlib import suppress
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.disclosure.engine import DisclosureEngine
 from repro.disclosure.store import SegmentRecord
 from repro.errors import DisclosureError, SimulatedCrash, SnapshotCorrupt
 from repro.fingerprint import Fingerprint, FingerprintConfig
-from repro.plugin.crypto import UploadCipher
+from repro.plugin.crypto import MARKER, UploadCipher
 from repro.util.clock import Clock, LogicalClock
 from repro.util.faults import FaultInjector
+
+#: Snapshot format version; bump on incompatible changes. Other
+#: versions, the JSON formats 1–3 included, are refused rather than
+#: converted.
+SNAPSHOT_VERSION = 4
+
+#: First line of a snapshot or model file with a plain body.
+MAGIC = b"BFSNAP\n"
+#: First line of one whose body is encrypted with the deployment cipher.
+SEALED_MAGIC = b"BFSNAP sealed\n"
+
+_FRAME = struct.Struct("<QI")  # payload length, crc32(payload)
+
+#: An engine snapshot's sections, in file order, with their array
+#: typecodes (8-byte unsigned ints and doubles; ``hash_bits`` may be 64).
+SECTIONS = (("selections", "Q"), ("run_times", "d"), ("run_lengths", "Q"))
+_SECTION_NAMES = frozenset(name for name, _typecode in SECTIONS)
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def _max_timestamp(data: dict) -> float:
     """Largest timestamp anywhere in a snapshot (0.0 when empty)."""
-    latest = 0.0
-    for entry in data.get("segments", ()):
-        latest = max(latest, entry.get("last_updated", 0.0))
-        for first_seen, _hashes in entry.get("first_seen", ()):
-            latest = max(latest, first_seen)
-    return latest
-
-
-#: Snapshot format version; bump on incompatible changes. Other
-#: versions, 1 and 2 included, are refused rather than converted.
-SNAPSHOT_VERSION = 3
+    return max(
+        max((row[4] for row in data.get("segments", ())), default=0.0),
+        max(data.get("run_times", ()), default=0.0),
+    )
 
 
 def _check_version(data: dict, where: str = "") -> None:
@@ -75,28 +110,23 @@ def _check_version(data: dict, where: str = "") -> None:
         )
 
 
-def _first_seen_groups(first_seen: Dict[int, float]) -> list:
-    """``[[timestamp, [hash, …]], …]``: ascending times, sorted hashes."""
-    groups: Dict[float, List[int]] = {}
-    for hash_value, timestamp in first_seen.items():
-        groups.setdefault(timestamp, []).append(hash_value)
-    return [[ts, sorted(groups[ts])] for ts in sorted(groups)]
-
-
 def snapshot_engine(
     engine: DisclosureEngine,
     *,
     wal_lsn: Optional[int] = None,
     wal_shards: Optional[int] = None,
 ) -> dict:
-    """Serialise an engine's databases to a JSON-compatible dict.
+    """Serialise an engine's databases to a snapshot dict.
 
-    Each segment entry is self-contained: its record fields, its
-    selections as one flat ``[value, start, end, …]`` list, and
-    ``first_seen``, the hashes it observes grouped by first-seen time.
-    Nothing is stored per hash: a segment observes exactly its
-    fingerprint's hashes (the engine's cross-database invariant), so
-    the first-seen groups of all segments are the whole hash database.
+    The dict holds the header fields, one row per segment under
+    ``"segments"`` (see the module docstring), and the :data:`SECTIONS`
+    arrays. A segment's runs give the first-seen time of each distinct
+    value of its selections, in first-occurrence order; a segment
+    observes exactly its fingerprint's hashes (the engine's
+    cross-database invariant), so the runs of all segments are the
+    whole hash database. A segment whose hashes the hash database does
+    not all hold raises :class:`~repro.errors.DisclosureError` rather
+    than writing runs that do not cover them.
 
     *wal_lsn*, when given, records the last WAL log sequence number
     folded into this snapshot; recovery replays only records beyond it
@@ -107,21 +137,34 @@ def snapshot_engine(
     """
     config = engine.config
     first_seen_of = engine.hash_db.first_seen_of
-    segments = []
+    rows = []
+    selections = array("Q")
+    run_times = array("d")
+    run_lengths = array("Q")
     for record in engine.segment_db:
-        segments.append(
-            {
-                "id": record.segment_id,
-                "threshold": record.threshold,
-                "kind": record.kind,
-                "doc_id": record.doc_id,
-                "last_updated": record.last_updated,
-                "selections": list(record.fingerprint.flat_selections),
-                "first_seen": _first_seen_groups(
-                    first_seen_of(record.segment_id, record.fingerprint.hashes)
-                ),
-            }
-        )
+        flat = record.fingerprint.flat_selections
+        # The selection values are distinct unless an n-gram recurs,
+        # which the stored hash set tells without a pass.
+        distinct = flat[0::3]
+        if len(distinct) != len(record.fingerprint.hashes):
+            distinct = tuple(dict.fromkeys(distinct))
+        first_seen = first_seen_of(record.segment_id, distinct)
+        if len(first_seen) != len(distinct):
+            raise DisclosureError(
+                f"segment {record.segment_id!r}: the hash database holds "
+                f"{len(first_seen)} of its {len(distinct)} distinct selection "
+                "values"
+            )
+        runs = 0
+        for timestamp, run in groupby(map(first_seen.__getitem__, distinct)):
+            run_times.append(timestamp)
+            run_lengths.append(len(list(run)))
+            runs += 1
+        selections.extend(flat)
+        rows.append([
+            record.segment_id, record.threshold, record.kind, record.doc_id,
+            record.last_updated, len(flat), runs,
+        ])
     data = {
         "version": SNAPSHOT_VERSION,
         "config": {
@@ -131,7 +174,10 @@ def snapshot_engine(
         },
         "authoritative": engine._authoritative,
         "kind": engine._kind,
-        "segments": segments,
+        "segments": rows,
+        "selections": selections,
+        "run_times": run_times,
+        "run_lengths": run_lengths,
     }
     if wal_lsn is not None:
         data["wal_lsn"] = wal_lsn
@@ -170,7 +216,7 @@ def restore_engine(
             authoritative=data.get("authoritative", True),
             kind=data.get("kind", "paragraph"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise SnapshotCorrupt(
             f"snapshot is malformed ({type(exc).__name__}: {exc})"
         ) from exc
@@ -185,14 +231,17 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
     recovery, which builds the engine itself so the recovered tier's
     shard count matches the pre-crash deployment.
 
-    The hash database is built in one pass: every segment's first-seen
-    groups, sorted by ``(first_seen, segment_id)``, go to one bulk load,
-    where the first group to name a hash owns it — the same owner a
-    ``record()`` per observation would pick. Since the hash database is
-    derived rather than stored, each segment is checked first, and
+    Each segment takes its slice of the sections: its selections give
+    its hash set, and its runs give the first-seen times of its
+    distinct selection values in first-occurrence order, so a hash can
+    appear neither twice in a segment nor outside its selections. All
+    segments' first-seen groups, sorted by ``(first_seen, segment_id)``,
+    go to one bulk load, where the first group to name a hash owns it —
+    the same owner a ``record()`` per observation would pick.
     :class:`~repro.errors.SnapshotCorrupt` names the segment when its
-    flat selections are not whole triples, a hash appears in its groups
-    twice, or its group hashes differ from its selection values. The
+    selections are not whole triples, its counts overrun the sections,
+    or its runs do not cover exactly its distinct values, and the
+    snapshot when the sections hold values no segment claims. The
     format version is the caller's to check (:func:`read_snapshot`,
     :func:`restore_engine`).
     """
@@ -213,58 +262,232 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
             f"{config.hash_bits})"
         )
     try:
+        rows = data["segments"]
+        values = tuple(data["selections"])
+        times = list(data["run_times"])
+        lengths = list(data["run_lengths"])
+        put = engine.segment_db.put
         groups = []
-        for entry in data["segments"]:
-            segment_id = entry["id"]
-            flat = tuple(entry["selections"])
-            if len(flat) % 3:
+        pos = run = 0
+        for row in rows:
+            segment_id, threshold, kind, doc_id, last_updated, count, runs = row
+            if count % 3:
                 raise SnapshotCorrupt(
-                    f"segment {segment_id!r}: {len(flat)} selection values "
-                    "are not whole [value, start, end] triples"
+                    f"segment {segment_id!r}: {count} selection values are "
+                    "not whole [value, start, end] triples"
                 )
-            hashes = frozenset(flat[0::3])
-            observed = set()
-            count = 0
-            for first_seen, group in entry["first_seen"]:
-                groups.append((first_seen, segment_id, group))
-                observed.update(group)
-                count += len(group)
-            if count != len(observed):
+            flat = values[pos:pos + count]
+            run_times = times[run:run + runs]
+            if len(flat) != count or len(run_times) != runs:
                 raise SnapshotCorrupt(
-                    f"segment {segment_id!r}: a hash appears twice in "
-                    "first_seen"
+                    f"segment {segment_id!r}: the header claims {count} "
+                    f"selection values and {runs} runs, beyond the sections"
                 )
-            if observed != hashes:
+            pos += count
+            selected = flat[0::3]
+            hashes = frozenset(selected)
+            distinct = (
+                selected if len(hashes) == len(selected)
+                else tuple(dict.fromkeys(selected))
+            )
+            start = 0
+            for first_seen, length in zip(run_times, lengths[run:run + runs]):
+                groups.append(
+                    (first_seen, segment_id, distinct[start:start + length])
+                )
+                start += length
+            run += runs
+            if start != len(distinct):
                 raise SnapshotCorrupt(
-                    f"segment {segment_id!r}: first_seen hashes differ from "
-                    f"its selection values ({len(observed ^ hashes)} "
-                    "mismatched)"
+                    f"segment {segment_id!r}: its first-seen runs cover "
+                    f"{start} hashes, its selections hold {len(distinct)} "
+                    "distinct values"
                 )
-            engine.segment_db.put(
+            put(
                 SegmentRecord(
                     segment_id=segment_id,
                     fingerprint=Fingerprint(
-                        hashes=hashes, flat_selections=flat, config=config
+                        hashes=hashes,
+                        flat_selections=flat,
+                        config=config,
                     ),
-                    threshold=entry["threshold"],
-                    kind=entry["kind"],
-                    doc_id=entry["doc_id"],
-                    last_updated=entry["last_updated"],
+                    threshold=threshold,
+                    kind=kind,
+                    doc_id=doc_id,
+                    last_updated=last_updated,
                 )
             )
-        groups.sort(key=lambda group: (group[0], group[1]))
+        if (pos, run, run) != (len(values), len(times), len(lengths)):
+            raise SnapshotCorrupt(
+                f"the segments claim {pos} selection values and {run} runs; "
+                f"the sections hold {len(values)} values, {len(times)} run "
+                f"times and {len(lengths)} run lengths"
+            )
+        groups.sort(key=itemgetter(0, 1))
         engine.hash_db.bulk_load(groups)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise SnapshotCorrupt(
             f"snapshot is malformed ({type(exc).__name__}: {exc})"
         ) from exc
     return engine
 
 
-def _atomic_write_text(
-    path: Path, payload: str, *, faults: Optional[FaultInjector] = None
+# ----------------------------------------------------------------------
+# The container: magic line, header frame, section frames
+# ----------------------------------------------------------------------
+
+def split_sections(data: dict) -> Tuple[dict, List[array]]:
+    """A snapshot dict's header fields and its :data:`SECTIONS` arrays."""
+    header = {k: v for k, v in data.items() if k not in _SECTION_NAMES}
+    return header, [data[name] for name, _typecode in SECTIONS]
+
+
+def join_sections(header: dict, payloads: Sequence, what: str) -> dict:
+    """Inverse of :func:`split_sections` over decoded section bytes.
+
+    Raises :class:`~repro.errors.SnapshotCorrupt` naming *what* when the
+    section count is wrong or a section is not whole 8-byte values.
+    """
+    if len(payloads) != len(SECTIONS):
+        raise SnapshotCorrupt(
+            f"{what} holds {len(payloads)} sections; an engine snapshot "
+            f"has {len(SECTIONS)}"
+        )
+    data = dict(header)
+    for (name, typecode), payload in zip(SECTIONS, payloads):
+        values = array(typecode)
+        if len(payload) % values.itemsize:
+            raise SnapshotCorrupt(
+                f"{what}: section {name!r} holds {len(payload)} bytes, not "
+                f"whole {values.itemsize}-byte values"
+            )
+        values.frombytes(payload)
+        if not _LITTLE_ENDIAN:
+            values.byteswap()
+        data[name] = values
+    return data
+
+
+def _little_endian(values: array) -> bytes:
+    if _LITTLE_ENDIAN:
+        return values.tobytes()
+    swapped = array(values.typecode, values)
+    swapped.byteswap()
+    return swapped.tobytes()
+
+
+def encode_container(
+    header: dict, sections: Sequence[array], cipher: Optional[UploadCipher] = None
+) -> bytes:
+    """The file bytes of a JSON *header* and its binary *sections*.
+
+    Each part is framed with its length and CRC-32. With a cipher the
+    body after the magic line is encrypted as bytes.
+    """
+    parts = [json.dumps(header, separators=(",", ":")).encode("ascii")]
+    parts += [_little_endian(values) for values in sections]
+    body = b"".join(
+        piece
+        for part in parts
+        for piece in (_FRAME.pack(len(part), zlib.crc32(part)), part)
+    )
+    if cipher is None:
+        return MAGIC + body
+    return SEALED_MAGIC + cipher.encrypt_bytes(body)
+
+
+def is_sealed(blob: bytes) -> bool:
+    """Whether *blob* needs a cipher: a sealed container, or a format-3
+    or older snapshot in the text armour."""
+    return blob.startswith(SEALED_MAGIC) or blob.startswith(MARKER.encode())
+
+
+def decode_container(
+    blob: bytes, cipher: Optional[UploadCipher], what: str
+) -> Tuple[dict, List[memoryview]]:
+    """Split file bytes into the JSON header and the section payloads.
+
+    Every frame's length is checked against the bytes that remain
+    before it is read, and its CRC-32 against its payload; a wrong
+    cipher key fails the header frame. A file without the magic line is
+    parsed as the JSON document formats 1–3 were, and returned with no
+    sections, so the caller refuses it by its version. Damage raises
+    :class:`~repro.errors.SnapshotCorrupt` naming *what*; the caller
+    refuses a sealed file without a cipher first (:func:`is_sealed`).
+    """
+    sealed = blob.startswith(SEALED_MAGIC)
+    if sealed:
+        try:
+            body = memoryview(cipher.decrypt_bytes(blob[len(SEALED_MAGIC):]))
+        except ValueError as exc:
+            raise SnapshotCorrupt(f"{what} is truncated or corrupt: {exc}") from exc
+    elif blob.startswith(MAGIC):
+        body = memoryview(blob)[len(MAGIC):]
+    else:
+        return _json_document(blob, cipher, what), []
+    frames: List[memoryview] = []
+    offset = 0
+    while offset < len(body) or not frames:
+        problem = None
+        if len(body) - offset < _FRAME.size:
+            problem = f"frame {len(frames)} is cut short at byte {offset}"
+        else:
+            length, crc = _FRAME.unpack_from(body, offset)
+            offset += _FRAME.size
+            if length > len(body) - offset:
+                problem = (
+                    f"frame {len(frames)} claims {length} bytes, "
+                    f"{len(body) - offset} remain"
+                )
+            elif zlib.crc32(body[offset:offset + length]) != crc:
+                problem = f"frame {len(frames)} fails its checksum"
+        if problem is not None:
+            if sealed and not frames:
+                raise SnapshotCorrupt(
+                    f"{what} cannot be decrypted — wrong key or corrupt "
+                    f"ciphertext ({problem})"
+                )
+            raise SnapshotCorrupt(f"{what} is truncated or corrupt: {problem}")
+        frames.append(body[offset:offset + length])
+        offset += length
+    try:
+        header = json.loads(frames[0].tobytes())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SnapshotCorrupt(
+            f"{what} is truncated or corrupt: the header is not JSON ({exc})"
+        ) from exc
+    if not isinstance(header, dict):
+        raise SnapshotCorrupt(
+            f"{what} header must be a JSON object, got {type(header).__name__}"
+        )
+    return header, frames[1:]
+
+
+def _json_document(
+    blob: bytes, cipher: Optional[UploadCipher], what: str
+) -> dict:
+    """The JSON object of a file without the magic line (formats 1–3)."""
+    try:
+        text = blob.decode("utf-8")
+        if UploadCipher.is_encrypted(text):
+            text = cipher.decrypt(text)
+        data = json.loads(text)
+    except ValueError as exc:  # bad hex, UTF-8 or JSON
+        raise SnapshotCorrupt(
+            f"{what} is truncated or corrupt: no snapshot magic line and "
+            f"not JSON ({type(exc).__name__})"
+        ) from exc
+    if not isinstance(data, dict):
+        raise SnapshotCorrupt(
+            f"{what} root must be a JSON object, got {type(data).__name__}"
+        )
+    return data
+
+
+def atomic_write_bytes(
+    path: Path, data: bytes, *, faults: Optional[FaultInjector] = None
 ) -> None:
-    """Atomically replace *path* with *payload*.
+    """Atomically replace *path* with *data*.
 
     The bytes go to an fsynced temp file in the same directory, then an
     ``os.replace`` swings the name; the containing directory is fsynced
@@ -286,7 +509,6 @@ def _atomic_write_text(
     fault = faults.next_fault() if faults is not None else None
     if fault is not None and fault.kind == "drop":
         raise SimulatedCrash(f"before writing snapshot {path}")
-    data = payload.encode("utf-8")
     directory = path.parent if str(path.parent) else Path(".")
     fd, tmp_name = tempfile.mkstemp(
         prefix=path.name + ".", suffix=".tmp", dir=str(directory)
@@ -331,6 +553,24 @@ def _fsync_directory(directory: Path) -> None:
         os.close(dir_fd)
 
 
+def encode_snapshot(data: dict, cipher: Optional[UploadCipher] = None) -> bytes:
+    """The file bytes of a snapshot dict (see :func:`snapshot_engine`)."""
+    return encode_container(*split_sections(data), cipher)
+
+
+def decode_snapshot(
+    blob: bytes, cipher: Optional[UploadCipher] = None, *, source: str = "<bytes>"
+) -> dict:
+    """Inverse of :func:`encode_snapshot`; *source* names the file in
+    errors. Another format version raises
+    :class:`~repro.errors.DisclosureError`, damage
+    :class:`~repro.errors.SnapshotCorrupt`."""
+    what = f"snapshot {source}"
+    header, payloads = decode_container(blob, cipher, what)
+    _check_version(header, f" in {source}")
+    return join_sections(header, payloads, what)
+
+
 def save_engine(
     engine: DisclosureEngine,
     path,
@@ -339,20 +579,19 @@ def save_engine(
     wal_lsn: Optional[int] = None,
     wal_shards: Optional[int] = None,
     faults: Optional[FaultInjector] = None,
-) -> None:
-    """Atomically write a snapshot to *path*.
+) -> int:
+    """Atomically write a snapshot to *path*; returns its size in bytes.
 
     Encrypted when a cipher is given. *wal_lsn* stamps the snapshot
     with the last WAL record it covers (compaction) and *wal_shards*
     the WAL set's shard layout; *faults* injects deterministic crash
-    points (see :func:`_atomic_write_text`).
+    points (see :func:`atomic_write_bytes`).
     """
-    payload = json.dumps(
-        snapshot_engine(engine, wal_lsn=wal_lsn, wal_shards=wal_shards)
+    payload = encode_snapshot(
+        snapshot_engine(engine, wal_lsn=wal_lsn, wal_shards=wal_shards), cipher
     )
-    if cipher is not None:
-        payload = cipher.encrypt(payload)
-    _atomic_write_text(Path(path), payload, faults=faults)
+    atomic_write_bytes(Path(path), payload, faults=faults)
+    return len(payload)
 
 
 def read_snapshot(path, *, cipher: Optional[UploadCipher] = None) -> dict:
@@ -361,50 +600,19 @@ def read_snapshot(path, *, cipher: Optional[UploadCipher] = None) -> dict:
     Raises :class:`~repro.errors.SnapshotCorrupt` on truncated, corrupt,
     or wrong-cipher payloads, and a plain
     :class:`~repro.errors.DisclosureError` when the file is encrypted
-    but no cipher was supplied or holds another format version.
+    but no cipher was supplied or holds another format version (the
+    JSON formats 1–3 included).
     """
     path = Path(path)
     try:
-        payload = path.read_text(encoding="utf-8")
+        blob = path.read_bytes()
     except OSError as exc:
         raise DisclosureError(f"cannot read snapshot {path}: {exc}") from exc
-    if UploadCipher.is_encrypted(payload) and cipher is None:
+    if cipher is None and is_sealed(blob):
         raise DisclosureError(
             f"snapshot {path} is encrypted; a cipher is required"
         )
-    data = _decode_payload(payload, cipher, f"snapshot {path}")
-    _check_version(data, f" in {path}")
-    return data
-
-
-def _decode_payload(
-    payload: str, cipher: Optional[UploadCipher], what: str
-) -> dict:
-    """Decrypt (when encrypted) and parse a JSON-object payload.
-
-    Wrong-key or corrupt ciphertext, invalid (torn) JSON and a non-object
-    root raise :class:`~repro.errors.SnapshotCorrupt` naming *what*. The
-    caller refuses an encrypted payload without a cipher first.
-    """
-    if UploadCipher.is_encrypted(payload):
-        try:
-            payload = cipher.decrypt(payload)
-        except Exception as exc:
-            raise SnapshotCorrupt(
-                f"{what} cannot be decrypted — wrong key or "
-                f"corrupt ciphertext ({type(exc).__name__})"
-            ) from exc
-    try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise SnapshotCorrupt(
-            f"{what} is truncated or corrupt: not valid JSON ({exc})"
-        ) from exc
-    if not isinstance(data, dict):
-        raise SnapshotCorrupt(
-            f"{what} root must be a JSON object, got {type(data).__name__}"
-        )
-    return data
+    return decode_snapshot(blob, cipher, source=str(path))
 
 
 def load_engine(

@@ -41,7 +41,9 @@ any mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import DisclosureError, UnknownSegmentError
 from repro.fingerprint import Fingerprint
@@ -218,22 +220,25 @@ class HashDatabase:
         return None
 
     def first_seen_of(
-        self, segment_id: str, hashes: Iterable[int]
+        self, segment_id: str, hashes: Collection[int]
     ) -> Dict[int, float]:
         """Each of *hashes* that *segment_id* observes → its first-seen
-        time, in O(|hashes|); hashes it does not observe are left out."""
-        oldest = self._oldest
-        shared = self._shared
-        out: Dict[int, float] = {}
-        for h in hashes:
-            seen_by = shared.get(h)
-            if seen_by is not None:
-                if segment_id in seen_by:
+        time, in O(|hashes|); hashes it does not observe are left out.
+
+        A hash the segment owns takes its time from the owner entry,
+        one probe; only the others look for an observer map.
+        """
+        out = {
+            h: entry[0]
+            for h, entry in zip(hashes, map(self._oldest.get, hashes))
+            if entry is not None and entry[1] == segment_id
+        }
+        if len(out) < len(hashes):
+            shared = self._shared
+            for h in hashes:
+                seen_by = shared.get(h)
+                if seen_by is not None and h not in out and segment_id in seen_by:
                     out[h] = seen_by[segment_id]
-                continue
-            entry = oldest.get(h)
-            if entry is not None and entry[1] == segment_id:
-                out[h] = entry[0]
         return out
 
     def bulk_load(

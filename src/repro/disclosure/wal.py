@@ -116,7 +116,10 @@ DEFAULT_FSYNC_INTERVAL = 64
 OPS = ("observe", "remove", "threshold", "expire", "suppress", "compact")
 
 #: Default file names inside a durable engine's directory.
-SNAPSHOT_NAME = "snapshot.json"
+SNAPSHOT_NAME = "snapshot.bin"
+#: Where directories compacted before snapshot format 4 kept their
+#: JSON snapshot; recovery refuses a directory that still holds one.
+LEGACY_SNAPSHOT_NAME = "snapshot.json"
 
 
 def _wal_name(shard: int, n_shards: int) -> str:
@@ -790,6 +793,9 @@ class RecoveryStats:
     torn_bytes: int
     last_lsn: int
     resumed_clock: int
+    #: Wall time of the whole recovery (snapshot read, log scan and
+    #: truncation, replay), by the registry's clock.
+    seconds: float
 
 
 class DurableEngine:
@@ -841,8 +847,22 @@ class DurableEngine:
         self._h_recovery_replayed = scope.histogram(
             "recovery_records", buckets=(1, 16, 256, 4096, 65536)
         )
+        self._h_compact = scope.histogram("compact_seconds")
+        self._g_snapshot_bytes = scope.gauge("snapshot_bytes")
+        clock = self.registry.clock
+        started = clock.now()
 
         snapshot_path = self.directory / SNAPSHOT_NAME
+        legacy_path = self.directory / LEGACY_SNAPSHOT_NAME
+        if legacy_path.exists():
+            # Everything compacted into it is gone from the logs, so
+            # recovering from the WAL tail alone would lose it: refuse,
+            # by its format version when it is a JSON snapshot.
+            read_snapshot(legacy_path, cipher=cipher)
+            raise DisclosureError(
+                f"{legacy_path} is not where this build keeps snapshots "
+                f"({SNAPSHOT_NAME}); refusing to recover around it"
+            )
         # Read the snapshot *before* opening the logs: a wrong-key,
         # corrupt or other-version snapshot must abort recovery while
         # the WAL is still untouched — opening the WALSet truncates torn
@@ -857,6 +877,7 @@ class DurableEngine:
         snapshot_lsn = 0
         snapshot_ts = 0.0
         if data is not None:
+            self._g_snapshot_bytes.set(snapshot_path.stat().st_size)
             try:
                 config = FingerprintConfig(**data["config"])
                 kind = data.get("kind", kind)
@@ -865,7 +886,7 @@ class DurableEngine:
                     persisted_shards = int(data["wal_shards"])
                 snapshot_lsn = int(data.get("wal_lsn", 0))
                 snapshot_ts = _max_timestamp(data)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (LookupError, TypeError, ValueError) as exc:
                 raise SnapshotCorrupt(
                     f"snapshot {snapshot_path} is malformed "
                     f"({type(exc).__name__}: {exc})"
@@ -905,9 +926,9 @@ class DurableEngine:
             if has_state
             else 0
         )
-        clock = LogicalClock(start=resumed)
         self.engine = DisclosureEngine(
-            config, clock, authoritative=authoritative, kind=kind,
+            config, LogicalClock(start=resumed),
+            authoritative=authoritative, kind=kind,
             registry=self.registry, n_shards=n_shards,
         )
         # A failed recovery must not leak the log handles it opened.
@@ -931,6 +952,7 @@ class DurableEngine:
             torn_bytes=int(scope.counter("torn_bytes_truncated").value),
             last_lsn=self.wal.last_lsn,
             resumed_clock=resumed,
+            seconds=clock.now() - started,
         )
         self.engine.attach_journal(EngineJournal(self.wal))
 
@@ -996,15 +1018,19 @@ class DurableEngine:
         record be discarded with the old shard files. ``WALSet.rotate``
         additionally refuses if one slipped through.
         """
+        clock = self.registry.clock
+        started = clock.now()
         with self.engine.lock.read_locked():
             lsn = self.wal.last_lsn
-            save_engine(
+            size = save_engine(
                 self.engine, self.snapshot_path, cipher=self._cipher,
                 wal_lsn=lsn, wal_shards=self.wal.n_shards,
             )
             self.wal.rotate(lsn)
         self._ops_since_compact = 0
         self._c_compactions.inc()
+        self._g_snapshot_bytes.set(size)
+        self._h_compact.observe(clock.now() - started)
         return lsn
 
     def close(self) -> None:

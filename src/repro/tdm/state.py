@@ -7,25 +7,32 @@ suppressed tags, which are the audit anchor), segment locations, the
 audit log, and the policy store. This module snapshots and restores the
 complete :class:`~repro.tdm.model.TextDisclosureModel`.
 
-Model files get the engine snapshots' guarantees: writes are atomic (a
-crash mid-write leaves the previous file intact), and a torn, corrupt
-or wrong-key file raises :class:`~repro.errors.SnapshotCorrupt` naming
-it.
+Model files use the engine snapshots' container (format 4, see
+:mod:`repro.disclosure.persistence`): the JSON header holds the model
+fields and both engines' snapshot headers, and the sections are the
+paragraph engine's followed by the document engine's. They get the
+engine snapshots' guarantees: writes are atomic (a crash mid-write
+leaves the previous file intact), and a torn, corrupt or wrong-key file
+raises :class:`~repro.errors.SnapshotCorrupt` naming it.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional
 
 from repro.disclosure.persistence import (
-    _atomic_write_text,
+    SECTIONS,
     _check_version,
-    _decode_payload,
     _max_timestamp,
+    atomic_write_bytes,
+    decode_container,
+    encode_container,
+    is_sealed,
+    join_sections,
     restore_into,
     snapshot_engine,
+    split_sections,
 )
 from repro.errors import DisclosureError, PolicyError, SnapshotCorrupt
 from repro.fingerprint import FingerprintConfig
@@ -38,7 +45,19 @@ from repro.tdm.tags import Tag
 from repro.util.clock import LogicalClock
 from repro.util.faults import FaultInjector
 
-MODEL_STATE_VERSION = 1
+#: Model file version; version 1 was one JSON document.
+MODEL_STATE_VERSION = 2
+
+#: The engine snapshots a model file holds, in section order.
+ENGINES = ("paragraph_engine", "document_engine")
+
+
+def _check_model_version(data: dict, where: str = "") -> None:
+    if data.get("version") != MODEL_STATE_VERSION:
+        raise PolicyError(
+            f"unsupported model state version {data.get('version')!r}{where} "
+            f"(this build reads version {MODEL_STATE_VERSION})"
+        )
 
 
 def _label_to_dict(label: SegmentLabel) -> dict:
@@ -101,10 +120,9 @@ def model_from_dict(data: dict) -> TextDisclosureModel:
     ownership, nor a post-restart audit event sort before an old one.
     A malformed state raises :class:`~repro.errors.SnapshotCorrupt`.
     """
-    if data.get("version") != MODEL_STATE_VERSION:
-        raise PolicyError(f"unsupported model state version {data.get('version')!r}")
+    _check_model_version(data)
     try:
-        engines = (data["paragraph_engine"], data["document_engine"])
+        engines = tuple(data[key] for key in ENGINES)
         for engine_data in engines:
             _check_version(engine_data)
         audit = [
@@ -132,18 +150,58 @@ def model_from_dict(data: dict) -> TextDisclosureModel:
         )
         restore_into(model.tracker.paragraphs, engines[0])
         restore_into(model.tracker.documents, engines[1])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        for segment_id, label_data in data.get("labels", {}).items():
+            model.set_label(segment_id, _label_from_dict(label_data))
+        for segment_id, services in data.get("locations", {}).items():
+            model._locations[segment_id] = set(services)
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise SnapshotCorrupt(
             f"model state is malformed ({type(exc).__name__}: {exc})"
         ) from exc
-
-    for segment_id, label_data in data.get("labels", {}).items():
-        model.set_label(segment_id, _label_from_dict(label_data))
-    for segment_id, services in data.get("locations", {}).items():
-        model._locations[segment_id] = set(services)
     for event in audit:
         model.audit.record(event)
     return model
+
+
+def encode_model(data: dict, cipher: Optional[UploadCipher] = None) -> bytes:
+    """The file bytes of a :func:`model_to_dict` dict."""
+    header = dict(data)
+    sections = []
+    for key in ENGINES:
+        header[key], engine_sections = split_sections(data[key])
+        sections += engine_sections
+    return encode_container(header, sections, cipher)
+
+
+def decode_model(
+    blob: bytes, cipher: Optional[UploadCipher] = None, *, source: str = "<bytes>"
+) -> dict:
+    """Inverse of :func:`encode_model`; *source* names the file in errors.
+
+    Another model state version, the JSON files of version 1 included,
+    raises :class:`~repro.errors.PolicyError`; damage raises
+    :class:`~repro.errors.SnapshotCorrupt`.
+    """
+    what = f"model state {source}"
+    header, payloads = decode_container(blob, cipher, what)
+    _check_model_version(header, f" in {source}")
+    per_engine = len(SECTIONS)
+    if len(payloads) != per_engine * len(ENGINES):
+        raise SnapshotCorrupt(
+            f"{what} holds {len(payloads)} sections; a model file has "
+            f"{per_engine * len(ENGINES)}"
+        )
+    data = dict(header)
+    try:
+        for i, key in enumerate(ENGINES):
+            data[key] = join_sections(
+                header[key], payloads[i * per_engine:(i + 1) * per_engine], what
+            )
+    except (LookupError, TypeError, ValueError) as exc:
+        raise SnapshotCorrupt(
+            f"{what} is malformed ({type(exc).__name__}: {exc})"
+        ) from exc
+    return data
 
 
 def save_model(
@@ -155,11 +213,10 @@ def save_model(
 ) -> None:
     """Atomically write the model state to *path*, optionally encrypted
     at rest; *faults* injects deterministic crash points (see
-    :func:`~repro.disclosure.persistence.save_engine`)."""
-    payload = json.dumps(model_to_dict(model))
-    if cipher is not None:
-        payload = cipher.encrypt(payload)
-    _atomic_write_text(Path(path), payload, faults=faults)
+    :func:`~repro.disclosure.persistence.atomic_write_bytes`)."""
+    atomic_write_bytes(
+        Path(path), encode_model(model_to_dict(model), cipher), faults=faults
+    )
 
 
 def load_model(path, *, cipher: Optional[UploadCipher] = None) -> TextDisclosureModel:
@@ -174,12 +231,12 @@ def load_model(path, *, cipher: Optional[UploadCipher] = None) -> TextDisclosure
     """
     path = Path(path)
     try:
-        payload = path.read_text(encoding="utf-8")
+        blob = path.read_bytes()
     except OSError as exc:
         raise DisclosureError(f"cannot read model state {path}: {exc}") from exc
-    if UploadCipher.is_encrypted(payload) and cipher is None:
+    if cipher is None and is_sealed(blob):
         raise PolicyError(f"model state {path} is encrypted; a cipher is required")
-    data = _decode_payload(payload, cipher, f"model state {path}")
+    data = decode_model(blob, cipher, source=str(path))
     try:
         return model_from_dict(data)
     except SnapshotCorrupt as exc:

@@ -68,6 +68,58 @@ def assert_databases_agree(engine) -> None:
     assert not observed, f"hash_db observes untracked segments {sorted(observed)}"
 
 
+def json_snapshot(engine, version=3, **fields) -> dict:
+    """*engine* in the JSON layout of snapshot formats 2 and 3, which
+    this build refuses: one entry per segment holding its flat
+    selections and its hashes grouped by first-seen time. *fields* adds
+    top-level keys (format 2 also held ``owner_epochs`` and
+    ``ownership_changes``; a durable snapshot ``wal_lsn`` and
+    ``wal_shards``)."""
+    config = engine.config
+    segments = []
+    for record in engine.segment_db:
+        groups = {}
+        for h in record.fingerprint.hashes:
+            seen = engine.hash_db.first_seen(h, record.segment_id)
+            groups.setdefault(seen, []).append(h)
+        segments.append({
+            "id": record.segment_id,
+            "threshold": record.threshold,
+            "kind": record.kind,
+            "doc_id": record.doc_id,
+            "last_updated": record.last_updated,
+            "selections": list(record.fingerprint.flat_selections),
+            "first_seen": [[ts, sorted(groups[ts])] for ts in sorted(groups)],
+        })
+    return {
+        "version": version,
+        "config": {
+            "ngram_size": config.ngram_size,
+            "window_size": config.window_size,
+            "hash_bits": config.hash_bits,
+        },
+        "authoritative": engine._authoritative,
+        "kind": engine._kind,
+        "segments": segments,
+        **fields,
+    }
+
+
+def container_frames(blob: bytes):
+    """``(length_offset, payload_offset, length)`` of each frame of a
+    plain snapshot or model file: the header frame, then the sections."""
+    from repro.disclosure.persistence import MAGIC
+
+    assert blob.startswith(MAGIC)
+    frames = []
+    offset = len(MAGIC)
+    while offset < len(blob):
+        length = int.from_bytes(blob[offset:offset + 8], "little")
+        frames.append((offset, offset + 12, length))
+        offset += 12 + length
+    return frames
+
+
 @pytest.fixture
 def tiny_config():
     return TINY_CONFIG

@@ -91,8 +91,8 @@ class TestObserveScan:
         db = tmp / "db.enc"
         main(["observe", str(a), "--db", str(db), "--id", "doc-a",
               "--key", "disk-secret"])
-        raw = db.read_text()
-        assert "doc-a" not in raw
+        raw = db.read_bytes()
+        assert b"doc-a" not in raw
         assert main(["scan", str(a), "--db", str(db), "--key", "disk-secret"]) == 1
 
     def test_scan_missing_db_fails(self, files, capsys):
@@ -290,7 +290,7 @@ class TestCorruptDbErrors:
 
     def test_scan_truncated_db(self, files, capsys):
         a, db = self.observed_db_path(files)
-        db.write_text(db.read_text()[:40])
+        db.write_bytes(db.read_bytes()[:40])
         assert main(["scan", str(a), "--db", str(db)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -348,6 +348,7 @@ class TestRecover:
         assert "replayed 2 record(s)" in out
         assert "torn byte(s)" in out
         assert "clock resumed" in out
+        assert "recovery took" in out
 
     def test_recover_compact_then_fast_replay(self, files, tmp_path, capsys):
         directory = self.durable_dir(tmp_path)

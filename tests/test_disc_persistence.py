@@ -18,23 +18,34 @@ import pytest
 from repro.disclosure import DisclosureEngine
 from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.persistence import (
+    MAGIC,
+    SEALED_MAGIC,
+    decode_container,
+    encode_snapshot,
     expire_segments,
+    join_sections,
     load_engine,
     read_snapshot,
     restore_engine,
     save_engine,
     snapshot_engine,
 )
-from repro.disclosure.wal import DurableEngine
+from repro.disclosure.wal import LEGACY_SNAPSHOT_NAME, SNAPSHOT_NAME, DurableEngine
 from repro.errors import DisclosureError, SimulatedCrash, SnapshotCorrupt
 from repro.fingerprint.config import TINY_CONFIG
 from repro.plugin.crypto import UploadCipher
 from repro.tdm import PolicyStore, TextDisclosureModel
-from repro.tdm.state import load_model, model_to_dict
+from repro.tdm.state import ENGINES, encode_model, load_model, model_to_dict
 from repro.util.clock import LogicalClock
 from repro.util.faults import Fault, FaultInjector
 
-from conftest import OTHER_TEXT, SECRET_TEXT, THIRD_TEXT, assert_databases_agree
+from conftest import (
+    OTHER_TEXT,
+    SECRET_TEXT,
+    THIRD_TEXT,
+    assert_databases_agree,
+    json_snapshot,
+)
 
 
 @pytest.fixture
@@ -90,39 +101,56 @@ class TestSnapshotRoundtrip:
         save_engine(engine, path)
         assert load_engine(path).config == TINY_CONFIG
 
-    @pytest.mark.parametrize("version", [2, 99])
+    @pytest.mark.parametrize("version", [2, 3, 99])
     def test_unsupported_version_rejected(self, engine, tmp_path, version):
         """Another version is refused by every way a snapshot comes in:
-        a dict, a file, a durable directory, and a model file whose
-        engine snapshots are in that version. Version 2 is the layout
-        that also persisted owner epochs."""
+        a dict; a file in the JSON layout of formats 2 and 3 or in the
+        binary container; a durable directory holding either, under the
+        old or the current snapshot name; and a model file whose engine
+        snapshots are in that version."""
         data = snapshot_engine(engine)
-        data.update(version=version, owner_epochs={}, ownership_changes=0)
+        data["version"] = version
         refused = f"unsupported snapshot version {version} "
         with pytest.raises(DisclosureError, match=refused):
             restore_engine(data)
-        path = tmp_path / "db.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(DisclosureError, match=refused):
-            read_snapshot(path)
-        directory = tmp_path / "durable"
-        directory.mkdir()
-        (directory / "snapshot.json").write_text(json.dumps(data))
-        with pytest.raises(DisclosureError, match=refused):
-            DurableEngine(directory, config=TINY_CONFIG)
-        assert sorted(p.name for p in directory.iterdir()) == ["snapshot.json"]
+        layouts = {
+            LEGACY_SNAPSHOT_NAME: json.dumps(json_snapshot(engine, version)).encode(),
+            SNAPSHOT_NAME: encode_snapshot(data),
+        }
+        for name, blob in layouts.items():
+            path = tmp_path / name
+            path.write_bytes(blob)
+            with pytest.raises(DisclosureError, match=refused):
+                read_snapshot(path)
+            directory = tmp_path / f"durable-{name}"
+            directory.mkdir()
+            (directory / name).write_bytes(blob)
+            with pytest.raises(DisclosureError, match=refused):
+                DurableEngine(directory, config=TINY_CONFIG)
+            assert sorted(p.name for p in directory.iterdir()) == [name]
         model = TextDisclosureModel(PolicyStore(), TINY_CONFIG)
         model.observe("https://wiki.example", "docA", [("docA#p0", SECRET_TEXT)])
         state = model_to_dict(model)
-        for key in ("paragraph_engine", "document_engine"):
-            state[key].update(version=version, owner_epochs={}, ownership_changes=0)
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(state))
+        for key in ENGINES:
+            state[key]["version"] = version
+        model_path = tmp_path / "model.bin"
+        model_path.write_bytes(encode_model(state))
         with pytest.raises(DisclosureError, match=refused):
             load_model(model_path)
 
-    def test_snapshot_is_json(self, engine):
-        json.dumps(snapshot_engine(engine))  # must not raise
+    def test_header_is_json_and_hash_data_is_binary(self, engine, tmp_path):
+        """The file is the magic line, a JSON header with no hash data,
+        and the section arrays, which decode back to the snapshot."""
+        path = tmp_path / "db.snap"
+        save_engine(engine, path)
+        blob = path.read_bytes()
+        assert blob.startswith(MAGIC)
+        header, payloads = decode_container(blob, None, "db")
+        assert set(header) == {
+            "version", "config", "authoritative", "kind", "segments",
+        }
+        assert header["segments"][0][:5] == ["a", 0.4, "paragraph", "docA", 0.0]
+        assert join_sections(header, payloads, "db") == snapshot_engine(engine)
 
 
 class TestEncryptionAtRest:
@@ -130,9 +158,9 @@ class TestEncryptionAtRest:
         path = tmp_path / "db.enc"
         cipher = UploadCipher("disk-key")
         save_engine(engine, path, cipher=cipher)
-        raw = path.read_text()
-        assert "hashes" not in raw
-        assert UploadCipher.is_encrypted(raw)
+        raw = path.read_bytes()
+        assert raw.startswith(SEALED_MAGIC)
+        assert b"docA" not in raw and b"segments" not in raw
 
     def test_encrypted_roundtrip(self, engine, tmp_path):
         path = tmp_path / "db.enc"
@@ -198,7 +226,7 @@ class TestAtomicSave:
     def test_old_snapshot_survives_crashed_writer(self, engine, tmp_path, crash):
         path = tmp_path / "db.json"
         save_engine(engine, path)
-        good = path.read_text()
+        good = path.read_bytes()
         engine.observe("d", THIRD_TEXT)
         with pytest.raises(SimulatedCrash):
             save_engine(
@@ -206,7 +234,7 @@ class TestAtomicSave:
             )
         # The destination is byte-identical to the pre-crash snapshot
         # and still loads; only temp-file debris may remain.
-        assert path.read_text() == good
+        assert path.read_bytes() == good
         restored = load_engine(path)
         assert sorted(restored.segment_db.ids()) == ["a", "b", "c"]
 
@@ -244,11 +272,11 @@ class TestAtomicSave:
 class TestCorruptSnapshots:
     """Damaged snapshots surface as readable errors, not tracebacks."""
 
-    def test_truncated_json(self, engine, tmp_path):
+    def test_truncated_snapshot(self, engine, tmp_path):
         path = tmp_path / "db.json"
         save_engine(engine, path)
-        payload = path.read_text()
-        path.write_text(payload[: len(payload) // 2])
+        payload = path.read_bytes()
+        path.write_bytes(payload[: len(payload) // 2])
         with pytest.raises(SnapshotCorrupt) as excinfo:
             load_engine(path)
         message = str(excinfo.value)
@@ -272,7 +300,7 @@ class TestCorruptSnapshots:
         data = snapshot_engine(engine)
         del data["segments"]
         path = tmp_path / "db.json"
-        path.write_text(json.dumps(data))
+        path.write_bytes(encode_snapshot(data))
         with pytest.raises(SnapshotCorrupt):
             load_engine(path)
 

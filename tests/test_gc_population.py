@@ -20,14 +20,18 @@ observe them, and divide the traced growth by the distinct hashes.
 from __future__ import annotations
 
 import gc
-import json
 import tracemalloc
 
 import pytest
 
 from repro import DisclosureEngine
 from repro.datasets import EbookCorpus
-from repro.disclosure.persistence import restore_into, snapshot_engine
+from repro.disclosure.persistence import (
+    decode_snapshot,
+    encode_snapshot,
+    restore_into,
+    snapshot_engine,
+)
 from repro.disclosure.wal import apply_record
 from repro.fingerprint import Fingerprinter
 from repro.fingerprint.config import PAPER_CONFIG
@@ -76,7 +80,7 @@ class TestTrackedObjectsPerSegment:
 
     def test_engine_restored_from_snapshot(self, paragraphs):
         live = observe_all(DisclosureEngine(PAPER_CONFIG, LogicalClock()), paragraphs)
-        data = json.loads(json.dumps(snapshot_engine(live)))
+        data = decode_snapshot(encode_snapshot(snapshot_engine(live)))
         before = tracked_objects()
         restored = restore_into(DisclosureEngine(PAPER_CONFIG, LogicalClock()), data)
         added = tracked_objects() - before
@@ -134,7 +138,7 @@ class TestFlatSelectionsAreUntracked:
     def test_restored_and_replayed_fingerprints(self):
         live = DisclosureEngine(PAPER_CONFIG, LogicalClock())
         record = live.observe("s", self.TEXT)
-        data = json.loads(json.dumps(snapshot_engine(live)))
+        data = decode_snapshot(encode_snapshot(snapshot_engine(live)))
         restored = restore_into(DisclosureEngine(PAPER_CONFIG, LogicalClock()), data)
         self.assert_untracked(restored.segment_db.get("s").fingerprint)
         flat = record.fingerprint.flat_selections

@@ -1,8 +1,10 @@
 """Tests for the upload cipher."""
 
+import hashlib
+
 import pytest
 
-from repro.plugin.crypto import MARKER, UploadCipher
+from repro.plugin.crypto import MARKER, NONCE_SIZE, UploadCipher
 
 
 @pytest.fixture
@@ -65,3 +67,55 @@ class TestUploadCipher:
     def test_long_payload(self, cipher):
         text = "paragraph content " * 500
         assert cipher.decrypt(cipher.encrypt(text)) == text
+
+
+class TestFixedVectors:
+    """The keystream and the text armour are pinned to ciphertexts the
+    one-``hmac``-object-per-block implementation produced, so logs and
+    snapshots encrypted before the faster keystream still decrypt."""
+
+    def test_short_key(self):
+        assert UploadCipher("disk-key").encrypt(
+            "The quarterly numbers stay confidential."
+        ) == (
+            "bf-enc:899fae46bc6c621c1550a794:59647e1dae96deddb9709f4e0c0168"
+            "aa30198c8b22156e4a3e97b2541c606def7990b22e4428d89e"
+        )
+
+    def test_key_longer_than_a_hash_block(self):
+        ciphertext = "bf-enc:4acb195adb83dfe9d4a6387e:" + (
+            "ce414c5d8de0684779a00b2cb40fdcf5dce435e6004671"
+        )
+        cipher = UploadCipher("k" * 100)
+        assert cipher.encrypt("naïve café — 機密") == ciphertext
+        assert cipher.decrypt(ciphertext) == "naïve café — 機密"
+
+    def test_many_blocks(self):
+        ciphertext = UploadCipher("log-key").encrypt("0123456789" * 1000)
+        assert len(ciphertext) == 20032
+        assert hashlib.sha256(ciphertext.encode()).hexdigest() == (
+            "f86da8cd9441f3311a168ff621c812257c7610df52dfa6506c03b3692a672661"
+        )
+
+
+class TestBytesForm:
+    def test_roundtrip_and_armour_agree(self, cipher):
+        data = "paragraph content ".encode() * 40
+        sealed = cipher.encrypt_bytes(data)
+        assert len(sealed) == NONCE_SIZE + len(data)
+        assert cipher.decrypt_bytes(sealed) == data
+        armoured = cipher.encrypt(data.decode())
+        assert armoured == MARKER + sealed[:NONCE_SIZE].hex() + ":" + (
+            sealed[NONCE_SIZE:].hex()
+        )
+
+    def test_empty(self, cipher):
+        assert cipher.decrypt_bytes(cipher.encrypt_bytes(b"")) == b""
+
+    def test_wrong_key_garbles(self, cipher):
+        sealed = cipher.encrypt_bytes(b"confidential bytes")
+        assert UploadCipher("another").decrypt_bytes(sealed) != b"confidential bytes"
+
+    def test_shorter_than_nonce_rejected(self, cipher):
+        with pytest.raises(ValueError):
+            cipher.decrypt_bytes(b"short")

@@ -1,13 +1,16 @@
-"""Differential tests: snapshot format v3 restore ≡ the live engine.
+"""Differential tests: snapshot format v4 restore ≡ the live engine.
 
-A v3 snapshot stores no per-hash observations: each segment carries its
-selections and its hashes grouped by first-seen time, and
+A v4 snapshot stores no per-hash observations: each segment's header
+row counts its slice of the flat selections section and of the
+first-seen runs, which give the first-seen time of each of its distinct
+selection values in first-occurrence order, and
 :func:`~repro.disclosure.persistence.restore_into` rebuilds the hash
-database from those groups in one bulk load per hash database (per
-shard when sharded). Two oracles hold it to account:
+database from them in one bulk load per hash database (per shard when
+sharded). Two oracles hold it to account:
 
 * the live engine the snapshot was taken from — the restored engine
-  must be field-identical to it after a JSON round trip;
+  must be field-identical to it after a round trip through the encoded
+  bytes;
 * :func:`reference_restore`, the version-1 algorithm kept as test code:
   one ``hash_db.record()`` per (hash, segment, first_seen) observation.
 
@@ -18,10 +21,10 @@ modes, at both granularities, at 1/2/4/8 shards. :class:`TestCorruptSnapshots` c
 because it no longer stores what it derives.
 
 The last two classes pin recovery around the format: a snapshot in
-another version (versions 1 and 2 included) is refused by
-``DurableEngine`` and ``load_engine`` while the WAL beside it stays
-byte-identical, and a recovery that fails closes the log files it
-opened.
+another version (the JSON versions 1–3 included, under the file name
+they used) is refused by ``DurableEngine`` and ``load_engine`` while
+the WAL beside it stays byte-identical, and a recovery that fails
+closes the log files it opened.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from __future__ import annotations
 import gc
 import json
 import warnings
+import zlib
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -37,14 +42,23 @@ from hypothesis import strategies as st
 from repro.disclosure import DisclosureEngine
 from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.persistence import (
+    decode_snapshot,
+    encode_snapshot,
     expire_segments,
     load_engine,
+    read_snapshot,
     restore_engine,
     restore_into,
     snapshot_engine,
 )
 from repro.disclosure.store import SegmentRecord
-from repro.disclosure.wal import DurableEngine, WALSet, scan_wal_file
+from repro.disclosure.wal import (
+    LEGACY_SNAPSHOT_NAME,
+    SNAPSHOT_NAME,
+    DurableEngine,
+    WALSet,
+    scan_wal_file,
+)
 from repro.errors import DisclosureError, SimulatedCrash, SnapshotCorrupt
 from repro.fingerprint import Fingerprint
 from repro.fingerprint.config import TINY_CONFIG, FingerprintConfig
@@ -52,7 +66,14 @@ from repro.fingerprint.fingerprint import FingerprintHash
 from repro.util.clock import LogicalClock
 from repro.util.faults import Fault, FaultInjector
 
-from conftest import OTHER_TEXT, SECRET_TEXT, THIRD_TEXT, assert_databases_agree
+from conftest import (
+    OTHER_TEXT,
+    SECRET_TEXT,
+    THIRD_TEXT,
+    assert_databases_agree,
+    container_frames,
+    json_snapshot,
+)
 
 CONFIG = FingerprintConfig(ngram_size=4, window_size=3)
 
@@ -134,32 +155,43 @@ def reference_restore(engine, data):
 
     Segments go in through ``segment_db.put``; then every observation
     is replayed through ``hash_db.record()`` — hash by hash, earliest
-    observer first, as version 1 stored them.
+    observer first, as version 1 stored them. Each segment's runs are
+    expanded to one first-seen time per distinct selection value.
     """
     observations = {}
-    for entry in data["segments"]:
-        flat = entry["selections"]
+    values = list(data["selections"])
+    times = [
+        first_seen
+        for first_seen, length in zip(data["run_times"], data["run_lengths"])
+        for _ in range(length)
+    ]
+    for segment_id, threshold, kind, doc_id, last_updated, count, _runs in (
+        data["segments"]
+    ):
+        flat, values = values[:count], values[count:]
         selections = tuple(
             FingerprintHash(flat[i], flat[i + 1], flat[i + 2])
             for i in range(0, len(flat), 3)
         )
         engine.segment_db.put(
             SegmentRecord(
-                segment_id=entry["id"],
+                segment_id=segment_id,
                 fingerprint=Fingerprint(
                     hashes=frozenset(s.value for s in selections),
                     flat_selections=tuple(flat),
                     config=engine.config,
                 ),
-                threshold=entry["threshold"],
-                kind=entry["kind"],
-                doc_id=entry["doc_id"],
-                last_updated=entry["last_updated"],
+                threshold=threshold,
+                kind=kind,
+                doc_id=doc_id,
+                last_updated=last_updated,
             )
         )
-        for first_seen, hashes in entry["first_seen"]:
-            for h in hashes:
-                observations.setdefault(h, []).append((first_seen, entry["id"]))
+        distinct = dict.fromkeys(s.value for s in selections)
+        for h, first_seen in zip(distinct, times):
+            observations.setdefault(h, []).append((first_seen, segment_id))
+        times = times[len(distinct):]
+    assert not values and not times
     for h, owners in observations.items():
         for first_seen, segment_id in sorted(owners):
             engine.hash_db.record(h, segment_id, first_seen)
@@ -190,8 +222,13 @@ def verdicts(engine) -> list:
     return out
 
 
+def roundtrip(engine) -> dict:
+    """*engine*'s snapshot dict, decoded from its file bytes."""
+    return decode_snapshot(encode_snapshot(snapshot_engine(engine)))
+
+
 def assert_restores_identically(live, shape, other_shape):
-    data = json.loads(json.dumps(snapshot_engine(live)))
+    data = roundtrip(live)
     kwargs = {"authoritative": live._authoritative, "kind": live._kind}
     restored = restore_into(build(shape, **kwargs), data)
     oracle = reference_restore(build(shape, **kwargs), data)
@@ -239,59 +276,114 @@ class TestRestoreDifferential:
 
 
 class TestSnapshotFormat:
-    def test_segment_entries_hold_flat_selections_and_first_seen_groups(self):
+    def test_segment_rows_flat_selections_and_first_seen_runs(self):
         engine = build()
         engine.observe("s1", PHRASES[0])                       # t = 0
         engine.observe("s1", PHRASES[0] + " and " + PHRASES[1])  # t = 1
         data = snapshot_engine(engine)
-        assert "observations" not in data
-        (entry,) = data["segments"]
-        assert "hashes" not in entry
         record = engine.segment_db.get("s1")
-        assert entry["selections"] == [
+        flat = record.fingerprint.flat_selections
+        (row,) = data["segments"]
+        assert row == ["s1", 0.5, "paragraph", None, 1.0, len(flat), len(data["run_times"])]
+        assert data["selections"] == array("Q", [
             v for s in record.fingerprint.selections
             for v in (s.value, s.orig_start, s.orig_end)
-        ]
-        times = [first_seen for first_seen, _hashes in entry["first_seen"]]
-        assert times == sorted(times) and times[0] == 0.0
-        for first_seen, hashes in entry["first_seen"]:
-            assert hashes == sorted(hashes)
-            for h in hashes:
-                assert engine.hash_db.first_seen(h, "s1") == first_seen
+        ])
+        # The runs are maximal, and cover the distinct selection values
+        # in first-occurrence order.
+        times, lengths = list(data["run_times"]), list(data["run_lengths"])
+        assert set(times) == {0.0, 1.0} and all(
+            a != b for a, b in zip(times, times[1:])
+        )
+        expanded = [t for t, n in zip(times, lengths) for _ in range(n)]
+        distinct = list(dict.fromkeys(flat[0::3]))
+        assert len(expanded) == len(distinct)
+        for h, first_seen in zip(distinct, expanded):
+            assert engine.hash_db.first_seen(h, "s1") == first_seen
+
+    def test_runs_that_miss_a_hash_are_never_written(self):
+        """The cross-database invariant broken: the hash database lacks
+        one of a segment's hashes, so no runs can cover them."""
+        engine = build()
+        engine.observe("s1", PHRASES[0])
+        h = next(iter(engine.segment_db.get("s1").fingerprint.hashes))
+        engine.hash_db.remove_observation(h, "s1")
+        with pytest.raises(DisclosureError, match="'s1'"):
+            snapshot_engine(engine)
 
 
 class TestCorruptSnapshots:
-    """Each rule restore checks, because v2 derives what v1 stored."""
+    """Each rule restore and decoding check, because v4 derives what v1
+    stored. A hash can appear neither twice in a segment nor outside
+    its selections: both are derived from the selections."""
 
     @pytest.fixture
-    def data(self):
+    def engine(self):
         engine = build()
         engine.observe("s1", PHRASES[0])
         engine.observe("s2", PHRASES[0] + " and " + PHRASES[1])
-        return json.loads(json.dumps(snapshot_engine(engine)))
+        return engine
+
+    @pytest.fixture
+    def data(self, engine):
+        return roundtrip(engine)
 
     def test_selections_not_whole_triples(self, data):
-        data["segments"][1]["selections"].append(7)
+        data["selections"].append(7)  # s2 owns the last values
+        data["segments"][1][5] += 1
         with pytest.raises(SnapshotCorrupt, match="'s2'.*triples"):
             restore_engine(data)
 
     def test_first_seen_missing_a_selection_value(self, data):
-        data["segments"][0]["first_seen"][0][1].pop()
-        with pytest.raises(SnapshotCorrupt, match="'s1'.*differ"):
+        data["run_lengths"][0] -= 1
+        with pytest.raises(SnapshotCorrupt, match="'s1'.*cover"):
             restore_engine(data)
 
-    def test_first_seen_names_a_hash_outside_the_selections(self, data):
-        data["segments"][0]["first_seen"][0][1].append(12345)
-        with pytest.raises(SnapshotCorrupt, match="'s1'.*differ"):
+    def test_runs_cover_more_than_the_distinct_values(self, data):
+        data["run_lengths"][-1] += 1
+        with pytest.raises(SnapshotCorrupt, match="'s2'.*cover"):
             restore_engine(data)
 
-    def test_hash_twice_in_one_segment(self, data):
-        first_seen, hashes = data["segments"][1]["first_seen"][0]
-        data["segments"][1]["first_seen"].append([first_seen + 9, hashes[:1]])
-        with pytest.raises(SnapshotCorrupt, match="'s2'.*twice"):
+    def test_header_and_section_lengths_disagree(self, data):
+        data["segments"][0][5] += 3
+        with pytest.raises(SnapshotCorrupt, match="'s2'.*beyond the sections"):
+            restore_engine(data)
+        data["segments"][0][5] -= 3
+        data["selections"].extend([1, 2, 3])  # values no segment claims
+        with pytest.raises(SnapshotCorrupt, match="sections hold"):
             restore_engine(data)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    def test_section_crc_mismatch(self, engine, tmp_path):
+        blob = bytearray(encode_snapshot(snapshot_engine(engine)))
+        _at, payload, _length = container_frames(bytes(blob))[1]
+        blob[payload] ^= 0x01
+        path = tmp_path / "db.snap"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotCorrupt, match="db.snap.*frame 1 fails its checksum"):
+            read_snapshot(path)
+
+    def test_section_length_beyond_the_file(self, engine, tmp_path):
+        """Rejected from the length field alone: nothing the size of the
+        claim is read or allocated."""
+        blob = bytearray(encode_snapshot(snapshot_engine(engine)))
+        at, _payload, _length = container_frames(bytes(blob))[2]
+        blob[at:at + 8] = (1 << 62).to_bytes(8, "little")
+        path = tmp_path / "db.snap"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotCorrupt, match="frame 2 claims 4611686018427387904 bytes"):
+            read_snapshot(path)
+
+    def test_section_of_partial_values(self, engine):
+        blob = bytearray(encode_snapshot(snapshot_engine(engine)))
+        at, payload, length = container_frames(bytes(blob))[3]
+        del blob[payload + length - 1]
+        blob[at:at + 12] = (length - 1).to_bytes(8, "little") + zlib.crc32(
+            blob[payload:payload + length - 1]
+        ).to_bytes(4, "little")
+        with pytest.raises(SnapshotCorrupt, match="'run_lengths'.*whole 8-byte"):
+            decode_snapshot(bytes(blob))
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_1_refused(self, data, version):
         data["version"] = version
         with pytest.raises(
@@ -342,20 +434,22 @@ def v1_snapshot(engine, **stamps):
 def v2_snapshot(engine, **stamps):
     """*engine* in the version-2 layout: the version-3 segment entries
     beside the owner-epoch counters it persisted."""
-    return {
-        **snapshot_engine(engine),
-        "version": 2,
-        "owner_epochs": {},
-        "ownership_changes": 0,
-        **stamps,
-    }
+    return json_snapshot(
+        engine, 2, owner_epochs={}, ownership_changes=0, **stamps
+    )
+
+
+def v3_snapshot(engine, **stamps):
+    return json_snapshot(engine, 3, **stamps)
 
 
 class TestSnapshotVersionCheckedBeforeLogsOpen:
     """A snapshot in another format aborts recovery, and loading, while
-    the WAL beside it is untouched — its torn tail included."""
+    the WAL beside it is untouched — its torn tail included. The JSON
+    formats 1–3 sit under the file name they used, which recovery must
+    not ignore: everything compacted into them is gone from the log."""
 
-    @pytest.mark.parametrize("layout", ["v1", "v2", "v99"])
+    @pytest.mark.parametrize("layout", ["v1", "v2", "v3", "v99"])
     def test_refused_with_wal_byte_identical(self, tmp_path, layout):
         primary = DurableEngine(
             tmp_path, config=TINY_CONFIG,
@@ -369,17 +463,20 @@ class TestSnapshotVersionCheckedBeforeLogsOpen:
         with pytest.raises(SimulatedCrash):
             primary.observe("c", THIRD_TEXT)
         primary.wal.close()  # release the dead process's handles
-        snapshot = tmp_path / "snapshot.json"
-        data = json.loads(snapshot.read_text())
+        snapshot = tmp_path / SNAPSHOT_NAME
+        data = read_snapshot(snapshot)
         if layout == "v99":
             data["version"] = 99
+            snapshot.write_bytes(encode_snapshot(data))
         else:
             compacted = DisclosureEngine(TINY_CONFIG, LogicalClock())
             compacted.observe("a", SECRET_TEXT)
-            data = {"v1": v1_snapshot, "v2": v2_snapshot}[layout](
-                compacted, wal_lsn=data["wal_lsn"], wal_shards=data["wal_shards"]
-            )
-        snapshot.write_text(json.dumps(data))
+            legacy = {"v1": v1_snapshot, "v2": v2_snapshot, "v3": v3_snapshot}[
+                layout
+            ](compacted, wal_lsn=data["wal_lsn"], wal_shards=data["wal_shards"])
+            snapshot.unlink()
+            snapshot = tmp_path / LEGACY_SNAPSHOT_NAME
+            snapshot.write_text(json.dumps(legacy))
         wal = tmp_path / "wal.log"
         before = wal.read_bytes()
         assert scan_wal_file(wal)[2] > 0  # a torn tail recovery would cut
@@ -417,10 +514,10 @@ class TestFailedRecoveryClosesLogs:
         primary.compact()
         primary.observe("b", OTHER_TEXT)
         primary.close()
-        snapshot = tmp_path / "snapshot.json"
-        data = json.loads(snapshot.read_text())
+        snapshot = tmp_path / SNAPSHOT_NAME
+        data = read_snapshot(snapshot)
         del data[field]
-        snapshot.write_text(json.dumps(data))
+        snapshot.write_bytes(encode_snapshot(data))
         message, leaks = _raise_and_collect(
             lambda: DurableEngine(tmp_path, config=TINY_CONFIG)
         )

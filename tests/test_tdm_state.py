@@ -1,5 +1,7 @@
 """Tests for whole-model persistence (restart survival)."""
 
+import json
+
 import pytest
 
 from repro.errors import DisclosureError, PolicyError, SimulatedCrash, SnapshotCorrupt
@@ -7,10 +9,16 @@ from repro.fingerprint.config import TINY_CONFIG
 from repro.plugin.crypto import UploadCipher
 from repro.tdm import Label, PolicyStore, Tag, TextDisclosureModel
 from repro.tdm.model import Suppression
-from repro.tdm.state import load_model, model_from_dict, model_to_dict, save_model
+from repro.tdm.state import (
+    encode_model,
+    load_model,
+    model_from_dict,
+    model_to_dict,
+    save_model,
+)
 from repro.util.faults import Fault, FaultInjector
 
-from conftest import OTHER_TEXT, SECRET_TEXT
+from conftest import OTHER_TEXT, SECRET_TEXT, json_snapshot
 
 ITOOL = "https://itool.example"
 WIKI = "https://wiki.example"
@@ -95,7 +103,7 @@ class TestModelRoundtrip:
         path = tmp_path / "model.enc"
         cipher = UploadCipher("disk-key")
         save_model(model, path, cipher=cipher)
-        assert "docA" not in path.read_text()
+        assert b"docA" not in path.read_bytes()
         restored = load_model(path, cipher=cipher)
         assert restored.label_of("docA#p0") == model.label_of("docA#p0")
 
@@ -105,11 +113,26 @@ class TestModelRoundtrip:
         with pytest.raises(PolicyError):
             load_model(path)
 
-    def test_unsupported_version_rejected(self, model):
+    @pytest.mark.parametrize("version", [1, 42])
+    def test_unsupported_version_rejected(self, model, tmp_path, version):
+        """Another model state version is refused as a dict and as a
+        file: version 1 as the JSON document it was (engine snapshots
+        in format 3), any other in the container."""
         data = model_to_dict(model)
-        data["version"] = 42
-        with pytest.raises(PolicyError):
+        data["version"] = version
+        refused = f"unsupported model state version {version} "
+        with pytest.raises(PolicyError, match=refused):
             model_from_dict(data)
+        path = tmp_path / "model.json"
+        if version == 1:
+            tracker = model.tracker
+            data["paragraph_engine"] = json_snapshot(tracker.paragraphs)
+            data["document_engine"] = json_snapshot(tracker.documents)
+            path.write_text(json.dumps(data))
+        else:
+            path.write_bytes(encode_model(data))
+        with pytest.raises(PolicyError, match=refused + f"in {path}"):
+            load_model(path)
 
 
 class TestRestartScenario:
@@ -183,9 +206,23 @@ class TestCorruptModelFiles:
 
     def test_malformed_engine_state_raises_snapshot_corrupt(self, model, tmp_path):
         data = model_to_dict(model)
-        del data["paragraph_engine"]["segments"][0]["first_seen"]
-        with pytest.raises(SnapshotCorrupt):
+        data["paragraph_engine"]["run_lengths"][0] += 1
+        with pytest.raises(SnapshotCorrupt, match="runs cover"):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("labels", {"docA#p0": ["ti"]}),
+        ("locations", {"docA#p0": 7}),
+    ])
+    def test_malformed_labels_and_locations_raise_snapshot_corrupt(
+        self, model, tmp_path, field, value
+    ):
+        data = model_to_dict(model)
+        data[field] = value
+        path = tmp_path / "model.bin"
+        path.write_bytes(encode_model(data))
+        with pytest.raises(SnapshotCorrupt, match="model.bin.*malformed"):
+            load_model(path)
 
 
 class TestRestoredModelIsWired:

@@ -15,6 +15,7 @@ import zlib
 import pytest
 
 from repro.disclosure import DisclosureEngine
+from repro.disclosure.persistence import read_snapshot
 from repro.disclosure.wal import (
     LSNCounter,
     MAGIC,
@@ -529,7 +530,7 @@ class TestDurableEngineLifecycle:
         durable.observe("b", OTHER_TEXT, threshold=0.4)  # triggers compact
         durable.observe("c", SECRET_TEXT, threshold=0.4)
         durable.close()
-        assert (tmp_path / "snapshot.json").exists()
+        assert durable.snapshot_path.exists()
         records, _torn = read_wal_directory(tmp_path)
         ops = [r["op"] for r in records]
         assert ops == ["compact", "observe"]  # log bounded by the fold
@@ -543,8 +544,7 @@ class TestDurableEngineLifecycle:
         durable = DurableEngine(tmp_path, config=TINY_CONFIG, fsync="always")
         durable.observe("a", SECRET_TEXT)
         assert durable.compact() == 1
-        data = json.loads((tmp_path / "snapshot.json").read_text())
-        assert data["wal_lsn"] == 1
+        assert read_snapshot(durable.snapshot_path)["wal_lsn"] == 1
         durable.close()
 
     def test_expire_journals_marker_and_removes(self, tmp_path):
@@ -617,6 +617,27 @@ class TestDurableEngineLifecycle:
         assert snapshot["wal.fsyncs"] >= 1
         durable.close()
 
+    def test_durability_health_after_compaction_and_recovery(self, tmp_path):
+        """The compaction-duration histogram and the snapshot-bytes gauge
+        are populated by one compaction, the gauge and the recovery
+        duration by one recovery."""
+        durable = DurableEngine(tmp_path, config=TINY_CONFIG)
+        assert durable.registry.snapshot()["wal.snapshot_bytes"] == 0
+        durable.observe("a", SECRET_TEXT)
+        durable.compact()
+        size = durable.snapshot_path.stat().st_size
+        snapshot = durable.registry.snapshot()
+        assert snapshot["wal.compact_seconds"]["count"] == 1
+        assert snapshot["wal.compact_seconds"]["sum"] > 0
+        assert snapshot["wal.snapshot_bytes"] == size > 0
+        durable.close()
+        recovered = DurableEngine(tmp_path, config=TINY_CONFIG)
+        try:
+            assert recovered.recovery.seconds > 0
+            assert recovered.registry.snapshot()["wal.snapshot_bytes"] == size
+        finally:
+            recovered.close()
+
 
 class TestShardManifest:
     """The snapshot records the WAL shard layout, so recovery cannot
@@ -634,9 +655,8 @@ class TestShardManifest:
         return durable
 
     def test_snapshot_records_shard_count(self, tmp_path):
-        self.make_sharded(tmp_path)
-        data = json.loads((tmp_path / "snapshot.json").read_text())
-        assert data["wal_shards"] == 4
+        durable = self.make_sharded(tmp_path)
+        assert read_snapshot(durable.snapshot_path)["wal_shards"] == 4
 
     def test_recover_adopts_persisted_shard_count(self, tmp_path):
         """`repro recover`-style recovery (no n_shards given) must open
