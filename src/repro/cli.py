@@ -144,10 +144,8 @@ def cmd_recover(args) -> int:
 
     With ``--compact`` the recovered state is folded into a fresh
     snapshot and the log is rotated, so the next recovery replays
-    (almost) nothing. The WAL shard count is adopted from the snapshot
-    when one exists; ``--shards`` covers a sharded directory that was
-    never compacted (and is validated against the snapshot otherwise —
-    a mismatch fails loudly rather than dropping shard logs).
+    (almost) nothing. A directory that an older build journaled to
+    sharded logs is refused, its files untouched.
     """
     from repro.disclosure.wal import DurableEngine
 
@@ -155,7 +153,6 @@ def cmd_recover(args) -> int:
         Path(args.dir),
         config=_config_from_args(args),
         cipher=_cipher_from_args(args),
-        n_shards=args.shards,
     )
     try:
         recovery = engine.recovery
@@ -425,10 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", help="at-rest encryption key")
     p.add_argument("--compact", action="store_true",
                    help="fold the WAL into a fresh snapshot after recovery")
-    p.add_argument("--shards", type=int, default=None,
-                   help="WAL shard count (default: adopted from the "
-                        "snapshot; required for a sharded directory "
-                        "that was never compacted)")
     _add_config_options(p)
     p.set_defaults(func=cmd_recover)
 

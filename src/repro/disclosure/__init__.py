@@ -40,7 +40,6 @@ from repro.disclosure.wal import (
     DurableEngine,
     EngineJournal,
     LogShipper,
-    WALSet,
     WriteAheadLog,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "DurableEngine",
     "EngineJournal",
     "LogShipper",
-    "WALSet",
     "WriteAheadLog",
     "AttributedMatch",
     "attribute_disclosure",

@@ -19,11 +19,10 @@ Format version 4 is a binary container (DESIGN.md §14)::
     frame   := length:u64le crc32:u32le payload[length]
 
 The JSON header holds everything but the hash data: the version,
-config, ``authoritative``, ``kind``, ``wal_lsn``, ``wal_shards`` and one
-row per segment, ``[id, threshold, kind, doc_id, last_updated,
-values, runs]``, where the last two count the segment's share of the
-sections. The sections are
-little-endian arrays (:data:`SECTIONS`): every segment's flat
+config, ``authoritative``, ``kind``, ``wal_lsn`` and one row per
+segment, ``[id, threshold, kind, doc_id, last_updated, values, runs]``,
+where the last two count the segment's share of the sections. The
+sections are little-endian arrays (:data:`SECTIONS`): every segment's flat
 selections, then the first-seen times of each segment's distinct
 selection values, in the order they first occur in its selections,
 run-length encoded as (time, length) runs. Nothing is stored per hash:
@@ -114,7 +113,6 @@ def snapshot_engine(
     engine: DisclosureEngine,
     *,
     wal_lsn: Optional[int] = None,
-    wal_shards: Optional[int] = None,
 ) -> dict:
     """Serialise an engine's databases to a snapshot dict.
 
@@ -130,10 +128,7 @@ def snapshot_engine(
 
     *wal_lsn*, when given, records the last WAL log sequence number
     folded into this snapshot; recovery replays only records beyond it
-    (see :mod:`repro.disclosure.wal`). *wal_shards* records the WAL
-    set's shard count, so recovery opens every ``wal.<i>.log`` file the
-    deployment wrote instead of silently dropping the ones a wrong
-    shard count would not look for.
+    (see :mod:`repro.disclosure.wal`).
     """
     config = engine.config
     first_seen_of = engine.hash_db.first_seen_of
@@ -181,8 +176,6 @@ def snapshot_engine(
     }
     if wal_lsn is not None:
         data["wal_lsn"] = wal_lsn
-    if wal_shards is not None:
-        data["wal_shards"] = wal_shards
     return data
 
 
@@ -577,19 +570,15 @@ def save_engine(
     *,
     cipher: Optional[UploadCipher] = None,
     wal_lsn: Optional[int] = None,
-    wal_shards: Optional[int] = None,
     faults: Optional[FaultInjector] = None,
 ) -> int:
     """Atomically write a snapshot to *path*; returns its size in bytes.
 
     Encrypted when a cipher is given. *wal_lsn* stamps the snapshot
-    with the last WAL record it covers (compaction) and *wal_shards*
-    the WAL set's shard layout; *faults* injects deterministic crash
-    points (see :func:`atomic_write_bytes`).
+    with the last WAL record it covers (compaction); *faults* injects
+    deterministic crash points (see :func:`atomic_write_bytes`).
     """
-    payload = encode_snapshot(
-        snapshot_engine(engine, wal_lsn=wal_lsn, wal_shards=wal_shards), cipher
-    )
+    payload = encode_snapshot(snapshot_engine(engine, wal_lsn=wal_lsn), cipher)
     atomic_write_bytes(Path(path), payload, faults=faults)
     return len(payload)
 

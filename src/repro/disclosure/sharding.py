@@ -12,13 +12,13 @@ Figure 6 ownership-migration case (withdrawing a hash and re-awarding it
 to the next-earliest observer both happen on that hash's home shard).
 
 The query side is a scatter/gather: partition the target's hashes by
-shard, sweep each shard, and merge the per-owner matched-hash lists by
-concatenation. The merge is exact because the partition makes per-shard
-contributions disjoint — a hash is counted by exactly one shard — so the
-merged counts equal a single sweep's counts and the engine's
-quick-discard/threshold pass produces field-identical reports at every
-shard count (differential-tested at 1/2/4/8 against the reference
-oracle in ``tests/reference_engine.py``).
+shard, sweep each shard in order in the calling thread, and merge the
+per-owner matched-hash lists by concatenation. The merge is exact
+because the partition makes per-shard contributions disjoint — a hash
+is counted by exactly one shard — so the merged counts equal a single
+sweep's counts and the engine's quick-discard/threshold pass produces
+field-identical reports at every shard count (differential-tested at
+1/2/4/8 against the reference oracle in ``tests/reference_engine.py``).
 
 This is the disclosure engine's only hash database: one shard by
 default, where partitioning, sweeps and bulk loads skip all per-hash
@@ -33,11 +33,9 @@ to tell whether a cached verdict is still current (DESIGN.md §13). The
 stamps are keyed by hash stripe, never by shard, so cache invalidation
 does not depend on the shard count.
 
-Per-shard fault injectors (installable after setup via
-:meth:`ShardedHashDatabase.set_faults`) let tests and benchmarks
-degrade a single shard: a drop or error on a shard raises
-:class:`~repro.errors.ShardDegraded` from the sweep, but only for
-queries whose target hashes actually route there.
+Only the hash table is sharded: a durable engine journals to one log
+(:mod:`repro.disclosure.wal`), and faults are injected at the lookup
+server (DESIGN.md §8), never per shard.
 """
 
 from __future__ import annotations
@@ -54,9 +52,8 @@ from typing import (
 )
 
 from repro.disclosure.store import HashDatabase
-from repro.errors import DisclosureError, ShardDegraded
+from repro.errors import DisclosureError
 from repro.obs.registry import MetricsRegistry, MetricsScope
-from repro.util.faults import FaultInjector
 
 
 #: Fibonacci multiplier (odd, ≈ 2**32/φ) used to mix hash values before
@@ -91,27 +88,6 @@ def partition(
     for h in hashes:
         buckets[(((h * _MIX_MULTIPLIER) & mask) * n_shards) >> hash_bits].append(h)
     return [(index, group) for index, group in enumerate(buckets) if group]
-
-
-def scatter(fn: Callable, items: Sequence) -> List:
-    """Run *fn* over every item in the calling thread, in item order.
-
-    The one scatter loop of the sharded tier. Every job runs even when
-    an earlier one fails, so a sweep draws exactly one fault decision
-    per touched shard, as one RPC per shard would (DESIGN.md §11); the
-    first failure in item order is then re-raised.
-    """
-    results = []
-    first_error: Optional[Exception] = None
-    for item in items:
-        try:
-            results.append(fn(item))
-        except Exception as exc:  # run every job, then raise
-            if first_error is None:
-                first_error = exc
-    if first_error is not None:
-        raise first_error
-    return results
 
 
 #: Hash stripes of the :class:`StampStore`: a hash's stripe is the hash
@@ -229,8 +205,8 @@ class ShardedHashDatabase:
             registry scope is created when omitted.
         router: object with ``map(fn, items)`` that multi-shard sweeps
             hand their per-shard jobs to (e.g.
-            :class:`~repro.plugin.router.ShardRouter`); :func:`scatter`
-            runs them when omitted.
+            :class:`~repro.plugin.router.ShardRouter`); they run in
+            order in the calling thread when omitted.
         stamps: the :class:`StampStore` mutations stamp; a tracker
             passes one store to both of its engines. A private one is
             created when omitted.
@@ -271,7 +247,6 @@ class ShardedHashDatabase:
                 fn=lambda i=i: len(self.shards[i]),
             )
         self._router = router
-        self._faults: Optional[Tuple[FaultInjector, ...]] = None
         self.stamps = stamps if stamps is not None else StampStore()
 
     # ------------------------------------------------------------------
@@ -291,28 +266,8 @@ class ShardedHashDatabase:
             return [(0, hashes)] if hashes else []
         return partition(hashes, self.n_shards, self.hash_bits)
 
-    def set_faults(self, faults: Optional[Sequence[FaultInjector]]) -> None:
-        """Install (or clear) per-shard fault injectors.
-
-        Installable after the database is populated, so test setup
-        traffic does not consume scheduled faults. ``faults[i]`` is
-        consulted once per sweep that routes at least one hash to shard
-        i: a drop or error decision raises
-        :class:`~repro.errors.ShardDegraded`; latency decisions are
-        counted by the injector but not simulated here (the lookup
-        server owns the latency budget).
-        """
-        if faults is None:
-            self._faults = None
-            return
-        if len(faults) != self.n_shards:
-            raise DisclosureError(
-                f"got {len(faults)} injectors for {self.n_shards} shards"
-            )
-        self._faults = tuple(faults)
-
     def _scatter(self, fn: Callable, jobs: Sequence) -> List:
-        """Run one sweep's per-shard jobs through :func:`scatter`.
+        """Run one sweep's per-shard jobs in order, in this thread.
 
         A fan-out goes through the router when there is one (it counts
         fan-outs only). The router is looked up on every call, so a
@@ -320,7 +275,7 @@ class ShardedHashDatabase:
         """
         if len(jobs) > 1 and self._router is not None:
             return self._router.map(fn, jobs)
-        return scatter(fn, jobs)
+        return [fn(job) for job in jobs]
 
     # ------------------------------------------------------------------
     # Batched mutation (the engine's delta application)
@@ -372,10 +327,6 @@ class ShardedHashDatabase:
         per-owner lists. Contributions are disjoint across shards — each
         hash is counted by exactly its home shard — so the merged counts
         equal a single sweep's.
-
-        Raises :class:`~repro.errors.ShardDegraded` if a consulted
-        shard's fault injector decides drop or error; every consulted
-        shard draws first.
         """
         if self.n_shards == 1:
             return self._sweep_shard((0, hashes, authoritative)) if hashes else {}
@@ -399,14 +350,6 @@ class ShardedHashDatabase:
         self, job: Tuple[int, Collection[int], bool]
     ) -> Dict[str, List[int]]:
         index, group, authoritative = job
-        if self._faults is not None:
-            fault = self._faults[index].next_fault()
-            if fault.kind == "drop":
-                raise ShardDegraded(index, "drop")
-            if fault.kind == "error":
-                raise ShardDegraded(index, "error", fault.status)
-            # Latency decisions are counted by the injector; the lookup
-            # server compares injected latency to its budget, not us.
         self._c_sweeps[index].inc()
         self._c_hashes_swept[index].inc(len(group))
         return self.shards[index].sweep(group, authoritative)
@@ -421,17 +364,11 @@ class ShardedHashDatabase:
 
         Equivalent to ``[self.sweep(t) for t in targets]`` but the whole
         batch is a single scatter: the *union* of target hashes is
-        partitioned once, each touched shard is visited once (one fault
-        decision, one index probe per distinct hash), and matches are
+        partitioned once, each touched shard is visited once (one index
+        probe per distinct hash), and matches are
         redistributed to the targets that asked for the hash. Duplicate
         hashes across targets — common when a batch of uploads shares
         phrasing — are probed once instead of once per target.
-
-        Raises :class:`~repro.errors.ShardDegraded` exactly like
-        :meth:`sweep`: the batch is one routed operation, so a degraded
-        shard fails every target that routes to it (and the caller
-        treats the whole batch as degraded, mirroring the wire protocol
-        where a batch is one request).
         """
         matched_list: List[Dict[str, List[int]]] = [{} for _ in targets]
         # hash -> owning target index, promoted to a list only when the

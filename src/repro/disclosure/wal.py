@@ -37,9 +37,9 @@ File format (one log file)::
     record := length:uint32be  crc32:uint32be  payload[length]
 
 ``payload`` is compact JSON carrying at least ``lsn`` (a strictly
-increasing sequence number, global across all shard files of one log
-set) and ``op``; with a cipher it is the UploadCipher armour of that
-JSON, giving the log the same at-rest encryption as snapshots (§4.4).
+increasing sequence number) and ``op``; with a cipher it is the
+UploadCipher armour of that JSON, giving the log the same at-rest
+encryption as snapshots (§4.4).
 A record whose length, checksum, or JSON fails to decode marks the torn
 tail: everything before it is kept, it and everything after is
 discarded (and the file truncated back to the last good record). A
@@ -47,10 +47,11 @@ record that passes its checksum but cannot be *decrypted* is not tail
 damage — it means the wrong cipher key, and raises
 :class:`~repro.errors.WALCorrupt` before anything is truncated.
 
-Sharded deployments (:class:`~repro.disclosure.sharding.
-ShardedHashDatabase` behind a :class:`WALSet` with ``n_shards > 1``)
-keep one log file per shard, routed by segment id; the shared LSN
-counter makes the merged, LSN-sorted stream equivalent to a single log.
+A durable directory holds exactly one log, ``wal.log``, whatever the
+shard count of the engine it journals. Older builds could shard the
+log into ``wal.<i>.log`` files; a directory holding one of those, or a
+snapshot that records a ``wal_shards`` other than 1, is refused before
+any log opens (:func:`_refuse_sharded`), with every byte left as it was.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.disclosure.engine import DisclosureEngine
 from repro.disclosure.persistence import (
+    _fsync_directory,
     _max_timestamp,
     read_snapshot,
     restore_into,
@@ -115,44 +117,40 @@ DEFAULT_FSYNC_INTERVAL = 64
 #: the snapshot LSN it follows.
 OPS = ("observe", "remove", "threshold", "expire", "suppress", "compact")
 
-#: Default file names inside a durable engine's directory.
+#: File names inside a durable engine's directory.
 SNAPSHOT_NAME = "snapshot.bin"
+WAL_NAME = "wal.log"
 #: Where directories compacted before snapshot format 4 kept their
 #: JSON snapshot; recovery refuses a directory that still holds one.
 LEGACY_SNAPSHOT_NAME = "snapshot.json"
 
 
-def _wal_name(shard: int, n_shards: int) -> str:
-    return "wal.log" if n_shards == 1 else f"wal.{shard}.log"
+def _refuse_sharded(directory: Path, snapshot: Optional[dict]) -> None:
+    """Refuse a directory that an older build journaled to sharded logs.
 
-
-class LSNCounter:
-    """Thread-safe allocator of strictly increasing sequence numbers.
-
-    Shared by every shard file of one :class:`WALSet`, so the merged
-    stream has a total order regardless of which file a record landed
-    in.
+    Such a directory holds ``wal.<i>.log`` files, or a *snapshot* whose
+    ``wal_shards`` records how many there were. Recovering from
+    ``wal.log`` alone would drop the other files' acknowledged records,
+    and nothing here merges them, so this raises before any log opens:
+    :class:`~repro.errors.WALCorrupt` naming the stray log files, or
+    :class:`~repro.errors.DisclosureError` naming the snapshot.
     """
-
-    def __init__(self, start: int = 1) -> None:
-        self._mutex = threading.Lock()
-        self._next = start
-
-    def allocate(self) -> int:
-        with self._mutex:
-            lsn = self._next
-            self._next += 1
-            return lsn
-
-    def observe(self, lsn: int) -> None:
-        """Bump past an LSN seen on disk (during open/recovery)."""
-        with self._mutex:
-            self._next = max(self._next, lsn + 1)
-
-    @property
-    def last_allocated(self) -> int:
-        with self._mutex:
-            return self._next - 1
+    strays = sorted(
+        p.name for p in directory.glob("wal*.log") if p.name != WAL_NAME
+    )
+    if strays:
+        raise WALCorrupt(
+            f"{directory} holds sharded WAL file(s) {strays}; this build "
+            f"keeps one log ({WAL_NAME}) and does not recover a sharded "
+            "directory"
+        )
+    shards = 1 if snapshot is None else snapshot.get("wal_shards", 1)
+    if shards != 1:
+        raise DisclosureError(
+            f"snapshot {directory / SNAPSHOT_NAME} records {shards!r} WAL "
+            f"shards; this build keeps one log ({WAL_NAME}) and does not "
+            "recover a sharded directory"
+        )
 
 
 def _decode_payload(raw: bytes, cipher: Optional[UploadCipher]) -> dict:
@@ -227,37 +225,18 @@ def scan_wal_file(
     return records, offset, len(blob) - offset
 
 
-def read_wal_directory(
-    directory, *, cipher: Optional[UploadCipher] = None
-) -> Tuple[List[dict], int]:
-    """All records of every ``wal*.log`` under *directory*, LSN-sorted.
-
-    Returns ``(records, torn_bytes_total)``. Read-only — used by
-    recovery previews and the log shipper; the writing side
-    (:class:`WALSet`) also truncates torn tails when it opens.
-    """
-    directory = Path(directory)
-    records: List[dict] = []
-    torn_total = 0
-    for path in sorted(directory.glob("wal*.log")):
-        shard_records, _good, torn = scan_wal_file(path, cipher=cipher)
-        records.extend(shard_records)
-        torn_total += torn
-    records.sort(key=lambda r: r["lsn"])
-    return records, torn_total
-
-
 class WriteAheadLog:
-    """One append-only, checksummed log file.
+    """The append-only, checksummed log of one durable directory.
 
     Opening an existing file scans it, truncates any torn tail back to
-    the last whole record, and resumes the LSN counter past the largest
-    LSN on disk. The scanned records are kept on
-    :attr:`recovered_records` so recovery does not read the file twice.
+    the last whole record, and resumes the LSN past the largest LSN on
+    disk. The scanned records are kept on :attr:`recovered_records` so
+    recovery does not read the file twice, and :attr:`torn_bytes` counts
+    the bytes this open truncated.
 
-    Appends are serialised under a mutex; each append draws one fault
-    decision from *faults* (when given) and maps it onto crash
-    semantics:
+    Appends are serialised under a mutex, which also allocates their
+    LSNs; each append draws one fault decision from *faults* (when
+    given) and maps it onto crash semantics:
 
     * ``drop`` — the process dies *before* the record reaches the file:
       a clean record-boundary crash, the operation is lost;
@@ -283,7 +262,6 @@ class WriteAheadLog:
         cipher: Optional[UploadCipher] = None,
         faults: Optional[FaultInjector] = None,
         scope: Optional[MetricsScope] = None,
-        counter: Optional[LSNCounter] = None,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
@@ -296,7 +274,6 @@ class WriteAheadLog:
         self._fsync_interval = fsync_interval
         self._cipher = cipher
         self._faults = faults
-        self._counter = counter or LSNCounter()
         self._mutex = threading.Lock()
         self._dead = False
         self._appends_since_fsync = 0
@@ -312,32 +289,30 @@ class WriteAheadLog:
         )
         #: Records found on disk when this log was opened (LSN order as
         #: stored); recovery consumes these instead of re-reading.
-        self.recovered_records, good_bytes, torn = scan_wal_file(
+        self.recovered_records, good_bytes, self.torn_bytes = scan_wal_file(
             self.path, cipher=cipher
         )
-        for record in self.recovered_records:
-            self._counter.observe(record["lsn"])
-        if self.path.exists():
-            if torn:
-                # Truncate the torn tail so the new appends start at a
-                # record boundary — the recovery half of atomicity.
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(good_bytes)
-                self._c_torn.inc(torn)
-            self._handle = open(self.path, "ab")
-            if self._handle.tell() == 0:
-                self._handle.write(MAGIC)
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-        else:
-            self._handle = open(self.path, "wb")
+        self._last_lsn = max(
+            (record["lsn"] for record in self.recovered_records), default=0
+        )
+        if self.torn_bytes:
+            # Truncate the torn tail so the new appends start at a
+            # record boundary — the recovery half of atomicity.
+            with open(self.path, "r+b") as handle:
+                handle.truncate(good_bytes)
+            self._c_torn.inc(self.torn_bytes)
+        self._handle = open(self.path, "ab")
+        if self._handle.tell() == 0:
+            # A new log: its magic and its directory entry must both be
+            # durable before an append is acknowledged.
             self._handle.write(MAGIC)
             self._handle.flush()
             os.fsync(self._handle.fileno())
+            _fsync_directory(self.path.parent)
 
     @property
     def last_lsn(self) -> int:
-        return self._counter.last_allocated
+        return self._last_lsn
 
     def append(self, op: str, **fields) -> int:
         """Append one record; returns its LSN.
@@ -345,42 +320,42 @@ class WriteAheadLog:
         The record is on disk (modulo the fsync policy's window) when
         this returns — the write-ahead contract callers rely on.
         """
-        lsn = self._counter.allocate()
-        self.append_with_lsn(lsn, op, fields)
-        return lsn
-
-    def append_with_lsn(self, lsn: int, op: str, fields: dict) -> None:
-        """Append a record under an externally allocated LSN.
-
-        Used by :class:`WALSet`, which allocates from the shared counter
-        before routing to a shard file.
-        """
         if op not in OPS:
             raise DisclosureError(f"unknown WAL op {op!r}")
-        payload_text = json.dumps(
-            {"lsn": lsn, "op": op, **fields}, separators=(",", ":"),
-            sort_keys=True,
+        return self._append(
+            lambda lsn: json.dumps(
+                {"lsn": lsn, "op": op, **fields}, separators=(",", ":"),
+                sort_keys=True,
+            )
         )
-        self.append_payload_with_lsn(lsn, payload_text)
 
-    def append_payload_with_lsn(self, lsn: int, payload_text: str) -> None:
-        """Append a pre-encoded payload under an externally allocated LSN.
+    def append_payload(self, payload_for: Callable[[int], str]) -> int:
+        """Append a pre-encoded record; returns its LSN.
 
-        *payload_text* must be exactly the compact, key-sorted JSON that
-        :meth:`append_with_lsn` would produce for the same record —
+        ``payload_for(lsn)`` must return exactly the compact, key-sorted
+        JSON that :meth:`append` would write for the same record —
         byte-identical, so readers cannot tell which path wrote a
         record. Exists for the one op hot enough to care (``observe``,
-        whose selections :class:`EngineJournal` formats by hand).
+        whose selections :class:`EngineJournal` formats by hand); the
+        callback shape exists because the LSN lands inside the payload
+        but is only allocated under the log's mutex.
         """
+        return self._append(payload_for)
+
+    def _frame(self, payload_text: str) -> bytes:
         if self._cipher is not None:
             payload_text = self._cipher.encrypt(payload_text)
         payload = payload_text.encode("utf-8")
-        encoded = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+    def _append(self, payload_for: Callable[[int], str]) -> int:
         with self._mutex:
             if self._dead:
                 raise DisclosureError(
                     f"WAL {self.path} is dead after a simulated crash"
                 )
+            self._last_lsn = lsn = self._last_lsn + 1
+            encoded = self._frame(payload_for(lsn))
             fault = self._faults.next_fault() if self._faults is not None else None
             if fault is not None and fault.kind == "drop":
                 self._dead = True
@@ -419,6 +394,7 @@ class WriteAheadLog:
             self._c_appends.inc()
             self._c_bytes.inc(len(encoded))
             self._h_record_bytes.observe(len(encoded))
+            return lsn
 
     def sync(self) -> None:
         """Force an fsync regardless of policy."""
@@ -439,21 +415,28 @@ class WriteAheadLog:
         the replace leaves the old file, whose records are all at or
         below *snapshot_lsn* and therefore skipped at replay — either
         order is safe.
+
+        Refuses when records beyond *snapshot_lsn* have already been
+        acknowledged: rotating would discard them, breaking the
+        write-ahead contract. Callers (``DurableEngine.compact``) must
+        block mutations across the snapshot *and* this rotation.
         """
         with self._mutex:
             if self._dead:
                 raise DisclosureError(
                     f"WAL {self.path} is dead after a simulated crash"
                 )
-            lsn = self._counter.allocate()
-            payload_text = json.dumps(
+            if self._last_lsn > snapshot_lsn:
+                raise DisclosureError(
+                    f"rotate(snapshot_lsn={snapshot_lsn}) would discard "
+                    f"acknowledged records through lsn {self._last_lsn}; "
+                    "block appends across the snapshot and the rotation"
+                )
+            self._last_lsn = lsn = self._last_lsn + 1
+            encoded = self._frame(json.dumps(
                 {"lsn": lsn, "op": "compact", "snapshot_lsn": snapshot_lsn},
                 separators=(",", ":"), sort_keys=True,
-            )
-            if self._cipher is not None:
-                payload_text = self._cipher.encrypt(payload_text)
-            payload = payload_text.encode("utf-8")
-            encoded = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+            ))
             tmp = self.path.with_name(self.path.name + ".rotate.tmp")
             with open(tmp, "wb") as handle:
                 handle.write(MAGIC + encoded)
@@ -461,6 +444,7 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
             self._handle.close()
             os.replace(tmp, self.path)
+            _fsync_directory(self.path.parent)
             self._handle = open(self.path, "ab")
 
     def close(self) -> None:
@@ -473,146 +457,6 @@ class WriteAheadLog:
             self._handle.close()
 
 
-class WALSet:
-    """A directory of per-shard logs presenting one logical WAL.
-
-    ``n_shards == 1`` keeps the classic single ``wal.log``; more shards
-    give the :class:`~repro.disclosure.sharding.ShardedHashDatabase`
-    tier one file per shard (``wal.<i>.log``), with records routed by a
-    stable hash of the segment id (``zlib.crc32`` — Python's ``hash()``
-    is salted per process and would scatter a segment's records across
-    files between runs). One shared :class:`LSNCounter` totally orders
-    the merged stream.
-    """
-
-    def __init__(
-        self,
-        directory,
-        *,
-        n_shards: int = 1,
-        fsync: str = "batch",
-        fsync_interval: int = DEFAULT_FSYNC_INTERVAL,
-        cipher: Optional[UploadCipher] = None,
-        faults: Optional[FaultInjector] = None,
-        scope: Optional[MetricsScope] = None,
-    ) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.n_shards = n_shards
-        # Opening with the wrong shard count would silently ignore the
-        # extra shards' files — and drop their acknowledged records from
-        # every recovery. Refuse before any log is opened (and therefore
-        # before any torn-tail truncation touches the directory).
-        expected = {_wal_name(i, n_shards) for i in range(n_shards)}
-        unexpected = sorted(
-            p.name
-            for p in self.directory.glob("wal*.log")
-            if p.name not in expected
-        )
-        if unexpected:
-            raise WALCorrupt(
-                f"{self.directory} holds WAL file(s) {unexpected} that "
-                f"n_shards={n_shards} would not open; recovering with the "
-                "wrong shard count would drop their records"
-            )
-        self._mutex = threading.Lock()
-        self.counter = LSNCounter()
-        scope = scope or MetricsRegistry().scope("wal.")
-        self.metrics = scope
-        # One fault injector shared across shard logs: appends are
-        # serialised under this set's mutex, so the schedule's order is
-        # the global append order regardless of routing.
-        self._shards: List[WriteAheadLog] = []
-        try:
-            for i in range(n_shards):
-                self._shards.append(
-                    WriteAheadLog(
-                        self.directory / _wal_name(i, n_shards),
-                        fsync=fsync,
-                        fsync_interval=fsync_interval,
-                        cipher=cipher,
-                        faults=faults,
-                        scope=scope,
-                        counter=self.counter,
-                    )
-                )
-        except BaseException:
-            # A later shard's file failed to open (bad magic, wrong
-            # key): close the ones already open before re-raising.
-            self.close()
-            raise
-        #: LSN-sorted union of every shard's on-disk records at open.
-        self.recovered_records = sorted(
-            (r for shard in self._shards for r in shard.recovered_records),
-            key=lambda r: r["lsn"],
-        )
-
-    def paths(self) -> List[Path]:
-        return [shard.path for shard in self._shards]
-
-    def shard_for(self, key: str) -> int:
-        return zlib.crc32(key.encode("utf-8")) % self.n_shards
-
-    @property
-    def last_lsn(self) -> int:
-        return self.counter.last_allocated
-
-    def append(self, op: str, *, key: str = "", **fields) -> int:
-        """Append one record, routed to *key*'s shard; returns its LSN."""
-        with self._mutex:
-            lsn = self.counter.allocate()
-            self._shards[self.shard_for(key)].append_with_lsn(lsn, op, fields)
-            return lsn
-
-    def append_payload(
-        self, key: str, payload_for: Callable[[int], str]
-    ) -> int:
-        """Append a pre-encoded record, routed to *key*'s shard.
-
-        ``payload_for(lsn)`` must return the byte-identical compact
-        JSON :meth:`append` would write (see
-        :meth:`WriteAheadLog.append_payload_with_lsn`); the callback
-        shape exists because the LSN lands inside the payload but is
-        only allocated here, under the set's mutex.
-        """
-        with self._mutex:
-            lsn = self.counter.allocate()
-            self._shards[self.shard_for(key)].append_payload_with_lsn(
-                lsn, payload_for(lsn)
-            )
-            return lsn
-
-    def sync(self) -> None:
-        for shard in self._shards:
-            shard.sync()
-
-    def rotate(self, snapshot_lsn: int) -> None:
-        """Rotate every shard to a fresh log pinned at *snapshot_lsn*.
-
-        Refuses when records beyond *snapshot_lsn* have already been
-        acknowledged: rotating would replace the shard files and discard
-        them, breaking the write-ahead contract. Callers (``
-        DurableEngine.compact``) must block mutations across the
-        snapshot *and* this rotation.
-        """
-        with self._mutex:
-            if self.counter.last_allocated > snapshot_lsn:
-                raise DisclosureError(
-                    f"rotate(snapshot_lsn={snapshot_lsn}) would discard "
-                    f"acknowledged records through lsn "
-                    f"{self.counter.last_allocated}; block appends across "
-                    "the snapshot and the rotation"
-                )
-            for shard in self._shards:
-                shard.rotate(snapshot_lsn)
-
-    def close(self) -> None:
-        for shard in self._shards:
-            shard.close()
-
-
 class EngineJournal:
     """Adapts engine mutation hooks onto WAL appends.
 
@@ -623,7 +467,7 @@ class EngineJournal:
     logic beyond applying records verbatim.
     """
 
-    def __init__(self, wal: WALSet) -> None:
+    def __init__(self, wal: WriteAheadLog) -> None:
         self.wal = wal
 
     def log_observe(self, kind: str, record: SegmentRecord, ts: float) -> None:
@@ -646,19 +490,16 @@ class EngineJournal:
         suffix = ',"op":"observe","selections":[%s],"threshold":%r,"ts":%r}' % (
             selections, record.threshold, ts,
         )
-        self.wal.append_payload(
-            record.segment_id, lambda lsn: "%s%d%s" % (prefix, lsn, suffix)
-        )
+        self.wal.append_payload(lambda lsn: "%s%d%s" % (prefix, lsn, suffix))
 
     def log_remove(self, kind: str, segment_id: str) -> None:
-        self.wal.append("remove", key=segment_id, kind=kind, id=segment_id)
+        self.wal.append("remove", kind=kind, id=segment_id)
 
     def log_threshold(
         self, kind: str, segment_id: str, threshold: float
     ) -> None:
         self.wal.append(
-            "threshold", key=segment_id, kind=kind, id=segment_id,
-            threshold=threshold,
+            "threshold", kind=kind, id=segment_id, threshold=threshold,
         )
 
     def log_expire(
@@ -680,7 +521,6 @@ class EngineJournal:
     ) -> None:
         self.wal.append(
             "suppress",
-            key=segment_id,
             user=user,
             tag=tag,
             segment=segment_id,
@@ -801,19 +641,18 @@ class RecoveryStats:
 class DurableEngine:
     """A disclosure engine whose mutations survive crashes.
 
-    Owns a directory holding an atomic snapshot plus a :class:`WALSet`;
-    construction *is* recovery: load the snapshot (if any), replay the
-    log tail past its ``wal_lsn`` stamp, truncate torn records, resume
-    the logical clock, then attach the journal so new mutations are
-    logged. Reads (``fingerprint``, ``disclosing_sources``, ``stats``,
+    Owns a directory holding an atomic snapshot plus one
+    :class:`WriteAheadLog`; construction *is* recovery: load the
+    snapshot (if any), replay the log tail past its ``wal_lsn`` stamp,
+    truncate torn records, resume the logical clock, then attach the
+    journal so new mutations are logged. Reads (``fingerprint``, ``disclosing_sources``, ``stats``,
     …) delegate to the wrapped engine untouched.
 
     ``compact_every`` triggers automatic compaction after that many
     journaled mutations; :meth:`compact` is always available manually.
-    ``n_shards`` shards both the engine's hash database and the WAL;
-    when omitted it is adopted from the snapshot (one shard for a new
-    directory). Crash injection arrives through ``faults`` exactly as
-    on a bare :class:`WriteAheadLog`.
+    Crash injection arrives through ``faults`` exactly as on a bare
+    :class:`WriteAheadLog`. A directory an older build journaled to
+    sharded logs is refused before the log opens.
     """
 
     def __init__(
@@ -827,7 +666,6 @@ class DurableEngine:
         fsync: str = "batch",
         fsync_interval: int = DEFAULT_FSYNC_INTERVAL,
         compact_every: Optional[int] = None,
-        n_shards: Optional[int] = None,
         faults: Optional[FaultInjector] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -855,7 +693,7 @@ class DurableEngine:
         snapshot_path = self.directory / SNAPSHOT_NAME
         legacy_path = self.directory / LEGACY_SNAPSHOT_NAME
         if legacy_path.exists():
-            # Everything compacted into it is gone from the logs, so
+            # Everything compacted into it is gone from the log, so
             # recovering from the WAL tail alone would lose it: refuse,
             # by its format version when it is a JSON snapshot.
             read_snapshot(legacy_path, cipher=cipher)
@@ -863,17 +701,17 @@ class DurableEngine:
                 f"{legacy_path} is not where this build keeps snapshots "
                 f"({SNAPSHOT_NAME}); refusing to recover around it"
             )
-        # Read the snapshot *before* opening the logs: a wrong-key,
-        # corrupt or other-version snapshot must abort recovery while
-        # the WAL is still untouched — opening the WALSet truncates torn
-        # tails, and with the wrong cipher key that would destroy
+        # Read the snapshot *before* opening the log: a wrong-key,
+        # corrupt, other-version or sharded snapshot must abort recovery
+        # while the WAL is still untouched — opening the log truncates
+        # torn tails, and with the wrong cipher key that would destroy
         # acknowledged records.
         data = (
             read_snapshot(snapshot_path, cipher=cipher)
             if snapshot_path.exists()
             else None
         )
-        persisted_shards: Optional[int] = None
+        _refuse_sharded(self.directory, data)
         snapshot_lsn = 0
         snapshot_ts = 0.0
         if data is not None:
@@ -882,8 +720,6 @@ class DurableEngine:
                 config = FingerprintConfig(**data["config"])
                 kind = data.get("kind", kind)
                 authoritative = data.get("authoritative", authoritative)
-                if data.get("wal_shards") is not None:
-                    persisted_shards = int(data["wal_shards"])
                 snapshot_lsn = int(data.get("wal_lsn", 0))
                 snapshot_ts = _max_timestamp(data)
             except (LookupError, TypeError, ValueError) as exc:
@@ -891,23 +727,8 @@ class DurableEngine:
                     f"snapshot {snapshot_path} is malformed "
                     f"({type(exc).__name__}: {exc})"
                 ) from exc
-        if (
-            n_shards is not None
-            and persisted_shards is not None
-            and n_shards != persisted_shards
-        ):
-            raise DisclosureError(
-                f"snapshot {snapshot_path} records {persisted_shards} WAL "
-                f"shard(s) but n_shards={n_shards} was requested; recovering "
-                "with the wrong shard count would drop shard logs"
-            )
-        if n_shards is None:
-            # Adopt the deployment's shard count (like config and kind):
-            # `repro recover` need not know how the primary was sharded.
-            n_shards = persisted_shards or 1
-        self.wal = WALSet(
-            self.directory,
-            n_shards=n_shards,
+        self.wal = WriteAheadLog(
+            self.directory / WAL_NAME,
             fsync=fsync,
             fsync_interval=fsync_interval,
             cipher=cipher,
@@ -928,8 +749,7 @@ class DurableEngine:
         )
         self.engine = DisclosureEngine(
             config, LogicalClock(start=resumed),
-            authoritative=authoritative, kind=kind,
-            registry=self.registry, n_shards=n_shards,
+            authoritative=authoritative, kind=kind, registry=self.registry,
         )
         # A failed recovery must not leak the log handles it opened.
         try:
@@ -949,7 +769,7 @@ class DurableEngine:
             snapshot_lsn=snapshot_lsn,
             replayed=applied,
             skipped=skipped,
-            torn_bytes=int(scope.counter("torn_bytes_truncated").value),
+            torn_bytes=self.wal.torn_bytes,
             last_lsn=self.wal.last_lsn,
             resumed_clock=resumed,
             seconds=clock.now() - started,
@@ -1007,16 +827,17 @@ class DurableEngine:
 
         Order matters for crash safety: the snapshot (stamped with the
         last journaled LSN) replaces the old one atomically *first*;
-        only then are the log files rotated. A crash between the two
-        steps leaves a log whose records are all covered by the
-        snapshot's stamp — replay skips them.
+        only then is the log rotated. A crash between the two steps
+        leaves a log whose records are all covered by the snapshot's
+        stamp — replay skips them.
 
         The engine read lock is held across *both* steps: journaled
         mutations append under the write lock, so no record with an LSN
         beyond the stamp can be acknowledged between the snapshot and
         the rotation — rotating outside the lock would let such a
-        record be discarded with the old shard files. ``WALSet.rotate``
-        additionally refuses if one slipped through.
+        record be discarded with the old log file.
+        :meth:`WriteAheadLog.rotate` additionally refuses if one slipped
+        through.
         """
         clock = self.registry.clock
         started = clock.now()
@@ -1024,7 +845,7 @@ class DurableEngine:
             lsn = self.wal.last_lsn
             size = save_engine(
                 self.engine, self.snapshot_path, cipher=self._cipher,
-                wal_lsn=lsn, wal_shards=self.wal.n_shards,
+                wal_lsn=lsn,
             )
             self.wal.rotate(lsn)
         self._ops_since_compact = 0
@@ -1049,13 +870,14 @@ class DurableEngine:
 class LogShipper:
     """Incremental reader of a primary's log for standby catch-up.
 
-    Each :meth:`poll` re-scans the primary's ``wal*.log`` files and
-    returns the LSN-sorted records beyond the cursor, then advances the
+    Each :meth:`poll` re-scans the primary's ``wal.log`` and returns
+    the records beyond the cursor, in LSN order, then advances the
     cursor. Safe against a concurrent appender: a torn final record
     (an append in flight, or the debris of the primary's death) is
     simply not returned; if the append completes it appears on the next
     poll, and if the primary died it never does — exactly the records a
-    recovery of the primary would replay.
+    recovery of the primary would replay. A directory an older build
+    journaled to sharded logs is refused at construction.
 
     Rotation-aware: a rotated log's ``compact`` record has an LSN above
     the cursor, so the standby learns of compactions. Nothing guarantees
@@ -1071,11 +893,18 @@ class LogShipper:
     def __init__(self, directory, *, cipher: Optional[UploadCipher] = None):
         self.directory = Path(directory)
         self._cipher = cipher
+        snapshot_path = self.directory / SNAPSHOT_NAME
+        _refuse_sharded(
+            self.directory,
+            read_snapshot(snapshot_path, cipher=cipher)
+            if snapshot_path.exists()
+            else None,
+        )
         self.cursor = 0
 
     def poll(self) -> List[dict]:
-        records, _torn = read_wal_directory(
-            self.directory, cipher=self._cipher
+        records, _good, _torn = scan_wal_file(
+            self.directory / WAL_NAME, cipher=self._cipher
         )
         fresh = [r for r in records if r["lsn"] > self.cursor]
         if fresh:

@@ -154,25 +154,6 @@ class LookupRejected(LookupFault):
         self.status = status
 
 
-class ShardDegraded(LookupFault):
-    """One shard of a sharded hash database failed during a sweep.
-
-    Raised by :class:`~repro.disclosure.sharding.ShardedHashDatabase`
-    when a per-shard fault injector drops or refuses the shard's part of
-    a scatter/gather query. Only queries whose target hashes route to
-    the degraded shard observe this; the lookup server translates it to
-    the equivalent network-level fault (:class:`LookupTimeout` for a
-    drop, :class:`LookupRejected` for a backend error) so clients
-    degrade through the ordinary fail-open / fail-closed machinery.
-    """
-
-    def __init__(self, shard: int, kind: str, status: int = 503) -> None:
-        super().__init__(f"shard {shard} degraded ({kind})")
-        self.shard = shard
-        self.kind = kind
-        self.status = status
-
-
 class LookupUnavailable(LookupFault):
     """The lookup service stayed unavailable through all retries.
 

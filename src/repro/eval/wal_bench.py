@@ -46,8 +46,9 @@ from repro.disclosure.engine import DisclosureEngine
 from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.wal import (
     DEFAULT_FSYNC_INTERVAL,
+    WAL_NAME,
     DurableEngine,
-    read_wal_directory,
+    scan_wal_file,
 )
 from repro.fingerprint.config import PAPER_CONFIG
 from repro.util.clock import LogicalClock
@@ -227,7 +228,7 @@ def measure(smoke: bool, seed: int, *, rounds: int = ROUNDS) -> dict:
 
         # Recovery: replay the full log of one of the timed directories.
         log_dir = durable_dirs[0]
-        records, _torn = read_wal_directory(log_dir)
+        records, _good, _torn = scan_wal_file(log_dir / WAL_NAME)
         recovery_s = _best_seconds(
             lambda: None,
             lambda _s: _durable_engine(log_dir).close(),

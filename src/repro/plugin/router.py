@@ -2,11 +2,10 @@
 
 :class:`ShardRouter` counts the scatters of
 :class:`~repro.disclosure.sharding.ShardedHashDatabase` sweeps: it runs
-each sweep's per-shard jobs through the database's own scatter loop
-(:func:`~repro.disclosure.sharding.scatter`) in the calling thread, in
-shard order. The contract is duck-typed — the disclosure tier only
-requires an object with ``map(fn, items)`` — so the dependency points
-plugin → disclosure, never the other way around.
+each sweep's per-shard jobs in the calling thread, in shard order. The
+contract is duck-typed — the disclosure tier only requires an object
+with ``map(fn, items)`` — so the dependency points plugin → disclosure,
+never the other way around.
 
 The per-shard probe loops are pure Python and hold the GIL throughout,
 so a thread pool could not overlap them; handing them to worker threads
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from repro.disclosure.sharding import scatter
 from repro.obs.registry import MetricsRegistry, MetricsScope
 
 T = TypeVar("T")
@@ -54,17 +52,11 @@ class ShardRouter:
         self._c_jobs = scope.counter("jobs")
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply *fn* to every item in item order; results in item order.
-
-        Every job runs even when one fails, so each touched shard draws
-        its fault decision exactly once per sweep; the first failure in
-        item order — typically a degraded shard's
-        :class:`~repro.errors.ShardDegraded` — is then re-raised.
-        """
+        """Apply *fn* to every item in item order; results in item order."""
         self._c_jobs.inc(len(items))
         if len(items) > 1:
             self._c_scatters.inc()
-        return scatter(fn, items)
+        return [fn(item) for item in items]
 
     def shutdown(self) -> None:
         """Nothing to release: the router owns no threads."""

@@ -42,7 +42,6 @@ from repro.errors import (
     LookupRejected,
     LookupTimeout,
     LookupUnavailable,
-    ShardDegraded,
     StandbyGap,
 )
 from repro.fingerprint import FingerprintConfig
@@ -146,7 +145,6 @@ class LookupServer:
                 "timed_out",
                 "batches",
                 "batch_items",
-                "shard_degraded",
             )
         }
         self._h_handle = self.metrics.histogram("handle_seconds")
@@ -164,22 +162,6 @@ class LookupServer:
 
     def _count(self, name: str, delta: int = 1) -> None:
         self._counters[name].inc(delta)
-
-    def _shard_fault(self, exc: ShardDegraded, timeout: float) -> Exception:
-        """Translate a degraded shard into the equivalent network fault.
-
-        A shard that dropped its part of the scatter looks to the client
-        like a timed-out request; a shard that refused looks like a
-        backend 5xx. Either way the client's ordinary retry and
-        fail-open/fail-closed machinery takes over — only requests whose
-        target hashes actually route to the degraded shard ever get here.
-        """
-        self._count("shard_degraded")
-        if exc.kind == "error":
-            self._count("rejected")
-            return LookupRejected(exc.status)
-        self._count("dropped")
-        return LookupTimeout(timeout, kind=f"shard-{exc.kind}")
 
     # ------------------------------------------------------------------
     # Request paths
@@ -220,16 +202,13 @@ class LookupServer:
             raise LookupTimeout(timeout, kind="latency")
         clock = self.registry.clock
         start = clock.now()
-        try:
-            decision = self._lookup.lookup(
-                service_id,
-                doc_id,
-                paragraphs,
-                suppressions=suppressions,
-                fingerprints=fingerprints,
-            )
-        except ShardDegraded as exc:
-            raise self._shard_fault(exc, timeout) from exc
+        decision = self._lookup.lookup(
+            service_id,
+            doc_id,
+            paragraphs,
+            suppressions=suppressions,
+            fingerprints=fingerprints,
+        )
         self._h_handle.observe(clock.now() - start)
         self._count("served")
         return decision, fault.latency
@@ -267,10 +246,7 @@ class LookupServer:
             raise LookupTimeout(timeout, kind="latency")
         clock = self.registry.clock
         start = clock.now()
-        try:
-            decisions = self._lookup.lookup_batch(service_id, items)
-        except ShardDegraded as exc:
-            raise self._shard_fault(exc, timeout) from exc
+        decisions = self._lookup.lookup_batch(service_id, items)
         self._h_handle.observe(clock.now() - start)
         self._count("served", len(items))
         return decisions, fault.latency
@@ -749,9 +725,9 @@ class StandbyLookupServer:
         Resumes the tracker's logical clock strictly past every replayed
         timestamp (so post-failover observations cannot steal
         authoritative ownership from replicated ones) and, when *wal*
-        (a :class:`~repro.disclosure.wal.WALSet`) is given, attaches a
-        journal so the promoted primary's own mutations are durable —
-        and shippable to the *next* standby.
+        (a :class:`~repro.disclosure.wal.WriteAheadLog`) is given,
+        attaches a journal so the promoted primary's own mutations are
+        durable — and shippable to the *next* standby.
         """
         if self._promoted:
             raise DisclosureError("standby already promoted")

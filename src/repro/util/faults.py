@@ -123,36 +123,6 @@ class FaultInjector:
             kind: scope.counter(f"injected_{kind}") for kind in KINDS
         }
 
-    @classmethod
-    def for_shards(
-        cls,
-        n_shards: int,
-        schedules: Dict[int, Sequence[Fault]],
-        *,
-        scope: Optional["MetricsScope"] = None,
-    ) -> Tuple["FaultInjector", ...]:
-        """One injector per shard; shards absent from *schedules* stay healthy.
-
-        The returned tuple plugs straight into
-        :meth:`~repro.disclosure.sharding.ShardedHashDatabase.set_faults`,
-        so a test can degrade shard 2 of 4 while the other three keep
-        serving — the per-shard half of the fail-open/fail-closed story.
-        When *scope* is given each injector counts under
-        ``<scope>.<shard>.``; otherwise each gets its own private scope.
-        """
-        unknown = sorted(i for i in schedules if not 0 <= i < n_shards)
-        if unknown:
-            raise ValueError(f"schedule for nonexistent shard(s) {unknown}")
-        return tuple(
-            cls(
-                schedule=schedules.get(i, ()),
-                scope=None if scope is None else scope.registry.scope(
-                    f"{scope.prefix}{i}."
-                ),
-            )
-            for i in range(n_shards)
-        )
-
     @property
     def injected(self) -> Dict[str, int]:
         """Per-kind injected counts (legacy view over the registry)."""

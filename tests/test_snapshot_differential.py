@@ -56,7 +56,6 @@ from repro.disclosure.wal import (
     LEGACY_SNAPSHOT_NAME,
     SNAPSHOT_NAME,
     DurableEngine,
-    WALSet,
     scan_wal_file,
 )
 from repro.errors import DisclosureError, SimulatedCrash, SnapshotCorrupt
@@ -473,7 +472,7 @@ class TestSnapshotVersionCheckedBeforeLogsOpen:
             compacted.observe("a", SECRET_TEXT)
             legacy = {"v1": v1_snapshot, "v2": v2_snapshot, "v3": v3_snapshot}[
                 layout
-            ](compacted, wal_lsn=data["wal_lsn"], wal_shards=data["wal_shards"])
+            ](compacted, wal_lsn=data["wal_lsn"])
             snapshot.unlink()
             snapshot = tmp_path / LEGACY_SNAPSHOT_NAME
             snapshot.write_text(json.dumps(legacy))
@@ -525,11 +524,10 @@ class TestFailedRecoveryClosesLogs:
         assert "malformed" in message
         assert str(snapshot) in message
 
-    def test_bad_magic_on_a_later_shard(self, tmp_path):
-        wal = WALSet(tmp_path, n_shards=2)
-        wal.append("remove", key="a", kind="paragraph", id="a")
-        wal.close()
-        (tmp_path / "wal.1.log").write_bytes(b"not a log")
-        message, leaks = _raise_and_collect(lambda: WALSet(tmp_path, n_shards=2))
+    def test_bad_magic_log(self, tmp_path):
+        (tmp_path / "wal.log").write_bytes(b"not a log")
+        message, leaks = _raise_and_collect(
+            lambda: DurableEngine(tmp_path, config=TINY_CONFIG)
+        )
         assert "bad magic" in message
         assert not leaks, [str(w.message) for w in leaks]

@@ -1,12 +1,12 @@
 """Standby catch-up by log shipping, and failover (DESIGN.md §14).
 
-A primary :class:`DisclosureTracker` journals every mutation into a
-:class:`WALSet`; a :class:`StandbyLookupServer` pulls the log through a
-:class:`LogShipper` and applies it to its own replica. The tests prove
-the availability story end to end: incremental catch-up, torn in-flight
-records held back, a primary killed mid-stream leaving the standby
-verdict-identical to a recovered primary, suppression audit shipping,
-and promotion that resumes the clock and re-journals.
+A primary :class:`DisclosureTracker` journals every mutation into one
+:class:`WriteAheadLog`; a :class:`StandbyLookupServer` pulls the log
+through a :class:`LogShipper` and applies it to its own replica. The
+tests prove the availability story end to end: incremental catch-up,
+torn in-flight records held back, a primary killed mid-stream leaving
+the standby verdict-identical to a recovered primary, suppression audit
+shipping, and promotion that resumes the clock and re-journals.
 """
 
 import pytest
@@ -14,12 +14,13 @@ import pytest
 from repro.datasets.manuals import ManualsCorpus
 from repro.disclosure import DisclosureTracker
 from repro.disclosure.wal import (
+    WAL_NAME,
     EngineJournal,
     LogShipper,
-    WALSet,
-    read_wal_directory,
+    WriteAheadLog,
     max_record_timestamp,
     replay_records,
+    scan_wal_file,
 )
 from repro.errors import (
     DisclosureError,
@@ -36,9 +37,14 @@ from repro.util.faults import Fault, FaultInjector
 from conftest import OTHER_TEXT, SECRET_TEXT, THIRD_TEXT
 
 
+def open_wal(directory, **kwargs) -> WriteAheadLog:
+    directory.mkdir(parents=True, exist_ok=True)
+    return WriteAheadLog(directory / WAL_NAME, fsync="always", **kwargs)
+
+
 def make_primary(directory, *, faults=None, cipher=None):
-    """A tracker journaling both granularities into one WAL set."""
-    wal = WALSet(directory, fsync="always", faults=faults, cipher=cipher)
+    """A tracker journaling both granularities into one log."""
+    wal = open_wal(directory, faults=faults, cipher=cipher)
     tracker = DisclosureTracker(TINY_CONFIG)
     journal = EngineJournal(wal)
     tracker.paragraphs.attach_journal(journal)
@@ -56,7 +62,7 @@ def make_standby(directory, *, cipher=None, faults=None):
 
 def recovered_primary(directory, *, cipher=None):
     """What crash recovery on the primary's host would rebuild."""
-    records, _torn = read_wal_directory(directory, cipher=cipher)
+    records, _good, _torn = scan_wal_file(directory / WAL_NAME, cipher=cipher)
     tracker = DisclosureTracker(TINY_CONFIG)
     replay_records(
         records,
@@ -124,8 +130,7 @@ class TestCatchUp:
         primary.observe_document("doc1", DOC)
         standby.catch_up()
         # A torn append in flight: partial bytes past the good tail.
-        path = wal.paths()[0]
-        with open(path, "ab") as handle:
+        with open(wal.path, "ab") as handle:
             handle.write(b"\x00\x00\x01")
         assert standby.catch_up() == 0
         wal.close()
@@ -151,6 +156,24 @@ class TestCatchUp:
         assert standby.catch_up() == 0  # compact marker applies as no-op
         primary.observe_document("doc2", [("p3", THIRD_TEXT)])
         assert standby.catch_up() == 2
+        wal.close()
+
+    def test_poll_returns_increasing_lsns_across_rotation(self, tmp_path):
+        """The shipper reads one log, whose file order is LSN order: no
+        merge, and no sort, is needed before, across or after a
+        rotation."""
+        wal, primary = make_primary(tmp_path)
+        shipper = LogShipper(tmp_path)
+        primary.observe_document("doc1", DOC)
+        lsns = [r["lsn"] for r in shipper.poll()]
+        primary.observe_document("doc2", [("p3", THIRD_TEXT)])
+        wal.rotate(wal.last_lsn)
+        primary.observe_document("doc3", [("p4", OTHER_TEXT)])
+        across = shipper.poll()
+        lsns += [r["lsn"] for r in across]
+        assert across[0]["op"] == "compact"
+        assert lsns == [1, 2, 3, 6, 7, 8]
+        assert shipper.poll() == []
         wal.close()
 
     def test_rotation_gap_raises_instead_of_diverging(self, tmp_path):
@@ -293,11 +316,11 @@ class TestFailover:
         primary.observe_document("doc1", DOC)
         standby = make_standby(tmp_path / "primary")
         standby.catch_up()
-        new_wal = WALSet(tmp_path / "promoted", fsync="always")
+        new_wal = open_wal(tmp_path / "promoted")
         promoted = standby.promote(wal=new_wal)
         promoted.observe_document("doc2", [("p9", THIRD_TEXT)])
         new_wal.close()
-        records, _torn = read_wal_directory(tmp_path / "promoted")
+        records, _good, _torn = scan_wal_file(new_wal.path)
         assert [r["id"] for r in records] == ["p9", "doc2"]
         # ...which is enough to warm the *next* standby.
         next_standby = make_standby(tmp_path / "promoted")

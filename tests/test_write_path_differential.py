@@ -21,8 +21,9 @@ Both must end in identical state: every decision, every stored
 ``SegmentRecord``, every hash's owners with their first-seen times,
 ``ownership_changes``, the stamp store's version, build floor and label
 stamps, and labels. The shipped hash stripes may be older than the
-reference's, which re-stamps every hash it re-records, but never newer. Both stacks journal every engine mutation
-and suppression to a WAL, and the WAL files must be byte-identical.
+reference's, which re-stamps every hash it re-records, but never newer.
+Both stacks journal every engine mutation and suppression to one WAL,
+at either shard count, and the two WAL files must be byte-identical.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import EnterpriseFixture, assert_databases_agree
-from repro.disclosure.wal import EngineJournal, WALSet
+from repro.disclosure.wal import WAL_NAME, EngineJournal, WriteAheadLog
 from repro.eval.fleet import FleetFixture, _execute_op, _SessionState, smoke_config
 from repro.eval.workload import generate_schedule
 from repro.tdm.state import model_to_dict
@@ -82,9 +83,10 @@ def make_reference(model) -> None:
         )
 
 
-def journal_to(model, directory, n_shards) -> WALSet:
+def journal_to(model, directory) -> WriteAheadLog:
     """Journal every engine mutation and suppression of *model*."""
-    wal = WALSet(directory, n_shards=n_shards, fsync="never")
+    directory.mkdir(parents=True)
+    wal = WriteAheadLog(directory / WAL_NAME, fsync="never")
     journal = EngineJournal(wal)
     model.tracker.paragraphs.attach_journal(journal)
     model.tracker.documents.attach_journal(journal)
@@ -178,7 +180,7 @@ class _Stack:
         self.model = self.fixture.model
         if reference:
             make_reference(self.model)
-        self.wal = journal_to(self.model, wal_dir, n_shards)
+        self.wal = journal_to(self.model, wal_dir)
         self.decisions: list = []
         self.outcomes: list = []
         sessions = {}
@@ -217,6 +219,7 @@ def test_fleet_replay_identical(schedules, churn, n_shards, tmp_path):
         assert got == want, f"decision {i}"
     assert_same_state(shipped.model, reference.model)
     assert wal_bytes(tmp_path / "shipped") == wal_bytes(tmp_path / "reference")
+    assert list(wal_bytes(tmp_path / "shipped")) == [WAL_NAME]
 
     # Not vacuous: the replay blocked uploads, committed edits of
     # tracked segments, and journaled them.
@@ -288,7 +291,7 @@ def _typing_stack(directory, secret, typed, *, reference: bool):
     e = EnterpriseFixture()
     if reference:
         make_reference(e.model)
-    wal = journal_to(e.model, directory, 1)
+    wal = journal_to(e.model, directory)
     decisions: list = []
     record_decisions(e.plugin, decisions)
     try:
