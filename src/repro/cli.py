@@ -200,11 +200,7 @@ def cmd_stats(args) -> int:
     the latency histograms are all populated; without it the snapshot
     shows database state (gauges) and zeroed counters.
     """
-    from repro.plugin.cache import (
-        FingerprintCache,
-        LRUCache,
-        fingerprint_set_digest,
-    )
+    from repro.plugin.cache import FingerprintCache, LRUCache
 
     db_path = Path(args.db)
     if not db_path.exists():
@@ -221,7 +217,7 @@ def cmd_stats(args) -> int:
         )
         for _round in range(2):  # cold then warm
             fp = fp_cache.fingerprint(engine.fingerprinter, text)
-            key = (fingerprint_set_digest([fp.hashes]), engine.stamps.version)
+            key = (fp.set_digest, engine.stamps.version)
             if memo.get(key) is None:
                 memo.put(key, engine.disclosing_sources(fingerprint=fp))
     print(json.dumps(engine.registry.snapshot(), indent=2, sort_keys=True))

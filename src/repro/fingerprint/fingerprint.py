@@ -4,13 +4,16 @@ A :class:`Fingerprint` is the set of winnowed hashes of one text segment
 plus, for each hash, the original-text spans it was selected from. The
 hash *set* drives the disclosure metrics (paper §4.2); the spans drive
 passage attribution ("which text segment passages caused information
-disclosure", §4.1).
+disclosure", §4.1). :func:`fingerprint_set_digest` names a sequence of
+hash sets in 16 bytes; the decision cache keys verdicts on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, NamedTuple, Sequence, Tuple
+from hashlib import blake2b
+from struct import pack
+from typing import Collection, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.fingerprint.config import FingerprintConfig
 from repro.fingerprint.kernel import IngestKernel
@@ -19,6 +22,29 @@ from repro.fingerprint.normalize import normalize
 from repro.fingerprint.rolling_hash import KarpRabin
 from repro.fingerprint.winnowing import winnow
 from repro.obs.trace import span
+
+
+#: Closes each serialised hash set: nine bytes, which no run of 8-byte
+#: values can end in by alignment, so set boundaries are unambiguous.
+_SET_END = b"\xff" * 9
+
+
+def fingerprint_set_digest(hash_sets: Sequence[Collection[int]]) -> bytes:
+    """16-byte digest of an ordered sequence of fingerprint hash sets.
+
+    Equality checks and storage touch 16 bytes instead of every hash
+    value. Each set is serialised sorted (frozenset iteration order is
+    not canonical) as little-endian 8-byte values, packed in one call,
+    with an out-of-band separator, so ``[{a}, {b}]`` and ``[{a, b}]``
+    digest differently. Collisions are 2^-128 territory — negligible
+    against the model's own 32-bit fingerprint collisions.
+    """
+    digest = blake2b(digest_size=16)
+    update = digest.update
+    for hashes in hash_sets:
+        update(pack(f"<{len(hashes)}Q", *sorted(hashes)))
+        update(_SET_END)
+    return digest.digest()
 
 
 class FingerprintHash(NamedTuple):
@@ -51,6 +77,22 @@ class Fingerprint:
     hashes: FrozenSet[int]
     flat_selections: Tuple[int, ...] = field(repr=False, default=())
     config: FingerprintConfig = field(default_factory=FingerprintConfig)
+    #: :attr:`set_digest` once computed. Not an init field, so
+    #: ``dataclasses.replace`` starts the copy without it.
+    _set_digest: Optional[bytes] = field(
+        init=False, compare=False, repr=False, default=None
+    )
+
+    @property
+    def set_digest(self) -> bytes:
+        """``fingerprint_set_digest([self.hashes])``, computed on first
+        use and kept: the decision cache keys every verdict on it, and
+        an unchanged paragraph presents the same object again."""
+        digest = self._set_digest
+        if digest is None:
+            digest = fingerprint_set_digest((self.hashes,))
+            object.__setattr__(self, "_set_digest", digest)
+        return digest
 
     @property
     def selections(self) -> Tuple[FingerprintHash, ...]:

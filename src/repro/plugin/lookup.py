@@ -10,10 +10,17 @@ which is what makes per-keystroke checks cheap (paper §6.2).
 The delta-aware pipeline (DESIGN.md §13) changes what the cache keys
 look like and where fingerprints come from:
 
-* Verdicts are keyed on ``(service, doc, fingerprint-set digest, policy
+* Verdicts are keyed on ``(service, doc, digest, policy
   registrations)`` and stored with the stamp-store version they were
-  checked at. An entry is served at once while the version has not
-  moved. A one-paragraph entry is otherwise served after checking that
+  checked at. The digest is the one paragraph fingerprint's
+  :attr:`~repro.fingerprint.fingerprint.Fingerprint.set_digest`, or the
+  ordered tuple of every paragraph's, so order and grouping stay
+  distinct. A fingerprint memoises its digest, and the plug-in's edit
+  buffers and the fingerprint cache present the same object for
+  unchanged text, so a served verdict costs a dictionary probe. The
+  digests are taken before the tracker lock; only the registrations
+  are read under it. An entry is served at once while the version has
+  not moved. A one-paragraph entry is otherwise served after checking that
   it was computed for this paragraph and that no stripe of its hashes,
   and neither own segment's label, was stamped since; a write
   elsewhere leaves it valid.
@@ -33,11 +40,7 @@ from itertools import islice
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.trace import span
-from repro.plugin.cache import (
-    DecisionCache,
-    FingerprintCache,
-    fingerprint_set_digest,
-)
+from repro.plugin.cache import DecisionCache, FingerprintCache
 from repro.tdm.model import FlowDecision, Suppression, TextDisclosureModel
 
 #: One batch-lookup item: (doc_id, [(paragraph_id, text), ...]).
@@ -129,18 +132,20 @@ class PolicyLookup:
                 resolved[i] = fp
         return resolved
 
-    def _key(
-        self, service_id: str, doc_id: str, fingerprints: Sequence
-    ) -> Tuple:
-        """The §13 cache key; the caller holds the tracker read lock."""
-        if len(fingerprints) != 1:
-            self._c_epoch_global.inc()
-        return (
-            service_id,
-            doc_id,
-            fingerprint_set_digest([fp.hashes for fp in fingerprints]),
-            self._model.policies.registrations,
-        )
+    def _digest(self, fingerprints: Sequence):
+        """The fingerprint part of the §13 cache key: the one
+        paragraph's memoised set digest, or the ordered tuple of every
+        paragraph's. Reads no model state, so callers take it before
+        the tracker lock."""
+        if len(fingerprints) == 1:
+            return fingerprints[0].set_digest
+        self._c_epoch_global.inc()
+        return tuple(fp.set_digest for fp in fingerprints)
+
+    def _key(self, service_id: str, doc_id: str, digest) -> Tuple:
+        """The §13 cache key for a :meth:`_digest`; the caller holds the
+        tracker read lock, under which the registrations are read."""
+        return (service_id, doc_id, digest, self._model.policies.registrations)
 
     def _validator(
         self, doc_id: str, paragraphs: Sequence[Tuple[str, str]], fingerprints
@@ -218,6 +223,7 @@ class PolicyLookup:
             _fps, doc_fingerprint = self._model.tracker.document_fingerprints(
                 paragraphs, resolved
             )
+        digest = self._digest(resolved)
         # Validation and recomputation must see the same model state, so
         # the rest holds the tracker's read lock: without it a concurrent
         # observation between the two could store a decision computed on
@@ -225,7 +231,7 @@ class PolicyLookup:
         with self._model.lock.read_locked(), span(
             "lookup", service=service_id, doc=doc_id
         ) as sp:
-            key = self._key(service_id, doc_id, resolved)
+            key = self._key(service_id, doc_id, digest)
             entry = self._cache.get(
                 key, self._validator(doc_id, paragraphs, resolved)
             )
@@ -293,6 +299,7 @@ class PolicyLookup:
             items,
             [list(islice(flat, len(ps))) for _doc_id, ps in items],
         )
+        digests = [self._digest(resolved) for resolved, _doc_fp in all_resolved]
         with self._model.lock.read_locked(), span(
             "lookup_batch", service=service_id, items=len(items)
         ) as sp:
@@ -305,7 +312,7 @@ class PolicyLookup:
             for i, ((doc_id, paragraphs), (resolved, doc_fp)) in enumerate(
                 zip(items, all_resolved)
             ):
-                key = self._key(service_id, doc_id, resolved)
+                key = self._key(service_id, doc_id, digests[i])
                 entry = self._cache.get(
                     key, self._validator(doc_id, paragraphs, resolved)
                 )

@@ -446,7 +446,7 @@ class BrowserFlowPlugin:
             if not isinstance(text, str):
                 return None
         elif op in ("insert", "delete"):
-            element = self._find_paragraph_element(document, raw_par)
+            element = document.first_element_with("data-par-id", raw_par)
             if element is not None:
                 text = element.text_content()
             elif op == "insert":
@@ -497,7 +497,7 @@ class BrowserFlowPlugin:
         self, document: Document, segment_id: str, action: EnforcementAction
     ) -> None:
         raw_par = segment_id.rsplit("|", 1)[-1]
-        element = self._find_paragraph_element(document, raw_par)
+        element = document.first_element_with("data-par-id", raw_par)
         if element is None:
             return
         if action.violated:
@@ -505,13 +505,6 @@ class BrowserFlowPlugin:
             self.ui.mark_violation(element, reasons)
         else:
             self.ui.mark_clear(element)
-
-    @staticmethod
-    def _find_paragraph_element(document: Document, par_id: str) -> Optional[Element]:
-        for element in document.iter_elements():
-            if element.get_attribute("data-par-id") == par_id:
-                return element
-        return None
 
     # ------------------------------------------------------------------
     # Form interception (paper §5.1)

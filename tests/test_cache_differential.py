@@ -252,7 +252,8 @@ class CacheDifferential(RuleBasedStateMachine):
     def _check_servable(self, service, doc, paragraphs, version) -> None:
         lookup = self.lookup
         fingerprints = lookup._resolve_fingerprints(paragraphs, None)
-        entry = lookup.cache._entries.get(lookup._key(service, doc, fingerprints))
+        key = lookup._key(service, doc, lookup._digest(fingerprints))
+        entry = lookup.cache._entries.get(key)
         if entry is None:
             return
 
