@@ -191,7 +191,7 @@ class TestDigests:
         assert len(text_digest("")) == 16
 
     def test_fingerprint_set_digest_order_and_boundaries(self):
-        from repro.plugin.cache import fingerprint_set_digest
+        from repro.fingerprint.fingerprint import fingerprint_set_digest
 
         # Set iteration order must not matter; sequence order must.
         assert fingerprint_set_digest([{1, 2, 3}]) == fingerprint_set_digest(
@@ -211,7 +211,7 @@ class TestDigests:
         then nine 0xff bytes."""
         from hashlib import blake2b
 
-        from repro.plugin.cache import fingerprint_set_digest
+        from repro.fingerprint.fingerprint import fingerprint_set_digest
 
         sets = [{7, 1 << 40, 3}, set(), {(1 << 64) - 1}]
         reference = blake2b(digest_size=16)
