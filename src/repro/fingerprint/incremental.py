@@ -5,8 +5,8 @@ incremental fashion: if a user edits paragraph P by adding one hash h,
 the algorithm's main loop only needs to inspect h". The missing piece
 for a per-keystroke pipeline is computing that new hash without
 re-fingerprinting the whole paragraph. :class:`IncrementalFingerprinter`
-maintains the normalisation state, the Karp–Rabin stream, and the
-winnowing deque across appends, so extending a paragraph by one
+keeps the normalised text, its offset map, the n-gram hash stream and
+the winnowed selections across edits, so extending a paragraph by one
 character costs O(1) amortised instead of O(paragraph).
 
 Equivalence with the batch pipeline is exact (property-tested): at any
@@ -14,10 +14,18 @@ point, :meth:`current` returns the same fingerprint the batch
 :class:`~repro.fingerprint.fingerprint.Fingerprinter` would produce for
 the accumulated text.
 
+The state is kept in the kernel's flat form: the selected positions and
+one int list ``(value, start, end, …)`` aligned with them, which
+:meth:`current` copies into :attr:`Fingerprint.flat_selections`. An
+append winnows only the windows it completed, with the kernel's
+skip-scan (or, for an append of at least :data:`BULK_HASHES` hashes,
+its numpy primitives); every buffer of one config shares one hasher
+and one kernel.
+
 Appends of byte-narrow (Latin-1) text stream through the fused ingest
 kernel's primitives: each suffix is normalised with one
 ``bytes.translate`` pass, its offsets recovered with one ``compress``
-pass, and only the *new* n-gram hashes are rolled — the retained tail
+pass, and only the *new* n-gram hashes are computed — the retained tail
 is never re-normalised or re-hashed. The first suffix containing a wide
 code point permanently converts the state to the per-character path
 (the conversion is a decode, not a recompute — hashes and selections
@@ -28,59 +36,78 @@ failing over per append.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
-from itertools import chain, compress, count as icount
-from typing import Deque, List, Set
+from functools import lru_cache
+from itertools import compress, count as icount
+from typing import List, Optional, Sequence, Tuple
 
 from repro.fingerprint.config import FingerprintConfig
-from repro.fingerprint.fingerprint import Fingerprint, FingerprintHash
+from repro.fingerprint.fingerprint import Fingerprint
 from repro.fingerprint.kernel import (
     _DELETE_BYTES,
     _KEEP01_TABLE,
     _LOWER_TABLE,
+    IngestKernel,
+    _np,
+    _winnow_numpy,
     skipscan_winnow,
 )
 from repro.fingerprint.normalize import _is_kept
 from repro.fingerprint.rolling_hash import KarpRabin
+
+#: An append that adds at least this many hashes (a pasted or rendered
+#: paragraph, a buffer's first build) hashes and winnows with the
+#: kernel's numpy primitives when the kernel has them; keystrokes stay
+#: on the pure roll, whose fixed cost is far below numpy's.
+BULK_HASHES = 64
+
+
+@lru_cache(maxsize=None)
+def _shared_kernel(
+    ngram_size: int, window_size: int, hash_bits: int
+) -> Tuple[KarpRabin, IngestKernel]:
+    """The hasher and kernel every buffer of these parameters shares.
+
+    A ``KarpRabin`` costs a modular ``pow`` and two 256-entry tables,
+    about what the kernel spends fingerprinting a whole paragraph, so
+    building one per buffer doubled a buffer's first build. Both are
+    safe to share across threads: the hasher is immutable, and the
+    kernel's only state is its cached power tables, which a call
+    replaces whole.
+    """
+    config = FingerprintConfig(ngram_size, window_size, hash_bits)
+    hasher = KarpRabin(ngram_size=ngram_size, hash_bits=hash_bits)
+    return hasher, IngestKernel(config, hasher)
 
 
 class IncrementalFingerprinter:
     """Maintains the fingerprint of a growing text."""
 
     def __init__(self, config: FingerprintConfig | None = None) -> None:
-        self._config = config or FingerprintConfig()
-        self._hasher = KarpRabin(
-            ngram_size=self._config.ngram_size, hash_bits=self._config.hash_bits
+        self._config = config = config or FingerprintConfig()
+        self._hasher, self._kernel = _shared_kernel(
+            config.ngram_size, config.window_size, config.hash_bits
         )
         self._original_length = 0
         # Byte mode streams appends through the kernel's translate
         # tables; the first wide-Unicode suffix converts to char mode
         # for good (config.use_kernel=False starts there).
-        self._byte_mode = self._config.use_kernel
+        self._byte_mode = config.use_kernel
         self._norm_bytes = bytearray()
-        # Normalised characters and their offsets into the original text
-        # (char mode only; byte mode keeps `_norm_bytes` instead).
+        # Normalised characters (char mode only; byte mode keeps
+        # `_norm_bytes` instead) and their offsets into the original text.
         self._norm_chars: List[str] = []
         self._offsets: List[int] = []
-        # The full n-gram hash stream and the winnowing deque over it.
+        # The full n-gram hash stream.
         self._values: List[int] = []
-        self._window: Deque[int] = deque()
-        # Selected positions (deque path) in order, deduplicated.
+        # Selected positions of the full winnowing windows, ascending
+        # and deduplicated (empty while fewer than w hashes exist), and
+        # their selections as (value, start, end) triples, one flat int
+        # list aligned with them: appends extend both, a splice keeps
+        # the untouched entries and shifts the tail's spans in place.
         self._selected: List[int] = []
-        self._selected_set: Set[int] = set()
-        # Materialised selections, mirroring _selected 1:1, so current()
-        # never recomputes a span it already made (a splice keeps the
-        # untouched ones, tail spans shifted) and only flattens; the
-        # last Fingerprint is cached until a new position is selected.
-        self._sel_fp: List[FingerprintHash] = []
-        self._sel_hash_set: Set[int] = set()
-        self._cached_fp: Fingerprint | None = None
-        self._cached_sel_count = -1
-        # Positions already counted by an append() return value; the
-        # partial-window selection and the deque phase both report
-        # through this set, so the count==window_size transition cannot
-        # double-count the position both paths select.
-        self._reported: Set[int] = set()
+        self._flat: List[int] = []
+        # The last current() fingerprint, until a selection changes.
+        self._cached_fp: Optional[Fingerprint] = None
 
     @property
     def config(self) -> FingerprintConfig:
@@ -101,9 +128,12 @@ class IncrementalFingerprinter:
         position is counted at most once across all appends, so the
         return values reconcile with :meth:`current` at every prefix
         (including the transition at ``count == window_size``, where
-        the deque selects the same position the partial scan did).
+        the first full window selects the same position the partial
+        scan did). Selected positions only move right, so the last
+        selection shown is a high-water mark: every position up to it
+        has been counted.
         """
-        w = self._config.window_size
+        have = len(self._values)
         base = self._original_length
         data = None
         if self._byte_mode:
@@ -112,15 +142,15 @@ class IncrementalFingerprinter:
             except UnicodeEncodeError:
                 self._to_char_mode()
         if data is not None:
-            # Streaming kernel path: batch-normalise the suffix and roll
-            # only the new hashes; the retained tail is untouched.
+            # Streaming kernel path: batch-normalise the suffix alone;
+            # the retained text is never re-normalised or re-hashed.
             norm_new = data.translate(_LOWER_TABLE, _DELETE_BYTES)
             if norm_new:
                 self._offsets.extend(
                     compress(icount(base), data.translate(_KEEP01_TABLE))
                 )
                 self._norm_bytes += norm_new
-                self._extend_hashes_from_bytes()
+            norm = self._norm_bytes
         else:
             for i, ch in enumerate(suffix):
                 if _is_kept(ch):
@@ -132,59 +162,63 @@ class IncrementalFingerprinter:
                         if _is_kept(lowered):
                             self._norm_chars.append(lowered)
                             self._offsets.append(base + i)
-                            self._new_ngram_hash()
+            norm = self._norm_chars
         self._original_length += len(suffix)
 
-        # Advance the winnowing deque over any values not yet consumed.
-        before = len(self._selected)
-        start = getattr(self, "_consumed", 0)
+        # Hash j depends only on norm[j:j+n], so hashing the tail from
+        # the first missing position yields exactly the new hashes.
         n = self._config.ngram_size
-        offsets = self._offsets
-        for i in range(start, len(self._values)):
-            value = self._values[i]
-            while self._window and self._values[self._window[-1]] >= value:
-                self._window.pop()
-            self._window.append(i)
-            if self._window[0] <= i - w:
-                self._window.popleft()
-            if i >= w - 1:
-                pos = self._window[0]
-                if not self._selected or self._selected[-1] != pos:
-                    self._selected.append(pos)
-                    self._selected_set.add(pos)
-                    sel_value = self._values[pos]
-                    self._sel_fp.append(
-                        FingerprintHash(
-                            sel_value, offsets[pos], offsets[pos + n - 1] + 1
-                        )
-                    )
-                    self._sel_hash_set.add(sel_value)
-        self._consumed = len(self._values)
-
-        newly = 0
-        count = len(self._values)
-        if count and count <= w:
-            # Partial window: the rightmost minimum is selected (same
-            # rule as _selection_positions / the batch path).
-            best = 0
-            for i in range(1, count):
-                if self._values[i] <= self._values[best]:
-                    best = i
-            if best not in self._reported:
-                self._reported.add(best)
-                newly += 1
+        w = self._config.window_size
+        added = len(norm) - n + 1 - have
+        if added <= 0:
+            return 0
+        count = have + added
+        values = self._values
+        # The windows this append completed end at [max(have, w-1),
+        # count); they read the values from s0 on.
+        s0 = max(have - w + 1, 0)
+        picked = None
+        if self._byte_mode and added >= BULK_HASHES and self._kernel.uses_numpy:
+            new = self._kernel._hash_numpy(norm[have:])
+            if count >= w:
+                old = _np.array(values[s0:], dtype=_np.uint64)
+                windows = _np.concatenate((old, new))
+                picked = _winnow_numpy(windows, w).tolist()
+            values += new.tolist()
         else:
-            for pos in self._selected[before:]:
-                if pos not in self._reported:
-                    self._reported.add(pos)
-                    newly += 1
+            if self._byte_mode:
+                values += self._hasher.hash_all_bytes(norm[have:])
+            else:
+                values += self._hasher.hash_all_list("".join(norm[have:]))
+            if count >= w:
+                picked = skipscan_winnow(values[s0:], w)
+
+        selected = self._selected
+        shown = selected[-1] if selected else self._partial_best(have)
+        if picked is None:
+            # Partial window: the rightmost minimum is selected (same
+            # rule as the batch path).
+            newly = int(self._partial_best(count) != shown)
+        else:
+            if s0:
+                picked = [s0 + p for p in picked]
+            if selected and picked[0] == selected[-1]:
+                del picked[0]
+            newly = len(picked)
+            if picked:
+                selected += picked
+                self._flat += self._triples(picked)
+                if picked[0] == shown:
+                    newly -= 1  # the partial window's minimum, counted already
+        if newly:
+            self._cached_fp = None
         return newly
 
-    def delete(self, start: int, end: int) -> int:
+    def delete(self, start: int, end: int) -> None:
         """Remove ``text[start:end]``; equivalent to an empty replace."""
-        return self.replace(start, end, "")
+        self.replace(start, end, "")
 
-    def replace(self, start: int, end: int, new_text: str) -> int:
+    def replace(self, start: int, end: int, new_text: str) -> None:
         """Splice ``new_text`` over ``text[start:end]`` edit-locally.
 
         Coordinates are *original-text* indices, like the spans in
@@ -194,15 +228,11 @@ class IncrementalFingerprinter:
         ``norm[j:j+n]`` and a selection at ``p`` is decided by windows
         ``[p-w+1, p]``, so values outside ``[lo-n+1, lo+m_new)`` and
         selections outside ``[lo-n-w+2, lo+m_new+w-2]`` are untouched);
-        everything else — hash values, selected positions, materialised
-        selections — is spliced, with tail spans shifted by the edit's
-        length delta. Equivalence with batch re-fingerprinting of the
-        edited text is exact (property-tested against the reference
-        pipeline, full Unicode included).
-
-        Returns the number of selection triples present after the edit
-        that were not present before — the edit-path analogue of
-        :meth:`append`'s newly-selected count.
+        everything else — hash values, selected positions and their
+        selection triples — is spliced in place, with tail spans
+        shifted by the edit's length delta. Equivalence with batch
+        re-fingerprinting of the edited text is exact (property-tested
+        against the reference pipeline, full Unicode included).
         """
         if not 0 <= start <= end <= self._original_length:
             raise ValueError(
@@ -210,20 +240,15 @@ class IncrementalFingerprinter:
                 f"{self._original_length}"
             )
         if start == end and not new_text:
-            return 0
+            return
         if start == end == self._original_length:
-            # Pure append: the streaming path is already edit-local and
-            # counts its own newly-selected positions — for a trailing
-            # edit no existing triple can disappear or shift, so that
-            # count equals the triple diff (property-tested). Delegating
-            # keeps the keystroke hot path free of the O(selections)
-            # before/after set comparison below.
-            return self.append(new_text)
+            # Pure append: the streaming path is already edit-local.
+            self.append(new_text)
+            return
 
         n = self._config.ngram_size
         w = self._config.window_size
         offsets = self._offsets
-        before = set(self._current_selections())
         lo = bisect_left(offsets, start)
         hi = bisect_left(offsets, end)
 
@@ -271,8 +296,8 @@ class IncrementalFingerprinter:
 
         # Re-hash the dirty radius only: hash j covers norm[j:j+n], so
         # the edit perturbs exactly positions [lo-n+1, lo+m_new).
-        old_values = self._values
-        v_old = len(old_values)
+        values = self._values
+        v_old = len(values)
         v_new = max(0, norm_len - n + 1)
         d0 = max(0, lo - n + 1)
         d1 = min(v_new, lo + m_new)
@@ -280,7 +305,7 @@ class IncrementalFingerprinter:
             sl_end = min(norm_len, d1 + n - 1)
             if self._byte_mode:
                 dirty = self._hasher.hash_all_bytes(
-                    bytes(self._norm_bytes[d0:sl_end])
+                    self._norm_bytes[d0:sl_end]
                 )
             else:
                 dirty = self._hasher.hash_all_list(
@@ -288,28 +313,25 @@ class IncrementalFingerprinter:
                 )
         else:
             dirty = []
-        values = old_values[:d0] + dirty + old_values[lo + m_old :]
-        self._values = values
+        values[d0 : lo + m_old] = dirty
 
         # Splice the winnow selection. Positions p <= d0-w are decided
         # entirely by clean prefix windows; positions p >= lo+m_new+w-1
         # entirely by clean (shifted) tail windows; the gray zone in
         # between is re-winnowed with the kernel's skip-scan over just
         # enough values to cover every window that touches it.
-        shift = m_new - m_old
+        selected = self._selected
+        flat = self._flat
         if v_old <= w or v_new <= w:
-            # Too short for the retention argument (the deque phase was
-            # not — or is no longer — fully populated): rebuild.
-            new_selected = skipscan_winnow(values, w) if v_new >= w else []
-            new_sel_fp = [
-                FingerprintHash(values[p], offsets[p], offsets[p + n - 1] + 1)
-                for p in new_selected
-            ]
+            # Too short for the retention argument (one full window at
+            # most, before or after the edit): rebuild.
+            selected[:] = skipscan_winnow(values, w) if v_new >= w else []
+            flat[:] = self._triples(selected)
         else:
             gray_lo = max(0, d0 - w + 1)
             gray_hi = min(v_new - 1, lo + m_new + w - 2)
-            pre_cut = bisect_left(self._selected, gray_lo)
-            tail_cut = bisect_left(self._selected, lo + m_old + w - 1)
+            pre_cut = bisect_left(selected, gray_lo)
+            tail_cut = bisect_left(selected, lo + m_old + w - 1)
             s0 = max(0, gray_lo - w + 1)
             s1 = min(v_new, gray_hi + w)
             if gray_hi >= gray_lo and s1 - s0 >= w:
@@ -320,153 +342,70 @@ class IncrementalFingerprinter:
                 ]
             else:
                 gray = []
-            new_selected = (
-                self._selected[:pre_cut]
-                + gray
-                + [p + shift for p in self._selected[tail_cut:]]
-            )
-            tail_fp = self._sel_fp[tail_cut:]
+            shift = m_new - m_old
+            tail = selected[tail_cut:]
+            if shift:
+                tail = [p + shift for p in tail]
+            selected[pre_cut:] = gray + tail
+            flat[3 * pre_cut : 3 * tail_cut] = self._triples(gray)
             if delta_orig:
-                tail_fp = [
-                    FingerprintHash(
-                        f.value,
-                        f.orig_start + delta_orig,
-                        f.orig_end + delta_orig,
-                    )
-                    for f in tail_fp
-                ]
-            new_sel_fp = (
-                self._sel_fp[:pre_cut]
-                + [
-                    FingerprintHash(
-                        values[p], offsets[p], offsets[p + n - 1] + 1
-                    )
-                    for p in gray
-                ]
-                + tail_fp
-            )
-
-        self._selected = new_selected
-        self._sel_fp = new_sel_fp
-        self._selected_set = set(new_selected)
-        self._sel_hash_set = {f.value for f in new_sel_fp}
+                t = 3 * (pre_cut + len(gray))
+                flat[t + 1 :: 3] = [s + delta_orig for s in flat[t + 1 :: 3]]
+                flat[t + 2 :: 3] = [e + delta_orig for e in flat[t + 2 :: 3]]
         self._cached_fp = None
-        self._cached_sel_count = -1
-
-        # Rebuild the streaming state so later append()s continue
-        # seamlessly: the window-min deque depends only on the last w
-        # values, so replaying them restores it exactly.
-        window: Deque[int] = deque()
-        for i in range(max(0, v_new - w), v_new):
-            value = values[i]
-            while window and values[window[-1]] >= value:
-                window.pop()
-            window.append(i)
-        self._window = window
-        self._consumed = v_new
-        if v_new and v_new <= w:
-            best = 0
-            for i in range(1, v_new):
-                if values[i] <= values[best]:
-                    best = i
-            self._reported = {best}
-        else:
-            self._reported = set(new_selected)
-
-        return sum(1 for s in self._current_selections() if s not in before)
 
     def _to_char_mode(self) -> None:
         """Permanent byte→char conversion on the first wide suffix.
 
         Latin-1 decode restores the exact normalised characters, so the
-        hash stream, deque, and selection state all remain valid — only
-        the representation of the normalised text changes.
+        hash stream and selection state remain valid — only the
+        representation of the normalised text changes.
         """
         self._norm_chars = list(self._norm_bytes.decode("latin-1"))
         self._norm_bytes = bytearray()
         self._byte_mode = False
 
-    def _extend_hashes_from_bytes(self) -> None:
-        """Roll the n-gram hashes the last byte-append made possible.
+    def _partial_best(self, count: int) -> int:
+        """The rightmost minimum of the first *count* hashes, -1 for
+        none: a text with fewer than w hashes selects it alone."""
+        if not count:
+            return -1
+        rev = self._values[count - 1 :: -1]
+        return count - 1 - rev.index(min(rev))
 
-        Hash ``j`` depends only on ``norm[j : j+n]``, so hashing the
-        slice from the first missing position yields exactly the missing
-        suffix of the stream — one O(n) warm-up, then O(1) per new hash.
-        """
-        n = self._config.ngram_size
-        have = len(self._values)
-        if len(self._norm_bytes) - have < n:
-            return
-        tail = bytes(self._norm_bytes[have:])
-        self._values += self._hasher.hash_all_bytes(tail)
-
-    def _new_ngram_hash(self) -> None:
-        n = self._config.ngram_size
-        if len(self._norm_chars) < n:
-            return
-        if not self._values:
-            first = "".join(self._norm_chars[:n])
-            self._values.append(self._hasher.hash_one(first))
-        else:
-            outgoing = self._norm_chars[len(self._values) - 1]
-            incoming = self._norm_chars[-1]
-            self._values.append(
-                self._hasher.roll(self._values[-1], outgoing, incoming)
-            )
-
-    def _selection_positions(self) -> List[int]:
-        """Current winnowed positions, handling the short-text cases."""
-        w = self._config.window_size
-        count = len(self._values)
-        if count == 0:
-            return []
-        if count <= w:
-            # Partial window: rightmost minimum, like the batch path.
-            best = 0
-            for i in range(1, count):
-                if self._values[i] <= self._values[best]:
-                    best = i
-            return [best]
-        return self._selected
-
-    def _current_selections(self) -> List[FingerprintHash]:
-        """The selections :meth:`current` returns, one tuple each."""
-        if len(self._values) > self._config.window_size:
-            return self._sel_fp
-        # Short-text phase: the single rightmost-minimum selection can
-        # move on any keystroke, so it is recomputed (O(window) at most).
-        last = self._config.ngram_size - 1
+    def _triples(self, positions: Sequence[int]) -> List[int]:
+        """The selections at *positions*, flat: ``(value, start, end, …)``."""
+        values = self._values
         offsets = self._offsets
-        return [
-            FingerprintHash(self._values[pos], offsets[pos], offsets[pos + last] + 1)
-            for pos in self._selection_positions()
-        ]
+        last = self._config.ngram_size - 1
+        flat = [0] * (3 * len(positions))
+        flat[0::3] = [values[p] for p in positions]
+        flat[1::3] = [offsets[p] for p in positions]
+        flat[2::3] = [offsets[p + last] + 1 for p in positions]
+        return flat
 
     def current(self) -> Fingerprint:
-        """The fingerprint of the text accumulated so far."""
-        if len(self._values) > self._config.window_size:
-            # Deque phase: selections only ever append, so the last
-            # Fingerprint stays valid until _sel_fp grows. Per-keystroke
-            # callers (the §4.3 pipeline) hit the cache on most presses.
-            if (
-                self._cached_fp is not None
-                and self._cached_sel_count == len(self._sel_fp)
-            ):
-                return self._cached_fp
-            fp = Fingerprint(
-                hashes=frozenset(self._sel_hash_set),
-                flat_selections=tuple(chain.from_iterable(self._sel_fp)),
+        """The fingerprint of the text accumulated so far.
+
+        Built only when a selection changed since the last call, so
+        per-keystroke callers (the §4.3 pipeline) get the same object
+        back on most presses.
+        """
+        fp = self._cached_fp
+        if fp is None:
+            count = len(self._values)
+            if count < self._config.window_size:
+                # Short text: its partial window's one selection can
+                # move on any append, so `_flat` does not hold it.
+                flat = self._triples([self._partial_best(count)] if count else [])
+            else:
+                flat = self._flat
+            fp = self._cached_fp = Fingerprint(
+                hashes=frozenset(flat[0::3]),
+                flat_selections=tuple(flat),
                 config=self._config,
             )
-            self._cached_fp = fp
-            self._cached_sel_count = len(self._sel_fp)
-            return fp
-        selections = self._current_selections()
-        return Fingerprint(
-            hashes=frozenset(s.value for s in selections),
-            flat_selections=tuple(chain.from_iterable(selections)),
-            config=self._config,
-        )
+        return fp
 
 
 def _split_edit(old: str, new: str):

@@ -1,6 +1,9 @@
 """Tests for incremental fingerprinting, including batch equivalence."""
 
 import string
+import sys
+import threading
+import time
 from bisect import bisect_left
 
 import pytest
@@ -8,11 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fingerprint import Fingerprinter
-from repro.fingerprint.config import FingerprintConfig, TINY_CONFIG
-from repro.fingerprint.incremental import IncrementalFingerprinter
+from repro.fingerprint import incremental
+from repro.fingerprint.config import FingerprintConfig, PAPER_CONFIG, TINY_CONFIG
+from repro.fingerprint.incremental import (
+    BULK_HASHES,
+    EditBuffer,
+    IncrementalFingerprinter,
+)
+from repro.fingerprint.kernel import (
+    HAS_NUMPY,
+    POWER_TABLE_CAP,
+    IngestKernel,
+    _winnow_numpy,
+)
 from repro.fingerprint.normalize import normalize
+from repro.fingerprint.rolling_hash import KarpRabin
 
-from conftest import SECRET_TEXT
+from conftest import OTHER_TEXT, SECRET_TEXT
 
 BATCH = Fingerprinter(TINY_CONFIG)
 
@@ -167,14 +182,16 @@ class TestAppendCountBoundary:
 
     def test_count_equals_window_size_boundary(self):
         # 8 chars under TINY_CONFIG yield exactly window_size hashes:
-        # the deque phase's first selection is the same rightmost
-        # minimum the partial scans already reported — counted once.
+        # the first full window selects the same rightmost minimum the
+        # partial scans already reported — counted once.
         inc = IncrementalFingerprinter(TINY_CONFIG)
         total = 0
+        shown = set()
         for ch in "abcdefgh":
             total += inc.append(ch)
+            shown |= _sel_triples(inc.current())
         assert len(inc._values) == TINY_CONFIG.window_size
-        assert total == len(inc._reported)  # at-most-once per position
+        assert total == len(shown)  # at-most-once per selection
         assert total >= len(inc.current().selections)
 
     @given(chunks)
@@ -183,12 +200,15 @@ class TestAppendCountBoundary:
         config = FingerprintConfig(ngram_size=4, window_size=3)
         inc = IncrementalFingerprinter(config)
         total = 0
+        shown = set()
         for piece in pieces:
             total += inc.append(piece)
+            shown |= _sel_triples(inc.current())
             # Everything current() reports has been counted by some
             # append() — including during the partial window.
             assert total >= len(inc.current().selections)
-        assert total == len(inc._reported)
+        # ...and each selection it has shown was counted exactly once.
+        assert total == len(shown)
 
 
 class TestByteModeStreaming:
@@ -353,9 +373,11 @@ class TestReplaceDelete:
         a.append(SECRET_TEXT)
         b.append(SECRET_TEXT)
         n = len(SECRET_TEXT)
-        assert a.replace(n, n, " and more") == b.append(" and more")
-        assert a.current().hashes == b.current().hashes
-        assert a.current().selections == b.current().selections
+        a.replace(n, n, " and more")
+        b.append(" and more")
+        assert a.current() == b.current()
+        expected = BATCH.fingerprint_reference(SECRET_TEXT + " and more")
+        assert a.current().flat_selections == expected.flat_selections
 
     def test_delete_everything_empties_state(self):
         inc = IncrementalFingerprinter(TINY_CONFIG)
@@ -371,8 +393,9 @@ class TestReplaceDelete:
         inc = IncrementalFingerprinter(TINY_CONFIG)
         inc.append(SECRET_TEXT)
         before = inc.current()
-        assert inc.replace(5, 5, "") == 0
-        assert inc.current().selections == before.selections
+        inc.replace(5, 5, "")
+        assert inc.current() == before
+        assert inc.current().flat_selections == before.flat_selections
 
     def test_out_of_range_raises(self):
         inc = IncrementalFingerprinter(TINY_CONFIG)
@@ -517,8 +540,9 @@ class TestEditLocality:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_prefix_selections_not_recomputed(self, data):
-        """White-box: selections well before the edit are the *same
-        objects* after a replace — the delta path spliced, not rebuilt.
+        """White-box: a replace keeps the selections well before the
+        edit as they were and re-hashes only the dirty radius — at most
+        ``m_new + 2(n-1)`` normalised bytes for ``m_new`` new ones.
         """
         config = FingerprintConfig(ngram_size=4, window_size=3)
         n, w = config.ngram_size, config.window_size
@@ -540,12 +564,210 @@ class TestEditLocality:
         inc.append(text)
         if len(inc._values) <= w:
             return  # wholesale-rebuild fallback path, no splice to pin
-        before = {id(f): f for f in inc._sel_fp}
-        inc.replace(start, end, piece)
         radius = n + w - 1
-        for fp in inc._sel_fp:
-            if fp.orig_end <= start - radius:
-                assert id(fp) in before
+        prefix = [
+            s for s in inc.current().selections if s.orig_end <= start - radius
+        ]
+        hashed = []
+        shared = inc._hasher
+
+        class RecordingHasher:
+            def hash_all_bytes(self, data):
+                hashed.append(len(data))
+                return shared.hash_all_bytes(data)
+
+        inc._hasher = RecordingHasher()
+        inc.replace(start, end, piece)
+        assert list(inc.current().selections[: len(prefix)]) == prefix
+        assert sum(hashed) <= len(piece) + 2 * (n - 1)
+
+
+#: Three-letter-or-longer words, so a paragraph of 30 of them clears
+#: the bulk threshold under every config of the differential below.
+PROSE_WORDS = (
+    "the", "board", "signs", "off", "quarterly", "merger", "offer",
+    "secret", "revenue", "target", "list", "2024", "café", "naïve",
+    "µ-service",
+)
+paragraphs = st.lists(
+    st.sampled_from(PROSE_WORDS), min_size=30, max_size=80
+).map(" ".join)
+
+BULK_CONFIGS = (
+    TINY_CONFIG,
+    PAPER_CONFIG,
+    FingerprintConfig(ngram_size=4, window_size=1),
+    FingerprintConfig(ngram_size=3, window_size=7, hash_bits=48),
+)
+
+
+def _bulk_cases():
+    for config in BULK_CONFIGS:
+        for mode in ("pure", "numpy"):
+            if mode == "numpy" and (not HAS_NUMPY or config.hash_bits > 32):
+                continue
+            yield pytest.param(
+                config,
+                mode,
+                id=f"{config.ngram_size}-{config.window_size}-{config.hash_bits}-{mode}",
+            )
+
+
+def _kernel_in(mode):
+    """A shared-kernel factory whose kernels run in *mode*."""
+
+    def shared(ngram_size, window_size, hash_bits):
+        hasher = KarpRabin(ngram_size=ngram_size, hash_bits=hash_bits)
+        config = FingerprintConfig(ngram_size, window_size, hash_bits)
+        return hasher, IngestKernel(config, hasher, mode=mode)
+
+    return shared
+
+
+def _run_bulk_script(data, config, max_steps=10):
+    """Draw and apply a script of keystrokes, bulk appends, mid-text
+    replaces and deletes; yield ``(text, inc, count)`` after each step,
+    *count* being append's return value, or None after a splice."""
+    inc = IncrementalFingerprinter(config)
+    text = ""
+    for i in range(data.draw(st.integers(1, max_steps), label="steps")):
+        kind = data.draw(
+            st.sampled_from(["key", "bulk", "replace", "delete"]),
+            label=f"kind{i}",
+        )
+        if kind in ("key", "bulk"):
+            piece = data.draw(
+                st.sampled_from(UNICODE_ALPHABET) if kind == "key" else paragraphs,
+                label=f"piece{i}",
+            )
+            count = inc.append(piece)
+            text += piece
+        else:
+            start = data.draw(st.integers(0, len(text)), label=f"start{i}")
+            end = data.draw(st.integers(start, len(text)), label=f"end{i}")
+            if kind == "delete":
+                piece = ""
+                inc.delete(start, end)
+            else:
+                piece = data.draw(
+                    st.one_of(
+                        st.text(alphabet=UNICODE_ALPHABET, max_size=20), paragraphs
+                    ),
+                    label=f"piece{i}",
+                )
+                inc.replace(start, end, piece)
+            text = text[:start] + piece + text[end:]
+            count = None
+        yield text, inc, count
+
+
+class TestBulkAppendDifferential:
+    """Keystrokes, bulk appends above ``BULK_HASHES``, mid-text splices
+    and wide Unicode, on the numpy and the pure bulk path, against the
+    reference pipeline after every step."""
+
+    @pytest.mark.parametrize("config, mode", list(_bulk_cases()))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scripts_equal_reference_at_every_step(self, config, mode, data):
+        reference = Fingerprinter(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(incremental, "_shared_kernel", _kernel_in(mode))
+            shown, total = set(), 0
+            for text, inc, count in _run_bulk_script(data, config):
+                current = inc.current()
+                expected = reference.fingerprint_reference(text)
+                assert current.hashes == expected.hashes
+                assert current.flat_selections == expected.flat_selections
+                triples = _sel_triples(current)
+                if count is None:
+                    # A splice returns no count: counting restarts from
+                    # what it shows.
+                    shown, total = triples, len(triples)
+                else:
+                    shown |= triples
+                    total += count
+                # Each selection current() has shown was counted once.
+                assert total == len(shown)
+
+    def test_bulk_appends_take_the_numpy_path(self, monkeypatch):
+        if not HAS_NUMPY:
+            pytest.skip("numpy not installed")
+        winnowed = []
+
+        def spy(values, window_size):
+            winnowed.append(len(values))
+            return _winnow_numpy(values, window_size)
+
+        monkeypatch.setattr(incremental, "_winnow_numpy", spy)
+        hashes = len(normalize(SECRET_TEXT).text) - TINY_CONFIG.ngram_size + 1
+        assert hashes >= BULK_HASHES
+        buffer = EditBuffer(TINY_CONFIG, SECRET_TEXT)  # a rendered paragraph
+        assert len(winnowed) == 1
+        buffer.update(SECRET_TEXT + "x")  # a keystroke: the pure roll
+        assert len(winnowed) == 1
+        pasted = SECRET_TEXT + "x" + SECRET_TEXT
+        assert buffer.update(pasted) == BATCH.fingerprint_reference(pasted)
+        assert len(winnowed) == 2
+
+
+class TestSharedKernelThreads:
+    """Every buffer of one config shares one hasher and one kernel, so
+    buffers built and edited on several threads at once must still give
+    the reference fingerprints. One text is longer than the kernel keeps
+    power tables for, so its builds replace the shared tables while
+    other threads read them."""
+
+    THREADS = 4
+    ROUNDS = 6
+
+    def test_concurrent_buffers_equal_reference(self):
+        long_text = (SECRET_TEXT + OTHER_TEXT) * (
+            POWER_TABLE_CAP // len(normalize(SECRET_TEXT + OTHER_TEXT).text) + 1
+        )
+        texts = [SECRET_TEXT, OTHER_TEXT * 5, long_text]
+        cases = []
+        for text in texts:
+            mid = len(text) // 2
+            edited = text[:mid] + "an edit" + text[mid:]
+            cases.append(
+                (
+                    text,
+                    BATCH.fingerprint_reference(text),
+                    edited,
+                    BATCH.fingerprint_reference(edited),
+                )
+            )
+        failures = []
+
+        def worker(k):
+            try:
+                for i in range(self.ROUNDS):
+                    text, want, edited, want_edited = cases[(k + i) % len(cases)]
+                    buffer = EditBuffer(TINY_CONFIG, text)
+                    if buffer.current() != want:
+                        failures.append(("build", k, i))
+                    if buffer.update(edited) != want_edited:
+                        failures.append(("edit", k, i))
+            except Exception as exc:  # reported below, not lost in the thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,), daemon=True)
+                for k in range(self.THREADS)
+            ]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a thread is wedged"
+        assert failures == []
 
 
 class TestSplitEdit:

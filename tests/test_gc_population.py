@@ -15,6 +15,10 @@ engine and for one rebuilt from its snapshot.
 The databases' memory is bounded too, per distinct hash, measured with
 ``tracemalloc`` as DESIGN.md §7 does: fingerprint the paragraphs, then
 observe them, and divide the traced growth by the distinct hashes.
+
+So is an ``EditBuffer``'s, which the plug-in keeps per edited paragraph:
+its selections are flat int lists, so the objects it adds do not grow
+with the paragraph.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro.disclosure.persistence import (
 )
 from repro.disclosure.wal import apply_record
 from repro.fingerprint import Fingerprinter
-from repro.fingerprint.config import PAPER_CONFIG
+from repro.fingerprint.config import PAPER_CONFIG, TINY_CONFIG
 from repro.fingerprint.incremental import EditBuffer
 from repro.util.clock import LogicalClock
 
@@ -45,6 +49,14 @@ MAX_TRACKED_PER_SEGMENT = 4
 #: Bytes the engine databases may hold per distinct hash on this corpus:
 #: about 113 here, against 258 with the per-segment sets and epochs.
 MAX_DATABASE_BYTES_PER_HASH = 160
+#: Tracked objects one ``TINY_CONFIG`` edit buffer may add, whatever its
+#: length: 9 (the buffer, its fingerprinter, five lists, the cached
+#: fingerprint and its hash set), against one per selection and more
+#: (403 for 387 selections) while each selection was a NamedTuple.
+MAX_TRACKED_PER_BUFFER = 12
+#: Bytes such a buffer may hold per character of its paragraph: about
+#: 100-140 here, against 218-271 with a NamedTuple per selection.
+MAX_BUFFER_BYTES_PER_CHAR = 160
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +120,26 @@ class TestDatabaseBytesPerHash:
             tracemalloc.stop()
         per_hash = grown / len(engine.hash_db)
         assert per_hash <= MAX_DATABASE_BYTES_PER_HASH, per_hash
+
+
+class TestEditBufferFootprint:
+    def test_objects_and_bytes_of_one_buffer(self, paragraphs):
+        text = max((text for _segment_id, text, _doc_id in paragraphs), key=len)
+        EditBuffer(TINY_CONFIG, text).current()  # the per-config shared state
+        before = tracked_objects()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            buffer = EditBuffer(TINY_CONFIG, text)
+            selections = len(buffer.current().flat_selections) // 3
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        added = tracked_objects() - before
+        assert selections > 10 * MAX_TRACKED_PER_BUFFER
+        assert added <= MAX_TRACKED_PER_BUFFER, added
+        assert grown / len(text) <= MAX_BUFFER_BYTES_PER_CHAR, grown
 
 
 class TestFlatSelectionsAreUntracked:
