@@ -327,9 +327,9 @@ class DisclosureEngine:
         Only the delta is applied. That is exact because the engine
         keeps the hashes each segment ``s`` observes in ``hash_db`` equal
         to ``segment_db[s].fingerprint.hashes``, and
-        ``HashDatabase.record`` is a no-op for a (hash, segment) pair
-        already present: re-recording the unchanged hashes would change
-        nothing.
+        ``HashDatabase.record_fingerprint`` is a no-op for a (hash,
+        segment) pair already present: re-recording the unchanged
+        hashes would change nothing.
         """
         hash_db = self.hash_db
         # A new segment's delta is its whole fingerprint; skipping the

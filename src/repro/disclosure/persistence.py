@@ -140,9 +140,9 @@ def snapshot_engine(
         flat = record.fingerprint.flat_selections
         # The selection values are distinct unless an n-gram recurs,
         # which the stored hash set tells without a pass.
-        distinct = flat[0::3]
+        distinct = memoryview(flat).cast("Q")[0::3].tolist()
         if len(distinct) != len(record.fingerprint.hashes):
-            distinct = tuple(dict.fromkeys(distinct))
+            distinct = list(dict.fromkeys(distinct))
         first_seen = first_seen_of(record.segment_id, distinct)
         if len(first_seen) != len(distinct):
             raise DisclosureError(
@@ -155,10 +155,10 @@ def snapshot_engine(
             run_times.append(timestamp)
             run_lengths.append(len(list(run)))
             runs += 1
-        selections.extend(flat)
+        selections.frombytes(flat)
         rows.append([
             record.segment_id, record.threshold, record.kind, record.doc_id,
-            record.last_updated, len(flat), runs,
+            record.last_updated, len(flat) // 8, runs,
         ])
     data = {
         "version": SNAPSHOT_VERSION,
@@ -230,7 +230,7 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
     appear neither twice in a segment nor outside its selections. All
     segments' first-seen groups, sorted by ``(first_seen, segment_id)``,
     go to one bulk load, where the first group to name a hash owns it —
-    the same owner a ``record()`` per observation would pick.
+    the same owner a ``record_fingerprint()`` per group would pick.
     :class:`~repro.errors.SnapshotCorrupt` names the segment when its
     selections are not whole triples, its counts overrun the sections,
     or its runs do not cover exactly its distinct values, and the
@@ -256,7 +256,12 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
         )
     try:
         rows = data["segments"]
-        values = tuple(data["selections"])
+        values = array("Q", data["selections"])
+        # A segment's selections are a slice of the section's bytes.
+        # They are whole triples, so the hash values of all segments are
+        # every third value of the section: only those become ints.
+        packed = values.tobytes()
+        hash_values = tuple(values[0::3])
         times = list(data["run_times"])
         lengths = list(data["run_lengths"])
         put = engine.segment_db.put
@@ -269,15 +274,15 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
                     f"segment {segment_id!r}: {count} selection values are "
                     "not whole [value, start, end] triples"
                 )
-            flat = values[pos:pos + count]
+            first, pos = pos, pos + count
             run_times = times[run:run + runs]
-            if len(flat) != count or len(run_times) != runs:
+            if not first <= pos <= len(values) or len(run_times) != runs:
                 raise SnapshotCorrupt(
                     f"segment {segment_id!r}: the header claims {count} "
                     f"selection values and {runs} runs, beyond the sections"
                 )
-            pos += count
-            selected = flat[0::3]
+            flat = packed[8 * first:8 * pos]
+            selected = hash_values[first // 3:pos // 3]
             hashes = frozenset(selected)
             distinct = (
                 selected if len(hashes) == len(selected)

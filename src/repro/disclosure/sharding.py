@@ -187,11 +187,11 @@ class ShardedHashDatabase:
     """``DBhash`` hash-partitioned into N shards (N >= 1).
 
     Mirrors the :class:`~repro.disclosure.store.HashDatabase` surface
-    (single-hash calls route to the home shard; whole-table views
-    aggregate across shards) and adds the batched mutation and
-    scatter/gather sweep entry points the engine uses. Every mutation
-    that changes an association stamps the hashes it touched in
-    :attr:`stamps`.
+    (mutations make one call per shard group, single-hash reads route
+    to the home shard, whole-table views aggregate across shards) and
+    adds the scatter/gather sweep entry points the engine uses. Every
+    mutation that changes an association stamps the hashes it touched
+    in :attr:`stamps`.
 
     Externally synchronised, like the plain database: the owning
     engine's lock covers every call (DESIGN.md §8).
@@ -284,16 +284,17 @@ class ShardedHashDatabase:
     def record_fingerprint(
         self, segment_id: str, hashes: Collection[int], timestamp: float
     ) -> bool:
-        """Record all *hashes* for *segment_id*; True if any were new.
+        """Record all *hashes* (distinct) for *segment_id*; True if any
+        were new.
 
+        One :meth:`HashDatabase.record_fingerprint` per shard group.
         Stamps *hashes* when any association changed.
         """
         changed = False
+        shards = self.shards
         for index, group in self.partition(hashes):
-            record = self.shards[index].record
-            for h in group:
-                if record(h, segment_id, timestamp):
-                    changed = True
+            if shards[index].record_fingerprint(segment_id, group, timestamp):
+                changed = True
         if changed:
             self.stamps.stamp(hashes)
         return changed
@@ -301,14 +302,14 @@ class ShardedHashDatabase:
     def withdraw(self, segment_id: str, hashes: Collection[int]) -> bool:
         """Release the segment's claim on *hashes*; True if any released.
 
-        Stamps *hashes* when any association changed.
+        One :meth:`HashDatabase.withdraw` per shard group. Stamps
+        *hashes* when any association changed.
         """
         changed = False
+        shards = self.shards
         for index, group in self.partition(hashes):
-            remove = self.shards[index].remove_observation
-            for h in group:
-                if remove(h, segment_id):
-                    changed = True
+            if shards[index].withdraw(segment_id, group):
+                changed = True
         if changed:
             self.stamps.stamp(hashes)
         return changed
@@ -419,13 +420,6 @@ class ShardedHashDatabase:
     def __contains__(self, hash_value: int) -> bool:
         return hash_value in self.shards[self.shard_of(hash_value)]
 
-    def record(self, hash_value: int, segment_id: str, timestamp: float) -> bool:
-        shard = self.shards[self.shard_of(hash_value)]
-        changed = shard.record(hash_value, segment_id, timestamp)
-        if changed:
-            self.stamps.stamp((hash_value,))
-        return changed
-
     def oldest_owner(self, hash_value: int) -> Optional[str]:
         return self.shards[self.shard_of(hash_value)].oldest_owner(hash_value)
 
@@ -472,13 +466,6 @@ class ShardedHashDatabase:
                 if shard_groups:
                     self.shards[index].bulk_load(shard_groups)
         self.stamps.stamp_all()
-
-    def remove_observation(self, hash_value: int, segment_id: str) -> bool:
-        shard = self.shards[self.shard_of(hash_value)]
-        changed = shard.remove_observation(hash_value, segment_id)
-        if changed:
-            self.stamps.stamp((hash_value,))
-        return changed
 
     def hashes(self) -> List[int]:
         out: List[int] = []

@@ -15,10 +15,10 @@ headline latency claim (Figures 12–13: decisions stay fast as the hash
 table grows to millions of entries "thanks to index data structures")
 holds for this implementation too:
 
-* ``hash → oldest owner`` is updated in O(1) on ``record`` and in
-  O(observers-of-hash) on ``remove_observation`` — never by scanning
-  the whole table — and is the whole record of a hash with one
-  observer;
+* ``hash → oldest owner`` is updated in O(1) per hash on
+  ``record_fingerprint`` and in O(observers-of-hash) per hash on
+  ``withdraw`` — never by scanning the whole table — and is the whole
+  record of a hash with one observer;
 * ``doc → segment ids`` makes :meth:`SegmentDatabase.in_document`
   independent of the number of tracked segments.
 
@@ -92,7 +92,9 @@ class HashDatabase:
     ``(first_seen, segment_id)`` is the hash's whole record; an observer
     map exists only while two or more segments observe the hash, and
     collapses back into the owner entry when one observer remains
-    (DESIGN.md §7).
+    (DESIGN.md §7). The mutators take one segment's hashes per call,
+    as the engine applies a fingerprint's delta, and the hashes one
+    call claims share one owner-entry tuple.
 
     :meth:`oldest_owner` is an O(1) dictionary lookup against the owner
     entries maintained on every mutation. :attr:`ownership_changes`
@@ -103,7 +105,8 @@ class HashDatabase:
     def __init__(self) -> None:
         # hash → (first_seen, segment_id) of the current authoritative
         # owner; the tuple ordering gives the deterministic tie-break.
-        # For a hash with one observer this is its only record.
+        # For a hash with one observer this is its only record. The
+        # hashes one call claimed share one tuple.
         self._oldest: Dict[int, Tuple[float, str]] = {}
         # hash → {segment → first_seen}, only while 2+ segments observe it.
         self._shared: Dict[int, Dict[str, float]] = {}
@@ -117,35 +120,48 @@ class HashDatabase:
     def __contains__(self, hash_value: int) -> bool:
         return hash_value in self._oldest
 
-    def record(self, hash_value: int, segment_id: str, timestamp: float) -> bool:
-        """Record that *segment_id* contains *hash_value*.
+    def record_fingerprint(
+        self, segment_id: str, hashes: Collection[int], timestamp: float
+    ) -> bool:
+        """Record that *segment_id* contains each of *hashes*, first seen
+        at *timestamp*; True if any observation was new.
 
-        Only the first observation per (hash, segment) pair is kept, so
-        re-observing an unchanged paragraph never steals ownership.
-        Returns True if this was a new observation.
+        *hashes* are distinct (a fingerprint's hash set, or a shard's
+        part of one). Only the first observation per (hash, segment)
+        pair is kept, so re-observing an unchanged paragraph never
+        steals ownership. Every hash new to the table takes the one
+        owner entry ``(timestamp, segment_id)`` that all of them share,
+        claimed in one ``dict.setdefault`` pass as :meth:`bulk_load`
+        claims a group's; each hash already present gains an observer
+        map or an entry in it, and the claim takes over the owner entry
+        when it is older (the tuple order is the tie-break).
         """
-        current = self._oldest.get(hash_value)
-        if current is None:
-            self._oldest[hash_value] = (timestamp, segment_id)
-            self.ownership_changes += 1
-            return True
-        seen_by = self._shared.get(hash_value)
-        if seen_by is None:
-            if current[1] == segment_id:
-                return False
-            # A second observer: the owner entry becomes an observer map.
-            self._shared[hash_value] = {
-                current[1]: current[0], segment_id: timestamp
-            }
-        elif segment_id in seen_by:
-            return False
-        else:
-            seen_by[segment_id] = timestamp
         claim = (timestamp, segment_id)
-        if claim < current:
-            self._oldest[hash_value] = claim
-            self.ownership_changes += 1
-        return True
+        oldest = self._oldest
+        claim_first = oldest.setdefault
+        taken = [h for h in hashes if claim_first(h, claim) is not claim]
+        claimed = len(hashes) - len(taken)
+        changes = claimed
+        changed = claimed > 0
+        shared = self._shared
+        for h in taken:
+            current = oldest[h]
+            seen_by = shared.get(h)
+            if seen_by is None:
+                if current[1] == segment_id:
+                    continue
+                # A second observer: the owner entry becomes an observer map.
+                shared[h] = {current[1]: current[0], segment_id: timestamp}
+            elif segment_id in seen_by:
+                continue
+            else:
+                seen_by[segment_id] = timestamp
+            changed = True
+            if claim < current:
+                oldest[h] = claim
+                changes += 1
+        self.ownership_changes += changes
+        return changed
 
     def oldest_owner(self, hash_value: int) -> Optional[str]:
         """The segment that observed *hash_value* earliest, or None.
@@ -249,11 +265,12 @@ class HashDatabase:
         *groups* holds ``(first_seen, segment_id, hashes)`` triples
         sorted by ``(first_seen, segment_id)``, naming each (hash,
         segment) pair at most once. The first group to name a hash owns
-        it: the oldest claim, which :meth:`record`'s tie-break also
-        keeps, so the owner entries equal a ``record()`` replay's
-        without any claim being released and re-won. A group's hashes
-        share one owner-entry tuple. :attr:`ownership_changes` is not
-        advanced: a loaded database counts from zero.
+        it: the oldest claim, which :meth:`record_fingerprint`'s
+        tie-break also keeps, so the owner entries equal those of one
+        ``record_fingerprint`` per group without any claim being
+        released and re-won. A group's hashes share one owner-entry
+        tuple. :attr:`ownership_changes` is not advanced: a loaded
+        database counts from zero.
         """
         if self._oldest:
             raise DisclosureError("bulk_load needs an empty hash database")
@@ -275,42 +292,50 @@ class HashDatabase:
         """All distinct hash values currently observed."""
         return list(self._oldest)
 
-    def remove_observation(self, hash_value: int, segment_id: str) -> bool:
-        """Release one (hash, segment) association.
+    def withdraw(self, segment_id: str, hashes: Iterable[int]) -> bool:
+        """Release *segment_id*'s claim on each of *hashes*; True if any
+        association was removed.
 
-        Called when an edit removes a hash from a segment's current
-        fingerprint, or the segment is removed: the segment's claim is
-        withdrawn, so authority over the hash falls to the next-earliest
-        observer that still contains it — the behaviour behind the
-        paper's Figure 6 (the Wiki becomes the authoritative source once
-        the Interview Tool text changes). A shared hash left with one
-        observer collapses back into that observer's owner entry; an
-        unshared hash losing its observer leaves the table. Returns True
-        when an association was actually removed.
+        Called with the hashes an edit removed from a segment's current
+        fingerprint, or with all of them when the segment is removed:
+        the segment's claim is withdrawn, so authority over a hash falls
+        to the next-earliest observer that still contains it — the
+        behaviour behind the paper's Figure 6 (the Wiki becomes the
+        authoritative source once the Interview Tool text changes). A
+        shared hash left with one observer collapses back into that
+        observer's owner entry; an unshared hash losing its observer
+        leaves the table. Hashes the segment does not observe are
+        skipped.
         """
-        current = self._oldest.get(hash_value)
-        if current is None:
-            return False
-        seen_by = self._shared.get(hash_value)
-        if seen_by is None:
-            if current[1] != segment_id:
-                return False
-            # The sole observer, hence the owner.
-            del self._oldest[hash_value]
-            self.ownership_changes += 1
-            return True
-        if segment_id not in seen_by:
-            return False
-        del seen_by[segment_id]
-        if len(seen_by) == 1:
-            # Collapse: the one observer left owns the hash, and its
-            # owner entry holds its first-seen time.
-            del self._shared[hash_value]
-        if current[1] == segment_id:
-            ts, seg = min((ts, seg) for seg, ts in seen_by.items())
-            self._oldest[hash_value] = (ts, seg)
-            self.ownership_changes += 1
-        return True
+        oldest = self._oldest
+        shared = self._shared
+        changed = False
+        changes = 0
+        for h in hashes:
+            current = oldest.get(h)
+            if current is None:
+                continue
+            seen_by = shared.get(h)
+            if seen_by is None:
+                if current[1] == segment_id:
+                    # The sole observer, hence the owner.
+                    del oldest[h]
+                    changes += 1
+                    changed = True
+                continue
+            if segment_id not in seen_by:
+                continue
+            del seen_by[segment_id]
+            changed = True
+            if len(seen_by) == 1:
+                # Collapse: the one observer left owns the hash, and its
+                # owner entry holds its first-seen time.
+                del shared[h]
+            if current[1] == segment_id:
+                oldest[h] = min((ts, seg) for seg, ts in seen_by.items())
+                changes += 1
+        self.ownership_changes += changes
+        return changed
 
     def check_invariants(self) -> None:
         """Assert the owner entries agree with the observer maps.

@@ -61,6 +61,7 @@ import os
 import struct
 import threading
 import zlib
+from array import array
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from dataclasses import dataclass
@@ -231,8 +232,9 @@ class WriteAheadLog:
     Opening an existing file scans it, truncates any torn tail back to
     the last whole record, and resumes the LSN past the largest LSN on
     disk. The scanned records are kept on :attr:`recovered_records` so
-    recovery does not read the file twice, and :attr:`torn_bytes` counts
-    the bytes this open truncated.
+    recovery does not read the file twice, until recovery takes them
+    (:meth:`take_recovered_records`), and :attr:`torn_bytes` counts the
+    bytes this open truncated.
 
     Appends are serialised under a mutex, which also allocates their
     LSNs; each append draws one fault decision from *faults* (when
@@ -288,7 +290,7 @@ class WriteAheadLog:
             "record_bytes", buckets=(64, 256, 1024, 4096, 16384)
         )
         #: Records found on disk when this log was opened (LSN order as
-        #: stored); recovery consumes these instead of re-reading.
+        #: stored); recovery takes these instead of re-reading.
         self.recovered_records, good_bytes, self.torn_bytes = scan_wal_file(
             self.path, cipher=cipher
         )
@@ -313,6 +315,12 @@ class WriteAheadLog:
     @property
     def last_lsn(self) -> int:
         return self._last_lsn
+
+    def take_recovered_records(self) -> List[dict]:
+        """Hand over :attr:`recovered_records` and keep none of them, so
+        the records a recovery replayed do not live as long as the log."""
+        records, self.recovered_records = self.recovered_records, []
+        return records
 
     def append(self, op: str, **fields) -> int:
         """Append one record; returns its LSN.
@@ -478,8 +486,10 @@ class EngineJournal:
         # fingerprint's hash set is exactly its selection values (the
         # winnowed positions), so repeating it would double the encode
         # cost for bytes replay can derive for free. One format call
-        # spells the whole flat selection tuple.
-        flat = record.fingerprint.flat_selections
+        # spells the whole packed selection run.
+        flat = tuple(
+            memoryview(record.fingerprint.flat_selections).cast("Q").tolist()
+        )
         selections = ("[%d,%d,%d]," * (len(flat) // 3))[:-1] % flat
         prefix = '{"doc_id":%s,"id":%s,"kind":%s,"lsn":' % (
             "null" if record.doc_id is None else _escape(record.doc_id),
@@ -560,7 +570,7 @@ def apply_record(
         )
     if op == "observe":
         triples = record["selections"]
-        flat = tuple(chain.from_iterable(triples))
+        flat = list(chain.from_iterable(triples))
         if len(flat) != 3 * len(triples):
             raise ValueError(
                 f"observe record lsn {record['lsn']}: selections are not "
@@ -568,7 +578,7 @@ def apply_record(
             )
         fingerprint = Fingerprint(
             hashes=frozenset(flat[0::3]),
-            flat_selections=flat,
+            flat_selections=array("Q", flat).tobytes(),
             config=engine.config,
         )
         engine.observe_fingerprint(
@@ -736,7 +746,8 @@ class DurableEngine:
             scope=scope,
         )
         tail = [
-            r for r in self.wal.recovered_records if r["lsn"] > snapshot_lsn
+            r for r in self.wal.take_recovered_records()
+            if r["lsn"] > snapshot_lsn
         ]
         # Resume past every persisted timestamp — but a virgin directory
         # (no snapshot, no tail) starts at 0 like a fresh engine would,

@@ -10,6 +10,7 @@ hash sets in 16 bytes; the decision cache keys verdicts on it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from struct import pack
@@ -63,19 +64,21 @@ class Fingerprint:
         hashes: the set of selected hash values. Set semantics match the
             paper's disclosure definitions, which intersect fingerprints.
         flat_selections: every selected hash with its source span, in
-            text order, as one flat tuple ``(value, start, end, …)``. A
-            hash value may appear several times if the same n-gram
-            content recurs in the segment. An exact tuple of ints is
-            untracked by the cyclic collector after its first pass, so
-            a store of fingerprints adds no collector work per
-            selection (DESIGN.md §10); :attr:`selections` is the
-            per-selection view.
+            text order, as one flat run ``(value, start, end, …)`` of
+            native unsigned 64-bit ints packed in ``bytes`` (the layout
+            of a snapshot's ``selections`` section); read it through
+            ``memoryview(flat_selections).cast("Q")``. A hash value may
+            appear several times if the same n-gram content recurs in
+            the segment. ``bytes`` costs 8 bytes a value and is never
+            tracked by the cyclic collector, so a store of fingerprints
+            adds no collector work per selection (DESIGN.md §10);
+            :attr:`selections` is the per-selection view.
         config: the parameters the fingerprint was computed with.
             Fingerprints from different configs are not comparable.
     """
 
     hashes: FrozenSet[int]
-    flat_selections: Tuple[int, ...] = field(repr=False, default=())
+    flat_selections: bytes = field(repr=False, default=b"")
     config: FingerprintConfig = field(default_factory=FingerprintConfig)
     #: :attr:`set_digest` once computed. Not an init field, so
     #: ``dataclasses.replace`` starts the copy without it.
@@ -98,7 +101,7 @@ class Fingerprint:
     def selections(self) -> Tuple[FingerprintHash, ...]:
         """The selections as :class:`FingerprintHash` tuples, built on
         each access from :attr:`flat_selections`."""
-        flat = iter(self.flat_selections)
+        flat = iter(memoryview(self.flat_selections).cast("Q"))
         return tuple(map(FingerprintHash, flat, flat, flat))
 
     def __len__(self) -> int:
@@ -138,7 +141,7 @@ class Fingerprint:
         segment, return the character ranges of this segment that caused
         the match, merged where they overlap or touch.
         """
-        flat = self.flat_selections
+        flat = memoryview(self.flat_selections).cast("Q")
         raw = sorted(
             (start, end)
             for value, start, end in zip(flat[0::3], flat[1::3], flat[2::3])
@@ -249,7 +252,7 @@ class Fingerprinter:
             ) as sp:
                 selected = 0
                 for i, flat in zip(narrow, kernel.selections_many(datas)):
-                    hashes = frozenset(flat[0::3])
+                    hashes = frozenset(memoryview(flat).cast("Q")[0::3])
                     selected += len(hashes)
                     out[i] = Fingerprint(
                         hashes=hashes, flat_selections=flat, config=config
@@ -296,7 +299,9 @@ class Fingerprinter:
             hashes = frozenset(values[pos] for pos in positions)
             sp.set(hashes=len(hashes))
             return Fingerprint(
-                hashes=hashes, flat_selections=tuple(flat), config=config
+                hashes=hashes,
+                flat_selections=array("Q", flat).tobytes(),
+                config=config,
             )
 
     def fingerprint_document(self, paragraphs: List[str]) -> Fingerprint:

@@ -16,7 +16,7 @@ the accumulated text.
 
 The state is kept in the kernel's flat form: the selected positions and
 one int list ``(value, start, end, …)`` aligned with them, which
-:meth:`current` copies into :attr:`Fingerprint.flat_selections`. An
+:meth:`current` packs into :attr:`Fingerprint.flat_selections`. An
 append winnows only the windows it completed, with the kernel's
 skip-scan (or, for an append of at least :data:`BULK_HASHES` hashes,
 its numpy primitives); every buffer of one config shares one hasher
@@ -35,6 +35,7 @@ failing over per append.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress, count as icount
@@ -402,7 +403,7 @@ class IncrementalFingerprinter:
                 flat = self._flat
             fp = self._cached_fp = Fingerprint(
                 hashes=frozenset(flat[0::3]),
-                flat_selections=tuple(flat),
+                flat_selections=array("Q", flat).tobytes(),
                 config=self._config,
             )
         return fp

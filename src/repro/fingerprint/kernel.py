@@ -65,6 +65,7 @@ text in passes of two, 24–32 µs at four and 18–25 µs at eight or more.
 
 from __future__ import annotations
 
+from array import array
 from itertools import accumulate, compress, count
 from typing import List, Optional, Sequence, Tuple
 
@@ -384,11 +385,11 @@ class IngestKernel:
         except UnicodeEncodeError:
             return None
 
-    def selections_many(self, datas: Sequence[bytes]) -> List[Tuple[int, ...]]:
-        """S1–S4 over Latin-1 buffers, one flat selection tuple each.
+    def selections_many(self, datas: Sequence[bytes]) -> List[bytes]:
+        """S1–S4 over Latin-1 buffers, one packed selection run each.
 
-        Each tuple is ``(value, orig_start, orig_end, …)`` in
-        normalised-position order, the
+        Each run is ``(value, orig_start, orig_end, …)`` in
+        normalised-position order as native unsigned 64-bit ints, the
         :attr:`~repro.fingerprint.fingerprint.Fingerprint.flat_selections`
         form, field-identical to the reference pipeline run on that
         buffer alone (property-tested in ``tests/test_fp_kernel.py``).
@@ -413,14 +414,14 @@ class IngestKernel:
         hash_all = self._hasher.hash_all_bytes
         now = self._now
         spent = [0.0, 0.0, 0.0]
-        out: List[Tuple[int, ...]] = []
+        out: List[bytes] = []
         for data in datas:
             started = now()
             norm, offsets = normalize_latin1(data)
             hashed = now()
             spent[0] += hashed - started
             if len(norm) < n:
-                out.append(())
+                out.append(b"")
                 continue
             values = hash_all(norm)
             winnowing = now()
@@ -431,7 +432,7 @@ class IngestKernel:
             flat[0::3] = [values[p] for p in positions]
             flat[1::3] = [offsets[p] for p in positions]
             flat[2::3] = [offsets[p + last] + 1 for p in positions]
-            out.append(tuple(flat))
+            out.append(array("Q", flat).tobytes())
             spent[2] += now() - winnowing
         return out, spent
 
@@ -456,7 +457,7 @@ class IngestKernel:
             norm_ends = offsets.searchsorted(byte_starts[1:])
         hashed = now()
         if len(norm) < n:
-            return [()] * len(datas), [hashed - started, 0.0, 0.0]
+            return [b""] * len(datas), [hashed - started, 0.0, 0.0]
         values = self._hash_numpy(norm)
         winnowing = now()
         if single:
@@ -477,19 +478,20 @@ class IngestKernel:
             ]
             starts -= base
             ends -= base
-        flat = _np.empty(3 * positions.shape[0], dtype=_np.int64)
+        flat = _np.empty(3 * positions.shape[0], dtype=_np.uint64)
         flat[0::3] = values[positions]
         flat[1::3] = starts
         flat[2::3] = ends
-        # One tolist: plain ints, so spans stay JSON-able.
-        flat_list = flat.tolist()
+        # One copy out of numpy; each buffer's run is a slice of it, 24
+        # bytes a selection.
+        packed = flat.tobytes()
         if single:
-            out = [tuple(flat_list)]
+            out = [packed]
         else:
             out = []
             cut = 0
-            for end in (3 * positions.searchsorted(norm_ends)).tolist():
-                out.append(tuple(flat_list[cut:end]))
+            for end in (24 * positions.searchsorted(norm_ends)).tolist():
+                out.append(packed[cut:end])
                 cut = end
         return out, [hashed - started, winnowing - hashed, now() - winnowing]
 

@@ -87,7 +87,9 @@ def json_snapshot(engine, version=3, **fields) -> dict:
             "kind": record.kind,
             "doc_id": record.doc_id,
             "last_updated": record.last_updated,
-            "selections": list(record.fingerprint.flat_selections),
+            "selections": memoryview(
+                record.fingerprint.flat_selections
+            ).cast("Q").tolist(),
             "first_seen": [[ts, sorted(groups[ts])] for ts in sorted(groups)],
         })
     return {

@@ -56,7 +56,7 @@ class TestAuthoritativeHashes:
         db = HashDatabase()
         rec = make_record("a", TEXT_A)
         for h in rec.fingerprint.hashes:
-            db.record(h, "a", 0.0)
+            db.record_fingerprint("a", (h,), 0.0)
         assert authoritative_hashes(rec, db) == rec.fingerprint.hashes
 
     def test_later_observer_owns_nothing_shared(self):
@@ -64,9 +64,9 @@ class TestAuthoritativeHashes:
         rec_a = make_record("a", TEXT_A)
         rec_b = make_record("b", TEXT_A)  # same content, observed later
         for h in rec_a.fingerprint.hashes:
-            db.record(h, "a", 0.0)
+            db.record_fingerprint("a", (h,), 0.0)
         for h in rec_b.fingerprint.hashes:
-            db.record(h, "b", 1.0)
+            db.record_fingerprint("b", (h,), 1.0)
         assert authoritative_hashes(rec_a, db) == rec_a.fingerprint.hashes
         assert authoritative_hashes(rec_b, db) == frozenset()
 
@@ -76,9 +76,9 @@ class TestAuthoritativeHashes:
         rec_a = make_record("a", TEXT_A)
         rec_b = make_record("b", TEXT_B)
         for h in rec_a.fingerprint.hashes:
-            db.record(h, "a", 0.0)
+            db.record_fingerprint("a", (h,), 0.0)
         for h in rec_b.fingerprint.hashes:
-            db.record(h, "b", 1.0)
+            db.record_fingerprint("b", (h,), 1.0)
         owned = authoritative_hashes(rec_b, db)
         assert owned
         assert owned < rec_b.fingerprint.hashes
@@ -92,9 +92,9 @@ class TestAuthoritativeDisclosure:
         rec_a = make_record("a", TEXT_A, threshold=0.5)
         rec_b = make_record("b", TEXT_B, threshold=0.5)
         for h in rec_a.fingerprint.hashes:
-            db.record(h, "a", 0.0)
+            db.record_fingerprint("a", (h,), 0.0)
         for h in rec_b.fingerprint.hashes:
-            db.record(h, "b", 1.0)
+            db.record_fingerprint("b", (h,), 1.0)
         # C is another copy of A's text.
         c = FP.fingerprint(TEXT_A)
         assert authoritative_disclosure(rec_a, c, db) > 0.9
@@ -115,9 +115,9 @@ class TestAuthoritativeDisclosure:
         rec_a = make_record("a", TEXT_A)
         rec_b = make_record("b", TEXT_B)
         for h in rec_a.fingerprint.hashes:
-            db.record(h, "a", 0.0)
+            db.record_fingerprint("a", (h,), 0.0)
         for h in rec_b.fingerprint.hashes:
-            db.record(h, "b", 1.0)
+            db.record_fingerprint("b", (h,), 1.0)
         score = authoritative_disclosure(rec_b, rec_b.fingerprint, db)
         owned = len(authoritative_hashes(rec_b, db))
         assert score == pytest.approx(owned / len(rec_b.fingerprint))

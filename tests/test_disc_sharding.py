@@ -107,18 +107,20 @@ class TestShardedHashDatabaseOracle:
             op = rng.random()
             if op < 0.6:
                 h, seg, ts = rng.choice(pool), rng.choice(segments), float(step)
-                assert sharded.record(h, seg, ts) == plain.record(h, seg, ts)
+                assert sharded.record_fingerprint(seg, (h,), ts) == (
+                    plain.record_fingerprint(seg, (h,), ts)
+                )
                 held[seg].add(h)
             elif op < 0.85:
                 h, seg = rng.choice(pool), rng.choice(segments)
-                assert sharded.remove_observation(h, seg) == (
-                    plain.remove_observation(h, seg)
+                assert sharded.withdraw(seg, (h,)) == (
+                    plain.withdraw(seg, (h,))
                 )
                 held[seg].discard(h)
             else:
                 # A segment removal withdraws its stored hashes.
                 seg = rng.choice(segments)
-                removed = [plain.remove_observation(h, seg) for h in held[seg]]
+                removed = [plain.withdraw(seg, (h,)) for h in held[seg]]
                 assert sharded.withdraw(seg, held[seg]) == any(removed)
                 assert all(removed)
                 held[seg] = set()
@@ -163,8 +165,8 @@ class TestShardedHashDatabaseOracle:
                 f"seg-{rng.randrange(5)}",
                 float(step % 9),
             )
-            plain.record(h, seg, ts)
-            sharded.record(h, seg, ts)
+            plain.record_fingerprint(seg, (h,), ts)
+            sharded.record_fingerprint(seg, (h,), ts)
         for _ in range(20):
             query = frozenset(rng.sample(pool, rng.randint(0, 30)))
             expected = unsharded_sweep(plain, query, authoritative)
@@ -177,14 +179,14 @@ class TestShardedHashDatabaseOracle:
         old = frozenset(range(0, 40))
         new = frozenset(range(20, 60))
         for h in old:
-            plain.record(h, "a", 1.0)
+            plain.record_fingerprint("a", (h,), 1.0)
         assert sharded.record_fingerprint("a", old, 1.0) is True
         assert sharded.record_fingerprint("a", old, 2.0) is False  # no-op re-observe
         for h in new:
-            plain.record(h, "a", 3.0)
+            plain.record_fingerprint("a", (h,), 3.0)
         sharded.record_fingerprint("a", new, 3.0)
         for h in old - new:
-            plain.remove_observation(h, "a")
+            plain.withdraw("a", (h,))
         assert sharded.withdraw("a", old - new) is True
         assert sharded.withdraw("a", old - new) is False
         assert set(sharded.first_seen_of("a", old | new)) == set(new)
@@ -237,7 +239,7 @@ class TestInOrderScatter:
             h += 1
         for i, group in by_shard.items():
             for value in group:
-                sharded.record(value, f"seg-{i}", 1.0)
+                sharded.record_fingerprint(f"seg-{i}", (value,), 1.0)
         everything = frozenset(h for group in by_shard.values() for h in group)
 
         def unavailable(group, authoritative):
@@ -358,10 +360,10 @@ class TestStamps:
         assert db.withdraw("x", [3])
         assert stamped_since(v) == {3}
         v = stamps.version
-        assert db.record(4, "y", 3.0)
-        assert not db.record(4, "y", 4.0)
-        assert db.remove_observation(4, "y")
-        assert not db.remove_observation(4, "y")
+        assert db.record_fingerprint("y", (4,), 3.0)
+        assert not db.record_fingerprint("y", (4,), 4.0)
+        assert db.withdraw("y", (4,))
+        assert not db.withdraw("y", (4,))
         assert stamped_since(v) == {4}
         assert stamps.version == v + 2
         v = stamps.version

@@ -27,7 +27,7 @@ def withdraw(db, record):
     """Withdraw every hash of *record*'s stored fingerprint, as the
     engine removes a segment; the number of associations released."""
     return sum(
-        db.remove_observation(h, record.segment_id)
+        db.withdraw(record.segment_id, (h,))
         for h in record.fingerprint.hashes
     )
 
@@ -35,26 +35,26 @@ def withdraw(db, record):
 class TestHashDatabase:
     def test_record_and_len(self):
         db = HashDatabase()
-        assert db.record(1, "a", 0.0)
-        assert db.record(2, "a", 1.0)
+        assert db.record_fingerprint("a", (1,), 0.0)
+        assert db.record_fingerprint("a", (2,), 1.0)
         assert len(db) == 2
 
     def test_duplicate_observation_ignored(self):
         db = HashDatabase()
-        assert db.record(1, "a", 0.0)
-        assert not db.record(1, "a", 5.0)
+        assert db.record_fingerprint("a", (1,), 0.0)
+        assert not db.record_fingerprint("a", (1,), 5.0)
         assert db.first_seen(1, "a") == 0.0
 
     def test_oldest_owner(self):
         db = HashDatabase()
-        db.record(1, "b", 1.0)
-        db.record(1, "a", 2.0)
+        db.record_fingerprint("b", (1,), 1.0)
+        db.record_fingerprint("a", (1,), 2.0)
         assert db.oldest_owner(1) == "b"
 
     def test_oldest_owner_tie_breaks_lexicographically(self):
         db = HashDatabase()
-        db.record(1, "zeta", 1.0)
-        db.record(1, "alpha", 1.0)
+        db.record_fingerprint("zeta", (1,), 1.0)
+        db.record_fingerprint("alpha", (1,), 1.0)
         assert db.oldest_owner(1) == "alpha"
 
     def test_oldest_owner_unknown_hash(self):
@@ -62,34 +62,34 @@ class TestHashDatabase:
 
     def test_owners_sorted_by_time(self):
         db = HashDatabase()
-        db.record(1, "c", 3.0)
-        db.record(1, "a", 1.0)
-        db.record(1, "b", 2.0)
+        db.record_fingerprint("c", (1,), 3.0)
+        db.record_fingerprint("a", (1,), 1.0)
+        db.record_fingerprint("b", (1,), 2.0)
         assert [s for s, _t in db.owners(1)] == ["a", "b", "c"]
 
     def test_contains(self):
         db = HashDatabase()
-        db.record(7, "a", 0.0)
+        db.record_fingerprint("a", (7,), 0.0)
         assert 7 in db
         assert 8 not in db
 
     def test_withdraw_releases_ownership(self):
         db = HashDatabase()
-        db.record(1, "first", 0.0)
-        db.record(1, "second", 1.0)
+        db.record_fingerprint("first", (1,), 0.0)
+        db.record_fingerprint("second", (1,), 1.0)
         assert withdraw(db, stored("first", 1)) == 1
         assert db.oldest_owner(1) == "second"
 
     def test_withdraw_drops_orphan_hashes(self):
         db = HashDatabase()
-        db.record(1, "only", 0.0)
+        db.record_fingerprint("only", (1,), 0.0)
         withdraw(db, stored("only", 1))
         assert len(db) == 0
         assert 1 not in db
 
     def test_withdraw_unknown_segment_noop(self):
         db = HashDatabase()
-        db.record(1, "a", 0.0)
+        db.record_fingerprint("a", (1,), 0.0)
         assert withdraw(db, stored("missing", 1, 2)) == 0
         assert len(db) == 1
 
@@ -167,45 +167,45 @@ class TestSegmentDatabase:
 class TestOwnershipIndexes:
     def test_authoritative_hashes_track_claims(self):
         db = HashDatabase()
-        db.record(1, "a", 0.0)
-        db.record(2, "a", 0.0)
-        db.record(1, "b", 1.0)
+        db.record_fingerprint("a", (1,), 0.0)
+        db.record_fingerprint("a", (2,), 0.0)
+        db.record_fingerprint("b", (1,), 1.0)
         assert authoritative_hashes(stored("a", 1, 2), db) == {1, 2}
         assert authoritative_hashes(stored("b", 1), db) == set()
 
     def test_authoritative_hashes_migrate_on_removal(self):
         db = HashDatabase()
-        db.record(1, "a", 0.0)
-        db.record(1, "b", 1.0)
-        db.remove_observation(1, "a")
+        db.record_fingerprint("a", (1,), 0.0)
+        db.record_fingerprint("b", (1,), 1.0)
+        db.withdraw("a", (1,))
         assert authoritative_hashes(stored("a", 1), db) == set()
         assert authoritative_hashes(stored("b", 1), db) == {1}
         assert db.oldest_owner(1) == "b"
 
     def test_earlier_record_steals_ownership(self):
         db = HashDatabase()
-        db.record(1, "late", 5.0)
+        db.record_fingerprint("late", (1,), 5.0)
         assert db.oldest_owner(1) == "late"
-        db.record(1, "early", 1.0)
+        db.record_fingerprint("early", (1,), 1.0)
         assert db.oldest_owner(1) == "early"
         assert authoritative_hashes(stored("late", 1), db) == set()
         assert authoritative_hashes(stored("early", 1), db) == {1}
 
     def test_ownership_changes_count_transitions(self):
         db = HashDatabase()
-        db.record(1, "a", 0.0)  # first owner
-        db.record(1, "b", 1.0)  # a later observer claims nothing
-        db.record(1, "c", -1.0)  # an earlier claim steals it
-        db.remove_observation(1, "b")  # a non-owner leaves
-        db.remove_observation(1, "c")  # the owner leaves: "a" inherits
-        db.remove_observation(1, "a")  # the last observer leaves
+        db.record_fingerprint("a", (1,), 0.0)  # first owner
+        db.record_fingerprint("b", (1,), 1.0)  # a later observer claims nothing
+        db.record_fingerprint("c", (1,), -1.0)  # an earlier claim steals it
+        db.withdraw("b", (1,))  # a non-owner leaves
+        db.withdraw("c", (1,))  # the owner leaves: "a" inherits
+        db.withdraw("a", (1,))  # the last observer leaves
         assert db.ownership_changes == 4
 
     def test_first_seen_of_reads_the_stored_hashes(self):
         db = HashDatabase()
-        db.record(1, "a", 0.0)
-        db.record(2, "a", 0.0)
-        db.record(2, "b", 1.0)
+        db.record_fingerprint("a", (1,), 0.0)
+        db.record_fingerprint("a", (2,), 0.0)
+        db.record_fingerprint("b", (2,), 1.0)
         assert db.first_seen_of("a", [1, 2, 3]) == {1: 0.0, 2: 0.0}
         assert db.first_seen_of("b", [1, 2]) == {2: 1.0}
         withdraw(db, stored("a", 1, 2))
@@ -214,17 +214,17 @@ class TestOwnershipIndexes:
 
     def test_observers_unordered_view(self):
         db = HashDatabase()
-        db.record(1, "a", 2.0)
-        db.record(1, "b", 1.0)
+        db.record_fingerprint("a", (1,), 2.0)
+        db.record_fingerprint("b", (1,), 1.0)
         assert set(db.observers(1)) == {"a", "b"}
         assert db.observers(99) == ()
 
     def test_recompute_matches_cached(self):
         db = HashDatabase()
-        db.record(1, "a", 2.0)
-        db.record(1, "b", 1.0)
-        db.record(2, "c", 0.0)
-        db.remove_observation(1, "b")
+        db.record_fingerprint("a", (1,), 2.0)
+        db.record_fingerprint("b", (1,), 1.0)
+        db.record_fingerprint("c", (2,), 0.0)
+        db.withdraw("b", (1,))
         for h in db.hashes():
             assert db.oldest_owner(h) == oldest_owner_reference(db, h)
         db.check_invariants()
@@ -232,9 +232,9 @@ class TestOwnershipIndexes:
     def test_invariants_after_withdraw(self):
         db = HashDatabase()
         for h in range(10):
-            db.record(h, "a", 0.0)
+            db.record_fingerprint("a", (h,), 0.0)
             if h % 2:
-                db.record(h, "b", 1.0)
+                db.record_fingerprint("b", (h,), 1.0)
         assert withdraw(db, stored("a", *range(10))) == 10
         db.check_invariants()
         for h in range(10):

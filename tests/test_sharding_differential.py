@@ -221,14 +221,14 @@ class TestScatterGatherProperty:
         sharded = ShardedHashDatabase(n_shards, hash_bits=HASH_BITS)
         for kind, h, seg, ts in ops:
             if kind == "record":
-                plain.record(h, seg, float(ts))
-                sharded.record(h, seg, float(ts))
+                plain.record_fingerprint(seg, (h,), float(ts))
+                sharded.record_fingerprint(seg, (h,), float(ts))
             else:
                 # Withdrawals are what drive Figure-6 ownership
                 # migrations (authority falls to the next-earliest
                 # observer on the hash's home shard).
-                plain.remove_observation(h, seg)
-                sharded.remove_observation(h, seg)
+                plain.withdraw(seg, (h,))
+                sharded.withdraw(seg, (h,))
         target = frozenset(query)
         expected = unsharded_sweep(plain, target, authoritative)
         got = sharded.sweep(target, authoritative=authoritative)

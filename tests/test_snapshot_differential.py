@@ -12,7 +12,8 @@ sharded). Two oracles hold it to account:
   must be field-identical to it after a round trip through the encoded
   bytes;
 * :func:`reference_restore`, the version-1 algorithm kept as test code:
-  one ``hash_db.record()`` per (hash, segment, first_seen) observation.
+  one ``hash_db.record_fingerprint()`` per (hash, segment, first_seen)
+  observation.
 
 Histories mix observes (with clock-drawn and explicit, tying
 timestamps), edited re-observes that migrate ownership (Figure 6),
@@ -153,8 +154,8 @@ def reference_restore(engine, data):
     """The version-1 restore, kept as the oracle.
 
     Segments go in through ``segment_db.put``; then every observation
-    is replayed through ``hash_db.record()`` — hash by hash, earliest
-    observer first, as version 1 stored them. Each segment's runs are
+    is replayed through ``hash_db.record_fingerprint()`` — hash by hash,
+    earliest observer first, as version 1 stored them. Each segment's runs are
     expanded to one first-seen time per distinct selection value.
     """
     observations = {}
@@ -177,7 +178,7 @@ def reference_restore(engine, data):
                 segment_id=segment_id,
                 fingerprint=Fingerprint(
                     hashes=frozenset(s.value for s in selections),
-                    flat_selections=tuple(flat),
+                    flat_selections=array("Q", flat).tobytes(),
                     config=engine.config,
                 ),
                 threshold=threshold,
@@ -193,7 +194,7 @@ def reference_restore(engine, data):
     assert not values and not times
     for h, owners in observations.items():
         for first_seen, segment_id in sorted(owners):
-            engine.hash_db.record(h, segment_id, first_seen)
+            engine.hash_db.record_fingerprint(segment_id, (h,), first_seen)
     return engine
 
 
@@ -283,7 +284,7 @@ class TestSnapshotFormat:
         record = engine.segment_db.get("s1")
         flat = record.fingerprint.flat_selections
         (row,) = data["segments"]
-        assert row == ["s1", 0.5, "paragraph", None, 1.0, len(flat), len(data["run_times"])]
+        assert row == ["s1", 0.5, "paragraph", None, 1.0, len(flat) // 8, len(data["run_times"])]
         assert data["selections"] == array("Q", [
             v for s in record.fingerprint.selections
             for v in (s.value, s.orig_start, s.orig_end)
@@ -295,7 +296,7 @@ class TestSnapshotFormat:
             a != b for a, b in zip(times, times[1:])
         )
         expanded = [t for t, n in zip(times, lengths) for _ in range(n)]
-        distinct = list(dict.fromkeys(flat[0::3]))
+        distinct = list(dict.fromkeys(memoryview(flat).cast("Q")[0::3]))
         assert len(expanded) == len(distinct)
         for h, first_seen in zip(distinct, expanded):
             assert engine.hash_db.first_seen(h, "s1") == first_seen
@@ -306,7 +307,7 @@ class TestSnapshotFormat:
         engine = build()
         engine.observe("s1", PHRASES[0])
         h = next(iter(engine.segment_db.get("s1").fingerprint.hashes))
-        engine.hash_db.remove_observation(h, "s1")
+        engine.hash_db.withdraw("s1", (h,))
         with pytest.raises(DisclosureError, match="'s1'"):
             snapshot_engine(engine)
 

@@ -13,17 +13,23 @@ test code as the oracle. Its owned sets are the reference for
 :func:`~repro.disclosure.metrics.authoritative_hashes` over the live
 store, which keeps no per-segment index.
 
-Hypothesis histories mix ``record`` (re-records and tied timestamps
-included), ``remove_observation`` of owners, non-owners and
-non-observers, ``withdraw`` of arbitrary hash sets, removal of a whole
-segment (a ``withdraw`` of the hashes it observes, as the engine
-removes a segment) and ``bulk_load`` from sorted first-seen groups,
-over a small hash and segment universe so hashes gain three or more
-observers and collapse back to one. The targets are the plain database
-and the sharded one at 1, 2, 4 and 8 shards; after every step each must
-return what the oracle returned and agree with it on every accessor and
-on every segment's authoritative hashes, and pass its own
-``check_invariants()``.
+The targets take one segment's hashes per call, as the engine applies
+a fingerprint's delta: ``record_fingerprint(segment, hashes, time)``
+and ``withdraw(segment, hashes)``. The oracle applies such a call one
+hash at a time, with its own per-hash ``record`` and
+``remove_observation``. Hypothesis histories mix ``record_fingerprint``
+of multi-hash groups that hold new hashes beside ones the table or the
+segment already has (re-records and tied timestamps included),
+``withdraw`` of arbitrary hash sets (owners, non-owners and
+non-observers), removal of a whole segment (a ``withdraw`` of the
+hashes it observes, as the engine removes a segment) and ``bulk_load``
+from sorted first-seen groups, over a small hash and segment universe
+so hashes gain three or more observers and collapse back to one. The
+targets are the plain database and the sharded one at 1, 2, 4 and 8
+shards; after every step each must return what the oracle returned
+and agree with it on every accessor (the hash table's insertion order
+included, on the plain database) and on every segment's authoritative
+hashes, and pass its own ``check_invariants()``.
 """
 
 from __future__ import annotations
@@ -233,6 +239,16 @@ class FullMapHashDatabase:
             self._claim(seg, hash_value)
         return True
 
+    def record_fingerprint(
+        self, segment_id: str, hashes: Iterable[int], timestamp: float
+    ) -> bool:
+        """Record each of *hashes* for the segment; True if any was new."""
+        changed = False
+        for hash_value in hashes:
+            if self.record(hash_value, segment_id, timestamp):
+                changed = True
+        return changed
+
     def withdraw(self, segment_id: str, hashes: Iterable[int]) -> bool:
         """Release the segment's claim on *hashes*; True if any released."""
         changed = False
@@ -299,19 +315,14 @@ observations = st.dictionaries(
     st.dictionaries(st.sampled_from(HASHES), TIMES, max_size=len(HASHES)),
     max_size=len(SEGMENTS),
 )
+#: A call's distinct hashes: empty, one, or a group.
+GROUPS = st.lists(st.sampled_from(HASHES), unique=True, max_size=5)
 steps = st.one_of(
     st.tuples(
-        st.just("record"), st.sampled_from(HASHES), st.sampled_from(SEGMENTS),
+        st.just("record_fingerprint"), st.sampled_from(SEGMENTS), GROUPS,
         TIMES,
     ),
-    st.tuples(
-        st.just("remove_observation"), st.sampled_from(HASHES),
-        st.sampled_from(SEGMENTS),
-    ),
-    st.tuples(
-        st.just("withdraw"), st.sampled_from(SEGMENTS),
-        st.lists(st.sampled_from(HASHES), unique=True),
-    ),
+    st.tuples(st.just("withdraw"), st.sampled_from(SEGMENTS), GROUPS),
     st.tuples(st.just("remove_segment"), st.sampled_from(SEGMENTS)),
     st.tuples(st.just("bulk_load"), observations),
 )
@@ -322,12 +333,6 @@ def apply_step(db, step):
     op = step[0]
     if op == "bulk_load":
         return db.bulk_load(groups_of(step[1]))
-    if op == "withdraw" and isinstance(db, HashDatabase):
-        # The plain database has no batch entry point: one removal per
-        # hash, as a shard applies its part of a withdraw.
-        _op, segment_id, hashes = step
-        removed = [db.remove_observation(h, segment_id) for h in hashes]
-        return any(removed)
     return getattr(db, op)(*step[1:])
 
 
@@ -420,17 +425,33 @@ class TestStoreDifferential:
     def test_three_observers_collapse_to_one(self, shape):
         h = HASHES[0]
         run_differential(shape, [
-            ("record", h, "s2", 3.0),
-            ("record", h, "s1", 1.0),  # earlier: takes ownership
-            ("record", h, "s3", 1.0),  # tie: loses to "s1"
-            ("record", h, "s1", 0.0),  # re-record keeps the first time
-            ("remove_observation", h, "s4"),  # never observed it
-            ("remove_observation", h, "s2"),  # non-owner
-            ("remove_observation", h, "s1"),  # owner: "s3" inherits
-            ("record", h, "s0", 2.0),  # shared again
+            ("record_fingerprint", "s2", [h], 3.0),
+            ("record_fingerprint", "s1", [h], 1.0),  # earlier: takes ownership
+            ("record_fingerprint", "s3", [h], 1.0),  # tie: loses to "s1"
+            ("record_fingerprint", "s1", [h], 0.0),  # re-record keeps the first time
+            ("withdraw", "s4", [h]),  # never observed it
+            ("withdraw", "s2", [h]),  # non-owner
+            ("withdraw", "s1", [h]),  # owner: "s3" inherits
+            ("record_fingerprint", "s0", [h], 2.0),  # shared again
             ("remove_segment", "s3"),  # owner leaves: "s0" alone
             ("remove_segment", "s0"),  # hash leaves the table
-            ("record", h, "s4", 4.0),
+            ("record_fingerprint", "s4", [h], 4.0),
+        ])
+
+    def test_one_call_mixes_new_present_and_stolen_hashes(self, shape):
+        a, b, c, d, e = HASHES[:5]
+        run_differential(shape, [
+            ("record_fingerprint", "s2", [a, b], 2.0),
+            # New hashes (c, d) beside two that "s2" owns (a, b): the
+            # earlier claim steals both.
+            ("record_fingerprint", "s1", [c, a, b, d], 1.0),
+            ("record_fingerprint", "s1", [c, a, b, d], 0.0),  # all re-records
+            ("record_fingerprint", "s3", [d, e, a], 1.0),  # tie: "s1" keeps d
+            ("record_fingerprint", "s0", [e], 1.0),  # tie: "s0" takes e
+            ("withdraw", "s1", [a, b, c, e]),  # owner of a, b, c; not of e
+            ("withdraw", "s3", [d, a]),  # a collapses to "s2"; d stays "s1"'s
+            ("record_fingerprint", "s4", [], 3.0),  # an empty call
+            ("withdraw", "s2", [a, b]),
         ])
 
     def test_bulk_load_first_group_owns(self, shape):
@@ -442,9 +463,9 @@ class TestStoreDifferential:
                 "s2": {h: 0.0, g: 2.0},
                 "s0": {g: 4.0},
             }),
-            ("remove_observation", h, "s2"),
-            ("remove_observation", h, "s1"),
-            ("remove_observation", g, "s0"),
+            ("withdraw", "s2", [h]),
+            ("withdraw", "s1", [h]),
+            ("withdraw", "s0", [g]),
             ("remove_segment", "s2"),
             ("withdraw", "s3", [h, g, HASHES[2]]),
         ])
@@ -453,6 +474,6 @@ class TestStoreDifferential:
 class TestOracleIsTheFullMap:
     def test_bulk_load_refuses_a_filled_database(self):
         for db in (FullMapHashDatabase(), HashDatabase()):
-            db.record(HASHES[0], "s0", 1.0)
+            db.record_fingerprint("s0", [HASHES[0]], 1.0)
             with pytest.raises(DisclosureError):
                 db.bulk_load([(0.0, "s1", [HASHES[1]])])

@@ -7,6 +7,7 @@ the log. Crash *recovery* end-to-end lives in test_disc_persistence.py
 (the crash matrix); standby catch-up in test_standby_failover.py.
 """
 
+import gc
 import json
 import struct
 import threading
@@ -743,7 +744,34 @@ class TestDurableEngineLifecycle:
             recovered.close()
 
 
+def decoded_observe_records() -> int:
+    """Decoded ``observe`` records alive in the process (their selection
+    lists keep them visible to the collector)."""
+    gc.collect()
+    return sum(
+        1 for obj in gc.get_objects()
+        if type(obj) is dict and obj.get("op") == "observe" and "lsn" in obj
+    )
+
+
 class TestRecoveryStats:
+    def test_recovered_engine_keeps_no_decoded_record(self, tmp_path):
+        """Recovery takes the records the log decoded at open and
+        releases them once replayed: a recovered engine does not hold
+        its log for its whole life."""
+        durable = DurableEngine(tmp_path, config=TINY_CONFIG)
+        for i in range(300):
+            durable.observe(f"s{i}", f"{SECRET_TEXT} {i}")
+        durable.close()
+        before = decoded_observe_records()
+        recovered = DurableEngine(tmp_path, config=TINY_CONFIG)
+        try:
+            assert recovered.recovery.replayed == 300
+            assert recovered.wal.recovered_records == []
+            assert decoded_observe_records() == before
+        finally:
+            recovered.close()
+
     def test_torn_bytes_per_recovery_on_a_shared_registry(self, tmp_path):
         """Two recoveries on one registry, each cutting a 10-byte torn
         tail, report 10 each; the registry counter sums them."""
