@@ -145,7 +145,8 @@ def cmd_recover(args) -> int:
     With ``--compact`` the recovered state is folded into a fresh
     snapshot and the log is rotated, so the next recovery replays
     (almost) nothing. A directory that an older build journaled to
-    sharded logs is refused, its files untouched.
+    sharded logs, or to a ``BFWAL1`` log, is refused, its files
+    untouched.
     """
     from repro.disclosure.wal import DurableEngine
 
@@ -162,6 +163,7 @@ def cmd_recover(args) -> int:
         print(f"  snapshot covers lsn {recovery.snapshot_lsn}; replayed "
               f"{recovery.replayed} record(s), skipped {recovery.skipped}, "
               f"truncated {recovery.torn_bytes} torn byte(s)")
+        print(f"  log holds {engine.wal.size} bytes")
         print(f"  logical clock resumed at {recovery.resumed_clock}")
         print(f"  recovery took {recovery.seconds * 1000:.1f} ms")
         if args.compact:

@@ -8,8 +8,8 @@ module closes that gap with a write-ahead log (the ROADMAP's
 
 * every engine mutation (observe / remove / set_threshold, plus expiry
   sweeps and policy suppressions) is appended to an append-only log of
-  length-prefixed, CRC-checksummed JSON records *before* the caller is
-  acknowledged;
+  length-prefixed, CRC-checksummed binary records *before* the caller
+  is acknowledged;
 * periodic **compaction** folds the log into an atomic snapshot
   (stamped with the last folded log sequence number) and rotates the
   log, bounding both file size and recovery time;
@@ -30,22 +30,37 @@ append, mapped onto crash semantics (see :meth:`WriteAheadLog.append`)
 mid-record writes, and written-but-unacknowledged records without
 sleeps or subprocesses.
 
-File format (one log file)::
+File format (one log file; every integer little-endian)::
 
-    file   := MAGIC record*
-    MAGIC  := b"BFWAL1\\n"
-    record := length:uint32be  crc32:uint32be  payload[length]
+    file    := MAGIC record*
+    MAGIC   := b"BFWAL2\\n"
+    record  := length:u32 crc32:u32 payload[length]
+    payload := 0x00 plain | 0x01 encrypt_bytes(crc32(plain):u32 plain)
+    plain   := lsn:u64 op:u8 body
+    body    := threshold:f64 ts:f64 text(kind) text(id) text(doc_id)
+               selections:u32 flat_selections     (op observe)
+             | compact key-sorted JSON object      (every other op)
+    text    := length:u32 utf8[length]             (0xFFFFFFFF: None)
 
-``payload`` is compact JSON carrying at least ``lsn`` (a strictly
-increasing sequence number) and ``op``; with a cipher it is the
-UploadCipher armour of that JSON, giving the log the same at-rest
-encryption as snapshots (§4.4).
-A record whose length, checksum, or JSON fails to decode marks the torn
-tail: everything before it is kept, it and everything after is
-discarded (and the file truncated back to the last good record). A
-record that passes its checksum but cannot be *decrypted* is not tail
-damage — it means the wrong cipher key, and raises
-:class:`~repro.errors.WALCorrupt` before anything is truncated.
+``lsn`` is strictly increasing; ``op`` is a code (:data:`OP_CODES`).
+An ``observe`` record carries the fingerprint's packed selections as
+they are, ``(value, start, end)`` triples of u64, the layout of a
+snapshot's ``selections`` section: journaling appends those bytes and
+replay hands them straight to :class:`~repro.fingerprint.Fingerprint`.
+The rarer ops keep their other fields as JSON, so a new op needs only a
+new code. With a cipher the plain record is sealed with the same
+at-rest encryption as snapshots (§4.4); the inner CRC is what tells a
+wrong key from a right one, since decryption itself cannot fail.
+
+A record whose length or frame checksum fails marks the torn tail, and
+so does a zero length (zeros a crash left where the file grew):
+everything before it is kept, it and everything after is discarded (and
+the file truncated back to the last good record). A record that passes
+its checksum but does not decode — a wrong key, a sealed record with no
+cipher, an unknown op code, a body cut short or running on — is not
+damage a crash can cause, and raises :class:`~repro.errors.WALCorrupt`
+before anything is truncated; so does a ``BFWAL1`` log, whose records
+were JSON.
 
 A durable directory holds exactly one log, ``wal.log``, whatever the
 shard count of the engine it journals. Older builds could shard the
@@ -59,11 +74,10 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import threading
 import zlib
 from array import array
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _escape
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -91,9 +105,23 @@ from repro.util.clock import LogicalClock
 from repro.util.faults import FaultInjector
 
 #: Log file magic; bump the digit on incompatible format changes.
-MAGIC = b"BFWAL1\n"
+MAGIC = b"BFWAL2\n"
+#: The magic of the JSON-record logs of earlier builds, refused by name.
+LEGACY_MAGIC = b"BFWAL1\n"
 
-_HEADER = struct.Struct(">II")  # payload length, crc32(payload)
+_FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+_HEAD = struct.Struct("<QB")  # lsn, op code
+_OBSERVE = struct.Struct("<dd")  # threshold, ts
+_LENGTH = struct.Struct("<I")  # a text's or the selections' byte length
+_NONE = 0xFFFFFFFF  # the text length that spells None
+_TRIPLE = 24  # bytes of one (value, start, end) selection
+
+#: The first byte of a payload: a plain record follows, or a sealed one.
+_PLAIN, _SEALED = 0, 1
+_PLAIN_BYTE = bytes((_PLAIN,))
+_PLAIN_CRC = zlib.crc32(_PLAIN_BYTE)  # crc32 continues from it over plain
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 #: Allowed fsync policies: ``"always"`` fsyncs every append (maximum
 #: durability), ``"batch"`` fsyncs every ``fsync_interval`` appends
@@ -110,13 +138,19 @@ FSYNC_POLICIES = ("always", "batch", "never")
 #: Deployments wanting a tighter loss bound turn the knob down.
 DEFAULT_FSYNC_INTERVAL = 64
 
-#: Operations a log record may carry. ``observe`` / ``remove`` /
+#: Operations a log record may carry, with the code that names each in
+#: a record's head (codes are never reused). ``observe`` / ``remove`` /
 #: ``threshold`` mutate engine state on replay; ``expire`` and
 #: ``suppress`` are informational markers (the removes of an expiry
 #: sweep are journaled individually; suppressions replicate the audit
 #: obligation to a standby); ``compact`` opens a rotated log and pins
 #: the snapshot LSN it follows.
-OPS = ("observe", "remove", "threshold", "expire", "suppress", "compact")
+OP_CODES = {
+    "observe": 1, "remove": 2, "threshold": 3, "expire": 4, "suppress": 5,
+    "compact": 6,
+}
+_OP_NAMES = {code: op for op, code in OP_CODES.items()}
+_OBSERVE_CODE = OP_CODES["observe"]
 
 #: File names inside a durable engine's directory.
 SNAPSHOT_NAME = "snapshot.bin"
@@ -154,29 +188,124 @@ def _refuse_sharded(directory: Path, snapshot: Optional[dict]) -> None:
         )
 
 
-def _decode_payload(raw: bytes, cipher: Optional[UploadCipher]) -> dict:
-    text = raw.decode("utf-8")
-    if UploadCipher.is_encrypted(text):
-        if cipher is None:
-            raise WALCorrupt("encrypted WAL record but no cipher supplied")
-        # The checksum already validated these ciphertext bytes, so a
-        # decrypt or decode failure here is a wrong key, not a torn
-        # append — raise (the scan re-raises WALCorrupt) instead of
-        # letting the caller classify it as tail damage and truncate
-        # acknowledged records away.
-        try:
-            text = cipher.decrypt(text)
-            record = json.loads(text)
-        except Exception as exc:
-            raise WALCorrupt(
-                "WAL record cannot be decrypted — wrong cipher key? "
-                f"({type(exc).__name__})"
-            ) from exc
-    else:
-        record = json.loads(text)
-    if not isinstance(record, dict) or "lsn" not in record or "op" not in record:
-        raise WALCorrupt(f"WAL record missing lsn/op: {record!r}")
+def _swap_values(data) -> bytes:
+    """*data*'s 8-byte values in the other byte order: a big-endian host
+    writes and reads the log's little-endian selections through this."""
+    values = array("Q", data)
+    values.byteswap()
+    return values.tobytes()
+
+
+def _text(value: Optional[str]) -> bytes:
+    if value is None:
+        return _LENGTH.pack(_NONE)
+    data = value.encode("utf-8")
+    return _LENGTH.pack(len(data)) + data
+
+
+def _observe_body(
+    *, kind: str, id: str, doc_id: Optional[str], threshold: float,
+    ts: float, selections: bytes,
+) -> bytes:
+    """An ``observe`` record's body; *selections* is a fingerprint's
+    ``flat_selections`` (native byte order). Refuses what the decoder
+    would refuse, so no such record is ever acknowledged."""
+    if not isinstance(kind, str) or not isinstance(id, str):
+        raise DisclosureError("an observe record needs a kind and an id")
+    if len(selections) % _TRIPLE:
+        raise DisclosureError(
+            f"observe selections hold {len(selections)} bytes, not whole "
+            f"{_TRIPLE}-byte (value, start, end) triples"
+        )
+    if not _LITTLE_ENDIAN:
+        selections = _swap_values(selections)
+    return b"".join((
+        _OBSERVE.pack(threshold, ts), _text(kind), _text(id), _text(doc_id),
+        _LENGTH.pack(len(selections)), selections,
+    ))
+
+
+def _json_body(fields: dict) -> bytes:
+    return json.dumps(fields, separators=(",", ":"), sort_keys=True).encode()
+
+
+def _run(plain: memoryview, at: int, what: str) -> Tuple[Optional[memoryview], int]:
+    """The length-prefixed bytes at *at* (None for the None marker) and
+    the offset after them."""
+    (length,) = _LENGTH.unpack_from(plain, at)
+    at += _LENGTH.size
+    if length == _NONE:
+        return None, at
+    if length > len(plain) - at:
+        raise WALCorrupt(
+            f"{what} claims {length} bytes, {len(plain) - at} remain"
+        )
+    return plain[at:at + length], at + length
+
+
+def _decode_observe(plain: memoryview, lsn: int) -> dict:
+    threshold, ts = _OBSERVE.unpack_from(plain, _HEAD.size)
+    at = _HEAD.size + _OBSERVE.size
+    texts = []
+    for what in ("kind", "id", "doc_id"):
+        raw, at = _run(plain, at, what)
+        texts.append(None if raw is None else str(raw, "utf-8"))
+    kind, segment_id, doc_id = texts
+    if kind is None or segment_id is None:
+        raise WALCorrupt("an observe record needs a kind and an id")
+    raw, at = _run(plain, at, "selections")
+    if raw is None or len(raw) % _TRIPLE:
+        raise WALCorrupt(
+            "observe selections are not whole (value, start, end) triples"
+        )
+    if at != len(plain):
+        raise WALCorrupt(f"{len(plain) - at} bytes follow the selections")
+    selections = raw.tobytes() if _LITTLE_ENDIAN else _swap_values(raw)
+    return {
+        "lsn": lsn, "op": "observe", "kind": kind, "id": segment_id,
+        "doc_id": doc_id, "threshold": threshold, "ts": ts,
+        "selections": selections,
+    }
+
+
+def _decode_plain(plain: memoryview) -> dict:
+    lsn, code = _HEAD.unpack_from(plain)
+    op = _OP_NAMES.get(code)
+    if op is None:
+        raise WALCorrupt(f"unknown op code {code}")
+    if op == "observe":
+        return _decode_observe(plain, lsn)
+    record = json.loads(str(plain[_HEAD.size:], "utf-8"))
+    if not isinstance(record, dict):
+        raise WALCorrupt(f"the fields of a {op!r} record are not an object")
+    record["lsn"] = lsn
+    record["op"] = op
     return record
+
+
+def _decode_payload(payload: memoryview, cipher: Optional[UploadCipher]) -> dict:
+    """One checksummed, non-empty payload's record; raises
+    :class:`WALCorrupt` (or the codec's own errors, which the scan
+    wraps) when it does not decode."""
+    seal = payload[0]
+    if seal == _PLAIN:
+        return _decode_plain(payload[1:])
+    if seal != _SEALED:
+        raise WALCorrupt(f"unknown seal byte {seal}")
+    if cipher is None:
+        raise WALCorrupt("sealed WAL record but no cipher supplied")
+    try:
+        inner = memoryview(cipher.decrypt_bytes(payload[1:].tobytes()))
+    except ValueError as exc:
+        raise WALCorrupt(f"sealed WAL record is cut short ({exc})") from exc
+    # Decryption with a wrong key yields garbage, not an error: the CRC
+    # of the plain bytes sealed with them is what tells the two apart.
+    plain = inner[_LENGTH.size:]
+    if len(inner) < _LENGTH.size or (
+        zlib.crc32(plain) != _LENGTH.unpack_from(inner)[0]
+    ):
+        raise WALCorrupt("WAL record cannot be decrypted — wrong cipher key?")
+    return _decode_plain(plain)
 
 
 def scan_wal_file(
@@ -187,12 +316,17 @@ def scan_wal_file(
     Returns ``(records, good_bytes, torn_bytes)``: *good_bytes* is the
     offset of the first unreadable byte (the length a recovery truncate
     should restore), *torn_bytes* what a crash left beyond it. A
-    missing file scans as empty. A file that exists but lacks the magic
-    header raises :class:`~repro.errors.WALCorrupt` — that is damage a
-    torn append cannot cause — and so does a record that passes its
-    checksum but cannot be decrypted: that is a wrong cipher key, and
-    classifying it as tail damage would let recovery truncate every
-    acknowledged record away.
+    missing file scans as empty. Each record is a dict of its fields
+    with ``lsn`` and ``op``; an ``observe`` record's ``selections`` are
+    the packed bytes of ``Fingerprint.flat_selections``.
+
+    Raises :class:`~repro.errors.WALCorrupt` for damage a torn append
+    cannot cause, before the caller can truncate anything: a file that
+    lacks the magic line (a ``BFWAL1`` log included), and a record that
+    passes its checksum but does not decode — a wrong cipher key, a
+    sealed record read without one, a malformed body. Classifying those
+    as tail damage would let recovery truncate acknowledged records
+    away.
     """
     path = Path(path)
     try:
@@ -201,27 +335,36 @@ def scan_wal_file(
         return [], 0, 0
     if not blob:
         return [], 0, 0
+    if blob.startswith(LEGACY_MAGIC):
+        raise WALCorrupt(
+            f"{path} is a BFWAL1 log of JSON records; this build reads "
+            "BFWAL2 logs only"
+        )
     if not blob.startswith(MAGIC):
         raise WALCorrupt(f"{path} is not a WAL file (bad magic)")
+    view = memoryview(blob)
     records: List[dict] = []
     offset = len(MAGIC)
     while offset < len(blob):
-        if offset + _HEADER.size > len(blob):
+        if offset + _FRAME.size > len(blob):
             break  # torn header
-        length, crc = _HEADER.unpack_from(blob, offset)
-        start = offset + _HEADER.size
+        length, crc = _FRAME.unpack_from(blob, offset)
+        start = offset + _FRAME.size
         end = start + length
-        if end > len(blob):
-            break  # torn payload
-        payload = blob[start:end]
+        if end > len(blob) or not length:
+            # A torn payload, or zeros a crash left where the file grew
+            # (no record is empty: each opens with its seal byte).
+            break
+        payload = view[start:end]
         if zlib.crc32(payload) != crc:
             break  # torn or corrupt record: stop trusting the file here
         try:
             records.append(_decode_payload(payload, cipher))
-        except WALCorrupt:
-            raise  # wrong key / missing cipher: never truncated away
-        except Exception:
-            break  # unencrypted checksummed garbage — treat as tail damage
+        except (WALCorrupt, struct.error, ValueError, RecursionError) as exc:
+            raise WALCorrupt(
+                f"{path}: the record at byte {offset} passes its checksum "
+                f"but does not decode: {exc}"
+            ) from exc
         offset = end
     return records, offset, len(blob) - offset
 
@@ -289,6 +432,9 @@ class WriteAheadLog:
         self._h_record_bytes = scope.histogram(
             "record_bytes", buckets=(64, 256, 1024, 4096, 16384)
         )
+        self._h_fsync = scope.histogram("fsync_seconds")
+        self._g_log_bytes = scope.gauge("log_bytes")
+        self._clock = scope.registry.clock
         #: Records found on disk when this log was opened (LSN order as
         #: stored); recovery takes these instead of re-reading.
         self.recovered_records, good_bytes, self.torn_bytes = scan_wal_file(
@@ -311,10 +457,19 @@ class WriteAheadLog:
             self._handle.flush()
             os.fsync(self._handle.fileno())
             _fsync_directory(self.path.parent)
+        # The file's size, kept under the mutex so the log-size gauge
+        # costs no system call per append.
+        self._size = self._handle.tell()
+        self._g_log_bytes.set(self._size)
 
     @property
     def last_lsn(self) -> int:
         return self._last_lsn
+
+    @property
+    def size(self) -> int:
+        """Bytes in the log file: its magic line and whole records."""
+        return self._size
 
     def take_recovered_records(self) -> List[dict]:
         """Hand over :attr:`recovered_records` and keep none of them, so
@@ -326,44 +481,61 @@ class WriteAheadLog:
         """Append one record; returns its LSN.
 
         The record is on disk (modulo the fsync policy's window) when
-        this returns — the write-ahead contract callers rely on.
+        this returns — the write-ahead contract callers rely on. An
+        ``observe`` takes ``kind``, ``id``, ``doc_id``, ``threshold``,
+        ``ts`` and ``selections`` (a fingerprint's ``flat_selections``);
+        every other op any JSON-serialisable fields. The body is
+        encoded before an LSN is drawn, so a record that cannot be
+        encoded costs none.
         """
-        if op not in OPS:
+        code = OP_CODES.get(op)
+        if code is None:
             raise DisclosureError(f"unknown WAL op {op!r}")
-        return self._append(
-            lambda lsn: json.dumps(
-                {"lsn": lsn, "op": op, **fields}, separators=(",", ":"),
-                sort_keys=True,
-            )
-        )
+        body = _observe_body(**fields) if op == "observe" else _json_body(fields)
+        return self._append(lambda lsn: _HEAD.pack(lsn, code) + body)
 
-    def append_payload(self, payload_for: Callable[[int], str]) -> int:
+    def append_payload(self, payload_for: Callable[[int], bytes]) -> int:
         """Append a pre-encoded record; returns its LSN.
 
-        ``payload_for(lsn)`` must return exactly the compact, key-sorted
-        JSON that :meth:`append` would write for the same record —
-        byte-identical, so readers cannot tell which path wrote a
-        record. Exists for the one op hot enough to care (``observe``,
-        whose selections :class:`EngineJournal` formats by hand); the
-        callback shape exists because the LSN lands inside the payload
-        but is only allocated under the log's mutex.
+        ``payload_for(lsn)`` must return the plain record bytes — head
+        and body, unsealed — that :meth:`append` would write for the
+        same record, so readers cannot tell which path wrote it. It
+        exists for the one op hot enough to care (``observe``, whose
+        body :class:`EngineJournal` packs once, outside the mutex, and
+        whose selections are the fingerprint's bytes); the callback
+        shape exists because the LSN lands in the record's head but is
+        only allocated under the log's mutex.
         """
         return self._append(payload_for)
 
-    def _frame(self, payload_text: str) -> bytes:
-        if self._cipher is not None:
-            payload_text = self._cipher.encrypt(payload_text)
-        payload = payload_text.encode("utf-8")
-        return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    def _frame(self, plain: bytes) -> bytes:
+        """One framed record: plain, or sealed with the log's cipher."""
+        if self._cipher is None:
+            return b"".join((
+                _FRAME.pack(len(plain) + 1, zlib.crc32(plain, _PLAIN_CRC)),
+                _PLAIN_BYTE, plain,
+            ))
+        payload = bytes((_SEALED,)) + self._cipher.encrypt_bytes(
+            _LENGTH.pack(zlib.crc32(plain)) + plain
+        )
+        return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
-    def _append(self, payload_for: Callable[[int], str]) -> int:
+    def _fsync_log(self) -> None:
+        started = self._clock.now()
+        os.fsync(self._handle.fileno())
+        self._h_fsync.observe(self._clock.now() - started)
+        self._appends_since_fsync = 0
+        self._c_fsyncs.inc()
+
+    def _append(self, payload_for: Callable[[int], bytes]) -> int:
         with self._mutex:
             if self._dead:
                 raise DisclosureError(
                     f"WAL {self.path} is dead after a simulated crash"
                 )
-            self._last_lsn = lsn = self._last_lsn + 1
+            lsn = self._last_lsn + 1
             encoded = self._frame(payload_for(lsn))
+            self._last_lsn = lsn
             fault = self._faults.next_fault() if self._faults is not None else None
             if fault is not None and fault.kind == "drop":
                 self._dead = True
@@ -385,14 +557,14 @@ class WriteAheadLog:
             # Always push to the OS so a shipper reading the file sees
             # whole records; fsync (durability) follows the policy.
             self._handle.flush()
+            self._size += len(encoded)
+            self._g_log_bytes.set(self._size)
             self._appends_since_fsync += 1
             if self._fsync == "always" or (
                 self._fsync == "batch"
                 and self._appends_since_fsync >= self._fsync_interval
             ):
-                os.fsync(self._handle.fileno())
-                self._appends_since_fsync = 0
-                self._c_fsyncs.inc()
+                self._fsync_log()
             if fault is not None and fault.kind == "error":
                 self._dead = True
                 self._c_crashes.inc()
@@ -410,9 +582,7 @@ class WriteAheadLog:
             if self._dead:
                 return
             self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._appends_since_fsync = 0
-            self._c_fsyncs.inc()
+            self._fsync_log()
 
     def rotate(self, snapshot_lsn: int) -> None:
         """Replace the file with a fresh log opening at a compact record.
@@ -441,19 +611,21 @@ class WriteAheadLog:
                     "block appends across the snapshot and the rotation"
                 )
             self._last_lsn = lsn = self._last_lsn + 1
-            encoded = self._frame(json.dumps(
-                {"lsn": lsn, "op": "compact", "snapshot_lsn": snapshot_lsn},
-                separators=(",", ":"), sort_keys=True,
-            ))
+            encoded = MAGIC + self._frame(
+                _HEAD.pack(lsn, OP_CODES["compact"])
+                + _json_body({"snapshot_lsn": snapshot_lsn})
+            )
             tmp = self.path.with_name(self.path.name + ".rotate.tmp")
             with open(tmp, "wb") as handle:
-                handle.write(MAGIC + encoded)
+                handle.write(encoded)
                 handle.flush()
                 os.fsync(handle.fileno())
             self._handle.close()
             os.replace(tmp, self.path)
             _fsync_directory(self.path.parent)
             self._handle = open(self.path, "ab")
+            self._size = len(encoded)
+            self._g_log_bytes.set(self._size)
 
     def close(self) -> None:
         with self._mutex:
@@ -479,28 +651,18 @@ class EngineJournal:
         self.wal = wal
 
     def log_observe(self, kind: str, record: SegmentRecord, ts: float) -> None:
-        # The hottest record by far, so it is formatted by hand instead
-        # of through json.dumps — byte-identical output (a test holds
-        # the two encoders together), but without building the interim
-        # dict and nested lists. Only the selections are logged: a
-        # fingerprint's hash set is exactly its selection values (the
-        # winnowed positions), so repeating it would double the encode
-        # cost for bytes replay can derive for free. One format call
-        # spells the whole packed selection run.
-        flat = tuple(
-            memoryview(record.fingerprint.flat_selections).cast("Q").tolist()
+        # The hottest record by far: its body is packed once, outside the
+        # log's mutex, with the fingerprint's selection bytes as they
+        # are. Only the selections are logged: a fingerprint's hash set
+        # is exactly its selection values, so replay derives it.
+        body = _observe_body(
+            kind=kind, id=record.segment_id, doc_id=record.doc_id,
+            threshold=record.threshold, ts=ts,
+            selections=record.fingerprint.flat_selections,
         )
-        selections = ("[%d,%d,%d]," * (len(flat) // 3))[:-1] % flat
-        prefix = '{"doc_id":%s,"id":%s,"kind":%s,"lsn":' % (
-            "null" if record.doc_id is None else _escape(record.doc_id),
-            _escape(record.segment_id),
-            _escape(kind),
+        self.wal.append_payload(
+            lambda lsn: _HEAD.pack(lsn, _OBSERVE_CODE) + body
         )
-        # repr() spells ints and floats exactly as the json encoder does.
-        suffix = ',"op":"observe","selections":[%s],"threshold":%r,"ts":%r}' % (
-            selections, record.threshold, ts,
-        )
-        self.wal.append_payload(lambda lsn: "%s%d%s" % (prefix, lsn, suffix))
 
     def log_remove(self, kind: str, segment_id: str) -> None:
         self.wal.append("remove", kind=kind, id=segment_id)
@@ -569,16 +731,12 @@ def apply_record(
             "refusing to replay into an engine with a journal attached"
         )
     if op == "observe":
-        triples = record["selections"]
-        flat = list(chain.from_iterable(triples))
-        if len(flat) != 3 * len(triples):
-            raise ValueError(
-                f"observe record lsn {record['lsn']}: selections are not "
-                "[value, start, end] triples"
-            )
+        # Packed (value, start, end) triples in native byte order, as
+        # the scan decoded them: the hash set is every third value.
+        selections = record["selections"]
         fingerprint = Fingerprint(
-            hashes=frozenset(flat[0::3]),
-            flat_selections=array("Q", flat).tobytes(),
+            hashes=frozenset(memoryview(selections).cast("Q")[0::3]),
+            flat_selections=selections,
             config=engine.config,
         )
         engine.observe_fingerprint(

@@ -46,11 +46,11 @@ class WALCorrupt(DisclosureError):
 
     A torn tail (the last record cut short by a crash) is *expected* and
     silently truncated at recovery; this error covers everything else —
-    a missing or wrong magic header, a record that passes its checksum
-    but cannot be decrypted (wrong cipher key), or a shard layout that
-    does not match the directory's log files. Raised *before* anything
-    is truncated, so a recovery attempted with the wrong key or shard
-    count never destroys acknowledged records.
+    a missing or wrong magic header (an older build's log format
+    included), a record that passes its checksum but does not decode
+    (a wrong cipher key, a malformed body), or a directory journaled to
+    sharded logs. Raised *before* anything is truncated, so a recovery
+    attempted with the wrong key never destroys acknowledged records.
     """
 
 

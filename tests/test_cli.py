@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -347,6 +349,9 @@ class TestRecover:
         assert "2 segments" in out
         assert "replayed 2 record(s)" in out
         assert "torn byte(s)" in out
+        # The torn third append is cut before the size is read.
+        log_bytes = (directory / "wal.log").stat().st_size
+        assert f"log holds {log_bytes} bytes" in out
         assert "clock resumed" in out
         assert "recovery took" in out
 
@@ -372,6 +377,24 @@ class TestRecover:
         assert err.startswith("error:")
         assert "sharded" in err
         assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+    def test_recover_refuses_a_bfwal1_log(self, files, tmp_path, capsys):
+        """A log of the JSON records earlier builds wrote exits 2, every
+        byte of it as it was."""
+        directory = tmp_path / "old"
+        directory.mkdir()
+        payload = b'{"id":"x","kind":"paragraph","lsn":1,"op":"remove"}'
+        blob = (
+            b"BFWAL1\n" + struct.pack(">II", len(payload), zlib.crc32(payload))
+            + payload + b"\x00\x00\x01"
+        )
+        (directory / "wal.log").write_bytes(blob)
+        assert main(["recover", "--dir", str(directory), "--compact"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "BFWAL1" in err
+        assert [p.name for p in directory.iterdir()] == ["wal.log"]
+        assert (directory / "wal.log").read_bytes() == blob
 
     def test_recover_accepts_a_one_shard_snapshot(self, files, tmp_path, capsys):
         """A snapshot whose header records ``wal_shards: 1`` journaled

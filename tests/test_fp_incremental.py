@@ -211,6 +211,60 @@ class TestAppendCountBoundary:
         assert total == len(shown)
 
 
+class TestOneHashAppend:
+    """A keystroke that adds one hash continues from the last selection
+    instead of rescanning its window. Wide windows with 8-bit hashes
+    over a small alphabet make ties (an entrant equal to the selection
+    takes over) and selections leaving the window common; every prefix
+    must still equal the batch fingerprint, after an edit too, and the
+    counts must still cover each selection once."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_keystrokes_equal_batch_at_every_prefix(self, data):
+        config = FingerprintConfig(
+            ngram_size=data.draw(st.integers(1, 5), label="n"),
+            window_size=data.draw(st.integers(8, 20), label="w"),
+            hash_bits=8,
+            use_kernel=data.draw(st.booleans(), label="use_kernel"),
+        )
+        batch = Fingerprinter(config)
+        # Three letters tie on most n-grams; a full alphabet leaves the
+        # 8-bit hash values to tie, and its selections to exit.
+        alphabet = data.draw(
+            st.sampled_from(["ab c", string.ascii_lowercase + " "]),
+            label="alphabet",
+        )
+        text = data.draw(st.text(alphabet=alphabet, max_size=60), label="initial")
+        inc = IncrementalFingerprinter(config)
+        total = inc.append(text)
+        shown = _sel_triples(inc.current())
+        if data.draw(st.booleans(), label="edit first"):
+            start = data.draw(st.integers(0, len(text)), label="start")
+            end = data.draw(st.integers(start, len(text)), label="end")
+            piece = data.draw(st.text(alphabet=alphabet, max_size=8), label="piece")
+            inc.replace(start, end, piece)
+            text = text[:start] + piece + text[end:]
+            total = None  # a splice does not report counts
+        typed = data.draw(
+            st.text(alphabet=alphabet + ".é北", min_size=1, max_size=150),
+            label="typed",
+        )
+        for ch in typed:
+            newly = inc.append(ch)
+            text += ch
+            expected = batch.fingerprint(text)
+            current = inc.current()
+            assert current.selections == expected.selections
+            assert current.hashes == expected.hashes
+            if total is not None:
+                total += newly
+                shown |= _sel_triples(current)
+                assert total >= len(current.selections)
+        if total is not None:
+            assert total == len(shown)
+
+
 class TestByteModeStreaming:
     """The kernel-backed streaming path and its char-mode conversion.
 

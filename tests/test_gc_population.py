@@ -38,7 +38,12 @@ from repro.disclosure.persistence import (
     restore_into,
     snapshot_engine,
 )
-from repro.disclosure.wal import DurableEngine, apply_record
+from repro.disclosure.wal import (
+    DurableEngine,
+    WriteAheadLog,
+    apply_record,
+    scan_wal_file,
+)
 from repro.fingerprint import Fingerprinter
 from repro.fingerprint.config import PAPER_CONFIG, TINY_CONFIG
 from repro.fingerprint.incremental import EditBuffer
@@ -234,19 +239,24 @@ class TestFlatSelectionsAreUntracked:
         self.assert_untracked(buffer.current())
         self.assert_untracked(buffer.update(self.TEXT.replace("board", "panel")))
 
-    def test_restored_and_replayed_fingerprints(self):
+    def test_restored_and_replayed_fingerprints(self, tmp_path):
         live = DisclosureEngine(PAPER_CONFIG, LogicalClock())
         record = live.observe("s", self.TEXT)
         data = decode_snapshot(encode_snapshot(snapshot_engine(live)))
         restored = restore_into(DisclosureEngine(PAPER_CONFIG, LogicalClock()), data)
         self.assert_untracked(restored.segment_db.get("s").fingerprint)
-        replayed = DisclosureEngine(PAPER_CONFIG, LogicalClock())
-        apply_record(
-            {
-                "lsn": 1, "op": "observe", "kind": "paragraph", "id": "s",
-                "doc_id": None, "threshold": 0.5, "ts": 0.0,
-                "selections": [list(s) for s in record.fingerprint.selections],
-            },
-            lambda kind: replayed,
+        # The replayed record is what the log's decoder returns for it.
+        wal = WriteAheadLog(tmp_path / "wal.log", fsync="never")
+        wal.append(
+            "observe", kind="paragraph", id="s", doc_id=None,
+            threshold=0.5, ts=0.0,
+            selections=record.fingerprint.flat_selections,
         )
-        self.assert_untracked(replayed.segment_db.get("s").fingerprint)
+        wal.close()
+        (logged,), _good, _torn = scan_wal_file(tmp_path / "wal.log")
+        replayed = DisclosureEngine(PAPER_CONFIG, LogicalClock())
+        apply_record(logged, lambda kind: replayed)
+        fingerprint = replayed.segment_db.get("s").fingerprint
+        self.assert_untracked(fingerprint)
+        assert fingerprint.flat_selections == record.fingerprint.flat_selections
+        assert fingerprint.hashes == record.fingerprint.hashes

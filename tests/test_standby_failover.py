@@ -216,17 +216,21 @@ class TestCatchUp:
         standby = make_standby(tmp_path)
         primary.paragraphs.observe("good1", SECRET_TEXT)
         good1_lsn = wal.last_lsn
-        # A structurally broken record (an observe with no selections):
-        # replay raises while decoding it, with a good record after it.
-        wal.append("observe", key="bad", kind="paragraph", id="bad")
+        # A record that decodes but cannot be applied (an observe whose
+        # threshold is outside [0, 1]): replay raises on it, with a good
+        # record after it.
+        wal.append(
+            "observe", kind="paragraph", id="bad", doc_id=None,
+            threshold=2.0, ts=0.0, selections=b"",
+        )
         primary.paragraphs.observe("good2", OTHER_TEXT)
-        with pytest.raises(Exception):
+        with pytest.raises(DisclosureError, match="threshold"):
             standby.catch_up()
         assert standby.applied_lsn == good1_lsn  # good1 applied, cursor held
         assert standby.tracker.paragraphs.segment_db.ids() == ["good1"]
         # The bad record is retried (and fails again) instead of the
         # batch remainder being skipped forever.
-        with pytest.raises(Exception):
+        with pytest.raises(DisclosureError, match="threshold"):
             standby.catch_up()
         assert standby.applied_lsn == good1_lsn
         assert "good2" not in standby.tracker.paragraphs.segment_db.ids()
