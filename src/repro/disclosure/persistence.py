@@ -366,12 +366,21 @@ def join_sections(header: dict, payloads: Sequence, what: str) -> dict:
     return data
 
 
+def swap_bytes(data, typecode: str = "Q") -> bytes:
+    """The bytes of *data*'s *typecode* values, each in the other byte
+    order; *data* is any bytes-like object (bytes, a memoryview slice,
+    an array). A big-endian host writes snapshot sections, and writes
+    and reads a WAL record's selections, through this."""
+    values = array(typecode)
+    values.frombytes(memoryview(data).cast("B"))
+    values.byteswap()
+    return values.tobytes()
+
+
 def _little_endian(values: array) -> bytes:
     if _LITTLE_ENDIAN:
         return values.tobytes()
-    swapped = array(values.typecode, values)
-    swapped.byteswap()
-    return swapped.tobytes()
+    return swap_bytes(values, values.typecode)
 
 
 def encode_container(

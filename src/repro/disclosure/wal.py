@@ -77,7 +77,6 @@ import struct
 import sys
 import threading
 import zlib
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -89,6 +88,7 @@ from repro.disclosure.persistence import (
     read_snapshot,
     restore_into,
     save_engine,
+    swap_bytes,
 )
 from repro.disclosure.store import SegmentRecord
 from repro.errors import (
@@ -188,14 +188,6 @@ def _refuse_sharded(directory: Path, snapshot: Optional[dict]) -> None:
         )
 
 
-def _swap_values(data) -> bytes:
-    """*data*'s 8-byte values in the other byte order: a big-endian host
-    writes and reads the log's little-endian selections through this."""
-    values = array("Q", data)
-    values.byteswap()
-    return values.tobytes()
-
-
 def _text(value: Optional[str]) -> bytes:
     if value is None:
         return _LENGTH.pack(_NONE)
@@ -218,7 +210,7 @@ def _observe_body(
             f"{_TRIPLE}-byte (value, start, end) triples"
         )
     if not _LITTLE_ENDIAN:
-        selections = _swap_values(selections)
+        selections = swap_bytes(selections)
     return b"".join((
         _OBSERVE.pack(threshold, ts), _text(kind), _text(id), _text(doc_id),
         _LENGTH.pack(len(selections)), selections,
@@ -260,7 +252,7 @@ def _decode_observe(plain: memoryview, lsn: int) -> dict:
         )
     if at != len(plain):
         raise WALCorrupt(f"{len(plain) - at} bytes follow the selections")
-    selections = raw.tobytes() if _LITTLE_ENDIAN else _swap_values(raw)
+    selections = raw.tobytes() if _LITTLE_ENDIAN else swap_bytes(raw)
     return {
         "lsn": lsn, "op": "observe", "kind": kind, "id": segment_id,
         "doc_id": doc_id, "threshold": threshold, "ts": ts,

@@ -19,9 +19,8 @@ one int list ``(value, start, end, …)`` aligned with them, which
 :meth:`current` packs into :attr:`Fingerprint.flat_selections`. An
 append winnows only the windows it completed, with the kernel's
 skip-scan (or, for an append of at least :data:`BULK_HASHES` hashes,
-its numpy primitives); an append of one hash, a keystroke, continues
-from the last selection instead. Every buffer of one config shares one
-hasher and one kernel.
+its numpy primitives); every buffer of one config shares one hasher
+and one kernel.
 
 Appends of byte-narrow (Latin-1) text stream through the fused ingest
 kernel's primitives: each suffix is normalised with one
@@ -192,8 +191,6 @@ class IncrementalFingerprinter:
                 values += self._hasher.hash_all_bytes(norm[have:])
             else:
                 values += self._hasher.hash_all_list("".join(norm[have:]))
-            if added == 1 and have >= w:
-                return self._winnow_one(have)
             if count >= w:
                 picked = skipscan_winnow(values[s0:], w)
 
@@ -217,25 +214,6 @@ class IncrementalFingerprinter:
         if newly:
             self._cached_fp = None
         return newly
-
-    def _winnow_one(self, entrant: int) -> int:
-        """Winnow the one window an entrant at position *entrant* ends,
-        continuing from the previous window's selection: an entrant at
-        or below its value takes over (the rightmost minimum), and the
-        window is rescanned only when the selection has left it.
-        Returns 1 when the window selects a new position, else 0."""
-        values = self._values
-        last = self._selected[-1]
-        w = self._config.window_size
-        if values[entrant] > values[last]:
-            if last > entrant - w:
-                return 0
-            window = values[entrant - w + 1:entrant + 1]
-            entrant -= window[::-1].index(min(window))
-        self._selected.append(entrant)
-        self._flat += self._triples((entrant,))
-        self._cached_fp = None
-        return 1
 
     def delete(self, start: int, end: int) -> None:
         """Remove ``text[start:end]``; equivalent to an empty replace."""

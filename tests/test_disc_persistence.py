@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+import repro.disclosure.persistence as persistence
 from repro.disclosure import DisclosureEngine
 from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.persistence import (
@@ -158,6 +159,34 @@ class TestSnapshotRoundtrip:
         }
         assert header["segments"][0][:5] == ["a", 0.4, "paragraph", "docA", 0.0]
         assert join_sections(header, payloads, "db") == snapshot_engine(engine)
+
+    def test_sections_round_trip_in_swapped_byte_order(
+        self, engine, tmp_path, monkeypatch
+    ):
+        """A big-endian host byte-swaps each section value on write and
+        on read. Forcing the swap on here runs both legs: the file
+        differs from the native one only where the swap reverses a
+        value, and it reads back to the same snapshot."""
+        native = tmp_path / "native.snap"
+        save_engine(engine, native)
+        monkeypatch.setattr(persistence, "_LITTLE_ENDIAN", False)
+        path = tmp_path / "swapped.snap"
+        save_engine(engine, path)
+        blob = path.read_bytes()
+        assert blob != native.read_bytes()
+        header, payloads = decode_container(blob, None, "db")
+        _native_header, native_payloads = decode_container(
+            native.read_bytes(), None, "db"
+        )
+        for ours, theirs in zip(payloads, native_payloads):
+            assert bytes(ours) == b"".join(
+                bytes(theirs[at:at + 8])[::-1]
+                for at in range(0, len(theirs), 8)
+            )
+        assert join_sections(header, payloads, "db") == snapshot_engine(engine)
+        assert load_engine(path).segment_db.get("a").fingerprint == (
+            engine.segment_db.get("a").fingerprint
+        )
 
 
 class TestEncryptionAtRest:

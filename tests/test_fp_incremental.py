@@ -212,12 +212,11 @@ class TestAppendCountBoundary:
 
 
 class TestOneHashAppend:
-    """A keystroke that adds one hash continues from the last selection
-    instead of rescanning its window. Wide windows with 8-bit hashes
-    over a small alphabet make ties (an entrant equal to the selection
-    takes over) and selections leaving the window common; every prefix
-    must still equal the batch fingerprint, after an edit too, and the
-    counts must still cover each selection once."""
+    """A keystroke that adds one hash winnows the one window it ends.
+    Wide windows with 8-bit hashes over a small alphabet make ties (the
+    rightmost minimum wins) and selections leaving the window common;
+    every prefix must still equal the batch fingerprint, after an edit
+    too, and the counts must still cover each selection once."""
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

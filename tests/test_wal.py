@@ -761,6 +761,35 @@ class TestFixedVectors:
         ]
 
 
+class TestSwappedByteOrder:
+    """A big-endian host byte-swaps an observe's selections on their way
+    into the log and back out. Forcing the swap on here runs both legs:
+    the log holds each 8-byte value reversed, and the scan and recovery
+    return the fingerprint's own bytes."""
+
+    def test_observe_selections_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal_module, "_LITTLE_ENDIAN", False)
+        durable = DurableEngine(tmp_path, config=TINY_CONFIG)
+        record = durable.observe("a", SECRET_TEXT, threshold=0.4)
+        durable.close()
+        flat = record.fingerprint.flat_selections
+        assert len(flat) > 24
+        _offset, payload = frames((tmp_path / WAL_NAME).read_bytes())[-1]
+        assert payload[-len(flat):] == b"".join(
+            flat[at:at + 8][::-1] for at in range(0, len(flat), 8)
+        )
+        (logged,) = wal_records(tmp_path / WAL_NAME)
+        assert logged["selections"] == flat
+        recovered = DurableEngine(tmp_path, config=TINY_CONFIG)
+        try:
+            assert recovered.recovery.replayed == 1
+            fingerprint = recovered.segment_db.get("a").fingerprint
+            assert fingerprint.flat_selections == flat
+            assert fingerprint.hashes == record.fingerprint.hashes
+        finally:
+            recovered.close()
+
+
 class TestJournalHooks:
     """Engine mutations translate 1:1 into WAL records."""
 

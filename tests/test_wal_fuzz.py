@@ -1,7 +1,7 @@
 """Decoder robustness: damaged ``BFWAL2`` logs are cut or refused.
 
 Hypothesis damages a valid log, plain and sealed: it truncates it at
-any byte, flips any byte, rewrites any length field, writes a record
+any byte, flips any byte, rewrites any frame length, writes a record
 that passes its checksum but whose body is malformed (an unknown op
 code, a short head, a text or the selections running past the end,
 selections that are not whole 24-byte triples), and reads a sealed log
@@ -9,7 +9,10 @@ with no key or the wrong one. Every case must either scan to a prefix
 of the records written — never a record from the damage on — with the
 cut counted in ``wal.torn_bytes_truncated``, or raise
 :class:`~repro.errors.WALCorrupt` with the file left as it was. No other
-exception may escape.
+exception may escape. A length field rewritten inside a record, its
+checksums made right again, must be refused the same way, or read as
+another well-formed record beside the others as written; such a record
+is never cut.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 _HEAD = struct.Struct("<QB")  # lsn, op code
 _OBSERVE = struct.Struct("<dd")  # threshold, ts
 _LENGTH = struct.Struct("<I")
+_NONE = 0xFFFFFFFF  # the text length that spells None
 
 
 def frames(blob: bytes) -> List[Tuple[int, int]]:
@@ -54,15 +58,15 @@ def frames(blob: bytes) -> List[Tuple[int, int]]:
     return out
 
 
-def observe_lengths(blob: bytes, start: int) -> List[int]:
+def observe_lengths(plain: bytes) -> List[int]:
     """Offsets of the four length fields (kind, id, doc_id, selections)
-    of the plain observe record framed at *start*."""
-    at = start + _FRAME.size + 1 + _HEAD.size + _OBSERVE.size
+    of a plain observe record."""
+    at = _HEAD.size + _OBSERVE.size
     offsets = []
     for _field in range(4):
         offsets.append(at)
-        (length,) = _LENGTH.unpack_from(blob, at)
-        at += _LENGTH.size + (0 if length == 0xFFFFFFFF else length)
+        (length,) = _LENGTH.unpack_from(plain, at)
+        at += _LENGTH.size + (0 if length == _NONE else length)
     return offsets
 
 
@@ -78,6 +82,13 @@ class Log:
     def whole_before(self, offset: int) -> int:
         """How many records end at or before byte *offset*."""
         return sum(1 for _start, end in self.frames if end <= offset)
+
+    def plain(self, start: int, end: int) -> bytes:
+        """The plain record framed at ``[start, end)``, unsealed."""
+        payload = self.blob[start + _FRAME.size:end]
+        if self.cipher is None:
+            return payload[1:]
+        return self.cipher.decrypt_bytes(payload[1:])[_LENGTH.size:]
 
 
 def written_log(directory, cipher) -> Log:
@@ -203,25 +214,39 @@ class TestDamagedLogs:
         assert_prefix(log, open_damaged(workdir, blob, log.cipher), start)
 
     @EXAMPLES
-    @given(data=st.data())
-    def test_any_field_length_rewritten(self, workdir, logs, data):
-        """Inside a plain observe record, behind its checksum."""
-        log = logs["plain"]
-        blob = bytearray(log.blob)
+    @given(kind=kinds, data=st.data())
+    def test_any_field_length_rewritten(self, workdir, logs, kind, data):
+        """Inside an observe record, with its checksums made right again,
+        so only the decoder's own checks stand in the way. The record is
+        refused whole, or, where the rewrite spells another well-formed
+        record (a doc_id of None read as ""), kept whole beside every
+        other record as written; it is never cut as a torn tail."""
+        log = logs[kind]
         observes = [
-            frame for frame, record in zip(log.frames, log.records)
+            index for index, record in enumerate(log.records)
             if record["op"] == "observe"
         ]
-        start, _end = data.draw(st.sampled_from(observes), label="record")
-        at = data.draw(
-            st.sampled_from(observe_lengths(log.blob, start)), label="field"
-        )
-        (old,) = _LENGTH.unpack_from(blob, at)
+        index = data.draw(st.sampled_from(observes), label="record")
+        start, end = log.frames[index]
+        plain = bytearray(log.plain(start, end))
+        at = data.draw(st.sampled_from(observe_lengths(plain)), label="field")
+        (old,) = _LENGTH.unpack_from(plain, at)
         new = data.draw(
-            st.integers(0, 2**32 - 1).filter(lambda n: n != old), label="length"
+            st.one_of(
+                st.integers(0, len(plain)), st.just(_NONE),
+                st.integers(0, 2**32 - 1),
+            ).filter(lambda n: n != old),
+            label="length",
         )
-        blob[at:at + 4] = _LENGTH.pack(new)
-        assert_prefix(log, open_damaged(workdir, blob, None), start)
+        plain[at:at + 4] = _LENGTH.pack(new)
+        blob = log.blob[:start] + framed(bytes(plain), log.cipher) + log.blob[end:]
+        records = open_damaged(workdir, blob, log.cipher)
+        if records is not None:
+            assert len(records) == len(log.records)
+            kept = records.pop(index)
+            assert records == log.records[:index] + log.records[index + 1:]
+            # The decoder read the rewritten bytes whole, as they spell.
+            assert observe_bytes(kept) == bytes(plain)
 
 
 def framed(plain: bytes, cipher) -> bytes:
@@ -235,19 +260,30 @@ def framed(plain: bytes, cipher) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def observe_plain(lsn: int, *, texts=("paragraph", "id", None), triples=1) -> bytes:
+def observe_bytes(record: dict) -> bytes:
+    """The plain bytes of an observe *record*, as the format spells it."""
     def text(value):
         if value is None:
-            return _LENGTH.pack(0xFFFFFFFF)
+            return _LENGTH.pack(_NONE)
         data = value.encode()
         return _LENGTH.pack(len(data)) + data
 
-    selections = array("Q", range(3 * triples)).tobytes()
+    selections = record["selections"]
     return (
-        _HEAD.pack(lsn, 1) + _OBSERVE.pack(0.5, 1.0)
-        + b"".join(text(value) for value in texts)
+        _HEAD.pack(record["lsn"], 1)
+        + _OBSERVE.pack(record["threshold"], record["ts"])
+        + b"".join(text(record[key]) for key in ("kind", "id", "doc_id"))
         + _LENGTH.pack(len(selections)) + selections
     )
+
+
+def observe_plain(lsn: int, *, texts=("paragraph", "id", None), triples=1) -> bytes:
+    kind, segment_id, doc_id = texts
+    return observe_bytes({
+        "lsn": lsn, "threshold": 0.5, "ts": 1.0, "kind": kind,
+        "id": segment_id, "doc_id": doc_id,
+        "selections": array("Q", range(3 * triples)).tobytes(),
+    })
 
 
 def malformed_bodies():
