@@ -198,7 +198,7 @@ def cmd_stats(args) -> int:
     warm through the §13 delta-check caches (the content-addressed
     fingerprint cache and a verdict memo over the loaded engine, keyed
     on its stamp-store version) — so the query-path counters, the
-    ``fingerprint.cache.*`` and ``decision.epoch_cache.*`` families, and
+    ``fingerprint.cache.*`` and ``decision_cache.*`` families, and
     the latency histograms are all populated; without it the snapshot
     shows database state (gauges) and zeroed counters.
     """
@@ -215,7 +215,7 @@ def cmd_stats(args) -> int:
             scope=engine.registry.scope("fingerprint.cache.")
         )
         memo = LRUCache(
-            scope=engine.registry.scope("decision.epoch_cache.")
+            scope=engine.registry.scope("decision_cache.")
         )
         for _round in range(2):  # cold then warm
             fp = fp_cache.fingerprint(engine.fingerprinter, text)

@@ -1,12 +1,13 @@
-"""Open-loop fleet executor with a fleet-wide reference-engine audit.
+"""Fleet executor with a fleet-wide reference-engine audit.
 
-:mod:`repro.eval.workload` decides *what* happens and *when*; this
-module makes it happen against the real stack — every session gets its
-own :class:`~repro.browser.page.Browser` +
+:mod:`repro.eval.workload` decides *what* happens and in what order;
+this module makes it happen against the real stack, as fast as it
+can — every session gets its own :class:`~repro.browser.page.Browser` +
 :class:`~repro.plugin.plugin.BrowserFlowPlugin` whose policy decisions
 travel through a shared :class:`~repro.plugin.server.LookupServer`
-(single engine or the PR-7 sharded tier), exactly the deployment the
-paper's enterprise scenario describes.
+(one store or a sharded one), exactly the deployment the paper's
+enterprise scenario describes. It is a correctness harness: it reports
+verdict counts and the audit, not latency, which ``bench/`` measures.
 
 Task-manager/worker split
     A coordinator thread walks the schedule in virtual-time order and
@@ -25,14 +26,6 @@ Task-manager/worker split
       interleaving remainder only touches empty-label segments, which
       can never flip a verdict.
 
-Open-loop lateness
-    When pacing is enabled each op has a wall-clock due time; lateness
-    (actual start − scheduled start) is the queueing signal a closed
-    loop structurally cannot see, recorded per op alongside service
-    time into ``fleet.*`` histograms of the model's
-    :class:`~repro.obs.registry.MetricsRegistry` and reported as
-    percentiles.
-
 Audit postcondition
     After the run, every paragraph stored in every *untrusted* backend
     (Docs, Forum) is checked twice — by the live model and by an
@@ -40,24 +33,22 @@ Audit postcondition
     holding only the schedule's secrets — and every disclosing
     paragraph must be covered by a suppression event in the audit log.
     This is ``test_integration_soak``'s invariant promoted to a
-    fleet-wide postcondition; :func:`measure` refuses to report any
-    performance number for a run whose audit fails.
+    fleet-wide postcondition, which ``tests/test_fleet_sim.py`` checks
+    at several worker counts and on the 4-shard tier.
 """
 
 from __future__ import annotations
 
-import platform
 import threading
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.browser.page import Browser
 from repro.disclosure import DisclosureEngine
 from repro.eval.timing import edit_toward
-from repro.eval.workload import FleetConfig, FleetOp, Schedule, generate_schedule
+from repro.eval.workload import FleetConfig, FleetOp, Schedule
 from repro.fingerprint.config import TINY_CONFIG
 from repro.plugin import PluginMode
 from repro.plugin.lookup import PolicyLookup
@@ -68,26 +59,12 @@ from repro.services import DocsService, ForumService, WikiService
 from repro.services.network import Network
 from repro.tdm import Label, PolicyStore, TextDisclosureModel
 from repro.tdm.model import SuppressionEvent
-from repro.util.stats import percentile
-
-#: Schema version of BENCH_fleet.json; bump on shape changes.
-SCHEMA_VERSION = 1
 
 #: Reference-engine observation threshold for the audit: well above the
 #: model's 0.5 so legitimately sub-threshold residue (shared vocabulary,
 #: committed partial copies) is not miscounted as a leak — the same
 #: margin rationale as the soak test.
 AUDIT_THRESHOLD = 0.8
-
-#: Lateness can reach far beyond service time when the offered load
-#: exceeds capacity; these buckets keep the histogram meaningful there.
-LATENESS_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0,
-)
-
-#: The sharded tier measured by measure() (the PR-7 deployment shape).
-N_SHARDS = 4
 
 
 @dataclass(frozen=True)
@@ -112,9 +89,6 @@ class FleetResult:
     decisions: int
     blocked_ops: int
     declassify_noops: int
-    seconds: float
-    service_ms: Tuple[float, ...]
-    lateness_ms: Tuple[float, ...]  # empty when unpaced
     audit: AuditOutcome
 
 
@@ -364,74 +338,41 @@ def run_fleet(
     *,
     workers: int = 4,
     n_shards: int = 1,
-    pace: Optional[float] = None,
     join_timeout: float = 600.0,
 ) -> FleetResult:
-    """Execute *schedule* against a fresh fixture; audit afterwards.
+    """Execute *schedule* flat out against a fresh fixture; audit afterwards.
 
     Args:
         workers: worker-pool size (the audit outcome must not depend
             on it — that is the determinism test's claim).
         n_shards: hash-database shards of the lookup tier (one, the
             default, is the single-store tier).
-        pace: target ops per wall second. When set, ops become *due* at
-            ``virtual_time × (ops/pace)/horizon`` and open-loop lateness
-            is recorded; when None the schedule runs flat out and the
-            lateness series is empty.
     """
     fixture = FleetFixture(schedule.config, n_shards=n_shards)
-    registry = fixture.model.registry
-    scope = registry.scope("fleet.")
-    h_service = scope.histogram("service_seconds")
-    h_lateness = scope.histogram("lateness_seconds", buckets=LATENESS_BUCKETS)
-    c_ops = scope.counter("ops")
-    c_blocked = scope.counter("blocked_ops")
-    c_noop = scope.counter("declassify_noops")
-
     ops = schedule.ops
-    scale = 0.0
-    if pace is not None and schedule.horizon > 0:
-        scale = (len(ops) / pace) / schedule.horizon
-
     sessions: Dict[int, _SessionState] = {}
-    pending: Dict[int, Deque[Tuple[FleetOp, float]]] = {}
+    pending: Dict[int, Deque[FleetOp]] = {}
     active: set = set()
     lock = threading.Lock()
     cond = threading.Condition(lock)
     done = 0
     blocked = 0
     noops = 0
-    service_ms: List[float] = []
-    lateness_ms: List[float] = []
     errors: List[Tuple[int, BaseException]] = []
 
-    start = time.perf_counter()
-
-    def execute(op: FleetOp, due: float) -> None:
+    def execute(op: FleetOp) -> None:
         nonlocal done, blocked, noops
-        began = time.perf_counter()
-        if pace is not None:
-            late = max(0.0, (began - start) - due)
-            h_lateness.observe(late)
-            with lock:
-                lateness_ms.append(late * 1000.0)
         try:
             delivered, noop = _execute_op(fixture, sessions[op.session], op)
         except Exception as exc:
             delivered, noop = True, False
             with lock:
                 errors.append((op.index, exc))
-        elapsed = time.perf_counter() - began
-        h_service.observe(elapsed)
-        c_ops.inc()
         with cond:
-            service_ms.append(elapsed * 1000.0)
             if not delivered:
                 blocked += 1
-                c_blocked.inc()
             if noop:
                 noops += 1
-                c_noop.inc()
             done += 1
             cond.notify_all()
 
@@ -442,19 +383,14 @@ def run_fleet(
                 if not queue:
                     active.discard(session)
                     return
-                op, due = queue.popleft()
-            execute(op, due)
+                op = queue.popleft()
+            execute(op)
 
     executor = ThreadPoolExecutor(
         max_workers=max(1, workers), thread_name_prefix="fleet"
     )
     try:
         for op in ops:
-            due = op.at * scale
-            if pace is not None:
-                delay = due - (time.perf_counter() - start)
-                if delay > 0:
-                    time.sleep(delay)
             if op.session not in sessions:
                 # Session states are created on the coordinator, so
                 # plug-in construction (gauge registration, cache
@@ -468,10 +404,10 @@ def run_fleet(
                         raise RuntimeError(
                             f"fence timed out before op {op.index}"
                         )
-                execute(op, due)
+                execute(op)
             else:
                 with cond:
-                    pending.setdefault(op.session, deque()).append((op, due))
+                    pending.setdefault(op.session, deque()).append(op)
                     if op.session not in active:
                         active.add(op.session)
                         executor.submit(drain, op.session)
@@ -482,7 +418,6 @@ def run_fleet(
                 )
     finally:
         executor.shutdown(wait=True)
-    seconds = time.perf_counter() - start
 
     if errors:
         index, exc = errors[0]
@@ -502,9 +437,6 @@ def run_fleet(
         decisions=decisions,
         blocked_ops=blocked,
         declassify_noops=noops,
-        seconds=seconds,
-        service_ms=tuple(service_ms),
-        lateness_ms=tuple(lateness_ms),
         audit=audit,
     )
 
@@ -524,132 +456,3 @@ def smoke_config(seed: object = 2016) -> FleetConfig:
         thread_pool=6,
         seed_secrets=3,
     )
-
-
-def full_config(seed: object = 2016) -> FleetConfig:
-    """The committed-benchmark shape: >= 1000 simulated sessions."""
-    return FleetConfig(sessions=1000, seed=seed)
-
-
-def _series(values: Tuple[float, ...]) -> Dict[str, float]:
-    if not values:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-    return {
-        "p50": percentile(values, 50),
-        "p95": percentile(values, 95),
-        "p99": percentile(values, 99),
-        "max": max(values),
-    }
-
-
-def _tier_block(result: FleetResult) -> dict:
-    return {
-        "sessions": result.sessions,
-        "ops": result.ops,
-        "decisions": result.decisions,
-        "blocked_ops": result.blocked_ops,
-        "declassify_noops": result.declassify_noops,
-        "seconds": result.seconds,
-        "throughput_ops_s": (
-            result.ops / result.seconds if result.seconds > 0 else 0.0
-        ),
-        "service_ms": _series(result.service_ms),
-        "lateness_ms": _series(result.lateness_ms),
-        "audit": {
-            "paragraphs_audited": result.audit.paragraphs_audited,
-            "secrets": result.audit.secrets,
-            "leaked": len(result.audit.leaked),
-            "uncovered": len(result.audit.uncovered),
-            "suppression_events": result.audit.suppression_events,
-            "ok": result.audit.ok,
-        },
-    }
-
-
-def measure(
-    smoke: bool,
-    seed: int,
-    *,
-    sessions: Optional[int] = None,
-    workers: int = 4,
-    pace: Optional[float] = None,
-    n_shards: int = N_SHARDS,
-    churn: float = 0.0,
-) -> dict:
-    """The full fleet comparison (the BENCH_fleet.json payload).
-
-    Runs the identical schedule against the single-engine tier and the
-    sharded tier, **asserting the audit postcondition for each tier
-    before reporting any number**, and asserting both tiers reached the
-    same audit verdict (they must: verdicts are schedule-deterministic).
-    """
-    config = smoke_config(seed) if smoke else full_config(seed)
-    overrides: Dict[str, object] = {}
-    if sessions is not None:
-        overrides["sessions"] = sessions
-    if churn:
-        overrides["churn"] = churn
-    if overrides:
-        config = FleetConfig(
-            **{
-                **{f: getattr(config, f) for f in config.__dataclass_fields__},
-                **overrides,
-            }
-        )
-    if pace is None:
-        # Smoke runs have headroom at 150 ops/s; the full run offers
-        # ~2x the measured single-tier capacity at 1000 sessions, so
-        # the lateness series shows sustained open-loop queueing
-        # without the offered load being pure fiction.
-        pace = 150.0 if smoke else 60.0
-    schedule = generate_schedule(config)
-
-    tiers: Dict[str, FleetResult] = {}
-    for name, shards in (("single", 1), ("sharded", n_shards)):
-        result = run_fleet(
-            schedule, workers=workers, n_shards=shards, pace=pace
-        )
-        assert result.audit.ok, (
-            f"{name} tier failed the fleet audit: "
-            f"{len(result.audit.uncovered)} uncovered disclosure(s): "
-            f"{result.audit.uncovered[:5]}"
-        )
-        tiers[name] = result
-
-    assert tiers["single"].audit == tiers["sharded"].audit, (
-        "audit outcomes diverge between tiers — verdicts are supposed "
-        "to be schedule-deterministic"
-    )
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "bench": "fleet",
-        "smoke": smoke,
-        "seed": seed,
-        "python": platform.python_version(),
-        "config": {
-            "sessions": config.sessions,
-            "workers": workers,
-            "pace_ops_s": pace,
-            "n_shards": n_shards,
-            "arrival_rate": config.arrival_rate,
-            "burst_every": config.burst_every,
-            "burst_duration": config.burst_duration,
-            "burst_factor": config.burst_factor,
-            "think_mean": config.think_mean,
-            "zipf_exponent": config.zipf_exponent,
-            "churn": config.churn,
-            "ngram_size": TINY_CONFIG.ngram_size,
-            "window_size": TINY_CONFIG.window_size,
-            "hash_bits": TINY_CONFIG.hash_bits,
-        },
-        "workload": {
-            "ops": len(schedule.ops),
-            "kinds": schedule.kind_counts(),
-            "secrets": len(schedule.secrets),
-            "horizon_virtual_s": schedule.horizon,
-            "schedule_digest": schedule.digest,
-        },
-        "tiers": {name: _tier_block(result) for name, result in tiers.items()},
-        "audit_match": True,
-    }

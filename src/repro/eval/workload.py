@@ -1,6 +1,6 @@
-"""Open-loop fleet workload generation (the ROADMAP's fleet simulator).
+"""Fleet workload generation.
 
-Production browser traffic is nothing like our 8-client closed loops:
+Production browser traffic is nothing like a few uniform clients:
 document popularity is heavily skewed (a few hot documents absorb most
 edits), arrivals are bursty (flash crowds), and the mix spans service
 shapes — AJAX editors syncing per keystroke, form-based wiki saves,
@@ -22,11 +22,12 @@ front** as a deterministic function of one seed:
   generator, so the full schedule — every op, every byte of text,
   every timestamp — is reproducible from the seed alone.
 
-Generating the schedule up front is what makes the load **open-loop**:
-the executor (:mod:`repro.eval.fleet`) owes each op at its scheduled
-time regardless of how fast the system answers, so queueing delay shows
-up as *lateness* instead of silently throttling the offered load, which
-is exactly what a closed loop cannot measure.
+Generating the schedule up front makes the workload a pure function of
+the seed, with every op stamped with its virtual time. A harness may owe
+each op at that time (an open loop, where queueing shows as lateness)
+or run the ops back to back: the audit executor
+(:mod:`repro.eval.fleet`) and the benchmark's fleet workloads
+(``bench/``) both run them back to back.
 
 Determinism note (relied on by the fleet audit): ops whose effects are
 observed under a *confidential* label — secret-page creation, wiki form

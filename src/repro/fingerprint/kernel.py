@@ -60,7 +60,9 @@ repeated loops over three runs): the reference path 320–600 µs; the
 pure kernel 155–230 µs for one text and 135–170 µs per text in passes
 of four or more; the numpy kernel 41–45 µs for one text, 35–47 µs per
 text in passes of two, 24–32 µs at four and 18–25 µs at eight or more.
-``BENCH_fingerprint.json`` tracks whole-corpus MB/s across PRs.
+``tests/test_fp_kernel.py`` holds every path field-identical to the
+reference, on whole corpus revisions too; ``bench/run.py`` times
+fingerprinting inside its end-to-end workloads.
 """
 
 from __future__ import annotations

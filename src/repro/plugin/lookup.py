@@ -52,9 +52,11 @@ class PolicyLookup:
 
     Caches created here (none passed) register their counters in the
     model's registry under ``decision_cache.`` / ``fingerprint.cache.``,
-    so one snapshot covers the whole lookup path. Served and recomputed
-    verdicts are additionally counted under ``decision.epoch_cache.``
-    (a cached entry that fails validation counts as a miss).
+    so one snapshot covers the whole lookup path. The decision cache's
+    ``hits``/``misses`` count served against recomputed verdicts (a
+    cached entry that fails validation counts as a miss), and
+    ``decision_cache.multi_paragraph_lookups`` the lookups whose entries
+    are never revalidated.
     """
 
     def __init__(
@@ -76,13 +78,12 @@ class PolicyLookup:
                 scope=model.registry.scope("fingerprint.cache.")
             )
         )
-        epoch_scope = model.registry.scope("decision.epoch_cache.")
-        self._c_epoch_hits = epoch_scope.counter("hits")
-        self._c_epoch_misses = epoch_scope.counter("misses")
         #: Multi-paragraph checks, whose entries are served only while
         #: the version has not moved: the hashes of their document
         #: fingerprint are not known without joining the text.
-        self._c_epoch_global = epoch_scope.counter("doc_global_epochs")
+        self._c_multi_paragraph = model.registry.counter(
+            "decision_cache.multi_paragraph_lookups"
+        )
         self._stamps = model.tracker.stamps
         self._fingerprinter = model.tracker.paragraphs.fingerprinter
 
@@ -139,7 +140,7 @@ class PolicyLookup:
         the tracker lock."""
         if len(fingerprints) == 1:
             return fingerprints[0].set_digest
-        self._c_epoch_global.inc()
+        self._c_multi_paragraph.inc()
         return tuple(fp.set_digest for fp in fingerprints)
 
     def _key(self, service_id: str, doc_id: str, digest) -> Tuple:
@@ -236,11 +237,9 @@ class PolicyLookup:
                 key, self._validator(doc_id, paragraphs, resolved)
             )
             if entry is not None:
-                self._c_epoch_hits.inc()
                 cached = entry[0]  # type: ignore[index]
                 sp.set(cache_hit=True, allowed=cached.allowed)
                 return cached
-            self._c_epoch_misses.inc()
             decision = self._model.check_upload(
                 service_id,
                 doc_id,
@@ -318,10 +317,8 @@ class PolicyLookup:
                 )
                 if entry is not None:
                     hits += 1
-                    self._c_epoch_hits.inc()
                     decisions[i] = entry[0]  # type: ignore[index]
                     continue
-                self._c_epoch_misses.inc()
                 keys[i] = key
                 misses.append(i)
                 miss_fps.append(resolved)
@@ -351,8 +348,7 @@ class PolicyLookup:
         ``decision_cache_`` (``evictions`` counts capacity drops only,
         so capacity misses are distinguishable from stale entries);
         the content-addressed fingerprint cache reports under
-        ``fingerprint_cache_`` and served against recomputed verdicts
-        under ``epoch_cache_``; reader–writer lock counters come from the
+        ``fingerprint_cache_``; reader–writer lock counters come from the
         tracker's shared lock and are prefixed ``lock_``. Benchmark
         harnesses print these next to the latency numbers so cache and
         lock behaviour is visible alongside timings.
@@ -367,9 +363,6 @@ class PolicyLookup:
             "fingerprint_cache_misses": self._fp_cache.misses,
             "fingerprint_cache_evictions": self._fp_cache.evictions,
             "fingerprint_cache_hit_rate": self._fp_cache.hit_rate,
-            "epoch_cache_hits": self._c_epoch_hits.value,
-            "epoch_cache_misses": self._c_epoch_misses.value,
-            "epoch_cache_doc_global_epochs": self._c_epoch_global.value,
         }
         paragraph_stats = tracker.paragraphs.stats()
         document_stats = tracker.documents.stats()

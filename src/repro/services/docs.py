@@ -24,6 +24,46 @@ from repro.services.base import CloudService
 PARAGRAPH_CLASS = "kix-paragraph"
 EDITOR_ID = "editor"
 
+#: The sync ops, each with the fields it requires besides ``doc_id``.
+_SYNC_OPS = {
+    "set_paragraph": ("par_id", "text"),
+    "insert": ("par_id",),
+    "delete": ("par_id",),
+    "delete_paragraph": ("par_id",),
+}
+#: The type of each sync field a mutation may carry.
+_SYNC_FIELD_TYPES = {
+    "doc_id": str,
+    "par_id": str,
+    "text": str,
+    "chars": str,
+    "index": int,
+    "count": int,
+}
+
+
+def _malformed_mutation(mutation: object) -> Optional[str]:
+    """Why *mutation* (a decoded sync body) cannot be applied, or None.
+
+    A mutation is a JSON object naming a known op, carrying the fields
+    that op requires, and every field it carries has its type; a
+    negative delete count would splice text back in.
+    """
+    if not isinstance(mutation, dict):
+        return "mutation is not a JSON object"
+    op = mutation.get("op")
+    if not isinstance(op, str) or op not in _SYNC_OPS:
+        return f"unknown op {op!r}"
+    for field in _SYNC_OPS[op]:
+        if field not in mutation:
+            return f"missing {field}"
+    for field, kind in _SYNC_FIELD_TYPES.items():
+        if field in mutation and not isinstance(mutation[field], kind):
+            return f"{field} is not a {kind.__name__}"
+    if mutation.get("count", 0) < 0:
+        return "count is negative"
+    return None
+
 
 class DocsService(CloudService):
     """Document-centric cloud service with per-keystroke AJAX sync."""
@@ -81,23 +121,25 @@ class DocsService(CloudService):
         """
         try:
             mutation = json.loads(request.body or "")
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             return HttpResponse(status=400, body="malformed mutation")
+        problem = _malformed_mutation(mutation)
+        if problem is not None:
+            return HttpResponse(status=400, body=problem)
         doc = self.backend.find(mutation.get("doc_id", ""))
         if doc is None:
             return HttpResponse(status=404, body="unknown document")
-        op = mutation.get("op")
+        op = mutation["op"]
+        par_id = mutation["par_id"]
         if op == "set_paragraph":
-            par_id = mutation["par_id"]
             text = mutation["text"]
             if doc.find_paragraph(par_id) is None:
                 doc.paragraphs.append((par_id, text))
             else:
                 doc.set_paragraph(par_id, text)
         elif op == "insert":
-            par_id = mutation["par_id"]
             chars = mutation.get("chars", "")
-            index = int(mutation.get("index", 0))
+            index = mutation.get("index", 0)
             current = doc.find_paragraph(par_id)
             if current is None:
                 doc.paragraphs.append((par_id, chars))
@@ -105,18 +147,14 @@ class DocsService(CloudService):
                 index = max(0, min(index, len(current)))
                 doc.set_paragraph(par_id, current[:index] + chars + current[index:])
         elif op == "delete":
-            par_id = mutation["par_id"]
-            index = int(mutation.get("index", 0))
-            count = int(mutation.get("count", 0))
+            index = mutation.get("index", 0)
+            count = mutation.get("count", 0)
             current = doc.find_paragraph(par_id)
             if current is not None:
                 index = max(0, min(index, len(current)))
                 doc.set_paragraph(par_id, current[:index] + current[index + count:])
-        elif op == "delete_paragraph":
-            par_id = mutation["par_id"]
+        else:  # delete_paragraph
             doc.paragraphs = [(pid, t) for pid, t in doc.paragraphs if pid != par_id]
-        else:
-            return HttpResponse(status=400, body=f"unknown op {op!r}")
         return HttpResponse(body="ok")
 
     # -- client-side editor -------------------------------------------------

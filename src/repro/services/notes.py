@@ -69,12 +69,20 @@ class NotesService(CloudService):
         if request.method == "POST" and request.path == "/note/save":
             try:
                 payload = json.loads(request.body or "")
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 return HttpResponse(status=400, body="malformed note")
+            if not isinstance(payload, dict):
+                return HttpResponse(status=400, body="note is not a JSON object")
             notebook = payload.get("notebook")
             note_id = payload.get("note_id")
             text = payload.get("text")
-            if not notebook or not note_id or not isinstance(text, str):
+            if not (
+                notebook
+                and isinstance(notebook, str)
+                and note_id
+                and isinstance(note_id, str)
+                and isinstance(text, str)
+            ):
                 return HttpResponse(status=400, body="missing fields")
             doc_id = self._doc_id(notebook)
             doc = self.backend.find(doc_id)

@@ -25,6 +25,8 @@ defect of the key recorded in ROADMAP.md.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -35,8 +37,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.datasets import EbookCorpus
 from repro.fingerprint import Fingerprinter
-from repro.fingerprint.config import TINY_CONFIG
+from repro.fingerprint.config import PAPER_CONFIG, TINY_CONFIG
+from repro.fingerprint.incremental import EditBuffer
 from repro.plugin.lookup import PolicyLookup
 from repro.tdm import Label, PolicyStore, TextDisclosureModel
 from repro.tdm.labels import SegmentLabel
@@ -86,14 +90,14 @@ def _paragraphs(doc: str, doc_texts) -> list:
     return [(f"{doc}#p{j}", text) for j, text in enumerate(doc_texts)]
 
 
-def _model(n_shards: int) -> TextDisclosureModel:
+def _model(n_shards: int, config=TINY_CONFIG) -> TextDisclosureModel:
     policies = PolicyStore()
     policies.register_service(
         WIKI, privilege=Label.of("w"), confidentiality=Label.of("w")
     )
     policies.register_service(DOCS)
     policies.register_service(FORUM, privilege=Label.of("w"))
-    model = TextDisclosureModel(policies, TINY_CONFIG, n_shards=n_shards)
+    model = TextDisclosureModel(policies, config, n_shards=n_shards)
     for name in TAGS:
         model.allocate_custom_tag(name, owner="alice")
     return model
@@ -361,3 +365,64 @@ def test_size_changing_edit_rejects_the_verdict(n_shards):
     assert not first.allowed
     assert served == 0
     assert machine.lookup.lookup(DOCS, "up-0", _paragraphs("up-0", UPLOAD)).allowed
+
+
+# ----------------------------------------------------------------------
+# Keystrokes: edit-buffer fingerprints against a full recheck
+# ----------------------------------------------------------------------
+
+
+def _keystroke_states(pool, rng, edits):
+    """A public base text (three corpus paragraphs' words, shuffled),
+    then *edits* states: mostly one typed character, some word swaps,
+    and now and then a pasted confidential paragraph or part of one."""
+    words = [word for paragraph in rng.sample(pool, 3) for word in paragraph.split()]
+    rng.shuffle(words)
+    text = " ".join(words)
+    states = [text]
+    for _ in range(edits):
+        draw = rng.random()
+        if draw < 0.75:
+            text += rng.choice("etaoin shrdlu")
+        elif draw < 0.9:
+            words = text.split()
+            words[rng.randrange(len(words))] = rng.choice(pool).split()[0]
+            text = " ".join(words)
+        else:
+            secret = rng.choice(pool)
+            text += " " + secret[: rng.randrange(60, len(secret) + 1)]
+        states.append(text)
+    return states
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_edit_buffer_verdicts_equal_a_full_recheck(n_shards):
+    """The delta path (an ``EditBuffer``'s fingerprint handed to
+    ``lookup``) decides every keystroke under ``PAPER_CONFIG`` exactly
+    as a lookup whose caches are cleared before each check."""
+    corpus = EbookCorpus.generate(n_books=3, paragraphs_per_book=20, seed=2016)
+    pool = [paragraph for book in corpus for paragraph in book.paragraphs]
+    lookups = []
+    for _ in range(2):
+        model = _model(n_shards, PAPER_CONFIG)
+        for book in corpus:
+            doc = f"wiki|{book.book_id}"
+            model.observe(WIKI, doc, _paragraphs(doc, book.paragraphs))
+        lookups.append(PolicyLookup(model))
+    delta, full = lookups
+    rng = random.Random(2016)
+    decisions = []
+    for k in range(4):
+        doc = f"docs|d{k}"
+        buffer = EditBuffer(PAPER_CONFIG)
+        for text in _keystroke_states(pool, rng, 40):
+            paragraphs = [(f"{doc}#p0", text)]
+            got = delta.lookup(
+                DOCS, doc, paragraphs, fingerprints=[buffer.update(text)]
+            )
+            full.fingerprint_cache.clear()
+            full.cache.clear()
+            assert got == full.lookup(DOCS, doc, paragraphs), (k, len(text))
+            decisions.append(got)
+    assert {decision.allowed for decision in decisions} == {True, False}
+    assert delta.cache.hits > 0 and buffer.delta_edits > 0

@@ -163,8 +163,8 @@ class TestStatsAndTrace:
         assert sum(hist["buckets"].values()) == 1
         # The warm round is served from the memo, keyed on the engine's
         # stamp-store version, and its text from the fingerprint cache.
-        assert snapshot["decision.epoch_cache.hits"] == 1
-        assert snapshot["decision.epoch_cache.misses"] == 1
+        assert snapshot["decision_cache.hits"] == 1
+        assert snapshot["decision_cache.misses"] == 1
         assert snapshot["fingerprint.cache.hits"] == 1
 
     def test_stats_missing_db_fails(self, files, capsys):

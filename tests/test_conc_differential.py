@@ -499,9 +499,11 @@ def test_epoch_cached_lookup_matches_uncached_replay(seed, n_shards):
     # repeats), and every check was a single-paragraph one, which
     # revalidates instead of needing the version unmoved.
     stats = lookup.stats()
-    assert stats["epoch_cache_hits"] > 0
-    assert stats["epoch_cache_misses"] > 0
-    assert stats["epoch_cache_doc_global_epochs"] == 0
+    assert stats["decision_cache_hits"] > 0
+    assert stats["decision_cache_misses"] > 0
+    assert lookup.model.registry.snapshot()[
+        "decision_cache.multi_paragraph_lookups"
+    ] == 0
 
     # Final-state differential over the whole probe space.
     for doc in UPLOAD_DOCS:

@@ -397,7 +397,8 @@ def reference_engine(ops):
 
 
 def assert_field_identical(recovered, reference):
-    """Segments, observations, authoritative hashes, and clock all match."""
+    """Segments, observations, authoritative hashes, query answers and
+    clock all match."""
     assert sorted(recovered.segment_db.ids()) == sorted(
         reference.segment_db.ids()
     )
@@ -427,6 +428,12 @@ def assert_field_identical(recovered, reference):
     reference.hash_db.check_invariants()
     assert_databases_agree(recovered)
     assert_databases_agree(reference)
+    # Algorithm 1 names the same sources, with the same scores,
+    # thresholds and matched hashes, for each of the script's texts.
+    for text in (SECRET_TEXT, OTHER_TEXT, THIRD_TEXT):
+        got = recovered.disclosing_sources(fingerprint=recovered.fingerprint(text))
+        want = reference.disclosing_sources(fingerprint=reference.fingerprint(text))
+        assert got.sources == want.sources
     # Destructive read, so always last: both clocks hand out the same
     # next timestamp — the recovered engine resumed, not rewound.
     assert recovered.engine._clock.now() == reference._clock.now()

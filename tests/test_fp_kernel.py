@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import ManualsCorpus, WikipediaCorpus
 from repro.fingerprint import Fingerprinter, HAS_NUMPY
 from repro.fingerprint.config import PAPER_CONFIG, TINY_CONFIG, FingerprintConfig
 from repro.fingerprint.kernel import (
@@ -103,6 +104,25 @@ class TestKernelDifferential:
         expected = reference.fingerprint(text)
         for fp in kernels:
             assert fp.fingerprint(text).selections == expected.selections
+
+    @pytest.mark.parametrize("corpus", ["wikipedia", "manuals"])
+    def test_whole_corpus_revisions_identical(self, corpus):
+        """Whole revisions of 1.7–9 kB, past the strategies' 300
+        characters: every article revision, every manual version."""
+        if corpus == "wikipedia":
+            articles = WikipediaCorpus.generate(n_revisions=4).articles
+            texts = [rev.text() for a in articles for rev in a.revisions]
+        else:
+            chapters = ManualsCorpus.generate(scale=0.5).chapters
+            texts = [ver.text() for c in chapters for ver in c.versions]
+        assert min(len(t) for t in texts) > 1500
+        reference, kernels = _fingerprinters(PAPER_CONFIG)
+        for text in texts:
+            expected = reference.fingerprint(text)
+            for fp in kernels:
+                actual = fp.fingerprint(text)
+                assert actual.hashes == expected.hashes
+                assert actual.selections == expected.selections
 
     def test_span_types_are_plain_ints(self):
         """numpy offsets must not leak numpy scalars into spans."""

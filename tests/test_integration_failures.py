@@ -64,9 +64,8 @@ class TestMalformedTraffic:
             {"doc_id": editor.doc_id, "op": "set_paragraph",
              "par_id": "p", "text": 42}
         )
-        # The plug-in ignores it (no string text); the backend stores it
-        # or rejects it — either way no crash in the middleware.
-        xhr.send(body)
+        # The plug-in ignores it (no string text); the backend rejects it.
+        assert xhr.send(body).status == 400
 
 
 class TestServiceEvasion:

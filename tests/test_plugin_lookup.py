@@ -257,7 +257,7 @@ class TestRevalidation:
         model.observe(SRC, "more", [("more#p0", OTHER_TEXT)])
         assert lookup.lookup(DST, "docs|d", upload) is first
         stats = lookup.stats()
-        assert (stats["epoch_cache_hits"], stats["epoch_cache_misses"]) == (1, 2)
+        assert (stats["decision_cache_hits"], stats["decision_cache_misses"]) == (1, 2)
 
     @pytest.mark.parametrize("n_shards", [1, 4])
     def test_no_decision_for_another_paragraph_after_a_write(self, n_shards):
@@ -394,6 +394,9 @@ class TestKeyDigest:
         assert len(lookup.cache) == 2
         lookup.lookup(DST, "u", [one, two])
         assert lookup.cache.hits == 1
+        # Two multi-paragraph digests above, three lookups here.
+        snapshot = lookup.model.registry.snapshot()
+        assert snapshot["decision_cache.multi_paragraph_lookups"] == 5
 
     def test_replace_does_not_carry_the_digest(self):
         from dataclasses import replace

@@ -83,12 +83,37 @@ class TestEditor:
 
 
 class TestBackendProtocol:
-    def test_malformed_sync_rejected(self, setup):
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "not json",
+            pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
+            '[{"doc_id": "d", "op": "set_paragraph", "par_id": "p", "text": "x"}]',
+            '"set_paragraph"',
+            "42",
+            '{"doc_id": {"id": "d"}, "op": "set_paragraph", "par_id": "p", "text": "x"}',
+            '{"doc_id": "d", "op": ["insert"], "par_id": "p"}',
+            '{"doc_id": "d", "op": "set_paragraph", "text": "x"}',
+            '{"doc_id": "d", "op": "set_paragraph", "par_id": "p"}',
+            '{"doc_id": "d", "op": "insert", "chars": "x"}',
+            '{"doc_id": "d", "op": "delete", "index": 0, "count": 1}',
+            '{"doc_id": "d", "op": "delete_paragraph"}',
+            '{"doc_id": "d", "op": "set_paragraph", "par_id": ["p"], "text": "x"}',
+            '{"doc_id": "d", "op": "set_paragraph", "par_id": "p", "text": ["x"]}',
+            '{"doc_id": "d", "op": "insert", "par_id": "p", "chars": 7}',
+            '{"doc_id": "d", "op": "insert", "par_id": "p", "index": "two", "chars": "x"}',
+            '{"doc_id": "d", "op": "delete", "par_id": "p", "index": 0, "count": 1.5}',
+            '{"doc_id": "d", "op": "delete", "par_id": "p", "index": 5, "count": -3}',
+        ],
+    )
+    def test_malformed_sync_rejected(self, setup, body):
         _browser, docs = setup
+        doc = docs.backend.create(doc_id="d")
         response = docs.handle_request(
-            HttpRequest("POST", docs.url("/sync"), body="not json")
+            HttpRequest("POST", docs.url("/sync"), body=body)
         )
         assert response.status == 400
+        assert doc.paragraphs == []
 
     def test_unknown_doc_sync_404(self, setup):
         _browser, docs = setup

@@ -47,12 +47,26 @@ class TestNotesService:
         view = notes.open_notebook(browser.new_tab(), "work")
         assert [el.text_content() for el in view.note_elements()] == ["persisted"]
 
-    def test_malformed_save_rejected(self, setup):
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "oops",
+            pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
+            '[{"notebook": "n", "note_id": "a", "text": "x"}]',
+            '"a note"',
+            "null",
+            '{"notebook": ["n"], "note_id": "a", "text": "x"}',
+            '{"notebook": "n", "note_id": {"id": "a"}, "text": "x"}',
+            '{"notebook": "n", "note_id": "a", "text": ["x"]}',
+        ],
+    )
+    def test_malformed_save_rejected(self, setup, body):
         _browser, notes = setup
         response = notes.handle_request(
-            HttpRequest("POST", notes.url("/note/save"), body="oops")
+            HttpRequest("POST", notes.url("/note/save"), body=body)
         )
         assert response.status == 400
+        assert notes.backend.all_documents() == []
 
     def test_missing_fields_rejected(self, setup):
         _browser, notes = setup
