@@ -23,9 +23,9 @@ engine acquisitions safely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.disclosure.metrics import (
     authoritative_disclosure,
@@ -44,6 +44,11 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import span
 from repro.util.clock import Clock, LogicalClock
 from repro.util.rwlock import RWLock
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise DisclosureError(f"threshold must be in [0, 1], got {threshold}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +251,8 @@ class DisclosureEngine:
 
         New hashes get first-seen timestamps now; hashes observed before
         keep their original timestamps, so ownership is stable across
-        edits and re-observations.
+        edits and re-observations. The record keeps the fingerprint's
+        packed selections and its hash count, not its hash set.
 
         *timestamp* overrides the logical-clock draw. It exists for WAL
         replay, which must reproduce recorded first-seen times exactly
@@ -257,54 +263,85 @@ class DisclosureEngine:
         are not comparable with the stored ones and would poison the
         hash database, the WAL and every later snapshot.
         """
-        if not 0.0 <= threshold <= 1.0:
-            raise DisclosureError(f"threshold must be in [0, 1], got {threshold}")
+        _check_threshold(threshold)
         config = self._fingerprinter.config
         if fingerprint.config is not config and fingerprint.config != config:
             raise DisclosureError(
                 f"fingerprint config {fingerprint.config} does not match "
                 f"the engine's {config}"
             )
+        return self._observe(
+            segment_id, fingerprint.flat_selections, fingerprint.hashes,
+            threshold, doc_id, timestamp,
+        )
+
+    def observe_selections(
+        self,
+        segment_id: str,
+        flat_selections: bytes,
+        *,
+        threshold: float = DEFAULT_THRESHOLD,
+        doc_id: Optional[str] = None,
+        timestamp: Optional[float] = None,
+    ) -> SegmentRecord:
+        """:meth:`observe_fingerprint` from packed selections alone.
+
+        WAL replay observes this way: a record carries a fingerprint's
+        ``flat_selections``, computed under the engine's config, and
+        the engine derives the distinct hash values from them without
+        building a :class:`Fingerprint`. Raises
+        :class:`~repro.errors.DisclosureError` when the bytes are not
+        whole ``(value, start, end)`` triples.
+        """
+        _check_threshold(threshold)
+        if len(flat_selections) % 24:
+            raise DisclosureError(
+                f"selections hold {len(flat_selections)} bytes, not whole "
+                "24-byte (value, start, end) triples"
+            )
+        return self._observe(
+            segment_id, flat_selections, None, threshold, doc_id, timestamp
+        )
+
+    def _observe(
+        self,
+        segment_id: str,
+        flat: bytes,
+        hashes: Optional[Collection[int]],
+        threshold: float,
+        doc_id: Optional[str],
+        timestamp: Optional[float],
+    ) -> SegmentRecord:
+        """Store *flat* as the segment's selections and apply its hash
+        delta. *hashes* are the distinct selection values when the
+        caller holds them as a set (a fingerprint's); None derives them
+        from *flat*."""
         with self.lock.write_locked():
             now = self._clock.now() if timestamp is None else timestamp
             existing = self.segment_db.find(segment_id)
-            self._apply_fingerprint_delta(
-                segment_id,
-                fingerprint.hashes,
-                existing.fingerprint.hashes if existing is not None else frozenset(),
-                now,
+            count = self._apply_fingerprint_delta(
+                segment_id, flat, hashes, existing, now
             )
-            if existing is not None:
-                record = SegmentRecord(
-                    segment_id=segment_id,
-                    fingerprint=fingerprint,
-                    threshold=threshold,
-                    kind=existing.kind,
-                    doc_id=doc_id if doc_id is not None else existing.doc_id,
-                    last_updated=now,
-                )
-                if (
-                    len(fingerprint) != len(existing.fingerprint)
-                    or existing.threshold != threshold
-                    or existing.doc_id != record.doc_id
-                ):
-                    # The threshold pass reads the segment's fingerprint
-                    # size, threshold and document, so a cached verdict
-                    # that swept any of its hashes must not survive a
-                    # change to one of them (§13). Beyond those it reads
-                    # only the hash associations, and the delta apply
-                    # has stamped the hashes it added and withdrew, so a
-                    # same-size edit stamps nothing more.
-                    self.stamps.stamp(fingerprint.hashes)
-            else:
-                record = SegmentRecord(
-                    segment_id=segment_id,
-                    fingerprint=fingerprint,
-                    threshold=threshold,
-                    kind=self._kind,
-                    doc_id=doc_id,
-                    last_updated=now,
-                )
+            kind = self._kind if existing is None else existing.kind
+            if doc_id is None and existing is not None:
+                doc_id = existing.doc_id
+            record = SegmentRecord(
+                segment_id, flat, count, self._fingerprinter.config,
+                threshold, kind, doc_id, now,
+            )
+            if existing is not None and (
+                count != existing.hash_count
+                or existing.threshold != threshold
+                or existing.doc_id != doc_id
+            ):
+                # The threshold pass reads the segment's hash count,
+                # threshold and document, so a cached verdict that swept
+                # any of its hashes must not survive a change to one of
+                # them (§13). Beyond those it reads only the hash
+                # associations, and the delta apply has stamped the
+                # hashes it added and withdrew, so a same-size edit
+                # stamps nothing more.
+                self.stamps.stamp(record.hash_values)
             self.segment_db.put(record)
             if self._journal is not None:
                 self._journal.log_observe(self._kind, record, now)
@@ -313,11 +350,13 @@ class DisclosureEngine:
     def _apply_fingerprint_delta(
         self,
         segment_id: str,
-        new_hashes: FrozenSet[int],
-        old_hashes: FrozenSet[int],
+        flat: bytes,
+        hashes: Optional[Collection[int]],
+        existing: Optional[SegmentRecord],
         now: float,
-    ) -> None:
-        """Record the hashes the segment gained, withdraw the ones it lost.
+    ) -> int:
+        """Record the hashes the segment gained, withdraw the ones it
+        lost; returns how many distinct hashes *flat* holds.
 
         An edit withdraws the segment's claim on hashes it no longer
         contains, so authority migrates to the oldest observer that
@@ -326,51 +365,51 @@ class DisclosureEngine:
 
         Only the delta is applied. That is exact because the engine
         keeps the hashes each segment ``s`` observes in ``hash_db`` equal
-        to ``segment_db[s].fingerprint.hashes``, and
+        to the values of ``segment_db[s].flat_selections``, and
         ``HashDatabase.record_fingerprint`` is a no-op for a (hash,
         segment) pair already present: re-recording the unchanged
-        hashes would change nothing.
+        hashes would change nothing. Unchanged selections, the common
+        re-observation, compare equal as bytes and build no set; an
+        edit derives the old hash set from the stored values.
         """
-        hash_db = self.hash_db
-        # A new segment's delta is its whole fingerprint; skipping the
-        # set copy keeps the hash table's insertion order as it was.
-        added = new_hashes - old_hashes if old_hashes else new_hashes
-        removed = old_hashes - new_hashes
+        if existing is not None and flat == existing.flat_selections:
+            return existing.hash_count
+        if hashes is None:
+            hashes = set(memoryview(flat).cast("Q")[0::3])
+        if existing is None or not existing.hash_count:
+            # A new segment's delta is its whole fingerprint; skipping
+            # the set copy keeps the hash table's insertion order.
+            added, removed = hashes, ()
+        else:
+            old = set(existing.hash_values)
+            added = hashes - old
+            removed = old - hashes
         if added:
-            hash_db.record_fingerprint(segment_id, added, now)
+            self.hash_db.record_fingerprint(segment_id, added, now)
         if removed:
-            hash_db.withdraw(segment_id, removed)
+            self.hash_db.withdraw(segment_id, removed)
+        return len(hashes)
 
     def remove(self, segment_id: str) -> None:
         """Forget a segment entirely, releasing its hash ownership.
 
-        The segment observes exactly its stored fingerprint's hashes, so
+        The segment observes exactly its stored selection values, so
         withdrawing those releases every claim it holds.
         """
         with self.lock.write_locked():
             record = self.segment_db.remove(segment_id)
-            self.hash_db.withdraw(segment_id, record.fingerprint.hashes)
+            self.hash_db.withdraw(segment_id, record.hash_values)
             if self._journal is not None:
                 self._journal.log_remove(self._kind, segment_id)
 
     def set_threshold(self, segment_id: str, threshold: float) -> None:
         """Adjust a segment's disclosure threshold (paper §4.2)."""
-        if not 0.0 <= threshold <= 1.0:
-            raise DisclosureError(f"threshold must be in [0, 1], got {threshold}")
+        _check_threshold(threshold)
         with self.lock.write_locked():
             record = self.segment_db.get(segment_id)
-            self.segment_db.put(
-                SegmentRecord(
-                    segment_id=record.segment_id,
-                    fingerprint=record.fingerprint,
-                    threshold=threshold,
-                    kind=record.kind,
-                    doc_id=record.doc_id,
-                    last_updated=record.last_updated,
-                )
-            )
+            self.segment_db.put(replace(record, threshold=threshold))
             if threshold != record.threshold:
-                self.stamps.stamp(record.fingerprint.hashes)
+                self.stamps.stamp(record.hash_values)
             if self._journal is not None:
                 self._journal.log_threshold(self._kind, segment_id, threshold)
 
@@ -518,7 +557,7 @@ class DisclosureEngine:
                 continue
             checked += 1
             t = source.threshold
-            origin_size = len(source.fingerprint)
+            origin_size = source.hash_count
             # Quick discard from Algorithm 1: if the origin fingerprint
             # is so large that even a full overlap with the target could
             # not reach the threshold, skip it.
@@ -700,9 +739,7 @@ class DisclosureTracker:
         self.stamps.stamp_segment(
             segment_id,
             chain.from_iterable(
-                record.fingerprint.hashes
-                for record in records
-                if record is not None
+                record.hash_values for record in records if record is not None
             ),
         )
 

@@ -29,14 +29,15 @@ def raw_disclosure(source: Fingerprint, target: Fingerprint) -> float:
 
 
 def authoritative_hashes(record: SegmentRecord, hash_db: HashDatabase) -> FrozenSet[int]:
-    """Hashes of *record*'s fingerprint that the segment owns.
+    """Hashes of *record*'s fingerprint that the segment owns, read from
+    its stored selection values.
 
     A hash is authoritative for a segment iff no other segment observed
     it earlier (`Fauthoritative` in the paper).
     """
     return frozenset(
         h
-        for h in record.fingerprint.hashes
+        for h in record.hash_values
         if hash_db.oldest_owner(h) == record.segment_id
     )
 
@@ -50,7 +51,7 @@ def authoritative_disclosure(
     §4.3: a segment that owns little of its own content cannot reach a
     high disclosure score, which is the desired Figure-7 behaviour.
     """
-    total = len(source.fingerprint)
+    total = source.hash_count
     if total == 0:
         return 0.0
     auth = authoritative_hashes(source, hash_db)

@@ -26,8 +26,9 @@ sections are little-endian arrays (:data:`SECTIONS`): every segment's flat
 selections, then the first-seen times of each segment's distinct
 selection values, in the order they first occur in its selections,
 run-length encoded as (time, length) runs. Nothing is stored per hash:
-restore derives each segment's hash set and first-seen groups from its
-own selections and builds the hash database in one bulk load (see
+restore builds each segment's record from its slice of the selections,
+derives its first-seen groups from the slice's values, and builds the
+hash database in one bulk load (see
 :func:`snapshot_engine`, :func:`restore_into`). Model files
 (:mod:`repro.tdm.state`) use the same container.
 
@@ -65,7 +66,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.disclosure.engine import DisclosureEngine
 from repro.disclosure.store import SegmentRecord
 from repro.errors import DisclosureError, SimulatedCrash, SnapshotCorrupt
-from repro.fingerprint import Fingerprint, FingerprintConfig
+from repro.fingerprint import FingerprintConfig
 from repro.plugin.crypto import MARKER, UploadCipher
 from repro.util.clock import Clock, LogicalClock
 from repro.util.faults import FaultInjector
@@ -137,11 +138,11 @@ def snapshot_engine(
     run_times = array("d")
     run_lengths = array("Q")
     for record in engine.segment_db:
-        flat = record.fingerprint.flat_selections
+        flat = record.flat_selections
         # The selection values are distinct unless an n-gram recurs,
-        # which the stored hash set tells without a pass.
-        distinct = memoryview(flat).cast("Q")[0::3].tolist()
-        if len(distinct) != len(record.fingerprint.hashes):
+        # which the stored hash count tells without a pass.
+        distinct = record.hash_values.tolist()
+        if len(distinct) != record.hash_count:
             distinct = list(dict.fromkeys(distinct))
         first_seen = first_seen_of(record.segment_id, distinct)
         if len(first_seen) != len(distinct):
@@ -224,13 +225,15 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
     recovery, which builds the engine itself so the recovered tier's
     shard count matches the pre-crash deployment.
 
-    Each segment takes its slice of the sections: its selections give
-    its hash set, and its runs give the first-seen times of its
+    Each segment takes its slice of the sections: its selections are
+    its record's bytes, and its runs give the first-seen times of its
     distinct selection values in first-occurrence order, so a hash can
-    appear neither twice in a segment nor outside its selections. All
-    segments' first-seen groups, sorted by ``(first_seen, segment_id)``,
-    go to one bulk load, where the first group to name a hash owns it —
-    the same owner a ``record_fingerprint()`` per group would pick.
+    appear neither twice in a segment nor outside its selections. The
+    segments' bytes and hash values are sliced from one view of the
+    ``selections`` section, which is not copied whole. All segments'
+    first-seen groups, sorted by ``(first_seen, segment_id)``, go to
+    one bulk load, where the first group to name a hash owns it — the
+    same owner a ``record_fingerprint()`` per group would pick.
     :class:`~repro.errors.SnapshotCorrupt` names the segment when its
     selections are not whole triples, its counts overrun the sections,
     or its runs do not cover exactly its distinct values, and the
@@ -256,14 +259,11 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
         )
     try:
         rows = data["segments"]
-        values = array("Q", data["selections"])
-        # A segment's selections are a slice of the section's bytes.
-        # They are whole triples, so the hash values of all segments are
-        # every third value of the section: only those become ints.
-        packed = values.tobytes()
-        hash_values = tuple(values[0::3])
-        times = list(data["run_times"])
-        lengths = list(data["run_lengths"])
+        # One view of the section, as bytes and as 8-byte values.
+        section = memoryview(data["selections"]).cast("B")
+        values = section.cast("Q")
+        times = data["run_times"]
+        lengths = data["run_lengths"]
         put = engine.segment_db.put
         groups = []
         pos = run = 0
@@ -281,13 +281,9 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
                     f"segment {segment_id!r}: the header claims {count} "
                     f"selection values and {runs} runs, beyond the sections"
                 )
-            flat = packed[8 * first:8 * pos]
-            selected = hash_values[first // 3:pos // 3]
-            hashes = frozenset(selected)
-            distinct = (
-                selected if len(hashes) == len(selected)
-                else tuple(dict.fromkeys(selected))
-            )
+            distinct = values[first:pos:3].tolist()
+            if len(set(distinct)) != len(distinct):
+                distinct = list(dict.fromkeys(distinct))
             start = 0
             for first_seen, length in zip(run_times, lengths[run:run + runs]):
                 groups.append(
@@ -303,16 +299,9 @@ def restore_into(engine: DisclosureEngine, data: dict) -> DisclosureEngine:
                 )
             put(
                 SegmentRecord(
-                    segment_id=segment_id,
-                    fingerprint=Fingerprint(
-                        hashes=hashes,
-                        flat_selections=flat,
-                        config=config,
-                    ),
-                    threshold=threshold,
-                    kind=kind,
-                    doc_id=doc_id,
-                    last_updated=last_updated,
+                    segment_id, section[8 * first:8 * pos].tobytes(),
+                    len(distinct), config, threshold, kind, doc_id,
+                    last_updated,
                 )
             )
         if (pos, run, run) != (len(values), len(times), len(lengths)):

@@ -6,9 +6,9 @@ timestamp of each first observation. The earliest observer of a hash is
 its *authoritative owner* — the overlap-correction mechanism of §4.3.
 
 ``DBpar`` (:class:`SegmentDatabase`) associates each segment with the
-last fingerprint computed for it, plus its disclosure threshold and
-metadata. Both are in-memory hash tables as the paper recommends for
-lookup performance.
+last fingerprint computed for it, kept packed, plus its disclosure
+threshold and metadata. Both are in-memory hash tables as the paper
+recommends for lookup performance.
 
 Both databases maintain *inverted indexes* incrementally so the paper's
 headline latency claim (Figures 12–13: decisions stay fast as the hash
@@ -24,7 +24,7 @@ holds for this implementation too:
 
 Nothing is indexed per segment in ``DBhash``: a segment observes
 exactly its stored fingerprint's hashes (the engine's cross-database
-invariant), so the fingerprint in ``DBpar`` names the hashes to
+invariant), so the selection values in ``DBpar`` name the hashes to
 withdraw or snapshot, and a segment's authoritative hashes are the
 ones whose owner entry names it (§4.3).
 
@@ -40,13 +40,13 @@ any mutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.errors import DisclosureError, UnknownSegmentError
-from repro.fingerprint import Fingerprint
+from repro.fingerprint import Fingerprint, FingerprintConfig
 
 #: Default paragraph/document disclosure threshold (paper §6.1 adopts 0.5).
 DEFAULT_THRESHOLD = 0.5
@@ -56,9 +56,22 @@ DEFAULT_THRESHOLD = 0.5
 class SegmentRecord:
     """DBpar entry: one tracked text segment.
 
+    A record keeps its latest fingerprint packed, as its selections'
+    bytes and the number of distinct hash values among them; it holds
+    no hash set. The values are read from the bytes at C speed
+    (:attr:`hash_values`), and :attr:`fingerprint` rebuilds the whole
+    fingerprint on demand (DESIGN.md §7, "Bytes per hash").
+
     Attributes:
         segment_id: unique id of the paragraph or document.
-        fingerprint: the latest fingerprint computed for the segment.
+        flat_selections: the latest fingerprint's
+            :attr:`~repro.fingerprint.Fingerprint.flat_selections`:
+            ``(value, start, end)`` triples of native unsigned 64-bit
+            ints, in text order.
+        hash_count: how many distinct hash values the selections hold,
+            ``len(fingerprint)``: the denominator of the segment's
+            disclosure score.
+        config: the parameters the fingerprint was computed with.
         threshold: this segment's disclosure threshold (Tpar or Tdoc);
             disclosure *from* this segment is reported when at least this
             fraction of its authoritative hashes is found elsewhere.
@@ -67,15 +80,39 @@ class SegmentRecord:
         last_updated: timestamp of the most recent observation.
     """
 
-    segment_id: str
-    fingerprint: Fingerprint
-    threshold: float = DEFAULT_THRESHOLD
-    kind: str = "paragraph"
-    doc_id: Optional[str] = None
-    last_updated: float = 0.0
+    # Slots keep a record at one collector-tracked object with no
+    # instance dict; they rule out field defaults (Python 3.9 has no
+    # ``dataclass(slots=True)``).
+    __slots__ = (
+        "segment_id", "flat_selections", "hash_count", "config",
+        "threshold", "kind", "doc_id", "last_updated",
+    )
 
-    def with_fingerprint(self, fingerprint: Fingerprint, timestamp: float) -> "SegmentRecord":
-        return replace(self, fingerprint=fingerprint, last_updated=timestamp)
+    segment_id: str
+    flat_selections: bytes
+    hash_count: int
+    config: FingerprintConfig
+    threshold: float
+    kind: str
+    doc_id: Optional[str]
+    last_updated: float
+
+    @property
+    def hash_values(self) -> memoryview:
+        """The hash value of each selection, in text order: a strided
+        view of :attr:`flat_selections`. A value recurs when its n-gram
+        does; the distinct values are the fingerprint's hash set."""
+        return memoryview(self.flat_selections).cast("Q")[0::3]
+
+    @property
+    def fingerprint(self) -> Fingerprint:
+        """The stored fingerprint, rebuilt from the packed selections on
+        each access (its hash set is not kept)."""
+        return Fingerprint(
+            hashes=frozenset(self.hash_values),
+            flat_selections=self.flat_selections,
+            config=self.config,
+        )
 
 
 class HashDatabase:
@@ -305,7 +342,8 @@ class HashDatabase:
         shared hash left with one observer collapses back into that
         observer's owner entry; an unshared hash losing its observer
         leaves the table. Hashes the segment does not observe are
-        skipped.
+        skipped, so a hash named twice (a segment's selection values,
+        where an n-gram recurs) is withdrawn once.
         """
         oldest = self._oldest
         shared = self._shared

@@ -46,7 +46,8 @@ File format (one log file; every integer little-endian)::
 An ``observe`` record carries the fingerprint's packed selections as
 they are, ``(value, start, end)`` triples of u64, the layout of a
 snapshot's ``selections`` section: journaling appends those bytes and
-replay hands them straight to :class:`~repro.fingerprint.Fingerprint`.
+replay stores them as the segment's record
+(:meth:`~repro.disclosure.engine.DisclosureEngine.observe_selections`).
 The rarer ops keep their other fields as JSON, so a new op needs only a
 new code. With a cipher the plain record is sealed with the same
 at-rest encryption as snapshots (§4.4); the inner CRC is what tells a
@@ -644,13 +645,13 @@ class EngineJournal:
 
     def log_observe(self, kind: str, record: SegmentRecord, ts: float) -> None:
         # The hottest record by far: its body is packed once, outside the
-        # log's mutex, with the fingerprint's selection bytes as they
-        # are. Only the selections are logged: a fingerprint's hash set
-        # is exactly its selection values, so replay derives it.
+        # log's mutex, with the record's selection bytes as they are.
+        # Only the selections are logged: a fingerprint's hash set is
+        # exactly its selection values, so replay derives it.
         body = _observe_body(
             kind=kind, id=record.segment_id, doc_id=record.doc_id,
             threshold=record.threshold, ts=ts,
-            selections=record.fingerprint.flat_selections,
+            selections=record.flat_selections,
         )
         self.wal.append_payload(
             lambda lsn: _HEAD.pack(lsn, _OBSERVE_CODE) + body
@@ -724,16 +725,11 @@ def apply_record(
         )
     if op == "observe":
         # Packed (value, start, end) triples in native byte order, as
-        # the scan decoded them: the hash set is every third value.
-        selections = record["selections"]
-        fingerprint = Fingerprint(
-            hashes=frozenset(memoryview(selections).cast("Q")[0::3]),
-            flat_selections=selections,
-            config=engine.config,
-        )
-        engine.observe_fingerprint(
+        # the scan decoded them: they become the segment's record as
+        # they are.
+        engine.observe_selections(
             record["id"],
-            fingerprint,
+            record["selections"],
             threshold=record["threshold"],
             doc_id=record["doc_id"],
             timestamp=record["ts"],

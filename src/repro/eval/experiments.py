@@ -168,12 +168,13 @@ def figure9_document_disclosure(
         if titles is not None and article.title not in titles:
             continue
         engine = DisclosureEngine(config, kind="document")
-        engine.observe(article.title, article.base.text(), threshold=threshold)
-        record = engine.segment_db.get(article.title)
+        base = engine.observe(
+            article.title, article.base.text(), threshold=threshold
+        ).fingerprint
         series: List[Tuple[int, float]] = []
         for revision in article.revisions[1::revision_step]:
             fp = engine.fingerprint(revision.text())
-            score = record.fingerprint.containment_in(fp)
+            score = base.containment_in(fp)
             series.append((revision.index, 100.0 * score))
         results[article.title] = series
     return results
@@ -227,7 +228,7 @@ def figure10_manuals_disclosure(
             record = engine.observe(
                 f"{chapter.chapter_id}#p{i}", paragraph, threshold=threshold
             )
-            if not skip_empty_fingerprints or not record.fingerprint.is_empty():
+            if not skip_empty_fingerprints or record.hash_count:
                 eligible.append(i)
         points: List[ManualsPoint] = []
         for version in chapter.versions[1:]:

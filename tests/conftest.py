@@ -45,14 +45,15 @@ def assert_databases_agree(engine) -> None:
     """Assert the cross-database invariant of a disclosure engine.
 
     Every tracked segment's observed hashes in ``hash_db`` are exactly
-    its stored fingerprint's hashes, and ``hash_db`` holds no segment
-    that ``segment_db`` lacks. Together these are the precondition of
-    the engine's delta-only fingerprint apply, which records only the
-    hashes a re-observed segment gained and withdraws the ones it lost,
-    and of its removal, which withdraws the stored fingerprint's hashes.
-    The observed sets are built in one pass over the table. Works for
-    the plain and the sharded hash database; call it with the engine's
-    lock held or the engine quiescent.
+    its stored fingerprint's hashes, as many as its stored count, and
+    ``hash_db`` holds no segment that ``segment_db`` lacks. Together
+    these are the precondition of the engine's delta-only fingerprint
+    apply, which records only the hashes a re-observed segment gained
+    and withdraws the ones it lost, and of its removal, which withdraws
+    the stored fingerprint's hashes. The observed sets are built in one
+    pass over the table. Works for the plain and the sharded hash
+    database; call it with the engine's lock held or the engine
+    quiescent.
     """
     hash_db, segment_db = engine.hash_db, engine.segment_db
     observed = {}
@@ -64,6 +65,10 @@ def assert_databases_agree(engine) -> None:
         assert held == record.fingerprint.hashes, (
             f"{record.segment_id!r}: hash_db holds {len(held)} hashes, "
             f"its fingerprint {len(record.fingerprint.hashes)}"
+        )
+        assert record.hash_count == len(held), (
+            f"{record.segment_id!r}: stored count {record.hash_count}, "
+            f"{len(held)} distinct selection values"
         )
     assert not observed, f"hash_db observes untracked segments {sorted(observed)}"
 

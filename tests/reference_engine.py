@@ -12,13 +12,40 @@ are identical to these in every field, at every shard count.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Optional
+from array import array
+from typing import FrozenSet, Iterable, Iterator, List, Optional
 
 from repro.disclosure.engine import DisclosureReport, SourceDisclosure
 from repro.disclosure.metrics import meets_threshold, raw_disclosure
-from repro.disclosure.store import SegmentRecord
+from repro.disclosure.store import DEFAULT_THRESHOLD, SegmentRecord
 from repro.errors import DisclosureError
 from repro.fingerprint import Fingerprint
+
+
+def record_of(
+    segment_id: str,
+    fingerprint: Fingerprint,
+    *,
+    threshold: float = DEFAULT_THRESHOLD,
+    kind: str = "paragraph",
+    doc_id: Optional[str] = None,
+    last_updated: float = 0.0,
+) -> SegmentRecord:
+    """The record an engine stores for *fingerprint*."""
+    return SegmentRecord(
+        segment_id, fingerprint.flat_selections, len(fingerprint),
+        fingerprint.config, threshold, kind, doc_id, last_updated,
+    )
+
+
+def record_holding(segment_id: str, hashes: Iterable[int]) -> SegmentRecord:
+    """A record whose selections hold *hashes*, each once with an empty
+    span: what the engine reads a segment's observed hashes from."""
+    hashes = list(hashes)
+    flat = array("Q", [v for h in hashes for v in (h, 0, 0)]).tobytes()
+    return record_of(
+        segment_id, Fingerprint(hashes=frozenset(hashes), flat_selections=flat)
+    )
 
 
 def oldest_owner_reference(hash_db, hash_value: int) -> Optional[str]:

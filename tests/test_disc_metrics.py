@@ -8,7 +8,8 @@ from repro.disclosure.metrics import (
     meets_threshold,
     raw_disclosure,
 )
-from repro.disclosure.store import HashDatabase, SegmentRecord
+from reference_engine import record_of
+from repro.disclosure.store import HashDatabase
 from repro.fingerprint import Fingerprinter
 from repro.fingerprint.config import TINY_CONFIG
 
@@ -23,7 +24,7 @@ TEXT_C = "Entirely different prose about butterfly migration across the continen
 
 
 def make_record(segment_id, text, threshold=0.5):
-    return SegmentRecord(segment_id=segment_id, fingerprint=FP.fingerprint(text), threshold=threshold)
+    return record_of(segment_id, FP.fingerprint(text), threshold=threshold)
 
 
 class TestRawDisclosure:

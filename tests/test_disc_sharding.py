@@ -16,7 +16,11 @@ import random
 import pytest
 
 from conftest import assert_databases_agree
-from reference_engine import disclosing_sources_reference, oldest_owner_reference
+from reference_engine import (
+    disclosing_sources_reference,
+    oldest_owner_reference,
+    record_holding,
+)
 from repro.disclosure import (
     DisclosureEngine,
     HashDatabase,
@@ -26,9 +30,7 @@ from repro.disclosure import (
 )
 from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.sharding import STRIPES, StampStore
-from repro.disclosure.store import SegmentRecord
 from repro.errors import DisclosureError
-from repro.fingerprint import Fingerprint
 from repro.fingerprint.config import FingerprintConfig
 from repro.plugin.router import ShardRouter
 
@@ -139,9 +141,7 @@ class TestShardedHashDatabaseOracle:
             first_seen = plain.first_seen_of(seg, pool)
             assert set(first_seen) == held[seg]
             assert sharded.first_seen_of(seg, pool) == first_seen
-            record = SegmentRecord(
-                segment_id=seg, fingerprint=Fingerprint(hashes=frozenset(held[seg]))
-            )
+            record = record_holding(seg, held[seg])
             assert authoritative_hashes(record, sharded) == (
                 authoritative_hashes(record, plain)
             )

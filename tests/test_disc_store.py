@@ -2,25 +2,23 @@
 
 import pytest
 
-from reference_engine import oldest_owner_reference
+from reference_engine import oldest_owner_reference, record_holding, record_of
 from repro.disclosure.metrics import authoritative_hashes
-from repro.disclosure.store import HashDatabase, SegmentDatabase, SegmentRecord
+from repro.disclosure.store import HashDatabase, SegmentDatabase
 from repro.errors import UnknownSegmentError
-from repro.fingerprint import Fingerprint, Fingerprinter
+from repro.fingerprint import Fingerprinter
 from repro.fingerprint.config import TINY_CONFIG
 
 
 def record_for(segment_id, text, **kwargs):
     fp = Fingerprinter(TINY_CONFIG).fingerprint(text)
-    return SegmentRecord(segment_id=segment_id, fingerprint=fp, **kwargs)
+    return record_of(segment_id, fp, **kwargs)
 
 
 def stored(segment_id, *hashes):
-    """A record whose stored fingerprint holds *hashes*: what the engine
+    """A record whose stored selections hold *hashes*: what the engine
     reads a segment's observed hashes from."""
-    return SegmentRecord(
-        segment_id=segment_id, fingerprint=Fingerprint(hashes=frozenset(hashes))
-    )
+    return record_holding(segment_id, hashes)
 
 
 def withdraw(db, record):
@@ -242,14 +240,17 @@ class TestOwnershipIndexes:
 
 
 class TestSegmentRecord:
-    def test_with_fingerprint(self):
-        rec = record_for("s", "the original content of this tracked segment")
-        new_fp = Fingerprinter(TINY_CONFIG).fingerprint("totally different words here now")
-        updated = rec.with_fingerprint(new_fp, 9.0)
-        assert updated.fingerprint is new_fp
-        assert updated.last_updated == 9.0
-        assert updated.segment_id == "s"
-        assert rec.last_updated != 9.0  # original untouched
+    def test_fingerprint_is_rebuilt_from_the_packed_selections(self):
+        fp = Fingerprinter(TINY_CONFIG).fingerprint(
+            "the original content of this tracked segment"
+        )
+        rec = record_of("s", fp, last_updated=9.0)
+        assert rec.fingerprint == fp
+        assert rec.fingerprint is not rec.fingerprint  # a view, not kept
+        assert rec.hash_count == len(fp)
+        assert rec.hash_values.tolist() == [s.value for s in fp.selections]
+        assert rec.last_updated == 9.0
+        assert not hasattr(rec, "__dict__")
 
     def test_default_threshold(self):
         assert record_for("s", "text that is long enough for a fingerprint").threshold == 0.5

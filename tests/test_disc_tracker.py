@@ -50,9 +50,11 @@ class TestObserveDocument:
         paragraphs = pars("d1", SECRET_TEXT)
         fingerprint = tracker.paragraphs.fingerprint(SECRET_TEXT)
         tracker.observe_document("d1", paragraphs, fingerprints=[fingerprint])
-        # One paragraph: the document fingerprint is the paragraph's.
-        assert tracker.paragraphs.segment_db.get("d1#p0").fingerprint is fingerprint
-        assert tracker.documents.segment_db.get("d1").fingerprint is fingerprint
+        # One paragraph: the document fingerprint is the paragraph's, and
+        # both records keep its selection bytes, not a copy.
+        flat = fingerprint.flat_selections
+        assert tracker.paragraphs.segment_db.get("d1#p0").flat_selections is flat
+        assert tracker.documents.segment_db.get("d1").flat_selections is flat
         fresh = DisclosureTracker(TINY_CONFIG)
         fresh.observe_document("d1", paragraphs)
         assert fresh.documents.segment_db.get("d1").fingerprint == fingerprint

@@ -60,7 +60,6 @@ from repro.disclosure.wal import (
     scan_wal_file,
 )
 from repro.errors import DisclosureError, SimulatedCrash, SnapshotCorrupt
-from repro.fingerprint import Fingerprint
 from repro.fingerprint.config import TINY_CONFIG, FingerprintConfig
 from repro.fingerprint.fingerprint import FingerprintHash
 from repro.util.clock import LogicalClock
@@ -176,11 +175,9 @@ def reference_restore(engine, data):
         engine.segment_db.put(
             SegmentRecord(
                 segment_id=segment_id,
-                fingerprint=Fingerprint(
-                    hashes=frozenset(s.value for s in selections),
-                    flat_selections=array("Q", flat).tobytes(),
-                    config=engine.config,
-                ),
+                flat_selections=array("Q", flat).tobytes(),
+                hash_count=len({s.value for s in selections}),
+                config=engine.config,
                 threshold=threshold,
                 kind=kind,
                 doc_id=doc_id,

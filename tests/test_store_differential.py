@@ -40,11 +40,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_engine import record_holding
 from repro.disclosure.metrics import authoritative_hashes
 from repro.disclosure.sharding import ShardedHashDatabase
-from repro.disclosure.store import HashDatabase, SegmentRecord
+from repro.disclosure.store import HashDatabase
 from repro.errors import DisclosureError
-from repro.fingerprint import Fingerprint
 
 
 class FullMapHashDatabase:
@@ -376,13 +376,10 @@ def view(db, *, ordered: bool) -> dict:
 
 def assert_authoritative_hashes_agree(target, oracle) -> None:
     """Each segment's authoritative hashes, read from the target's owner
-    entries as the engine reads them (for a record whose fingerprint
-    holds the hashes the segment observes), are the oracle's owned set."""
+    entries as the engine reads them (for a record whose selections
+    hold the hashes the segment observes), are the oracle's owned set."""
     for segment_id in SEGMENTS:
-        record = SegmentRecord(
-            segment_id=segment_id,
-            fingerprint=Fingerprint(hashes=frozenset(oracle.hashes_of(segment_id))),
-        )
+        record = record_holding(segment_id, oracle.hashes_of(segment_id))
         assert authoritative_hashes(record, target) == (
             oracle.owned_hashes(segment_id)
         ), segment_id

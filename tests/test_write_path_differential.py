@@ -53,10 +53,14 @@ SHARDS = [1, 4]
 # ----------------------------------------------------------------------
 
 
-def _full_rerecord_apply(engine, segment_id, new_hashes, old_hashes, now):
-    """The apply before delta-only apply: record every hash."""
+def _full_rerecord_apply(engine, segment_id, flat, _hashes, existing, now):
+    """The apply before delta-only apply: record every hash, each set
+    derived from its selections."""
+    new_hashes = frozenset(memoryview(flat).cast("Q")[0::3])
+    old_hashes = frozenset() if existing is None else existing.fingerprint.hashes
     engine.hash_db.record_fingerprint(segment_id, new_hashes, now)
     engine.hash_db.withdraw(segment_id, old_hashes - new_hashes)
+    return len(new_hashes)
 
 
 def _ignoring_fingerprints(method):
