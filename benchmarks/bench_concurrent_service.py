@@ -8,8 +8,9 @@ queries the same per-enterprise hash database — while a seeded
 wedges the editor: every request must resolve, either served within the
 timeout budget or explicitly degraded after bounded retries.
 
-Reported: the client-observed latency CDF next to the server / client /
-lock / cache counters, so contention and fault handling are visible
+Reported: the client-observed latency CDF next to the client counters
+and the shared registry's snapshot delta (server, injected faults,
+engines, lock, cache), so contention and fault handling are visible
 alongside the timings.
 """
 
@@ -53,6 +54,7 @@ def _build_server(ebooks) -> LookupServer:
         error_rate=0.05,
         latency_rate=0.15,
         latency_range=(0.0, 0.04),
+        scope=model.registry.scope("faults."),
     )
     return LookupServer(PolicyLookup(model), faults=faults)
 
@@ -111,7 +113,7 @@ def _drive(server, ebooks, requests_per_client):
 
     aggregated = {}
     for client in clients:
-        for key, value in client.stats().items():
+        for key, value in client.metrics.snapshot().items():
             aggregated[key] = aggregated.get(key, 0) + value
     return latencies, outcomes, aggregated
 
@@ -119,7 +121,6 @@ def _drive(server, ebooks, requests_per_client):
 def test_concurrent_lookup_service(benchmark, report, ebook_corpus):
     requests_per_client = scaled(30, minimum=10)
     server = _build_server(ebook_corpus)
-    lock_writes_before = server.lookup.stats()["lock_write_acquisitions"]
     snapshot_before = server.registry.snapshot()
 
     latencies, outcomes, client_stats = benchmark.pedantic(
@@ -131,7 +132,7 @@ def test_concurrent_lookup_service(benchmark, report, ebook_corpus):
 
     all_ms = [ms for per_client in latencies for ms in per_client]
     total = N_CLIENTS * requests_per_client
-    server_stats = server.stats()
+    delta = diff_snapshots(snapshot_before, server.registry.snapshot())
     lines = [
         f"Concurrent lookup service: {N_CLIENTS} clients x "
         f"{requests_per_client} requests against one shared engine",
@@ -140,12 +141,11 @@ def test_concurrent_lookup_service(benchmark, report, ebook_corpus):
         ),
         f"  median={percentile(all_ms, 50):.3f} ms  "
         f"p95={percentile(all_ms, 95):.3f} ms  p99={percentile(all_ms, 99):.3f} ms",
-        format_counters(server_stats, title="Server / engine / lock counters:"),
         format_counters(client_stats, title="Aggregated client counters:"),
         format_snapshot(
-            diff_snapshots(snapshot_before, server.registry.snapshot()),
+            delta,
             title="Shared-registry snapshot delta over the run "
-            "(server + engines + lock + decision cache):",
+            "(server + faults + engines + lock + decision cache):",
         ),
     ]
     report("\n".join(lines))
@@ -159,9 +159,9 @@ def test_concurrent_lookup_service(benchmark, report, ebook_corpus):
         == client_stats["fail_open_allowed"] + client_stats["fail_closed_blocked"]
     )
     # Requests either reached the engine or were explicitly faulted.
-    assert server_stats["server_served"] + client_stats["degraded"] >= total
+    assert delta["server.served"] + client_stats["degraded"] >= total
     # Pure query load: clients never took the write lock.
-    assert server.lookup.stats()["lock_write_acquisitions"] == lock_writes_before
+    assert delta["lock.write_acquisitions"] == 0
     # The retry budget absorbed transient faults: with 10% hard-fault
     # rate and 2 retries, the vast majority of requests still resolve
     # to a real decision.

@@ -40,9 +40,9 @@ def test_algorithm1_query(benchmark, report):
     assert "s42" in result.source_ids()
     # Equivalence with the pre-index reference scan is the tier-1
     # differential suites' job (tests/reference_engine.py).
-    stats = engine.stats()
+    counters = engine.metrics.snapshot()
     for key in ("candidates_swept", "ownership_changes"):
-        benchmark.extra_info[key] = stats[key]
+        benchmark.extra_info[key] = counters[key]
     delta = diff_snapshots(before, engine.registry.snapshot())
     report(
         format_snapshot(
@@ -137,8 +137,7 @@ def test_algorithm1_metrics_overhead(benchmark, report):
 
     # Sanity: the off engine really is counters-off.
     assert engine_off.registry.snapshot() == {}
-    assert engine_off.stats()["queries"] == 0
-    assert engine_on.stats()["queries"] == rounds * iterations
+    assert engine_on.metrics.snapshot()["queries"] == rounds * iterations
     assert best < 1.10, f"metrics overhead {best:.3f} exceeds 10% budget"
 
 

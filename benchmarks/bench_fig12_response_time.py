@@ -10,13 +10,12 @@ cache effect are the reproduction targets.
 """
 
 from repro.eval import figure12_response_times
-from repro.eval.reporting import format_cdf_summary, format_counters, format_histograms
+from repro.eval.reporting import format_cdf_summary, format_snapshot
 from repro.fingerprint.config import PAPER_CONFIG
 from repro.util.stats import percentile
 
 
 def test_figure12_response_times(benchmark, report, ebook_corpus):
-    engine_stats = {}
     registry_snapshot = {}
     results = benchmark.pedantic(
         figure12_response_times,
@@ -24,7 +23,6 @@ def test_figure12_response_times(benchmark, report, ebook_corpus):
         kwargs=dict(
             config=PAPER_CONFIG,
             page_paragraphs=3,
-            stats_out=engine_stats,
             snapshot_out=registry_snapshot,
         ),
         iterations=1,
@@ -41,12 +39,10 @@ def test_figure12_response_times(benchmark, report, ebook_corpus):
             f"p99={percentile(ms, 99):.3f} ms"
         )
     lines.append(
-        format_counters(engine_stats, title="Index/query counters after run:")
-    )
-    lines.append(
-        format_histograms(
+        format_snapshot(
             registry_snapshot,
-            title="Per-stage latency breakdown (registry histograms):",
+            title="Registry snapshot after run (counters, then per-stage "
+            "latency histograms):",
         )
     )
     report("\n".join(lines))

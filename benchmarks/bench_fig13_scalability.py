@@ -7,12 +7,11 @@ database across loaded e-books and assert sub-linear growth.
 """
 
 from repro.eval import figure13_scalability
-from repro.eval.reporting import format_counters, format_histograms, format_series
+from repro.eval.reporting import format_series, format_snapshot
 from repro.fingerprint.config import PAPER_CONFIG
 
 
 def test_figure13_scalability(benchmark, report, large_ebook_corpus):
-    engine_stats = {}
     registry_snapshot = {}
     series = benchmark.pedantic(
         figure13_scalability,
@@ -21,7 +20,6 @@ def test_figure13_scalability(benchmark, report, large_ebook_corpus):
             config=PAPER_CONFIG,
             steps=5,
             samples_per_step=15,
-            stats_out=engine_stats,
             snapshot_out=registry_snapshot,
         ),
         iterations=1,
@@ -46,11 +44,10 @@ def test_figure13_scalability(benchmark, report, large_ebook_corpus):
             y_label="ms",
         )
         + "\n"
-        + format_counters(engine_stats, title="Index/query counters after run:")
-        + "\n"
-        + format_histograms(
+        + format_snapshot(
             registry_snapshot,
-            title="Per-stage latency breakdown (registry histograms):",
+            title="Registry snapshot after run (counters, then per-stage "
+            "latency histograms):",
         )
     )
     # The engine threads its metrics scope into the fingerprinter, so

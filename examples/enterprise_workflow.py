@@ -112,8 +112,11 @@ def main() -> None:
     print(f"protected text -> wiki (already stores it): delivered={ok}")
 
     print("\n== Plug-in statistics ==")
-    for key, value in plugin.stats().items():
-        print(f"  {key}: {value:.2f}")
+    snapshot = plugin.registry.snapshot()
+    for name in ("plugin.decisions", "plugin.warnings", "decision_cache.hits",
+                 "decision_cache.misses", "plugin.delta.checks",
+                 "plugin.delta.builds", "plugin.delta.edits"):
+        print(f"  {name}: {snapshot.get(name, 0)}")
 
 
 if __name__ == "__main__":

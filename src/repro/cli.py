@@ -133,9 +133,8 @@ def cmd_observe(args) -> int:
             _AFTER_LOAD_HOOK()
         engine.observe(args.id, _read_text(args.file), threshold=args.threshold)
         save_engine(engine, args.db, cipher=_cipher_from_args(args))
-    stats = engine.stats()
     print(f"observed {args.id!r}; database now holds "
-          f"{stats['segments']} segments / {stats['distinct_hashes']} hashes")
+          f"{len(engine.segment_db)} segments / {len(engine.hash_db)} hashes")
     return 0
 
 
@@ -157,9 +156,8 @@ def cmd_recover(args) -> int:
     )
     try:
         recovery = engine.recovery
-        stats = engine.stats()
-        print(f"recovered {args.dir}: {stats['segments']} segments / "
-              f"{stats['distinct_hashes']} hashes")
+        print(f"recovered {args.dir}: {len(engine.segment_db)} segments / "
+              f"{len(engine.hash_db)} hashes")
         print(f"  snapshot covers lsn {recovery.snapshot_lsn}; replayed "
               f"{recovery.replayed} record(s), skipped {recovery.skipped}, "
               f"truncated {recovery.torn_bytes} torn byte(s)")

@@ -170,9 +170,10 @@ class DisclosureEngine:
         # keeps the non-durable hot path at a single attribute test.
         self._journal = None
         # Query-path counters (incremented under the read lock, so
-        # monotonic but approximate under contention, as before) plus
-        # derived gauges over database state. Legacy ``stats()`` reads
-        # these same instruments — the field-identity contract.
+        # monotonic but approximate under contention) plus derived
+        # gauges over database state (DESIGN.md §8). Under
+        # NULL_REGISTRY none of them reports: callers that need sizes
+        # read ``len(segment_db)`` and ``len(hash_db)``.
         scope = self.metrics
         self._c_queries = scope.counter("queries")
         self._c_candidates_swept = scope.counter("candidates_swept")
@@ -581,39 +582,6 @@ class DisclosureEngine:
         return DisclosureReport(
             target_id=target_id, sources=tuple(results), candidates_checked=checked
         )
-
-    def stats(self) -> Dict[str, int]:
-        """Size and index/query counters (Figure 13 + cache behaviour).
-
-        ``segments``/``distinct_hashes``/``shards`` describe database
-        state; the rest are monotonic counters: queries answered,
-        candidates accumulated by the index sweep, and ownership
-        transitions since the engine was built (a restored engine counts
-        from zero).
-
-        Concurrency note (DESIGN.md §8): write-path values
-        (``ownership_changes``, the db sizes) are exact — they only move
-        under the write lock. Query-path counters are incremented by
-        concurrent readers without mutual exclusion and are therefore
-        monotonic but *approximate* under contention; they exist for
-        reporting, never for control flow.
-
-        This is a thin view over the engine's registry scope: counter
-        fields read the same :class:`~repro.obs.registry.Counter`
-        instruments the query path increments, so the dict stays
-        field-identical to ``metrics.snapshot()`` (differential-tested).
-        Database-state fields read their sources directly — not via the
-        derived gauges — so the dict remains correct even under
-        :data:`~repro.obs.registry.NULL_REGISTRY`.
-        """
-        return {
-            "segments": len(self.segment_db),
-            "distinct_hashes": len(self.hash_db),
-            "queries": self._c_queries.value,
-            "candidates_swept": self._c_candidates_swept.value,
-            "ownership_changes": self.hash_db.ownership_changes,
-            "shards": self.hash_db.n_shards,
-        }
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.browser.http import HttpRequest
 from repro.disclosure import DisclosureEngine
@@ -70,10 +70,6 @@ class NetworkDlpFirewall:
         self._c_requests_seen = self.metrics.counter("requests_seen")
         self.metrics.gauge("detections", fn=lambda: len(self.detections))
 
-    @property
-    def requests_seen(self) -> int:
-        return self._c_requests_seen.value
-
     def register_sensitive(self, document_id: str, text: str) -> None:
         """Add a document to the firewall's sensitive-content corpus."""
         self._engine.observe(document_id, text, threshold=self._threshold)
@@ -110,10 +106,3 @@ class NetworkDlpFirewall:
                 request.url,
                 f"DLP: wire content discloses {found[0].document_id!r}",
             )
-
-    def stats(self) -> Dict[str, int]:
-        """Named counters for reporting, a thin view over the registry."""
-        return {
-            "requests_seen": self._c_requests_seen.value,
-            "detections": len(self.detections),
-        }

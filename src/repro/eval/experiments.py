@@ -322,7 +322,6 @@ def figure12_response_times(
     config: FingerprintConfig = PAPER_CONFIG,
     page_paragraphs: int = 3,
     seed: int = 2016,
-    stats_out: Optional[Dict[str, object]] = None,
     snapshot_out: Optional[Dict[str, object]] = None,
 ) -> Dict[str, List[float]]:
     """Per-workflow decision latencies (seconds), paper §6.2:
@@ -367,8 +366,6 @@ def figure12_response_times(
         lookup, DOCS_SERVICE, doc_id, f"{doc_id}#w3",
         list(edit_toward(modified, page_text)),
     )
-    if stats_out is not None:
-        stats_out.update(lookup.stats())
     if snapshot_out is not None:
         snapshot_out.update(model.registry.snapshot())
     return results
@@ -386,7 +383,6 @@ def figure13_scalability(
     paste_chars: int = 500,
     samples_per_step: int = 30,
     seed: int = 2016,
-    stats_out: Optional[Dict[str, object]] = None,
     snapshot_out: Optional[Dict[str, object]] = None,
 ) -> List[Tuple[int, float]]:
     """(distinct hashes in DB, 95th-percentile decision ms) per step.
@@ -442,10 +438,8 @@ def figure13_scalability(
         finally:
             if gc_was_enabled:
                 gc.enable()
-        n_hashes = model.tracker.paragraphs.stats()["distinct_hashes"]
+        n_hashes = len(model.tracker.paragraphs.hash_db)
         out.append((n_hashes, percentile(times, 95.0) * 1000.0))
-    if stats_out is not None:
-        stats_out.update(lookup.stats())
     if snapshot_out is not None:
         snapshot_out.update(model.registry.snapshot())
     return out

@@ -104,7 +104,13 @@ class ClientLookup(PolicyLookup):
     """
 
     def __init__(self, server: LookupServer, client: LookupClient) -> None:
-        super().__init__(server.lookup.model, server.lookup.cache)
+        # The server's caches, not new ones: a session builds no cache it
+        # never uses, and the caches' size gauges stay on the server's.
+        super().__init__(
+            server.lookup.model,
+            server.lookup.cache,
+            server.lookup.fingerprint_cache,
+        )
         self._client = client
 
     def lookup(
@@ -425,9 +431,8 @@ def run_fleet(
             f"{len(errors)} op(s) raised; first at op {index}: {exc!r}"
         ) from exc
 
-    decisions = sum(
-        len(state.plugin.response_times) for state in sessions.values()
-    )
+    # Every session's plug-in counts into the model's one histogram.
+    decisions = fixture.model.registry.snapshot().get("plugin.decisions", 0)
     audit = audit_untrusted_backends(fixture, schedule.secrets)
     fixture.close()
     return FleetResult(

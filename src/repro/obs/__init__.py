@@ -2,8 +2,8 @@
 
 Every counter surface in the system (engine, lock, caches, lookup
 service, fault injectors, network, DLP firewall) registers its
-instruments here; legacy per-component ``stats()`` dicts are thin views
-over the registry. :mod:`repro.obs.trace` adds nested span trees for
+instruments here, and a registry snapshot is the one way to read them.
+:mod:`repro.obs.trace` adds nested span trees for
 the intercept → fingerprint → Algorithm-1 → label-check → enforcement
 pipeline, surfaced through ``repro trace`` and the benchmark harness.
 """

@@ -1,14 +1,10 @@
 """The metrics registry: one namespace for every counter in the system.
 
-PR 2 and PR 3 grew counters organically — the engine kept a private
-dict, the reader–writer lock exposed public ints, the decision cache
-had attributes, the lookup server held a mutex-guarded dict — seven
-incompatible ``stats()`` shapes. This module unifies them: every
-component creates its instruments in a :class:`MetricsRegistry` (its
-own private one by default, or a shared one passed down from the
-composition root), and the legacy ``stats()`` dicts become thin views
-that read the registry. A differential test asserts the two stay
-field-identical.
+Every component creates its instruments in a :class:`MetricsRegistry`
+(its own private one by default, or a shared one passed down from the
+composition root), and :meth:`MetricsRegistry.snapshot` — or a
+component's ``metrics.snapshot()``, the same values under its scope —
+is the one way to read them.
 
 Three instrument kinds:
 
@@ -23,6 +19,9 @@ Three instrument kinds:
   serialises increments, monotonic-but-approximate otherwise.
 * :class:`Gauge` — a point-in-time value, either set explicitly or
   computed by a callback (``len(segment_db)`` style derived values).
+  A callback registered again under the same name replaces the old
+  one: the gauge reports its newest owner, and the registry keeps no
+  earlier owner alive.
 * :class:`Histogram` — a **deterministic fixed-bucket** latency
   histogram. Bucket boundaries are chosen at construction and never
   rebalanced, so two runs over the same operations land observations in
@@ -223,8 +222,13 @@ class MetricsRegistry:
 
     def gauge(self, name: str, fn: Optional[Callable[[], float]] = None) -> Gauge:
         gauge = self._get_or_create(name, Gauge, lambda: Gauge(name, fn))
-        if fn is not None and gauge._fn is None:
-            raise ValueError(f"gauge {name!r} already registered without a callback")
+        if fn is not None:
+            if gauge._fn is None:
+                raise ValueError(f"gauge {name!r} already registered without a callback")
+            # Rebind to the newest owner: a component rebuilt under the
+            # same scope (a recovery, a second plug-in) replaces the old
+            # one, which the stale callback would otherwise keep alive.
+            gauge._fn = fn
         return gauge
 
     def histogram(
@@ -298,10 +302,11 @@ class NullRegistry(MetricsRegistry):
     """The counters-off path: shared no-op instruments, empty snapshots.
 
     Components built with ``registry=NULL_REGISTRY`` skip all counter
-    arithmetic; legacy ``stats()`` views then report zeros (and derived
-    callback gauges are never registered, so database sizes disappear
-    from snapshots too). Used by the overhead benchmark as the baseline
-    the metrics-enabled path must stay within 10% of.
+    arithmetic and report nothing: derived callback gauges are never
+    registered, so callers that need database sizes read them from the
+    component (``len(engine.segment_db)``, ``len(engine.hash_db)``).
+    Used by the overhead benchmark as the baseline the metrics-enabled
+    path must stay within 10% of.
     """
 
     def __init__(self) -> None:

@@ -29,15 +29,14 @@ operations are guarded by one mutex (an LRU update mutates the ordered
 dict even on reads, so a reader–writer split would buy nothing here).
 ``evictions`` counts entries dropped for *capacity* only — an entry
 that fails validation stays in place until its recomputed verdict
-replaces it or LRU pressure removes it — so ``stats()`` consumers can
-tell an undersized cache from a fast-moving model.
+replaces it or LRU pressure removes it — so a snapshot reader can tell
+an undersized cache from a fast-moving model.
 
-The hit/miss/eviction counters live in a
-:class:`~repro.obs.registry.MetricsRegistry` scope (conventionally
-``decision_cache.`` / ``fingerprint.cache.``); the public
-``hits``/``misses``/``evictions`` attributes are thin views over those
-instruments. Increments happen under the cache mutex, so they are
-exact.
+The ``hits``/``misses``/``evictions`` counters and the ``size`` gauge
+live in a :class:`~repro.obs.registry.MetricsRegistry` scope
+(conventionally ``decision_cache.`` / ``fingerprint.cache.``); read
+them from ``cache.metrics.snapshot()``. Increments happen under the
+cache mutex, so they are exact.
 """
 
 from __future__ import annotations
@@ -93,20 +92,6 @@ class LRUCache:
         self._evictions = scope.counter("evictions")
         scope.gauge("size", fn=lambda: len(self._entries))
 
-    # Legacy public counter attributes, now views over the registry.
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
     def __len__(self) -> int:
         with self._mutex:
             return len(self._entries)
@@ -142,11 +127,6 @@ class LRUCache:
     def clear(self) -> None:
         with self._mutex:
             self._entries.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class DecisionCache(LRUCache):

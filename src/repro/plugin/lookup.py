@@ -37,7 +37,7 @@ look like and where fingerprints come from:
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.trace import span
 from repro.plugin.cache import DecisionCache, FingerprintCache
@@ -339,35 +339,3 @@ class PolicyLookup:
                     decisions[i] = decision
             sp.set(cache_hits=hits)
             return decisions  # type: ignore[return-value]
-
-    def stats(self) -> Dict[str, object]:
-        """Decision-cache and engine index/query counters, one flat dict.
-
-        Engine counters are summed across the two granularities and
-        prefixed ``engine_``; decision-cache counters are prefixed
-        ``decision_cache_`` (``evictions`` counts capacity drops only,
-        so capacity misses are distinguishable from stale entries);
-        the content-addressed fingerprint cache reports under
-        ``fingerprint_cache_``; reader–writer lock counters come from the
-        tracker's shared lock and are prefixed ``lock_``. Benchmark
-        harnesses print these next to the latency numbers so cache and
-        lock behaviour is visible alongside timings.
-        """
-        tracker = self._model.tracker
-        combined: Dict[str, object] = {
-            "decision_cache_hits": self._cache.hits,
-            "decision_cache_misses": self._cache.misses,
-            "decision_cache_evictions": self._cache.evictions,
-            "decision_cache_hit_rate": self._cache.hit_rate,
-            "fingerprint_cache_hits": self._fp_cache.hits,
-            "fingerprint_cache_misses": self._fp_cache.misses,
-            "fingerprint_cache_evictions": self._fp_cache.evictions,
-            "fingerprint_cache_hit_rate": self._fp_cache.hit_rate,
-        }
-        paragraph_stats = tracker.paragraphs.stats()
-        document_stats = tracker.documents.stats()
-        for key in paragraph_stats:
-            combined[f"engine_{key}"] = paragraph_stats[key] + document_stats.get(key, 0)
-        for key, value in tracker.lock.stats().items():
-            combined[f"lock_{key}"] = value
-        return combined

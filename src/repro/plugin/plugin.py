@@ -107,12 +107,15 @@ class BrowserFlowPlugin:
         self.enforcement = PolicyEnforcement(mode, cipher)
         self.ui = Highlighter()
         self.warnings: List[WarningEvent] = []
-        #: Disclosure-decision latencies in seconds (paper §6.2).
-        self.response_times: List[float] = []
+        # Every plug-in on one model shares these instruments, so
+        # ``plugin.decisions`` and ``plugin.warnings`` count all of them.
+        # The decision count is the latency histogram's, which its mutex
+        # keeps exact across threads; the warning counter is exact while
+        # one thread at a time raises warnings (DESIGN.md §8).
         plugin_scope = self.registry.scope("plugin.")
-        plugin_scope.gauge("decisions", fn=lambda: len(self.response_times))
-        plugin_scope.gauge("warnings", fn=lambda: len(self.warnings))
         self._h_decision = plugin_scope.histogram("decision_seconds")
+        plugin_scope.gauge("decisions", fn=lambda h=self._h_decision: h.count)
+        self._c_warnings = plugin_scope.counter("warnings")
         self._pending_suppressions: Dict[str, List[Suppression]] = {}
         #: Per-segment delta state (DESIGN.md §13): a bounded LRU of
         #: :class:`~repro.fingerprint.incremental.EditBuffer` mirrors,
@@ -291,7 +294,6 @@ class BrowserFlowPlugin:
             action = self.enforcement.enforce(decision, dict(segments))
             elapsed = time.perf_counter() - started
             sp.set(allowed=decision.allowed, proceed=action.proceed)
-        self.response_times.append(elapsed)
         self._h_decision.observe(elapsed)
         return action, elapsed
 
@@ -351,6 +353,7 @@ class BrowserFlowPlugin:
                 timestamp=time.perf_counter(),
             )
             self.warnings.append(event)
+            self._c_warnings.inc()
             for listener in list(self._warning_listeners):
                 listener(event)
 
@@ -729,15 +732,3 @@ class BrowserFlowPlugin:
     def qualify(service_id: str, raw_id: str) -> str:
         """Namespace a service-local id so ids never collide globally."""
         return f"{service_id}|{raw_id}"
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "decisions": float(len(self.response_times)),
-            "warnings": float(len(self.warnings)),
-            "cache_hits": float(self.cache.hits),
-            "cache_misses": float(self.cache.misses),
-            "cache_hit_rate": self.cache.hit_rate,
-            "delta_checks": float(self._c_delta_checks.value),
-            "delta_builds": float(self._c_delta_builds.value),
-            "delta_edits": float(self._c_delta_edits.value),
-        }

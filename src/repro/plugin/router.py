@@ -66,10 +66,3 @@ class ShardRouter:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-    def stats(self) -> dict:
-        """Scatter counters, field-identical to ``metrics.snapshot()``."""
-        return {
-            "scatters": self._c_scatters.value,
-            "jobs": self._c_jobs.value,
-        }

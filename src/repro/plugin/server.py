@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.disclosure.engine import DisclosureTracker
 from repro.errors import (
@@ -45,13 +45,13 @@ from repro.errors import (
     StandbyGap,
 )
 from repro.fingerprint import FingerprintConfig
-from repro.obs.registry import MetricsRegistry, MetricsScope
+from repro.obs.registry import Counter, MetricsRegistry, MetricsScope
 from repro.plugin.lookup import BatchItem, PolicyLookup
 from repro.tdm.audit import DegradationEvent
 from repro.tdm.labels import Label, SegmentLabel
 from repro.tdm.model import FlowDecision, FlowViolation, Suppression
 from repro.util.clock import Clock, LogicalClock
-from repro.util.faults import Fault, FaultInjector
+from repro.util.faults import FaultInjector
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +61,34 @@ DEGRADED_GRANULARITY = "lookup"
 
 #: Tag name reported as "offending" by a fail-closed degraded decision.
 UNAVAILABLE_TAG = "lookup-unavailable"
+
+
+def _admit(
+    faults: Optional[FaultInjector],
+    counters: Mapping[str, Counter],
+    timeout: float,
+) -> float:
+    """Draw one request's fault before it reaches an engine.
+
+    Raises :class:`LookupTimeout` for a drop or for an injected latency
+    over *timeout*, and :class:`LookupRejected` for an injected 5xx,
+    counting each under ``dropped``/``timed_out``/``rejected`` in
+    *counters*; otherwise returns the injected latency (0.0 when
+    healthy or when there is no injector).
+    """
+    if faults is None:
+        return 0.0
+    fault = faults.next_fault()
+    if fault.kind == "drop":
+        counters["dropped"].inc()
+        raise LookupTimeout(timeout, kind="drop")
+    if fault.kind == "error":
+        counters["rejected"].inc()
+        raise LookupRejected(fault.status)
+    if fault.kind == "latency" and fault.latency > timeout:
+        counters["timed_out"].inc()
+        raise LookupTimeout(timeout, kind="latency")
+    return fault.latency
 
 
 class FailureMode(enum.Enum):
@@ -190,16 +218,7 @@ class LookupServer:
         which are a fraction of the text's size.
         """
         self._count("requests")
-        fault = self._faults.next_fault() if self._faults is not None else Fault.none()
-        if fault.kind == "drop":
-            self._count("dropped")
-            raise LookupTimeout(timeout, kind="drop")
-        if fault.kind == "error":
-            self._count("rejected")
-            raise LookupRejected(fault.status)
-        if fault.kind == "latency" and fault.latency > timeout:
-            self._count("timed_out")
-            raise LookupTimeout(timeout, kind="latency")
+        latency = _admit(self._faults, self._counters, timeout)
         clock = self.registry.clock
         start = clock.now()
         decision = self._lookup.lookup(
@@ -211,7 +230,7 @@ class LookupServer:
         )
         self._h_handle.observe(clock.now() - start)
         self._count("served")
-        return decision, fault.latency
+        return decision, latency
 
     def handle_batch(
         self,
@@ -234,22 +253,13 @@ class LookupServer:
         self._count("batches")
         self._count("batch_items", len(items))
         self._h_batch_size.observe(float(len(items)))
-        fault = self._faults.next_fault() if self._faults is not None else Fault.none()
-        if fault.kind == "drop":
-            self._count("dropped")
-            raise LookupTimeout(timeout, kind="drop")
-        if fault.kind == "error":
-            self._count("rejected")
-            raise LookupRejected(fault.status)
-        if fault.kind == "latency" and fault.latency > timeout:
-            self._count("timed_out")
-            raise LookupTimeout(timeout, kind="latency")
+        latency = _admit(self._faults, self._counters, timeout)
         clock = self.registry.clock
         start = clock.now()
         decisions = self._lookup.lookup_batch(service_id, items)
         self._h_handle.observe(clock.now() - start)
         self._count("served", len(items))
-        return decisions, fault.latency
+        return decisions, latency
 
     def observe(
         self,
@@ -260,21 +270,6 @@ class LookupServer:
         """Record text observed in a service (exclusive write path)."""
         self._count("observes")
         self._lookup.model.observe(service_id, doc_id, paragraphs)
-
-    def stats(self) -> Dict[str, object]:
-        """Server request counters + injector + lookup/engine/lock stats.
-
-        A thin view over the shared registry (plus the injector's own
-        scope): every field reads the same instrument a snapshot would.
-        """
-        combined: Dict[str, object] = {
-            f"server_{name}": counter.value
-            for name, counter in self._counters.items()
-        }
-        if self._faults is not None:
-            combined.update(self._faults.stats())
-        combined.update(self._lookup.stats())
-        return combined
 
 
 class LookupClient:
@@ -358,42 +353,56 @@ class LookupClient:
     ) -> LookupOutcome:
         """Resolve a decision with retries; degrade if the service stays down."""
         self._count("requests")
+        answer, attempts, faults, waited = self._retry(
+            lambda: self._server.handle(
+                service_id,
+                doc_id,
+                paragraphs,
+                timeout=self._timeout,
+                suppressions=suppressions,
+                fingerprints=fingerprints,
+            )
+        )
+        if answer is None:
+            return self._degrade(service_id, doc_id, faults, waited)
+        decision, latency = answer
+        return LookupOutcome(
+            decision=decision,
+            degraded=False,
+            attempts=attempts,
+            retries=attempts - 1,
+            faults=tuple(faults),
+            waited=tuple(waited),
+            latency=latency,
+        )
+
+    def _retry(self, request):
+        """Call *request* until it answers or the retry budget is spent.
+
+        Returns ``(answer, attempts, faults, waited)``; *answer* is None
+        when every attempt timed out or was rejected. Between attempts
+        the delay grows by the backoff multiplier, and is slept only
+        when the client was given a *sleep*.
+        """
         faults: List[str] = []
         waited: List[float] = []
         for attempt in range(1, self._max_retries + 2):
             self._count("attempts")
             try:
-                decision, latency = self._server.handle(
-                    service_id,
-                    doc_id,
-                    paragraphs,
-                    timeout=self._timeout,
-                    suppressions=suppressions,
-                    fingerprints=fingerprints,
-                )
+                return request(), attempt, faults, waited
             except LookupTimeout:
                 self._count("timeouts")
                 faults.append("timeout")
             except LookupRejected as exc:
                 self._count("server_errors")
                 faults.append(f"http-{exc.status}")
-            else:
-                return LookupOutcome(
-                    decision=decision,
-                    degraded=False,
-                    attempts=attempt,
-                    retries=attempt - 1,
-                    faults=tuple(faults),
-                    waited=tuple(waited),
-                    latency=latency,
-                )
             if attempt <= self._max_retries:
                 delay = self._backoff * self._backoff_multiplier ** (attempt - 1)
                 waited.append(delay)
                 self._count("retries")
                 if self._sleep is not None:
                     self._sleep(delay)
-        return self._degrade(service_id, doc_id, faults, waited)
+        return None, self._max_retries + 1, faults, waited
 
     def _degrade(
         self,
@@ -448,17 +457,6 @@ class LookupClient:
             latency=0.0,
         )
 
-    def stats(self) -> Dict[str, int]:
-        """Exact per-client request/retry/timeout/degradation counters.
-
-        A thin view over the client's registry scope, field-identical to
-        ``metrics.snapshot()`` by construction. Registry counters are
-        thread-safe on their own, so no client-level lock is taken —
-        each client's counters are exact because a client is driven by
-        one plug-in thread.
-        """
-        return {name: counter.value for name, counter in self._counters.items()}
-
 
 class BatchLookupClient(LookupClient):
     """A lookup client that carries many items per round trip.
@@ -487,42 +485,28 @@ class BatchLookupClient(LookupClient):
         """Resolve decisions for all *items*; one outcome per item."""
         self._count("batches")
         self._count("requests", len(items))
-        faults: List[str] = []
-        waited: List[float] = []
-        for attempt in range(1, self._max_retries + 2):
-            self._count("attempts")
-            try:
-                decisions, latency = self._server.handle_batch(
-                    service_id, items, timeout=self._timeout
-                )
-            except LookupTimeout:
-                self._count("timeouts")
-                faults.append("timeout")
-            except LookupRejected as exc:
-                self._count("server_errors")
-                faults.append(f"http-{exc.status}")
-            else:
-                return [
-                    LookupOutcome(
-                        decision=decision,
-                        degraded=False,
-                        attempts=attempt,
-                        retries=attempt - 1,
-                        faults=tuple(faults),
-                        waited=tuple(waited),
-                        latency=latency,
-                    )
-                    for decision in decisions
-                ]
-            if attempt <= self._max_retries:
-                delay = self._backoff * self._backoff_multiplier ** (attempt - 1)
-                waited.append(delay)
-                self._count("retries")
-                if self._sleep is not None:
-                    self._sleep(delay)
+        answer, attempts, faults, waited = self._retry(
+            lambda: self._server.handle_batch(
+                service_id, items, timeout=self._timeout
+            )
+        )
+        if answer is None:
+            return [
+                self._degrade(service_id, doc_id, faults, waited)
+                for doc_id, _paragraphs in items
+            ]
+        decisions, latency = answer
         return [
-            self._degrade(service_id, doc_id, list(faults), list(waited))
-            for doc_id, _paragraphs in items
+            LookupOutcome(
+                decision=decision,
+                degraded=False,
+                attempts=attempts,
+                retries=attempts - 1,
+                faults=tuple(faults),
+                waited=tuple(waited),
+                latency=latency,
+            )
+            for decision in decisions
         ]
 
 
@@ -697,27 +681,14 @@ class StandbyLookupServer:
         ordinary retry/degradation client machinery at the standby.
         Returns ``(DisclosureReport, injected_latency)``.
         """
-        fault = (
-            self._faults.next_fault()
-            if self._faults is not None
-            else Fault.none()
-        )
-        if fault.kind == "drop":
-            self._counters["dropped"].inc()
-            raise LookupTimeout(timeout, kind="drop")
-        if fault.kind == "error":
-            self._counters["rejected"].inc()
-            raise LookupRejected(fault.status)
-        if fault.kind == "latency" and fault.latency > timeout:
-            self._counters["timed_out"].inc()
-            raise LookupTimeout(timeout, kind="latency")
+        latency = _admit(self._faults, self._counters, timeout)
         self._counters["scans"].inc()
         engine = self._resolve(kind)
         fingerprint = engine.fingerprint(text)
         report = engine.disclosing_sources(
             fingerprint=fingerprint, exclude_doc=exclude_doc
         )
-        return report, fault.latency
+        return report, latency
 
     def promote(self, wal=None) -> DisclosureTracker:
         """Stop following the log and become the writable primary.
@@ -740,12 +711,3 @@ class StandbyLookupServer:
             self.tracker.paragraphs.attach_journal(journal)
             self.tracker.documents.attach_journal(journal)
         return self.tracker
-
-    def stats(self) -> Dict[str, object]:
-        combined: Dict[str, object] = {
-            f"standby_{name}": counter.value
-            for name, counter in self._counters.items()
-        }
-        combined["standby_applied_lsn"] = self.applied_lsn
-        combined["standby_promoted"] = self._promoted
-        return combined

@@ -115,8 +115,8 @@ class FaultyNetwork:
         #: Injected latencies in delivery order, for exact assertions.
         self.latencies: List[float] = []
         # Delivery counters in a registry scope (private ``network.``
-        # prefix unless the load driver passes a shared one); stats()
-        # is a thin view over the same instruments.
+        # prefix unless the load driver passes a shared one); the
+        # injector counts its decisions in its own scope.
         if scope is None:
             scope = MetricsRegistry().scope("network.")
         self.metrics = scope
@@ -146,16 +146,6 @@ class FaultyNetwork:
                 self._sleep(fault.latency)
         self._counters["delivered"].inc()
         return self._network.deliver(request)
-
-    def stats(self) -> Dict[str, int]:
-        """Delivery/fault counters plus the injector's per-kind counts.
-
-        The delivery fields are a thin view over the network's registry
-        scope, field-identical to ``metrics.snapshot()``.
-        """
-        combined = {name: c.value for name, c in self._counters.items()}
-        combined.update(self._faults.stats())
-        return combined
 
     def __getattr__(self, name: str):
         # register / service_at / render_page / request_log / ...

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # deferred at runtime: obs.registry imports util.clock
     from repro.obs.registry import MetricsScope
@@ -77,11 +77,11 @@ class FaultInjector:
       order; the injector serialises draws under a mutex so concurrent
       clients cannot tear the RNG state.
 
-    ``injected`` counts decisions per kind (exact, mutex-guarded). The
-    counts live in a :class:`~repro.obs.registry.MetricsRegistry` scope
-    (a private ``faults.``-prefixed one unless the owner passes its
-    own); ``injected`` and ``stats()`` are thin views over those
-    instruments.
+    The ``injected_<kind>`` counters count decisions per kind (exact:
+    incremented under the mutex). They live in a
+    :class:`~repro.obs.registry.MetricsRegistry` scope, a private
+    ``faults.``-prefixed one unless the owner passes its own; read them
+    from ``metrics.snapshot()``.
     """
 
     def __init__(
@@ -123,12 +123,6 @@ class FaultInjector:
             kind: scope.counter(f"injected_{kind}") for kind in KINDS
         }
 
-    @property
-    def injected(self) -> Dict[str, int]:
-        """Per-kind injected counts (legacy view over the registry)."""
-        with self._mutex:
-            return {kind: c.value for kind, c in self._injected.items()}
-
     def next_fault(self) -> Fault:
         """The fault decision for the next request (thread-safe)."""
         with self._mutex:
@@ -153,12 +147,3 @@ class FaultInjector:
         if roll < self._latency_rate:
             return Fault.slow(self._rng.uniform(*self._latency_range))
         return Fault.none()
-
-    def stats(self) -> Dict[str, int]:
-        """Injected-fault counts per kind, prefixed for reporting.
-
-        A thin view over the injector's registry scope, field-identical
-        to ``metrics.snapshot()`` by construction.
-        """
-        with self._mutex:
-            return {f"injected_{kind}": c.value for kind, c in self._injected.items()}

@@ -17,13 +17,11 @@ Design points:
   check-document — nest reads inside writes on the same lock), and a
   reader may re-enter the read side. A read→write *upgrade* is refused
   with ``RuntimeError`` because two upgrading readers would deadlock.
-* **Counted**: acquisition and contention counters feed the engine's
-  ``stats()`` → ``format_counters`` reporting path so lock behaviour is
-  visible next to latency numbers. Counter increments happen under the
-  lock's state mutex, so they are exact. The counters live in a
-  :class:`~repro.obs.registry.MetricsRegistry` scope (a private one
-  unless the owner passes a shared scope), and ``stats()`` plus the
-  legacy public attributes are thin views over those instruments.
+* **Counted**: acquisition and contention counters live in a
+  :class:`~repro.obs.registry.MetricsRegistry` scope (a private
+  ``lock.`` one unless the owner passes a shared scope), so lock
+  behaviour shows in the same snapshot as the latency numbers. Counter
+  increments happen under the lock's state mutex, so they are exact.
 * **Cheap when uncontended** (DESIGN.md §8): one C-level
   ``threading.Lock`` guards the state, and a ``Condition`` on it is
   used only to wait. An acquisition that finds the lock free, or that
@@ -115,24 +113,6 @@ class RWLock:
         self._write_contended = scope.counter("write_contended")
         self._read_guard = _ReadGuard(self)
         self._write_guard = _WriteGuard(self)
-
-    # Legacy public counter attributes, now views over the registry.
-
-    @property
-    def read_acquisitions(self) -> int:
-        return self._read_acquisitions.value
-
-    @property
-    def write_acquisitions(self) -> int:
-        return self._write_acquisitions.value
-
-    @property
-    def read_contended(self) -> int:
-        return self._read_contended.value
-
-    @property
-    def write_contended(self) -> int:
-        return self._write_contended.value
 
     # ------------------------------------------------------------------
     # Read side
@@ -249,17 +229,3 @@ class RWLock:
         """True iff the *calling thread* holds the write lock."""
         with self._mutex:
             return self._writer == _get_ident()
-
-    def stats(self) -> Dict[str, int]:
-        """Exact acquisition/contention counters for reporting.
-
-        A thin view over the lock's registry scope: field-identical to
-        ``metrics.snapshot()`` by construction (differential-tested).
-        """
-        with self._mutex:
-            return {
-                "read_acquisitions": self._read_acquisitions.value,
-                "write_acquisitions": self._write_acquisitions.value,
-                "read_contended": self._read_contended.value,
-                "write_contended": self._write_contended.value,
-            }

@@ -331,10 +331,11 @@ def _edit_case(n_shards: int, before: str, after: str, threshold: float):
     machine._ask(DOCS, "up-0", upload)
     first = machine.lookup.lookup(DOCS, "up-0", upload)
     observe(after)
-    hits = machine.lookup.cache.hits
+    hits = lambda: machine.lookup.cache.metrics.snapshot()["hits"]
+    before = hits()
     machine._ask(DOCS, "up-0", upload)
     machine.servable_entries_are_current()
-    return machine, first, machine.lookup.cache.hits - hits
+    return machine, first, hits() - before
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
@@ -425,4 +426,4 @@ def test_edit_buffer_verdicts_equal_a_full_recheck(n_shards):
             assert got == full.lookup(DOCS, doc, paragraphs), (k, len(text))
             decisions.append(got)
     assert {decision.allowed for decision in decisions} == {True, False}
-    assert delta.cache.hits > 0 and buffer.delta_edits > 0
+    assert delta.cache.metrics.snapshot()["hits"] > 0 and buffer.delta_edits > 0

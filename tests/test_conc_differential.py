@@ -227,9 +227,9 @@ def test_concurrent_engine_matches_serial_replay(seed, n_shards):
         for a in actions.values()
         if a[0] in ("query_fp", "query_target", "noise")
     )
-    stats = shared.lock.stats()
-    assert stats["write_acquisitions"] == n_writes
-    assert stats["read_acquisitions"] == n_queries + len(serial.segment_db.ids())
+    counters = shared.lock.metrics.snapshot()
+    assert counters["write_acquisitions"] == n_writes
+    assert counters["read_acquisitions"] == n_queries + len(serial.segment_db.ids())
 
 
 # ----------------------------------------------------------------------
@@ -498,12 +498,10 @@ def test_epoch_cached_lookup_matches_uncached_replay(seed, n_shards):
     # The cache actually served under contention (text reuse guarantees
     # repeats), and every check was a single-paragraph one, which
     # revalidates instead of needing the version unmoved.
-    stats = lookup.stats()
-    assert stats["decision_cache_hits"] > 0
-    assert stats["decision_cache_misses"] > 0
-    assert lookup.model.registry.snapshot()[
-        "decision_cache.multi_paragraph_lookups"
-    ] == 0
+    snapshot = lookup.model.registry.snapshot()
+    assert snapshot["decision_cache.hits"] > 0
+    assert snapshot["decision_cache.misses"] > 0
+    assert snapshot["decision_cache.multi_paragraph_lookups"] == 0
 
     # Final-state differential over the whole probe space.
     for doc in UPLOAD_DOCS:

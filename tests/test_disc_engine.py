@@ -9,6 +9,7 @@ from repro.disclosure.sharding import STRIPES
 from repro.errors import DisclosureError, UnknownSegmentError
 from repro.fingerprint import Fingerprinter
 from repro.fingerprint.config import PAPER_CONFIG, TINY_CONFIG
+from repro.obs import NULL_REGISTRY
 from repro.util.clock import LogicalClock
 
 from conftest import OTHER_TEXT, SECRET_TEXT, THIRD_TEXT
@@ -283,34 +284,44 @@ class TestQueryCache:
 
 class TestStats:
     def test_counters(self, engine):
-        stats = engine.stats()
-        assert stats["segments"] == 0
-        assert stats["distinct_hashes"] == 0
-        assert stats["queries"] == 0
-        assert stats["shards"] == 1
+        counters = engine.metrics.snapshot()
+        assert counters["segments"] == 0
+        assert counters["distinct_hashes"] == 0
+        assert counters["queries"] == 0
+        assert counters["shards"] == 1
         engine.observe("s", SECRET_TEXT)
-        stats = engine.stats()
-        assert stats["segments"] == 1
-        assert stats["distinct_hashes"] > 0
+        counters = engine.metrics.snapshot()
+        assert counters["segments"] == 1
+        assert counters["distinct_hashes"] == len(engine.hash_db) > 0
 
     def test_query_counters(self, engine):
         engine.observe("s", SECRET_TEXT)
         engine.disclosing_sources("s")
-        stats = engine.stats()
-        assert stats["queries"] == 1
-        assert stats["candidates_swept"] == 1
+        counters = engine.metrics.snapshot()
+        assert counters["queries"] == 1
+        assert counters["candidates_swept"] == 1
         # Queries by target id are not cached: the second sweeps again.
         engine.disclosing_sources("s")
-        stats = engine.stats()
-        assert stats["queries"] == 2
-        assert stats["candidates_swept"] == 2
+        counters = engine.metrics.snapshot()
+        assert counters["queries"] == 2
+        assert counters["candidates_swept"] == 2
 
     def test_ownership_change_counter(self, engine):
+        ownership_changes = lambda: engine.metrics.snapshot()["ownership_changes"]
         engine.observe("old", SECRET_TEXT)
-        before = engine.stats()["ownership_changes"]
+        before = ownership_changes()
         engine.observe("young", SECRET_TEXT)
         # The younger twin claims nothing: no ownership transitions.
-        assert engine.stats()["ownership_changes"] == before
+        assert ownership_changes() == before
         engine.observe("old", OTHER_TEXT)
         # The edit withdraws "old"'s claims; authority migrates.
-        assert engine.stats()["ownership_changes"] > before
+        assert ownership_changes() > before
+
+    def test_counters_off_engine_reports_nothing(self):
+        engine = DisclosureEngine(TINY_CONFIG, registry=NULL_REGISTRY)
+        engine.observe("s", SECRET_TEXT)
+        engine.disclosing_sources("s")
+        assert engine.metrics.snapshot() == {}
+        # Sizes are read from the databases themselves.
+        assert len(engine.segment_db) == 1
+        assert len(engine.hash_db) > 0

@@ -263,13 +263,13 @@ class TestShardedDisclosureEngine:
     def test_stats_gains_shard_count_and_gauges_track_sharded_db(self):
         engine = DisclosureEngine(CONFIG, n_shards=4)
         engine.observe("seg-a", "the quick brown fox jumps over the lazy dog")
-        stats = engine.stats()
-        assert stats["shards"] == 4
-        assert stats["distinct_hashes"] == len(engine.hash_db) > 0
         snap = engine.registry.snapshot()
         assert snap["engine.paragraph.shards"] == 4
-        assert snap["engine.paragraph.distinct_hashes"] == stats["distinct_hashes"]
-        assert sum(engine.hash_db.shard_sizes()) == stats["distinct_hashes"]
+        assert snap["engine.paragraph.distinct_hashes"] == len(engine.hash_db) > 0
+        assert sum(engine.hash_db.shard_sizes()) == len(engine.hash_db)
+        assert [
+            snap[f"engine.paragraph.shard.{i}.distinct_hashes"] for i in range(4)
+        ] == list(engine.hash_db.shard_sizes())
         engine.hash_db.check_invariants()
         assert_databases_agree(engine)
 

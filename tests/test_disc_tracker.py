@@ -109,10 +109,10 @@ class TestCheckDocument:
     def test_check_does_not_observe(self, tracker):
         tracker.observe_document("src", pars("src", SECRET_TEXT))
         state_keys = ("segments", "distinct_hashes", "ownership_changes")
-        before = tracker.paragraphs.stats()
+        before = tracker.paragraphs.metrics.snapshot()
         version = tracker.stamps.version
         tracker.check_document("probe", pars("probe", OTHER_TEXT))
-        after = tracker.paragraphs.stats()
+        after = tracker.paragraphs.metrics.snapshot()
         # Query counters move; the database state and the stamp version
         # (which moves on any hash/segment association change) must not.
         assert {k: after[k] for k in state_keys} == {

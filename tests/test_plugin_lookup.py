@@ -44,27 +44,27 @@ class TestLookup:
         first = lookup.lookup(DST, "d", segments)
         second = lookup.lookup(DST, "d", segments)
         assert second is first
-        assert lookup.cache.hits == 1
+        assert lookup.cache.metrics.snapshot()["hits"] == 1
 
     def test_text_change_misses_cache(self, lookup):
         lookup.lookup(DST, "d", [("d#p0", SECRET_TEXT)])
         lookup.lookup(DST, "d", [("d#p0", OTHER_TEXT)])
-        assert lookup.cache.hits == 0
-        assert lookup.cache.misses == 2
+        assert lookup.cache.metrics.snapshot()["hits"] == 0
+        assert lookup.cache.metrics.snapshot()["misses"] == 2
 
     def test_fingerprint_stable_keystroke_hits_cache(self, lookup):
         """A trailing keystroke that doesn't change the winnowed hashes
         reuses the previous decision (paper §6.2)."""
         engine = lookup.model.tracker.paragraphs
         base = SECRET_TEXT
-        hits_before = lookup.cache.hits
+        hits_before = lookup.cache.metrics.snapshot()["hits"]
         lookup.lookup(DST, "d", [("d#p0", base)])
         # Find a one-char extension that keeps the fingerprint identical.
         fp = engine.fingerprinter.fingerprint(base)
         for ch in "abcdefghij":
             if engine.fingerprinter.fingerprint(base + ch).hashes == fp.hashes:
                 lookup.lookup(DST, "d", [("d#p0", base + ch)])
-                assert lookup.cache.hits == hits_before + 1
+                assert lookup.cache.metrics.snapshot()["hits"] == hits_before + 1
                 return
         pytest.skip("no fingerprint-stable keystroke found for this text")
 
@@ -140,15 +140,18 @@ class TestStats:
         segments = [("d#p0", SECRET_TEXT)]
         lookup.lookup(DST, "d", segments)
         lookup.lookup(DST, "d", segments)
-        stats = lookup.stats()
-        assert stats["decision_cache_hits"] == 1
-        assert stats["decision_cache_misses"] == 1
-        assert stats["decision_cache_hit_rate"] == 0.5
-        # Engine counters sum both granularities and reflect the sweep.
-        assert stats["engine_segments"] >= 1
-        assert stats["engine_queries"] >= 1
-        assert stats["engine_candidates_swept"] >= 1
-        assert "engine_ownership_changes" in stats
+        snapshot = lookup.model.registry.snapshot()
+        assert snapshot["decision_cache.hits"] == 1
+        assert snapshot["decision_cache.misses"] == 1
+        # Both granularities' engine counters reflect the sweep.
+        engine = lambda name: (
+            snapshot[f"engine.paragraph.{name}"]
+            + snapshot[f"engine.document.{name}"]
+        )
+        assert engine("segments") >= 1
+        assert engine("queries") >= 1
+        assert engine("candidates_swept") >= 1
+        assert "engine.paragraph.ownership_changes" in snapshot
 
     def test_surfaces_evictions_and_lock_counters(self):
         from repro.plugin.cache import DecisionCache
@@ -159,15 +162,16 @@ class TestStats:
         lookup = PolicyLookup(model, cache=DecisionCache(capacity=1))
         lookup.lookup(DST, "d", [("d#p0", SECRET_TEXT)])
         lookup.lookup(DST, "d", [("d#p0", OTHER_TEXT)])
-        stats = lookup.stats()
         # Two distinct fingerprints through a 1-entry cache: the second
         # put must have dropped the first for capacity.
-        assert stats["decision_cache_evictions"] == 1
-        assert stats["decision_cache_misses"] == 2
-        # The tracker's reader-writer lock counters ride along (nested
-        # reentrant acquisitions each count, so >= one per lookup).
-        assert stats["lock_read_acquisitions"] >= 2
-        assert stats["lock_write_acquisitions"] == 0
+        cache = lookup.cache.metrics.snapshot()
+        assert cache["evictions"] == 1
+        assert cache["misses"] == 2
+        # The tracker's reader-writer lock counters (nested reentrant
+        # acquisitions each count, so >= one per lookup).
+        snapshot = model.registry.snapshot()
+        assert snapshot["lock.read_acquisitions"] >= 2
+        assert snapshot["lock.write_acquisitions"] == 0
 
 
 class TestThresholdChangeInvalidates:
@@ -256,8 +260,8 @@ class TestRevalidation:
         first = lookup.lookup(DST, "docs|d", upload)
         model.observe(SRC, "more", [("more#p0", OTHER_TEXT)])
         assert lookup.lookup(DST, "docs|d", upload) is first
-        stats = lookup.stats()
-        assert (stats["decision_cache_hits"], stats["decision_cache_misses"]) == (1, 2)
+        counters = lookup.cache.metrics.snapshot()
+        assert (counters["hits"], counters["misses"]) == (1, 2)
 
     @pytest.mark.parametrize("n_shards", [1, 4])
     def test_no_decision_for_another_paragraph_after_a_write(self, n_shards):
@@ -368,7 +372,7 @@ class TestKeyDigest:
         second = lookup.lookup(DST, "d", segments, fingerprints=[fp])
         assert second is first
         assert len(calls) == 1
-        assert lookup.cache.hits == 1
+        assert lookup.cache.metrics.snapshot()["hits"] == 1
 
     def test_lock_is_not_held_while_digesting(self, lookup, monkeypatch):
         calls = self._record_digests(lookup, monkeypatch)
@@ -390,10 +394,10 @@ class TestKeyDigest:
         one, two = ("u#p0", SECRET_TEXT), ("u#p1", OTHER_TEXT)
         lookup.lookup(DST, "u", [one, two])
         lookup.lookup(DST, "u", [two, one])
-        assert lookup.cache.hits == 0
+        assert lookup.cache.metrics.snapshot()["hits"] == 0
         assert len(lookup.cache) == 2
         lookup.lookup(DST, "u", [one, two])
-        assert lookup.cache.hits == 1
+        assert lookup.cache.metrics.snapshot()["hits"] == 1
         # Two multi-paragraph digests above, three lookups here.
         snapshot = lookup.model.registry.snapshot()
         assert snapshot["decision_cache.multi_paragraph_lookups"] == 5

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Browser, BrowserFlowPlugin
 from repro.plugin import PluginMode, UploadCipher
 from repro.plugin.ui import STATUS_ATTR, STATUS_VIOLATION
 
@@ -54,20 +55,22 @@ class TestDocsInterception:
         assert "tw" in warning.offending
         assert any("Guidelines" in s for s in warning.source_ids)
 
-    def test_response_times_recorded(self, enterprise):
+    def test_decision_latencies_recorded(self, enterprise):
         e = enterprise
         editor = e.docs.open_editor(e.browser.new_tab())
         editor.paste(editor.new_paragraph(), OTHER_TEXT)
-        assert e.plugin.response_times
-        assert all(t >= 0 for t in e.plugin.response_times)
+        snapshot = e.model.registry.snapshot()
+        latencies = snapshot["plugin.decision_seconds"]
+        assert latencies["count"] > 0
+        assert latencies["sum"] >= 0
+        assert snapshot["plugin.decisions"] == latencies["count"]
 
     def test_typing_uses_decision_cache(self, enterprise):
         e = enterprise
         editor = e.docs.open_editor(e.browser.new_tab())
         par = editor.new_paragraph()
         editor.type_text(par, OTHER_TEXT)
-        stats = e.plugin.stats()
-        assert stats["cache_hits"] > 0
+        assert e.plugin.cache.metrics.snapshot()["hits"] > 0
 
     def test_docs_to_docs_copy_allowed(self, enterprise):
         e = enterprise
@@ -217,18 +220,52 @@ class TestIngestion:
         qualified = e.plugin.qualify(e.docs.origin, doc_id)
         assert e.model.tracker.documents.segment_db.find(qualified) is not None
 
-    def test_stats_shape(self, enterprise):
-        stats = enterprise.plugin.stats()
-        assert set(stats) == {
-            "decisions",
-            "warnings",
-            "cache_hits",
-            "cache_misses",
-            "cache_hit_rate",
-            "delta_checks",
-            "delta_builds",
-            "delta_edits",
-        }
+    def test_plugin_instruments_in_the_model_snapshot(self, enterprise):
+        snapshot = enterprise.model.registry.snapshot()
+        for name in (
+            "plugin.decisions",
+            "plugin.warnings",
+            "plugin.decision_seconds",
+            "decision_cache.hits",
+            "decision_cache.misses",
+            "plugin.delta.checks",
+            "plugin.delta.builds",
+            "plugin.delta.edits",
+        ):
+            assert name in snapshot, name
+
+
+class TestSharedModelCounters:
+    """Plug-ins on one model share its instruments, as a fleet's do."""
+
+    def test_two_plugins_on_one_model_are_both_counted(self, enterprise):
+        e = enterprise
+        e.wiki.save_page("Guidelines", SECRET_TEXT)
+        browser = Browser(e.network)
+        second = BrowserFlowPlugin(e.model, mode=PluginMode.ENFORCE)
+        second.attach(browser)
+        browser.open(e.wiki.page_url("Guidelines"))
+        editor = e.docs.open_editor(browser.new_tab())
+        editor.paste(editor.new_paragraph(), SECRET_TEXT)
+        editor.paste(editor.new_paragraph(), OTHER_TEXT)
+        snapshot = e.model.registry.snapshot()
+        decisions = snapshot["plugin.decision_seconds"]["count"]
+        assert decisions > 0 and second.warnings and not e.plugin.warnings
+        assert snapshot["plugin.decisions"] == decisions
+        assert snapshot["plugin.warnings"] == len(second.warnings)
+
+        first_editor = e.docs.open_editor(e.browser.new_tab())
+        first_editor.paste(first_editor.new_paragraph(), SECRET_TEXT)
+        snapshot = e.model.registry.snapshot()
+        assert e.plugin.warnings
+        assert (
+            snapshot["plugin.decisions"]
+            == snapshot["plugin.decision_seconds"]["count"]
+            > decisions
+        )
+        assert snapshot["plugin.warnings"] == (
+            len(e.plugin.warnings) + len(second.warnings)
+        )
 
 
 class TestEditingFeedback:

@@ -148,8 +148,7 @@ class SuppressionLookupMachine(RuleBasedStateMachine):
         assert targets
         suppression = Suppression.of("s", user, justification)
         before = len(self.model.audit.suppressions())
-        hits = self.lookup.cache.hits
-        misses = self.lookup.cache.misses
+        counters = self.lookup.cache.metrics.snapshot()
         decision = self.lookup.lookup(
             DST, "up", UPLOAD,
             suppressions={seg: [suppression] for seg in targets},
@@ -165,8 +164,7 @@ class SuppressionLookupMachine(RuleBasedStateMachine):
         # The hot decision cache was bypassed entirely: no hit could have
         # served the stale violating decision, and the allowed decision
         # must not be memoised for later plain lookups.
-        assert self.lookup.cache.hits == hits
-        assert self.lookup.cache.misses == misses
+        assert self.lookup.cache.metrics.snapshot() == counters
 
     @rule(text=texts)
     def observe_churn(self, text):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.browser.http import HttpRequest
 from repro.errors import NetworkError
+from repro.obs import MetricsRegistry
 from repro.services import FaultyNetwork, Network, WikiService
 from repro.util.faults import Fault, FaultInjector
 
@@ -71,10 +72,16 @@ def _save_request(wiki):
 
 
 def _faulty(*faults):
+    """A faulty network over a wiki; it and its injector share one
+    registry, as a load driver's would."""
     network = Network()
     wiki = WikiService()
     network.register(wiki)
-    return FaultyNetwork(network, FaultInjector(schedule=list(faults))), wiki
+    registry = MetricsRegistry()
+    injector = FaultInjector(
+        schedule=list(faults), scope=registry.scope("faults.")
+    )
+    return FaultyNetwork(network, injector, scope=registry.scope("network.")), wiki
 
 
 class TestFaultyNetwork:
@@ -83,7 +90,7 @@ class TestFaultyNetwork:
         response = faulty.deliver(_save_request(wiki))
         assert response.status == 200
         assert len(faulty.wrapped.request_log) == 1
-        assert faulty.stats()["delivered"] == 1
+        assert faulty.metrics.snapshot()["delivered"] == 1
 
     def test_drop_raises_and_never_reaches_backend(self):
         faulty, wiki = _faulty(Fault.drop())
@@ -91,8 +98,8 @@ class TestFaultyNetwork:
             faulty.deliver(_save_request(wiki))
         # The backend never ran: nothing in the wrapped request log.
         assert faulty.wrapped.request_log == []
-        assert faulty.stats()["dropped"] == 1
-        assert faulty.stats()["delivered"] == 0
+        assert faulty.metrics.snapshot()["dropped"] == 1
+        assert faulty.metrics.snapshot()["delivered"] == 0
 
     def test_error_synthesised_at_edge(self):
         faulty, wiki = _faulty(Fault.error(503))
@@ -100,7 +107,7 @@ class TestFaultyNetwork:
         assert response.status == 503
         assert "injected fault" in response.body
         assert faulty.wrapped.request_log == []
-        assert faulty.stats()["errored"] == 1
+        assert faulty.metrics.snapshot()["errored"] == 1
 
     def test_latency_recorded_then_delivered(self):
         slept = []
@@ -116,8 +123,8 @@ class TestFaultyNetwork:
         assert response.status == 200
         assert faulty.latencies == [0.25]
         assert slept == [0.25]
-        assert faulty.stats()["delayed"] == 1
-        assert faulty.stats()["delivered"] == 1
+        assert faulty.metrics.snapshot()["delayed"] == 1
+        assert faulty.metrics.snapshot()["delivered"] == 1
 
     def test_schedule_exhausts_to_healthy(self):
         faulty, wiki = _faulty(Fault.drop(), Fault.error(500))
@@ -126,10 +133,13 @@ class TestFaultyNetwork:
         assert faulty.deliver(_save_request(wiki)).status == 500
         # Past the schedule, everything is healthy again.
         assert faulty.deliver(_save_request(wiki)).status == 200
-        stats = faulty.stats()
-        assert stats["injected_drop"] == 1
-        assert stats["injected_error"] == 1
-        assert stats["injected_none"] == 1
+        snapshot = faulty.metrics.registry.snapshot()
+        assert snapshot["faults.injected_drop"] == 1
+        assert snapshot["faults.injected_error"] == 1
+        assert snapshot["faults.injected_none"] == 1
+        assert snapshot["network.dropped"] == 1
+        assert snapshot["network.errored"] == 1
+        assert snapshot["network.delivered"] == 1
 
     def test_delegates_like_a_network(self):
         faulty, wiki = _faulty()

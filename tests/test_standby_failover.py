@@ -192,7 +192,7 @@ class TestCatchUp:
         # advancing past the hole.
         with pytest.raises(StandbyGap):
             standby.catch_up()
-        assert standby.stats()["standby_gaps_detected"] == 2
+        assert standby.metrics.snapshot()["gaps_detected"] == 2
         wal.close()
 
     def test_fresh_standby_cannot_join_from_rotated_log(self, tmp_path):
@@ -351,10 +351,11 @@ class TestFailover:
         report, latency = standby.handle_scan(SECRET_TEXT, timeout=1.0)
         assert report.disclosing
         assert latency == 0.0
-        stats = standby.stats()
-        assert stats["standby_dropped"] == 1
-        assert stats["standby_rejected"] == 1
-        assert stats["standby_timed_out"] == 1
+        counters = standby.metrics.snapshot()
+        assert counters["dropped"] == 1
+        assert counters["rejected"] == 1
+        assert counters["timed_out"] == 1
+        assert counters["scans"] == 1
         wal.close()
 
 

@@ -18,14 +18,17 @@ class TestBasics:
         with lock.write_locked():
             assert lock.held_for_write()
         assert not lock.held_for_write()
-        assert lock.read_acquisitions == 1
-        assert lock.write_acquisitions == 1
+        counters = lock.metrics.snapshot()
+        assert counters["read_acquisitions"] == 1
+        assert counters["write_acquisitions"] == 1
 
     def test_reentrant_read(self):
         lock = RWLock()
         with lock.read_locked():
             with lock.read_locked():
                 pass
+        # Each entry counts, the nested one too.
+        assert lock.metrics.snapshot()["read_acquisitions"] == 2
         # Fully released: a writer can proceed.
         with lock.write_locked():
             pass
@@ -86,7 +89,7 @@ class TestExclusion:
         w.join(timeout=5)
         r.join(timeout=5)
         assert order == ["write-done", "read"]
-        assert lock.stats()["read_contended"] == 1
+        assert lock.metrics.snapshot()["read_contended"] == 1
 
     def test_readers_share(self):
         lock = RWLock()
@@ -104,7 +107,7 @@ class TestExclusion:
             t.start()
         for t in threads:
             t.join(timeout=5)
-        assert lock.stats()["read_acquisitions"] == 4
+        assert lock.metrics.snapshot()["read_acquisitions"] == 4
 
     def test_waiting_writer_blocks_new_readers(self):
         lock = RWLock()
@@ -150,8 +153,7 @@ class TestExclusion:
 class TestStats:
     def test_stats_keys(self):
         lock = RWLock()
-        stats = lock.stats()
-        assert set(stats) == {
+        assert set(lock.metrics.snapshot()) == {
             "read_acquisitions",
             "write_acquisitions",
             "read_contended",
@@ -181,7 +183,7 @@ class TestStats:
         release.set()
         h.join(timeout=5)
         w.join(timeout=5)
-        assert lock.stats()["write_contended"] == 1
+        assert lock.metrics.snapshot()["write_contended"] == 1
 
 
 class TestStress:
@@ -269,11 +271,11 @@ class TestStress:
         assert not any(t.is_alive() for t in threads), "a thread is wedged"
         assert violations == []
         assert peak_readers[0] >= 2, "readers never overlapped"
-        stats = lock.stats()
-        assert stats["read_acquisitions"] == sum(r for r, _w in made)
-        assert stats["write_acquisitions"] == sum(w for _r, w in made)
-        assert stats["read_contended"] <= stats["read_acquisitions"]
-        assert stats["write_contended"] <= stats["write_acquisitions"]
+        counters = lock.metrics.snapshot()
+        assert counters["read_acquisitions"] == sum(r for r, _w in made)
+        assert counters["write_acquisitions"] == sum(w for _r, w in made)
+        assert counters["read_contended"] <= counters["read_acquisitions"]
+        assert counters["write_contended"] <= counters["write_acquisitions"]
         # Fully released, and nobody left queued.
         assert lock._readers == {} and lock._writer is None
         assert lock._waiting_writers == 0 and lock._waiting_readers == 0

@@ -1080,6 +1080,31 @@ class TestRecoveryStats:
                 recovered.close()
 
 
+    def test_a_later_recovery_on_the_registry_releases_the_earlier_one(
+        self, tmp_path
+    ):
+        """Recoveries that share one registry re-register the same
+        engine gauges; once closed, an earlier recovered engine is
+        collected, and the gauges report the latest one."""
+        durable = DurableEngine(tmp_path, config=TINY_CONFIG)
+        durable.observe("a", SECRET_TEXT)
+        durable.observe("b", OTHER_TEXT)
+        durable.close()
+        registry = MetricsRegistry()
+        first = DurableEngine(tmp_path, config=TINY_CONFIG, registry=registry)
+        released = weakref.ref(first.engine)
+        first.close()
+        del first
+        second = DurableEngine(tmp_path, config=TINY_CONFIG, registry=registry)
+        try:
+            second.remove("b")
+            gc.collect()
+            assert released() is None
+            assert registry.snapshot()["engine.paragraph.segments"] == 1
+        finally:
+            second.close()
+
+
 class TestShardedDirectoryRefused:
     """A directory an older build journaled to sharded logs is refused
     before any log opens, every byte left as it was: this build keeps
